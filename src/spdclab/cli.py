@@ -125,7 +125,7 @@ def _read_json(path: str) -> tuple:
 
 
 def _dump_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -376,19 +376,7 @@ def cmd_crystal_rings(args) -> int:
 
 
 def cmd_crystal_rate_ratio(args) -> int:
-    if args.inputs:
-        raw, _ = _read_json(args.inputs)
-        table = {}
-        for key, rec in raw.get("configurations", {}).items():
-            table[key] = crystal.RateInputs(
-                label=key, d_eff_pm_v=rec["d_eff_pm_v"],
-                length_mm=rec["length_mm"], n_pump=rec["n_pump"],
-                n_signal=rec["n_signal"], n_idler=rec["n_idler"],
-                delta_walkoff=rec.get("delta_walkoff", 0.0),
-                omega=rec.get("omega", 1.0),
-            )
-    else:
-        table = crystal.load_rate_inputs()
+    table = crystal.load_rate_inputs(args.inputs)
     try:
         a, b = table[args.a], table[args.b]
     except KeyError as exc:

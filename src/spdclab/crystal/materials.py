@@ -119,6 +119,12 @@ class NonlinearTensor:
         return float(np.asarray(e_pump, float) @ (self.d_matrix @ v))
 
 
+def polar_direction(theta, phi: float) -> np.ndarray:
+    """Unit vector at polar angle theta and azimuth phi; (..., 3) for array theta."""
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+
+
 @dataclass(frozen=True)
 class CrystalCut:
     """Cut angles in the principal frame plus crystal length."""
@@ -136,8 +142,7 @@ class CrystalCut:
             raise ValueError("crystal length must be positive")
 
     def direction(self) -> np.ndarray:
-        st = np.sin(self.theta)
-        return np.array([st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)])
+        return polar_direction(self.theta, self.phi)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,12 @@ vector and the Poynting vector) equals the angle between D and E.  This
 eigenproblem form is numerically robust through all principal-plane and
 principal-axis degeneracies; tests verify it against the classic Fresnel
 quadratic and a finite-difference index-gradient oracle.
+
+There is one solver, a batched eigen-solve over (N, 3) directions.
+:func:`index_batch` returns its two index arrays: use it wherever only
+indices or wave numbers are needed (scans, root-find residuals).
+:func:`solve_waves` wraps it for one direction and adds D, E and walk-off,
+which cost more; use it only where those are needed (d_eff, walk-offs).
 """
 
 from __future__ import annotations
@@ -51,32 +57,56 @@ class WaveSolution:
     def walkoff(self, branch: str) -> float:
         return self.walkoff_fast if branch == FAST else self.walkoff_slow
 
-    def wave_number(self, branch: str) -> float:
-        """|k| in rad/um."""
-        return 2.0 * np.pi * self.n(branch) / (self.wavelength_nm * 1e-3)
-
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _transverse_basis(s: np.ndarray):
-    helper = np.array([0.0, 0.0, 1.0]) if abs(s[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    t1 = _unit(helper - np.dot(helper, s) * s)
-    return t1, np.cross(s, t1)
+def transverse_frame(s: np.ndarray) -> tuple:
+    """(t1, t2) completing each unit row of s to the right-handed frame (t1, t2, s).
+
+    t1 is the projected z axis, or the x axis where |s_z| >= 0.9.
+    """
+    helper = np.where(np.abs(s[:, 2:3]) < 0.9,
+                      np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0, 0.0]]))
+    t1 = helper - np.sum(helper * s, axis=1, keepdims=True) * s
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    # s x t1 spelled out: np.cross alone costs a third of a one-row solve
+    return t1, s[:, [1, 2, 0]] * t1[:, [2, 0, 1]] - s[:, [2, 0, 1]] * t1[:, [1, 2, 0]]
+
+
+def _eigensystem(sellmeier: SellmeierSet, directions, wavelength_nm: float) -> tuple:
+    """The batched eigen-solve over an (N, 3) block of directions.
+
+    Returns the unit directions, their frames, eps^-1, the transverse
+    restriction (m11, m22, m12) of eps^-1 per row and its eigenvalues
+    (u_fast, u_slow).
+    """
+    s = np.asarray(directions, dtype=float)
+    s = s / np.linalg.norm(s, axis=1, keepdims=True)
+    eps_inv = 1.0 / sellmeier.principal_indices(wavelength_nm) ** 2
+    t1, t2 = transverse_frame(s)
+    m11 = np.einsum("ij,j,ij->i", t1, eps_inv, t1)
+    m22 = np.einsum("ij,j,ij->i", t2, eps_inv, t2)
+    m12 = np.einsum("ij,j,ij->i", t1, eps_inv, t2)
+    mean = 0.5 * (m11 + m22)
+    radius = np.hypot(0.5 * (m11 - m22), m12)
+    return s, t1, t2, eps_inv, (m11, m22, m12), (mean + radius, mean - radius)
+
+
+def index_batch(sellmeier: SellmeierSet, directions: np.ndarray,
+                wavelength_nm: float):
+    """(n_fast, n_slow) arrays for an (N, 3) block of directions."""
+    u_fast, u_slow = _eigensystem(sellmeier, directions, wavelength_nm)[-1]
+    return 1.0 / np.sqrt(u_fast), 1.0 / np.sqrt(u_slow)
 
 
 def solve_waves(sellmeier: SellmeierSet, direction, wavelength_nm: float) -> WaveSolution:
-    """Solve both eigenwaves for a unit propagation direction."""
-    s = _unit(np.asarray(direction, dtype=float))
-    eps_inv = 1.0 / sellmeier.principal_indices(wavelength_nm) ** 2
-    t1, t2 = _transverse_basis(s)
-    m11 = float(np.dot(eps_inv * t1, t1))
-    m22 = float(np.dot(eps_inv * t2, t2))
-    m12 = float(np.dot(eps_inv * t1, t2))
-    mean = 0.5 * (m11 + m22)
-    radius = float(np.hypot(0.5 * (m11 - m22), m12))
-    u_fast, u_slow = mean + radius, mean - radius  # larger u -> smaller n
+    """Both eigenwaves, with D, E and walk-off, for one propagation direction."""
+    s, t1, t2, eps_inv, m, u = _eigensystem(
+        sellmeier, np.reshape(direction, (1, 3)), wavelength_nm)
+    s, t1, t2 = s[0], t1[0], t2[0]
+    m11, m22, m12 = (float(x[0]) for x in m)
 
     def branch(u):
         n = 1.0 / np.sqrt(u)
@@ -90,8 +120,8 @@ def solve_waves(sellmeier: SellmeierSet, direction, wavelength_nm: float) -> Wav
         walk = float(np.arccos(np.clip(np.dot(d, e), -1.0, 1.0)))
         return n, d, e, walk
 
-    nf, df, ef, wf = branch(u_fast)
-    ns, ds, es, ws = branch(u_slow)
+    nf, df, ef, wf = branch(float(u[0][0]))
+    ns, ds, es, ws = branch(float(u[1][0]))
     return WaveSolution(
         direction=s, wavelength_nm=wavelength_nm,
         n_fast=nf, n_slow=ns, d_fast=df, d_slow=ds, e_fast=ef, e_slow=es,
@@ -101,32 +131,8 @@ def solve_waves(sellmeier: SellmeierSet, direction, wavelength_nm: float) -> Wav
 
 def refractive_indices(sellmeier: SellmeierSet, direction, wavelength_nm: float):
     """(n_fast, n_slow) for the given direction, n_fast <= n_slow."""
-    sol = solve_waves(sellmeier, direction, wavelength_nm)
-    return sol.n_fast, sol.n_slow
-
-
-def index_batch(sellmeier: SellmeierSet, directions: np.ndarray,
-                wavelength_nm: float):
-    """(n_fast, n_slow) arrays for an (N, 3) block of unit directions.
-
-    Vectorized form of the eigenvalue part of :func:`solve_waves`, used by
-    the grid scans in phase matching; polarization vectors are not needed
-    there, so only the two index branches are returned.
-    """
-    s = np.asarray(directions, dtype=float)
-    s = s / np.linalg.norm(s, axis=1, keepdims=True)
-    eps_inv = 1.0 / sellmeier.principal_indices(wavelength_nm) ** 2
-    helper = np.where(np.abs(s[:, 2:3]) < 0.9,
-                      np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0, 0.0]]))
-    t1 = helper - np.sum(helper * s, axis=1, keepdims=True) * s
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(s, t1)
-    m11 = np.einsum("ij,j,ij->i", t1, eps_inv, t1)
-    m22 = np.einsum("ij,j,ij->i", t2, eps_inv, t2)
-    m12 = np.einsum("ij,j,ij->i", t1, eps_inv, t2)
-    mean = 0.5 * (m11 + m22)
-    radius = np.hypot(0.5 * (m11 - m22), m12)
-    return 1.0 / np.sqrt(mean + radius), 1.0 / np.sqrt(mean - radius)
+    n_fast, n_slow = index_batch(sellmeier, np.reshape(direction, (1, 3)), wavelength_nm)
+    return float(n_fast[0]), float(n_slow[0])
 
 
 def walkoff_angle(sellmeier: SellmeierSet, direction, wavelength_nm: float,

@@ -23,14 +23,16 @@ pairs of both orderings are emitted.
 from __future__ import annotations
 
 import io
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .materials import CrystalCut, CrystalData, SellmeierSet
-from .optics import FAST, SLOW, index_batch, solve_waves
+from ..errors import NumericalConsistencyError
+from .materials import CrystalCut, CrystalData, SellmeierSet, polar_direction
+from .optics import FAST, SLOW, index_batch, solve_waves, transverse_frame
 
 TWO_PI = 2.0 * np.pi
 
@@ -67,20 +69,29 @@ class PhaseMatchSolution:
             raise ValueError("energy conservation violated beyond 1e-9 nm^-1")
 
 
-def _direction(theta: float, phi: float) -> np.ndarray:
-    st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+def _wave_numbers(sellmeier: SellmeierSet, directions: np.ndarray,
+                  wavelength_nm: float, branch: str) -> np.ndarray:
+    """|k| in rad/um of one branch for an (N, 3) block of directions."""
+    n_fast, n_slow = index_batch(sellmeier, directions, wavelength_nm)
+    return TWO_PI / (wavelength_nm * 1e-3) * (n_fast if branch == FAST else n_slow)
 
 
-def collinear_mismatch(sellmeier: SellmeierSet, theta: float, phi: float,
-                       pump_nm: float) -> float:
-    """Delta k = k_p - k_fast - k_slow for degenerate collinear type II, rad/um."""
-    s = _direction(theta, phi)
-    pump = solve_waves(sellmeier, s, pump_nm)
-    down = solve_waves(sellmeier, s, 2.0 * pump_nm)
-    return (TWO_PI / (pump_nm * 1e-3)) * (
-        pump.n_fast - 0.5 * (down.n_fast + down.n_slow)
-    )
+def _bracket_starts(vals: np.ndarray) -> np.ndarray:
+    """Indices i whose grid cell [i, i + 1] brackets a root; NaN cells never do."""
+    a, b = vals[:-1], vals[1:]
+    return np.flatnonzero(((a == 0.0) | (a * b < 0.0)) & ~np.isnan(b))
+
+
+def collinear_mismatch(sellmeier: SellmeierSet, theta, phi: float, pump_nm: float):
+    """Delta k = k_p - k_fast - k_slow for degenerate collinear type II, rad/um.
+
+    Vectorized over theta; a scalar theta gives a float.
+    """
+    s = np.reshape(polar_direction(theta, phi), (-1, 3))
+    n_pump, _ = index_batch(sellmeier, s, pump_nm)
+    n_fast, n_slow = index_batch(sellmeier, s, 2.0 * pump_nm)
+    dk = (TWO_PI / (pump_nm * 1e-3)) * (n_pump - 0.5 * (n_fast + n_slow))
+    return float(dk[0]) if np.ndim(theta) == 0 else dk
 
 
 def d_eff_contraction(crystal: CrystalData, pump_dir, sig_dir, idl_dir,
@@ -113,23 +124,15 @@ def phase_match_collinear(
     th_lo, th_hi = (np.pi / 2, np.pi) if branch == "upper" else (1e-6, np.pi / 2)
     down_nm = 2.0 * pump_nm
     samples = []
+    thetas = np.arange(th_lo, th_hi, scan_step_rad)
     for phi in np.atleast_1d(phi_grid):
         f = lambda th: collinear_mismatch(sel, th, phi, pump_nm)
-        thetas = np.arange(th_lo, th_hi, scan_step_rad)
-        dirs = np.column_stack([np.sin(thetas) * np.cos(phi),
-                                np.sin(thetas) * np.sin(phi),
-                                np.cos(thetas)])
-        np_fast, _ = index_batch(sel, dirs, pump_nm)
-        nd_fast, nd_slow = index_batch(sel, dirs, down_nm)
-        vals = np_fast - 0.5 * (nd_fast + nd_slow)
-        root = None
-        for i in range(len(thetas) - 1):
-            if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-                root = brentq(f, thetas[i], thetas[i + 1], xtol=1e-12)
-                break
-        if root is None:
+        starts = _bracket_starts(collinear_mismatch(sel, thetas, phi, pump_nm))
+        if not starts.size:
             continue
-        s = _direction(root, phi)
+        i = starts[0]
+        root = brentq(f, thetas[i], thetas[i + 1], xtol=1e-12)
+        s = polar_direction(root, phi)
         pump = solve_waves(sel, s, pump_nm)
         down = solve_waves(sel, s, down_nm)
         samples.append(PhaseMatchSolution(
@@ -158,16 +161,15 @@ class _PumpFrame:
         self.sellmeier = sellmeier
         self.pump_nm = pump_nm
         self.p = cut.direction()
-        helper = np.array([0.0, 0.0, 1.0]) if abs(self.p[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-        e1 = helper - np.dot(helper, self.p) * self.p
-        self.e1 = e1 / np.linalg.norm(e1)
-        self.e2 = np.cross(self.p, self.e1)
+        (self.e1,), (self.e2,) = transverse_frame(self.p[None, :])
 
     def k_pump(self, pump_nm: Optional[float] = None) -> float:
         lam = self.pump_nm if pump_nm is None else pump_nm
-        return solve_waves(self.sellmeier, self.p, lam).wave_number(FAST)
+        return float(_wave_numbers(self.sellmeier, self.p[None, :], lam, FAST)[0])
 
-    def direction(self, omega: float, psi: float) -> np.ndarray:
+    def direction(self, omega, psi: float) -> np.ndarray:
+        """Unit vector at opening omega and azimuth psi; (N, 3) for array omega."""
+        omega = np.asarray(omega, dtype=float)[..., None]
         return (np.cos(omega) * self.p
                 + np.sin(omega) * (np.cos(psi) * self.e1 + np.sin(psi) * self.e2))
 
@@ -176,21 +178,22 @@ class _PumpFrame:
         return np.array([np.dot(t, self.e1), np.dot(t, self.e2)])
 
 
-def _ring_mismatch(frame: _PumpFrame, omega: float, psi: float,
+def _ring_mismatch(frame: _PumpFrame, omega, psi: float,
                    lam_s: float, lam_p: float, branch: str,
-                   k_p: Optional[float] = None) -> float:
-    """Residual |k_p - k_s| - k_i for a partner of the opposite branch."""
+                   k_p: Optional[float] = None):
+    """Residual |k_p - k_s| - k_i for a partner of the opposite branch.
+
+    Vectorized over omega; a scalar omega gives a float.
+    """
     sel = frame.sellmeier
     lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
-    other = SLOW if branch == FAST else FAST
-    d = frame.direction(omega, psi)
-    k_s = solve_waves(sel, d, lam_s).wave_number(branch)
     if k_p is None:
         k_p = frame.k_pump(lam_p)
-    v = k_p * frame.p - k_s * d
-    nv = np.linalg.norm(v)
-    k_i = solve_waves(sel, v / nv, lam_i).wave_number(other)
-    return nv - k_i
+    d = np.reshape(frame.direction(omega, psi), (-1, 3))
+    v = k_p * frame.p - _wave_numbers(sel, d, lam_s, branch)[:, None] * d
+    nv = np.linalg.norm(v, axis=1)
+    res = nv - _wave_numbers(sel, v / nv[:, None], lam_i, SLOW if branch == FAST else FAST)
+    return float(res[0]) if np.ndim(omega) == 0 else res
 
 
 def ring_opening_angle(frame: _PumpFrame, psi: float, branch: str,
@@ -200,26 +203,14 @@ def ring_opening_angle(frame: _PumpFrame, psi: float, branch: str,
     """Opening angle of the branch ring at azimuth psi, or None if absent."""
     lam_p = frame.pump_nm if lam_p is None else lam_p
     lam_s = 2.0 * lam_p if lam_s is None else lam_s
-    sel = frame.sellmeier
-    lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
-    other = SLOW if branch == FAST else FAST
     k_p = frame.k_pump(lam_p)
     # vectorized bracket scan, scalar refinement
-    grid = np.linspace(1e-5, omega_max, 40)
-    dirs = (np.cos(grid)[:, None] * frame.p
-            + np.sin(grid)[:, None] * (np.cos(psi) * frame.e1 + np.sin(psi) * frame.e2))
-    nf, ns = index_batch(sel, dirs, lam_s)
-    k_s = TWO_PI / (lam_s * 1e-3) * (nf if branch == FAST else ns)
-    v = k_p * frame.p[None, :] - k_s[:, None] * dirs
-    nv = np.linalg.norm(v, axis=1)
-    nf_i, ns_i = index_batch(sel, v / nv[:, None], lam_i)
-    k_i = TWO_PI / (lam_i * 1e-3) * (ns_i if branch == FAST else nf_i)
-    vals = nv - k_i
     f = lambda om: _ring_mismatch(frame, om, psi, lam_s, lam_p, branch, k_p)
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            return brentq(f, grid[i], grid[i + 1], xtol=1e-11)
-    return None
+    grid = np.linspace(1e-5, omega_max, 40)
+    starts = _bracket_starts(f(grid))
+    if not starts.size:
+        return None
+    return brentq(f, grid[starts[0]], grid[starts[0] + 1], xtol=1e-11)
 
 
 @dataclass(frozen=True)
@@ -258,34 +249,25 @@ def noncollinear_arms(crystal: CrystalData, cut: CrystalCut,
     psis = np.linspace(0.0, TWO_PI, n_psi, endpoint=False)
     vals = np.array([diff(p) for p in psis])
     hits = []
-    for i in range(n_psi):
-        a, b = vals[i], vals[(i + 1) % n_psi]
-        if np.isnan(a) or np.isnan(b):
-            continue
-        if a == 0.0 or a * b < 0.0:
-            psi = brentq(diff, psis[i], psis[i] + TWO_PI / n_psi, xtol=1e-6)
-            om = ring_opening_angle(frame, psi, FAST)
-            hits.append((psi, om, frame.direction(om, psi)))
+    for i in _bracket_starts(np.append(vals, vals[0])):  # the scan wraps around
+        psi = brentq(diff, psis[i], psis[i] + TWO_PI / n_psi, xtol=1e-6)
+        om = ring_opening_angle(frame, psi, FAST)
+        hits.append((om, frame.direction(om, psi)))
     if len(hits) != 2:
         raise ValueError(
             f"expected exactly two ring intersections, found {len(hits)}; "
             "the cut may not be in the non-collinear type-II regime"
         )
-    (psi_a, om_a, d_a), (psi_b, om_b, d_b) = hits
-    # The vector joining the two intersections defines the horizontal axis.
+    (om_a, d_a), (om_b, d_b) = hits
+    # The vector from arm i to arm j defines the horizontal axis.
     t_ab = frame.transverse(d_b) - frame.transverse(d_a)
     h2 = t_ab / np.linalg.norm(t_ab)
     h_axis = h2[0] * frame.e1 + h2[1] * frame.e2
-    # order arms so dir_j sits on the +H side
-    if np.dot(frame.transverse(d_b) - frame.transverse(d_a), h2) < 0:
-        (psi_a, om_a, d_a), (psi_b, om_b, d_b) = (psi_b, om_b, d_b), (psi_a, om_a, d_a)
     d_fs = d_eff_contraction(crystal, frame.p, d_a, d_b, pump_nm, lam, lam, FAST, SLOW)
     d_sf = d_eff_contraction(crystal, frame.p, d_a, d_b, pump_nm, lam, lam, SLOW, FAST)
     # fast-polarization deflection from the horizontal at arm i
-    d_vec = solve_waves(sel, d_a, lam).d_fast
-    t = d_vec - np.dot(d_vec, frame.p) * frame.p
-    t /= np.linalg.norm(t)
-    defl = float(np.arccos(np.clip(abs(np.dot(t, h_axis)), 0.0, 1.0)))
+    t = frame.transverse(solve_waves(sel, d_a, lam).d_fast)
+    defl = float(np.arccos(np.clip(abs(np.dot(t, h2)) / np.linalg.norm(t), 0.0, 1.0)))
     return NoncollinearArms(
         pump_direction=frame.p, dir_i=d_a, dir_j=d_b,
         opening_i=float(om_a), opening_j=float(om_b),
@@ -336,7 +318,7 @@ def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
         except ValueError:
             return np.nan
         om = 0.5 * (arms.opening_i + arms.opening_j)
-        n = solve_waves(sel, arms.dir_i, 2 * pump_nm).n_fast
+        n = index_batch(sel, arms.dir_i[None, :], 2 * pump_nm)[0][0]
         return float(np.degrees(np.arcsin(np.clip(n * np.sin(om), -1, 1))))
 
     f = lambda th: ext_deg(th) - external_half_angle_deg
@@ -344,14 +326,9 @@ def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
     for lo, hi in ((th0 + np.radians(0.15), th0 + np.radians(6.0)),
                    (th0 - np.radians(6.0), th0 - np.radians(0.15))):
         span = np.linspace(lo, hi, 13)
-        vals = [f(t) for t in span]
-        for i in range(len(span) - 1):
-            a, b = vals[i], vals[i + 1]
-            if np.isnan(a) or np.isnan(b):
-                continue
-            if a == 0.0 or a * b < 0.0:
-                theta = brentq(f, span[i], span[i + 1], xtol=1e-8)
-                return CrystalCut(theta, phi, length_mm)
+        for i in _bracket_starts(np.array([f(t) for t in span])):
+            theta = brentq(f, span[i], span[i + 1], xtol=1e-8)
+            return CrystalCut(theta, phi, length_mm)
     raise ValueError("no cut with the requested arm opening in the scanned range")
 
 
@@ -430,9 +407,10 @@ def spdc_rings(crystal: CrystalData, cut: CrystalCut,
                     if om is None:
                         continue
                     # half-max angular half-width of sinc^2(dk_par L/2)
-                    f = lambda o: _ring_mismatch(frame, o, psi, lam_s, lam_p, branch)
                     h = 1e-5
-                    slope = (f(om + h) - f(om - h)) / (2 * h)
+                    up, down = _ring_mismatch(frame, np.array([om + h, om - h]),
+                                              psi, lam_s, lam_p, branch)
+                    slope = (up - down) / (2 * h)
                     half_w = 2.7831 / (L_um * abs(slope)) if slope != 0 else 0.0
                     pts = [(om, 1.0)]
                     if 1e-5 < half_w < 0.05:
@@ -448,8 +426,6 @@ def spdc_rings(crystal: CrystalData, cut: CrystalCut,
                         wt.append(w_f * w_p * w_edge)
                         br.append(branch)
     if not kx:
-        import warnings
-
         warnings.warn("empty acceptance: no phase-matched directions found")
     return RingCloud(np.array(kx), np.array(ky), np.array(lam),
                      np.array(wt), np.array(br))
@@ -490,20 +466,21 @@ def spectral_fwhm(crystal: CrystalData, cut: CrystalCut, arm: str = "signal",
         lam_ps = np.array([pump_nm])
         weights = np.array([1.0])
     profile = np.zeros_like(lam_grid)
+    k_ss = np.array([_wave_numbers(sel, d_meas[None, :], lam_s, meas_branch)[0]
+                     for lam_s in lam_grid])
     for lam_p, w in zip(lam_ps, weights):
-        k_p = solve_waves(sel, frame.p, lam_p).wave_number(FAST)
-        for idx, lam_s in enumerate(lam_grid):
+        k_p = frame.k_pump(lam_p)
+        for idx, (lam_s, k_s) in enumerate(zip(lam_grid, k_ss)):
             lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
-            k_s = solve_waves(sel, d_meas, lam_s).wave_number(meas_branch)
             k_t = k_s * sin_om
             d_i = frame.p
             for _ in range(6):  # fixed point: idler polar angle cancels k_t
-                k_i = solve_waves(sel, d_i, lam_i).wave_number(other)
+                k_i = _wave_numbers(sel, d_i[None, :], lam_i, other)[0]
                 s_t = k_t / k_i
                 if s_t >= 1.0:
                     break
                 d_i = np.sqrt(1.0 - s_t * s_t) * frame.p - s_t * t_hat
-            k_i = solve_waves(sel, d_i, lam_i).wave_number(other)
+            k_i = _wave_numbers(sel, d_i[None, :], lam_i, other)[0]
             if k_t / k_i >= 1.0:
                 continue
             dk_z = k_p - k_s * cos_om - k_i * np.sqrt(1.0 - (k_t / k_i) ** 2)
@@ -512,14 +489,16 @@ def spectral_fwhm(crystal: CrystalData, cut: CrystalCut, arm: str = "signal",
 
 
 def _fwhm_of_profile(x: np.ndarray, y: np.ndarray) -> float:
+    """FWHM by linear interpolation; the half maximum must lie inside the grid."""
     peak_idx = int(np.argmax(y))
     half = y[peak_idx] / 2.0
-    j = peak_idx
-    while j > 0 and y[j] > half:
-        j -= 1
+    below = np.flatnonzero(y <= half)
+    left_of, right_of = below[below < peak_idx], below[below > peak_idx]
+    if not (half > 0.0 and left_of.size and right_of.size):
+        raise NumericalConsistencyError(
+            "half maximum not bracketed inside the spectral grid; widen the span")
+    j = left_of[-1]
     left = x[j] + (half - y[j]) * (x[j + 1] - x[j]) / (y[j + 1] - y[j])
-    j = peak_idx
-    while j < y.size - 1 and y[j] > half:
-        j += 1
+    j = right_of[0]
     right = x[j - 1] + (half - y[j - 1]) * (x[j] - x[j - 1]) / (y[j] - y[j - 1])
     return float(right - left)

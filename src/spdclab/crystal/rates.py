@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -82,12 +83,13 @@ def pair_state_angle(d_eff_arm_i: float, d_eff_arm_j: float) -> float:
     return float(np.arctan2(d_eff_arm_i, d_eff_arm_j))
 
 
-def load_rate_inputs(name: str = "pair_rate_inputs.json") -> dict:
-    """Shipped rate-formula inputs keyed by configuration label."""
-    with resources.files("spdclab.data").joinpath(name).open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+def load_rate_inputs(path: str | None = None) -> dict:
+    """Rate-formula inputs keyed by configuration label, from ``path`` or the shipped file."""
+    source = (Path(path) if path is not None
+              else resources.files("spdclab.data").joinpath("pair_rate_inputs.json"))
     out = {}
     try:
+        raw = json.loads(source.read_text(encoding="utf-8"))
         for key, rec in raw["configurations"].items():
             out[key] = RateInputs(
                 label=key,
@@ -99,6 +101,7 @@ def load_rate_inputs(name: str = "pair_rate_inputs.json") -> dict:
                 delta_walkoff=rec.get("delta_walkoff", 0.0),
                 omega=rec.get("omega", 1.0),
             )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed rate-input data: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            KeyError, TypeError, AttributeError) as exc:
+        raise SchemaError(f"malformed rate inputs {source}: {exc}") from exc
     return out

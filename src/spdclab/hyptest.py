@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erfc
+
+from .witness import alpha_coefficients
 
 #: 5! (e/5)^5, the tail-branch prefactor, evaluated once.
 PINELIS_CONST = 120.0 * (math.e / 5.0) ** 5
@@ -46,6 +47,8 @@ class TrialLedger:
             raise ValueError(f"expected {self.n} M-setting counts, got {len(self.n_k)}")
         if self.n_z < 1 or any(c < 1 for c in self.n_k):
             raise ValueError("all trial counts must be >= 1")
+        if not (math.isfinite(self.f_exp) and math.isfinite(self.f_0)):
+            raise ValueError("f_exp and f_0 must be finite")
 
     @property
     def n_total(self) -> int:
@@ -68,13 +71,13 @@ class PValueBound:
 
 def s_total(ledger: TrialLedger) -> float:
     """sqrt(1/(16 N_z) + sum_k alpha_k^2 / N_k), i.e. S_{N_t} / N_t."""
-    alpha_sq = np.array([1.0 / (2.0 * ledger.n) for _ in range(ledger.n)]) ** 2
+    alpha_sq = alpha_coefficients(ledger.n) ** 2
     return math.sqrt(1.0 / (16.0 * ledger.n_z) + float(np.sum(alpha_sq / np.array(ledger.n_k))))
 
 
 def normal_tail(x: float) -> float:
     """I(x) = P(N(0,1) >= x), via the complementary error function."""
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def pinelis_D(x: float) -> float:
@@ -115,7 +118,7 @@ def simulate_null_exceedance(
     the all-H bin and every M_k outcome is an independent fair sign.
     Used to check that computed bounds are never undershot in simulation.
     """
-    alphas = np.array([(-1.0) ** k / (2.0 * ledger.n) for k in range(ledger.n)])
+    alphas = alpha_coefficients(ledger.n)
     f_bar = np.full(runs, 0.5)  # population term: (N_z + 0) / (2 N_z)
     for k, n_k in enumerate(ledger.n_k):
         n_plus = rng.binomial(n_k, 0.5, size=runs)

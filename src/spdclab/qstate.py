@@ -180,15 +180,6 @@ def half_waveplate(angle: float) -> LocalOperator:
     return LocalOperator(np.array([[c, s], [s, -c]], dtype=complex), "waveplate")
 
 
-def quarter_waveplate(angle: float) -> LocalOperator:
-    c, s = np.cos(angle), np.sin(angle)
-    m = np.array([
-        [c * c + 1j * s * s, (1 - 1j) * s * c],
-        [(1 - 1j) * s * c, s * s + 1j * c * c],
-    ], dtype=complex)
-    return LocalOperator(m, "waveplate")
-
-
 def rotation(angle: float) -> LocalOperator:
     """Polarization rotation by `angle`: H -> cos|H> + sin|V>."""
     c, s = np.cos(angle), np.sin(angle)

@@ -294,25 +294,9 @@ class SimResult:
     rates: dict
     diagnostics: dict
 
-    def to_json_dict(self) -> dict:
-        settings = []
-        for s in self.counts.settings:
-            rec = {"setting": s.setting}
-            if s.histogram is not None:
-                rec["histogram"] = {k: int(v) for k, v in sorted(s.histogram.items())}
-            if s.hours is not None:
-                rec["hours"] = s.hours
-            settings.append(rec)
-        return {
-            "n": self.counts.n,
-            "pulses_per_setting": self.pulses_per_setting,
-            "settings": settings,
-            "rates": self.rates,
-            "diagnostics": self.diagnostics,
-        }
 
-
-def _model_rates(config: ExperimentConfig) -> dict:
+def _model_rates(config: ExperimentConfig,
+                 model: Optional[_CleanEventModel] = None) -> dict:
     """First-order brightness estimates.
 
     The tenfold model rate uses each source's mean pairs per pulse (the
@@ -320,7 +304,7 @@ def _model_rates(config: ExperimentConfig) -> dict:
     R^5 xi^10 bookkeeping; double-pair corrections to post-selection are
     left to the Monte Carlo itself.
     """
-    model = _CleanEventModel(config)
+    model = model or _CleanEventModel(config)
     rep = config.rep_rate_hz
     twofold = []
     surviving_per_pulse = model.success_prob
@@ -419,7 +403,7 @@ def run_monte_carlo(config: ExperimentConfig, pulses: int,
     expected = [Z_SETTING] + [m_setting(k) for k in range(n)]
     if sorted(names) == sorted(expected):
         counts = CountDataset(n=n, settings=setting_counts)
-    rates = _model_rates(config)
+    rates = _model_rates(config, model)
     seconds = pulses / config.rep_rate_hz
     rates["tenfold_per_hour_observed"] = {
         s: diagnostics["events_per_setting"][s] / seconds * 3600.0 for s in settings

@@ -45,6 +45,12 @@ def outcome_sign(outcome: str) -> int:
     return -1 if outcome.count("V") % 2 else 1
 
 
+def _check_count(c) -> None:
+    # bool is an int subclass, but JSON true is not a count
+    if isinstance(c, bool) or not (isinstance(c, (int, np.integer)) and c >= 0):
+        raise SchemaError(f"counts must be non-negative integers, got {c!r}")
+
+
 @dataclass(frozen=True)
 class SettingCounts:
     """Tallies for one measurement setting.
@@ -68,17 +74,15 @@ class SettingCounts:
             for outcome, c in self.histogram.items():
                 if set(outcome) - set("HV"):
                     raise SchemaError(f"bad outcome string {outcome!r}")
-                if not (isinstance(c, (int, np.integer)) and c >= 0):
-                    raise SchemaError(f"counts must be non-negative integers, got {c!r}")
+                _check_count(c)
         if self.aggregated is not None:
             want = {"n_plus", "n_minus"} if k is not None else {"n_all_h", "n_all_v", "n_rest"}
             if set(self.aggregated) != want:
                 raise SchemaError(
                     f"setting {self.setting}: aggregated keys must be {sorted(want)}"
                 )
-            for key, c in self.aggregated.items():
-                if not (isinstance(c, (int, np.integer)) and c >= 0):
-                    raise SchemaError(f"counts must be non-negative integers, got {c!r}")
+            for c in self.aggregated.values():
+                _check_count(c)
         if self.histogram is not None and self.aggregated is not None:
             if self._aggregate_from_histogram() != dict(self.aggregated):
                 raise SchemaError(
@@ -125,6 +129,12 @@ class CountDataset:
             raise SchemaError(
                 f"dataset must contain settings {expected} exactly once, got {names}"
             )
+        for s in self.settings:
+            for outcome in s.histogram or {}:
+                if len(outcome) != self.n:
+                    raise SchemaError(
+                        f"setting {s.setting}: outcome {outcome!r} is not {self.n} letters long"
+                    )
 
     def setting(self, name: str) -> SettingCounts:
         for s in self.settings:
@@ -245,8 +255,3 @@ def population_stats(z: SettingCounts) -> PopulationStats:
         raise InsufficientDataError("setting Z has zero total count")
     snr = math.inf if agg["n_rest"] == 0 else n_sig / agg["n_rest"]
     return PopulationStats(population_fraction=n_sig / n_z, signal_to_noise=snr)
-
-
-def coherence_visibilities(data: CountDataset) -> np.ndarray:
-    """|E_k| per M setting; their mean is the coherence visibility."""
-    return np.abs(data.correlations())

@@ -148,6 +148,24 @@ class TestAnalyze:
         path.write_text("{broken")
         assert main(["analyze", str(path)]) == EXIT_SCHEMA
 
+    @staticmethod
+    def _histogram_file(tmp_path, z_histogram):
+        path = tmp_path / "counts.json"
+        settings = [{"setting": "Z", "histogram": z_histogram}]
+        settings += [{"setting": f"M{k}", "aggregated": {"n_plus": 9, "n_minus": 1}}
+                     for k in range(3)]
+        path.write_text(json.dumps({"kind": "count_dataset", "n": 3,
+                                    "provenance": "simulated", "settings": settings}))
+        return path
+
+    def test_outcome_of_wrong_length_exit_code(self, tmp_path):
+        path = self._histogram_file(tmp_path, {"HHH": 5, "VVV": 5, "H": 2})
+        assert main(["analyze", str(path)]) == EXIT_SCHEMA
+
+    def test_boolean_count_exit_code(self, tmp_path):
+        path = self._histogram_file(tmp_path, {"HHH": 5, "VVV": True})
+        assert main(["analyze", str(path)]) == EXIT_SCHEMA
+
 
 class TestSimulate:
     def _small_config(self, tmp_path, pulses_scale=1.0):
@@ -274,6 +292,17 @@ class TestCrystalCommands:
         payload = json.loads(out.read_text())
         assert abs(payload["rate_ratio"] - 0.424) < 1e-9
 
+    def test_rate_ratio_inputs_missing_keys_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps({"configurations": {
+            "a": {"d_eff_pm_v": 3.0, "length_mm": 1.0},
+            "b": {"d_eff_pm_v": 2.0, "length_mm": 2.0, "n_pump": 1.6,
+                  "n_signal": 1.6, "n_idler": 1.7},
+        }}))
+        assert main(["crystal", "rate-ratio", "--inputs", str(path),
+                     "--a", "a", "--b", "b"]) == EXIT_SCHEMA
+        assert "schema error" in capsys.readouterr().err
+
     def test_out_of_range_wavelength_is_numeric_failure(self):
         assert main(["crystal", "summary", "--species", "bbo",
                      "--cut", "0.75", "0.0", "--pump-nm", "150"]) == EXIT_NUMERIC
@@ -308,6 +337,13 @@ class TestPvalue:
         out = tmp_path / "p.json"
         assert main(["pvalue", str(path), "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["bound"] < 1e-20
+
+    def test_nan_fidelity_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "ledger.json"
+        path.write_text('{"kind": "trial_ledger", "n": 2, "n_z": 10, '
+                        '"n_k": [5, 5], "f_exp": NaN}')
+        assert main(["pvalue", str(path)]) == EXIT_SCHEMA
+        assert "NaN" not in capsys.readouterr().out
 
     def test_malformed_ledger(self, tmp_path):
         path = tmp_path / "ledger.json"

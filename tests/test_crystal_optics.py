@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from spdclab.crystal import (
     FAST,
     SLOW,
     fresnel_residual,
+    load_crystal,
     refractive_indices,
     solve_waves,
     walkoff_angle,
 )
+from spdclab.crystal.optics import index_batch
 
 
 def random_directions(n, seed=0):
@@ -138,3 +141,29 @@ class TestWalkoff:
     def test_invalid_branch(self, bbo):
         with pytest.raises(ValueError):
             walkoff_angle(bbo.sellmeier, [0, 0, 1.0], 780.0, "medium")
+
+
+class TestIndexBatch:
+    """The batched solve and the one-direction wrapper are the same solver."""
+
+    # principal axes, and directions just inside and outside |s_z| = 0.9,
+    # where the transverse frame switches its helper axis
+    FIXED = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+             (np.sqrt(1 - 0.8999**2), 0.0, 0.8999), (np.sqrt(1 - 0.9001**2), 0.0, 0.9001),
+             (0.0, np.sqrt(1 - 0.9**2), -0.9), (0.3, 0.3, -0.9001)]
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(species=st.sampled_from(["bbo", "bibo"]),
+           lam=st.sampled_from([390.0, 780.0]),
+           extra=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+                          .filter(lambda v: np.linalg.norm(v) > 1e-3),
+                          min_size=1, max_size=6))
+    def test_rows_equal_solve_waves(self, species, lam, extra):
+        sel = load_crystal(species).sellmeier
+        block = np.array(self.FIXED + extra)
+        n_fast, n_slow = index_batch(sel, block, lam)
+        assert n_fast.shape == n_slow.shape == (len(block),)
+        for row, nf, ns in zip(block, n_fast, n_slow):
+            sol = solve_waves(sel, row, lam)
+            assert nf == pytest.approx(sol.n_fast, rel=1e-15, abs=0)
+            assert ns == pytest.approx(sol.n_slow, rel=1e-15, abs=0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spdclab import crystal
+from spdclab.crystal import phasematch
 from spdclab.crystal import (
     COLLINEAR,
     NONCOLLINEAR,
@@ -15,6 +16,7 @@ from spdclab.crystal import (
     spdc_rings,
     spectral_fwhm,
 )
+from spdclab.errors import NumericalConsistencyError
 
 SEVEN_PI_30 = 7 * np.pi / 30
 
@@ -222,3 +224,42 @@ class TestSpectralFwhm:
     def test_arm_validation(self, bibo):
         with pytest.raises(ValueError):
             spectral_fwhm(bibo, bibo.reference_cut, arm="pump")
+
+    def test_fwhm_of_profile_interpolates(self):
+        x = np.linspace(-2.0, 2.0, 401)
+        width = phasematch._fwhm_of_profile(x, np.exp(-0.5 * x**2))
+        assert abs(width - 2.3548) < 1e-3
+
+    @pytest.mark.parametrize("profile", [
+        lambda x: np.zeros_like(x),                  # flat
+        lambda x: np.exp(-0.5 * (x + 2.0) ** 2),     # peak at the grid edge
+        lambda x: np.exp(-0.5 * (x / 10.0) ** 2),    # span narrower than the peak
+    ], ids=["flat", "edge_peak", "narrow_span"])
+    def test_fwhm_of_profile_unbracketed_raises(self, profile):
+        x = np.linspace(-2.0, 2.0, 41)
+        with pytest.raises(NumericalConsistencyError):
+            phasematch._fwhm_of_profile(x, profile(x))
+
+
+class TestVectorizedMismatch:
+    """Array forms of the mismatch formulas equal their scalar forms."""
+
+    def test_collinear_mismatch(self, bibo):
+        thetas = np.linspace(1e-6, np.pi, 37)
+        vals = phasematch.collinear_mismatch(bibo.sellmeier, thetas, 0.4, 390.0)
+        assert vals.shape == thetas.shape
+        for th, v in zip(thetas, vals):
+            scalar = phasematch.collinear_mismatch(bibo.sellmeier, th, 0.4, 390.0)
+            assert isinstance(scalar, float)
+            assert v == pytest.approx(scalar, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("branch", [crystal.FAST, crystal.SLOW])
+    def test_ring_mismatch(self, bibo, branch):
+        frame = phasematch._PumpFrame(bibo.sellmeier, bibo.reference_cut, 390.0)
+        omegas = np.linspace(1e-5, 0.2, 23)
+        vals = phasematch._ring_mismatch(frame, omegas, 1.1, 781.0, 389.5, branch)
+        assert vals.shape == omegas.shape
+        for om, v in zip(omegas, vals):
+            scalar = phasematch._ring_mismatch(frame, om, 1.1, 781.0, 389.5, branch)
+            assert isinstance(scalar, float)
+            assert v == pytest.approx(scalar, rel=0, abs=1e-13)

@@ -45,6 +45,12 @@ class TestSTotal:
         with pytest.raises(ValueError):
             TrialLedger(3, 5, (5, 5), 0.6)  # wrong n_k length
 
+    @pytest.mark.parametrize("f_exp,f_0", [(math.nan, 0.5), (math.inf, 0.5),
+                                           (0.6, math.nan), (0.6, -math.inf)])
+    def test_non_finite_fidelity_rejected(self, f_exp, f_0):
+        with pytest.raises(ValueError):
+            TrialLedger(2, 5, (5, 5), f_exp, f_0)
+
 
 class TestNormalTail:
     def test_symmetry_point(self):
