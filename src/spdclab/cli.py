@@ -50,9 +50,13 @@ def dataset_from_dict(raw: dict) -> witness.CountDataset:
     for key in ("n", "settings"):
         if key not in raw:
             raise SchemaError(f"count file missing required key {key!r}")
+    witness._check_count(raw["n"])
     prov = raw.get("provenance", "experimental")
     if prov not in PROVENANCE_KINDS:
         raise SchemaError(f"provenance must be one of {PROVENANCE_KINDS}, got {prov!r}")
+    if not (isinstance(raw["settings"], list)
+            and all(isinstance(rec, dict) for rec in raw["settings"])):
+        raise SchemaError("settings must be a list of JSON objects")
     settings = []
     for i, rec in enumerate(raw["settings"]):
         try:
@@ -66,7 +70,7 @@ def dataset_from_dict(raw: dict) -> witness.CountDataset:
             raise SchemaError(f"settings[{i}]: missing key {exc}") from exc
         except SchemaError as exc:
             raise SchemaError(f"settings[{i}]: {exc}") from exc
-    return witness.CountDataset(n=int(raw["n"]), settings=tuple(settings))
+    return witness.CountDataset(n=raw["n"], settings=tuple(settings))
 
 
 def dataset_to_dict(data: witness.CountDataset, provenance: str,
@@ -99,10 +103,12 @@ def ledger_from_dict(raw: dict) -> hyptest.TrialLedger:
     if raw.get("kind", "trial_ledger") != "trial_ledger":
         raise SchemaError(f"not a trial_ledger record: kind={raw.get('kind')!r}")
     try:
+        for c in (raw["n"], raw["n_z"], *raw["n_k"]):
+            witness._check_count(c)
         return hyptest.TrialLedger(
-            n=int(raw["n"]),
-            n_z=int(raw["n_z"]),
-            n_k=tuple(int(c) for c in raw["n_k"]),
+            n=raw["n"],
+            n_z=raw["n_z"],
+            n_k=tuple(raw["n_k"]),
             f_exp=float(raw["f_exp"]),
             f_0=float(raw.get("f_0", 0.5)),
         )
@@ -240,9 +246,10 @@ def cmd_simulate(args) -> int:
             detector=config.detector, seed=args.seed,
             provenance=config.provenance,
         )
-    settings = (args.settings.split(",") if args.settings
-                else [witness.Z_SETTING] + [witness.m_setting(k)
-                                            for k in range(config.n_modes())])
+    every = [witness.Z_SETTING] + [witness.m_setting(k) for k in range(config.n_modes())]
+    settings = args.settings.split(",") if args.settings else every
+    if not set(settings) <= set(every) or len(set(settings)) < len(settings):
+        raise SchemaError(f"--settings must name distinct settings among {every}")
     result = simulator.run_monte_carlo(config, args.pulses, settings)
     counts_payload = dataset_to_dict(
         result.counts, provenance="simulated",
@@ -508,8 +515,7 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
-    except (NumericalConsistencyError, FloatingPointError,
-            ZeroDivisionError, ValueError) as exc:
+    except (NumericalConsistencyError, ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

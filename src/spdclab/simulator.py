@@ -8,19 +8,23 @@ are coherent: their post-selected statistics come from the exact fused
 state, with one scalar overlap per PBS link damping the coherence between
 the all-H and all-V components (partial distinguishability dephases, it
 does not remove photons, so H/V populations are unaffected).  All other
-surviving configurations (double-pair contamination) are traced as
+surviving configurations (double-pair contamination) are routed as
 classically polarized photons through the PBS chain: H transmits, V
 reflects to the neighboring output, and an event registers only when every
 analyzer path fires on exactly one port.
 
-Acceptance of a candidate pulse never depends on future pulses, so pulses
-can be processed in independent batches whose tallies merge by addition;
-every batch derives its random stream from (seed, setting, batch), which
-makes results independent of how work is split.
+The outcome probabilities of a candidate pulse are computed exactly, not
+sampled: the classical routing is a ring of one small transfer matrix per
+source, and the coherent part is added from the exact fused state.
+Pulses are independent and each gives at most one outcome, so a run is one
+binomial draw (candidate pulses) and one multinomial draw (outcomes plus a
+no-event bucket) per setting, whatever the pulse count.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -58,8 +62,10 @@ class SourceModel:
         for name in ("xi_signal", "xi_idler"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.double_pair_factor < 0.0:
-            raise ValueError("double_pair_factor must be >= 0")
+        if not 0.0 <= self.double_pair_factor < math.inf:
+            raise ValueError("double_pair_factor must be finite and >= 0")
+        if not math.isfinite(self.theta_state):
+            raise ValueError("theta_state must be finite")
 
     def pair_number_probs(self) -> np.ndarray:
         """P(0), P(1), P(2) pairs per pulse; weights 1 : p : g p^2."""
@@ -124,6 +130,10 @@ class ExperimentConfig:
         object.__setattr__(self, "sources", tuple(self.sources))
         if len(self.sources) != len(self.network.sources):
             raise ValueError("config sources must match the network source count")
+        if not 0.0 < self.rep_rate_hz < math.inf:
+            raise ValueError("rep_rate_hz must be positive and finite")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
 
     def n_modes(self) -> int:
         return 2 * len(self.sources)
@@ -188,7 +198,6 @@ class _CleanEventModel:
         self.amp_v = float(np.real(state.amps[-1]))
         self.damping = config.interference.coherence_damping(
             len(config.network.pbs_links))
-        self._dist_cache = {}
 
     def _port_products(self, basis: np.ndarray) -> tuple:
         """Per-outcome amplitudes ``prod_i <port b_i | H>`` and ``... | V>``."""
@@ -203,8 +212,6 @@ class _CleanEventModel:
 
     def distribution(self, setting: str) -> np.ndarray:
         """Probabilities over the 2^n outcome strings for one setting."""
-        if setting in self._dist_cache:
-            return self._dist_cache[setting]
         size = 2**self.n
         if setting == Z_SETTING:
             probs = np.zeros(size)
@@ -220,9 +227,7 @@ class _CleanEventModel:
                      + self.amp_v**2 * np.abs(a_v) ** 2
                      + cross)
         probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        self._dist_cache[setting] = probs
-        return probs
+        return probs / probs.sum()
 
 
 def sample_postselected(config: ExperimentConfig, setting: str, n_events: int,
@@ -233,7 +238,7 @@ def sample_postselected(config: ExperimentConfig, setting: str, n_events: int,
 
 
 # ---------------------------------------------------------------------------
-# Classical routing for contaminated pulses
+# Exact outcome probabilities
 # ---------------------------------------------------------------------------
 
 def _chain_order(links: Sequence) -> list:
@@ -251,41 +256,130 @@ def _chain_order(links: Sequence) -> list:
     return order
 
 
-class _ClassicalRouter:
-    """Per-photon deterministic routing through the PBS chain."""
+def _ring_layout(config: ExperimentConfig) -> list:
+    """(source, signal mode, idler mode) at each position of the PBS chain.
 
-    def __init__(self, config: ExperimentConfig):
-        self.n_sources = len(config.sources)
-        chain = _chain_order(config.network.pbs_links)
-        if len(chain) != self.n_sources:
-            raise TopologyError("chain must fuse one signal photon per source")
-        all_modes = set(range(1, 2 * self.n_sources + 1))
-        self.signal_mode = {}
-        self.idler_mode = {}
-        for p in range(self.n_sources):
-            modes = {2 * p + 1, 2 * p + 2}
-            sig = modes & set(chain)
-            if len(sig) != 1:
-                raise TopologyError(f"source {p} must feed exactly one chain input")
-            self.signal_mode[p] = sig.pop()
-            self.idler_mode[p] = (modes - {self.signal_mode[p]}).pop()
-        self.chain = chain
-        # H transmits to the photon's own output; V reflects to the
-        # cyclically previous chain output.
-        self.route_v = {chain[i]: chain[i - 1] for i in range(len(chain))}
-        self.mode_axis = {m: i for i, m in enumerate(sorted(all_modes))}
+    An H signal transmits to its own chain output; a V signal reflects to
+    the output one position back, cyclically.  So the chain path at
+    position i holds the H signals of source i and the V signals of source
+    i + 1, which makes the classical routing a ring of transfer matrices.
+    """
+    chain = _chain_order(config.network.pbs_links)
+    sources = [(mode - 1) // 2 for mode in chain]
+    if sorted(sources) != list(range(len(config.sources))):
+        raise TopologyError("chain must fuse one signal photon per source")
+    # a source's two modes are 2p+1 and 2p+2; the one off the chain is the idler
+    return [(p, mode, mode + 1 if mode % 2 else mode - 1)
+            for p, mode in zip(sources, chain)]
 
-    def route(self, source: int, is_idler: bool, pol: int) -> int:
-        """Final analyzer mode of a photon (pol: 0 = H, 1 = V)."""
-        if is_idler:
-            return self.idler_mode[source]
-        mode = self.signal_mode[source]
-        return self.route_v[mode] if pol else mode
+
+def _source_table(src: SourceModel) -> np.ndarray:
+    """Configurations of one source, given that it emits at least one pair.
+
+    One row per (1 or 2 pairs) x (HH or VV per pair) x (survival of each
+    photon): weight, surviving H and V signals, surviving H and V idlers,
+    and whether the row is clean (exactly one fully surviving pair and no
+    stray photon).
+    """
+    probs = src.pair_number_probs()
+    given_emit = probs[1:] / probs[1:].sum() if probs[0] < 1.0 else (1.0, 0.0)
+    pol_w = src.branch_probs()
+    survive_s = (1.0 - src.xi_signal, src.xi_signal)
+    survive_i = (1.0 - src.xi_idler, src.xi_idler)
+    rows = []
+    for n_pairs in (1, 2):
+        for pairs in itertools.product(itertools.product((0, 1), repeat=3),
+                                       repeat=n_pairs):
+            weight = given_emit[n_pairs - 1]
+            photons = [0, 0, 0, 0]
+            full = strays = 0
+            for pol, s_ok, i_ok in pairs:
+                weight *= pol_w[pol] * survive_s[s_ok] * survive_i[i_ok]
+                photons[pol] += s_ok
+                photons[2 + pol] += i_ok
+                full += s_ok and i_ok
+                strays += s_ok != i_ok
+            rows.append((weight, *photons, full == 1 and strays == 0))
+    return np.array(rows, dtype=float)
+
+
+def _path_weights(n_h, n_v, z_rule: bool) -> np.ndarray:
+    """Weight of each recorded bit (H port, V port) of a path, last axis.
+
+    Z: the path fires iff it holds photons of one polarization only, and
+    the bit is that polarization.  M_k: each photon leaves either port with
+    probability 1/2, so m >= 1 photons give each bit with weight 2^-m.
+    """
+    n_h, n_v = np.broadcast_arrays(n_h, n_v)
+    if z_rule:
+        return np.stack([(n_h > 0) & (n_v == 0), (n_v > 0) & (n_h == 0)],
+                        axis=-1).astype(float)
+    m = n_h + n_v
+    w = np.where(m > 0, 0.5**m, 0.0)
+    return np.stack([w, w], axis=-1)
+
+
+def _transfer_matrix(rows: np.ndarray, z_rule: bool) -> np.ndarray:
+    """T[V signals received, V signals sent, chain bit, idler bit] of one source."""
+    weight, h_sig, v_sig, h_idl, v_idl = rows[:, :5].T
+    received = np.arange(3)
+    chain = _path_weights(h_sig[:, None], received, z_rule)       # (rows, 3, 2)
+    sent = v_sig[:, None] == received                              # (rows, 3)
+    idler = _path_weights(h_idl, v_idl, z_rule)                    # (rows, 2)
+    return np.einsum("r,rib,ro,rd->iobd", weight, chain, sent, idler)
+
+
+def _classical_part(layout: list, tables: list, z_rule: bool) -> np.ndarray:
+    """Outcome weights of the candidates that are not clean at every source.
+
+    Summed over the first source that is not clean (sources before it
+    clean, after it anything), so every term is non-negative and the part
+    is exactly zero when no such candidate can fire every path.
+    """
+    n_src = len(layout)
+    clean = [_transfer_matrix(t[t[:, 5] == 1], z_rule) for t in tables]
+    dirty = [_transfer_matrix(t[t[:, 5] == 0], z_rule) for t in tables]
+    full = [c + d for c, d in zip(clean, dirty)]
+    # the chain bit at position i is axis n_src + i, its idler's bit 2 n_src + i
+    axis = {}
+    for i, (_, signal, idler) in enumerate(layout):
+        axis[signal], axis[idler] = n_src + i, 2 * n_src + i
+    part = 0.0
+    for j in range(n_src):
+        operands = []
+        for i, t in enumerate(clean[:j] + [dirty[j]] + full[j + 1:]):
+            operands += [t, [(i + 1) % n_src, i, n_src + i, 2 * n_src + i]]
+        part = part + np.einsum(*operands, [axis[m] for m in sorted(axis)],
+                                optimize=True)
+    return part.ravel()
+
+
+def _outcome_probabilities(config: ExperimentConfig, settings: Sequence[str],
+                           clean: _CleanEventModel) -> dict:
+    """P(outcome | candidate pulse) over the 2^n outcome strings, per setting.
+
+    A candidate (every source emits at least one pair) that is clean at
+    every source is coherent and follows ``clean``; every other candidate
+    is routed classically around the PBS ring.  Dark counts thin every
+    event by (1 - d)^n.
+    """
+    layout = _ring_layout(config)
+    tables = [_source_table(config.sources[p]) for p, _, _ in layout]
+    p_clean = np.prod([t[t[:, 5] == 1, 0].sum() for t in tables])
+    classical = {z: _classical_part(layout, tables, z) for z in (True, False)}
+    thinning = (1.0 - config.detector.dark_count_prob) ** config.n_modes()
+    return {s: thinning * (classical[s == Z_SETTING]
+                           + p_clean * clean.success_prob * clean.distribution(s))
+            for s in settings}
 
 
 # ---------------------------------------------------------------------------
 # Main Monte Carlo driver
 # ---------------------------------------------------------------------------
+
+#: numpy's binomial draw takes the pulse count as a signed 64-bit integer
+MAX_PULSES = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class SimResult:
@@ -302,7 +396,7 @@ def _model_rates(config: ExperimentConfig,
     The tenfold model rate uses each source's mean pairs per pulse (the
     total pair rate divided by the repetition rate), matching the usual
     R^5 xi^10 bookkeeping; double-pair corrections to post-selection are
-    left to the Monte Carlo itself.
+    left to the outcome model.
     """
     model = model or _CleanEventModel(config)
     rep = config.rep_rate_hz
@@ -319,100 +413,49 @@ def _model_rates(config: ExperimentConfig,
 
 
 def run_monte_carlo(config: ExperimentConfig, pulses: int,
-                    settings: Sequence[str], batch_pulses: int = 50_000_000,
+                    settings: Sequence[str],
                     seed: Optional[int] = None) -> SimResult:
     """Simulate ``pulses`` pump pulses for each requested setting.
 
     Only pulses in which every source emits at least one pair can register
-    an n-fold coincidence (dark-count-only coincidences are not modeled),
-    so the number of candidate pulses is drawn binomially and only those
-    are traced.  Results are byte-identical for identical
-    (config, pulses, settings, seed).
+    an n-fold coincidence (dark-count-only coincidences are not modeled).
+    Per setting, the candidate count is Binomial(pulses, P(all emit)) and
+    the outcome counts are Multinomial(candidates, exact p_outcome) with a
+    no-event bucket, drawn from a stream seeded by (seed, setting index).
+    Results are byte-identical for identical (config, pulses, settings, seed).
     """
-    if pulses < 1:
-        raise ValueError("pulses must be >= 1")
+    if not 1 <= pulses <= MAX_PULSES:
+        raise ValueError(f"pulses must lie in [1, {MAX_PULSES}]")
     base_seed = config.seed if seed is None else seed
-    model = _CleanEventModel(config)
-    router = _ClassicalRouter(config)
+    clean = _CleanEventModel(config)
+    probs = _outcome_probabilities(config, settings, clean)
+    p_all_emit = float(np.prod([1.0 - s.pair_number_probs()[0] for s in config.sources]))
     n = config.n_modes()
-    sources = config.sources
-    pair_probs = np.array([s.pair_number_probs() for s in sources])
-    p_emit = 1.0 - pair_probs[:, 0]
-    p_all_emit = float(np.prod(p_emit))
-    p_double_given_emit = pair_probs[:, 2] / (pair_probs[:, 1] + pair_probs[:, 2])
-    xi = np.array([[s.xi_signal, s.xi_idler] for s in sources])
-    branch_hh = np.array([s.branch_probs()[0] for s in sources])
-    dark = config.detector.dark_count_prob
     labels = qstate.basis_labels(n)
 
     histograms = {}
     diagnostics = {"events_per_setting": {}, "candidates_per_setting": {}}
     for s_idx, setting in enumerate(settings):
-        tally = {}
-        n_events = 0
-        n_candidates_total = 0
-        n_batches = (pulses + batch_pulses - 1) // batch_pulses
-        for batch in range(n_batches):
-            batch_n = min(batch_pulses, pulses - batch * batch_pulses)
-            rng = np.random.default_rng([base_seed, s_idx, batch])
-            n_cand = int(rng.binomial(batch_n, p_all_emit))
-            n_candidates_total += n_cand
-            if n_cand == 0:
-                continue
-            doubles = rng.random((n_cand, len(sources))) < p_double_given_emit
-            # photons of the primary pair per source: (signal, idler) survival
-            survive = rng.random((n_cand, len(sources), 2)) < xi
-            clean_mask = ~doubles.any(axis=1)
-            full = survive.all(axis=(1, 2))
-            quantum = clean_mask & full
-            n_quantum = int(quantum.sum())
-            # contaminated pulses get a per-pulse classical trace
-            contaminated = np.flatnonzero(doubles.any(axis=1))
-            outcomes = []
-            if n_quantum:
-                keep = rng.random(n_quantum) < model.success_prob
-                n_keep = int(keep.sum())
-                if n_keep:
-                    idx = rng.choice(2**n, size=n_keep,
-                                     p=model.distribution(setting))
-                    outcomes.extend(int(i) for i in idx)
-            for row in contaminated:
-                out = _trace_contaminated(
-                    rng, sources, router, survive[row], doubles[row],
-                    branch_hh, setting, n, model, config,
-                )
-                if out is not None:
-                    outcomes.append(out)
-            if dark > 0.0 and outcomes:
-                keep = rng.random(len(outcomes)) >= 1.0 - (1.0 - dark) ** n
-                outcomes = [o for o, k in zip(outcomes, keep) if k]
-            for o in outcomes:
-                tally[labels[o]] = tally.get(labels[o], 0) + 1
-            n_events += len(outcomes)
-        histograms[setting] = tally
-        diagnostics["events_per_setting"][setting] = n_events
-        diagnostics["candidates_per_setting"][setting] = n_candidates_total
+        p = probs[setting]
+        rng = np.random.default_rng([base_seed, s_idx])
+        n_cand = int(rng.binomial(pulses, p_all_emit))
+        counts = rng.multinomial(n_cand, [*p, max(0.0, 1.0 - p.sum())])[:-1]
+        histograms[setting] = {labels[i]: int(counts[i])
+                               for i in np.flatnonzero(counts)}
+        diagnostics["events_per_setting"][setting] = int(counts.sum())
+        diagnostics["candidates_per_setting"][setting] = n_cand
 
-    setting_counts = tuple(
-        SettingCounts(setting=s, histogram=histograms.get(s, {}))
-        for s in settings
-    )
-    # fill missing settings only if the caller asked for a complete set
-    names = [s.setting for s in setting_counts]
-    counts = None
-    expected = [Z_SETTING] + [m_setting(k) for k in range(n)]
-    if sorted(names) == sorted(expected):
-        counts = CountDataset(n=n, settings=setting_counts)
-    rates = _model_rates(config, model)
+    setting_counts = tuple(SettingCounts(setting=s, histogram=histograms[s])
+                           for s in settings)
+    rates = _model_rates(config, clean)
     seconds = pulses / config.rep_rate_hz
     rates["tenfold_per_hour_observed"] = {
         s: diagnostics["events_per_setting"][s] / seconds * 3600.0 for s in settings
     }
     diagnostics.update(_correlation_diagnostics(settings, histograms))
-    if counts is None:
-        counts = _partial_dataset(n, setting_counts)
-    return SimResult(counts=counts, pulses_per_setting=pulses,
-                     rates=rates, diagnostics=diagnostics)
+    return SimResult(counts=_partial_dataset(n, setting_counts),
+                     pulses_per_setting=pulses, rates=rates,
+                     diagnostics=diagnostics)
 
 
 def _partial_dataset(n, setting_counts):
@@ -450,62 +493,6 @@ def _correlation_diagnostics(settings, histograms) -> dict:
     if corr:
         out["mean_coherence_visibility"] = float(np.mean([abs(v) for v in corr.values()]))
     return out
-
-
-def _trace_contaminated(rng, sources, router, survive_primary, doubles,
-                        branch_hh, setting, n, model, config) -> Optional[int]:
-    """Classical trace of one pulse that contains a double emission.
-
-    Returns the outcome index, or None when the pulse fails post-selection.
-    If after losses the survivors reduce to the canonical one-full-pair-
-    per-source configuration, the pulse is coherent and is delegated to
-    the exact clean model instead.
-    """
-    photons = []          # (source, is_idler, pol)
-    per_source_clean = []
-    for p, src in enumerate(sources):
-        n_pairs = 2 if doubles[p] else 1
-        surviving_pairs = 0
-        strays = 0
-        for pair_idx in range(n_pairs):
-            pol = 0 if rng.random() < branch_hh[p] else 1
-            if pair_idx == 0:
-                s_ok, i_ok = survive_primary[p]
-            else:
-                s_ok = rng.random() < src.xi_signal
-                i_ok = rng.random() < src.xi_idler
-            if s_ok and i_ok:
-                surviving_pairs += 1
-            elif s_ok or i_ok:
-                strays += 1
-            if s_ok:
-                photons.append((p, False, pol))
-            if i_ok:
-                photons.append((p, True, pol))
-        per_source_clean.append(surviving_pairs == 1 and strays == 0)
-    if all(per_source_clean):
-        # contamination died in the losses: coherent clean event after all
-        if rng.random() >= model.success_prob:
-            return None
-        return int(rng.choice(2**n, p=model.distribution(setting)))
-    # analyzer paths: exactly one port may fire per path
-    by_path = {}
-    for source, is_idler, pol in photons:
-        path = router.route(source, is_idler, pol)
-        by_path.setdefault(path, []).append(pol)
-    if len(by_path) != n:
-        return None
-    outcome = 0
-    for mode in sorted(by_path):
-        pols = by_path[mode]
-        if setting == Z_SETTING:
-            ports = pols
-        else:
-            ports = [int(rng.random() < 0.5) for _ in pols]
-        if any(port != ports[0] for port in ports):
-            return None  # both detectors on this path fired
-        outcome = (outcome << 1) | ports[0]
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +580,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed experiment config: {exc}") from exc
 
 

@@ -36,7 +36,7 @@ def setting_index(name: str) -> Optional[int]:
     """M-setting index, or None for the Z setting."""
     if name == Z_SETTING:
         return None
-    if name.startswith("M") and name[1:].isdigit():
+    if isinstance(name, str) and name.startswith("M") and name[1:].isdigit():
         return int(name[1:])
     raise SchemaError(f"unknown setting name {name!r}")
 
@@ -70,6 +70,9 @@ class SettingCounts:
         k = setting_index(self.setting)
         if self.histogram is None and self.aggregated is None:
             raise SchemaError(f"setting {self.setting}: no counts given")
+        if not all(isinstance(c, (dict, type(None)))
+                   for c in (self.histogram, self.aggregated)):
+            raise SchemaError(f"setting {self.setting}: counts must be JSON objects")
         if self.histogram is not None:
             for outcome, c in self.histogram.items():
                 if set(outcome) - set("HV"):

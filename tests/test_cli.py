@@ -166,6 +166,19 @@ class TestAnalyze:
         path = self._histogram_file(tmp_path, {"HHH": 5, "VVV": True})
         assert main(["analyze", str(path)]) == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("n", [1.9, True])
+    def test_non_integer_mode_count_exit_code(self, tmp_path, n):
+        # read as int(n) == 1, these settings would make a valid file
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({
+            "kind": "count_dataset", "n": n, "provenance": "simulated",
+            "settings": [
+                {"setting": "Z", "aggregated": {"n_all_h": 5, "n_all_v": 5, "n_rest": 1}},
+                {"setting": "M0", "aggregated": {"n_plus": 9, "n_minus": 1}},
+            ],
+        }))
+        assert main(["analyze", str(path)]) == EXIT_SCHEMA
+
 
 class TestSimulate:
     def _small_config(self, tmp_path, pulses_scale=1.0):
@@ -221,6 +234,23 @@ class TestSimulate:
         main(["simulate", str(cfg), "--pulses", "500000", "--settings", "Z",
               "--seed", "99", "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
+
+    @pytest.mark.parametrize("settings", ["M42", "X", "Z,M0,Z", "M01", "M10", "Z,"])
+    def test_bad_settings_rejected_before_simulation(self, tmp_path, monkeypatch,
+                                                     settings):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated before validating the settings")
+
+        monkeypatch.setattr(cli.simulator, "run_monte_carlo", fail)
+        cfg = self._small_config(tmp_path)
+        assert main(["simulate", str(cfg), "--pulses", "1000000000000",
+                     "--settings", settings]) == EXIT_SCHEMA
+
+    def test_pulse_count_beyond_int64_exit_code(self, tmp_path, capsys):
+        cfg = self._small_config(tmp_path)
+        assert main(["simulate", str(cfg), "--pulses", str(2**63),
+                     "--settings", "Z"]) == EXIT_NUMERIC
+        assert "pulses" in capsys.readouterr().err
 
     def test_bad_config_schema(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -344,6 +374,14 @@ class TestPvalue:
                         '"n_k": [5, 5], "f_exp": NaN}')
         assert main(["pvalue", str(path)]) == EXIT_SCHEMA
         assert "NaN" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("counts", [
+        {"n_z": 10.9}, {"n_k": [True, 5.7]}, {"n": 2.0}])
+    def test_non_integer_counts_exit_code(self, tmp_path, counts):
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps({"kind": "trial_ledger", "n": 2, "n_z": 10,
+                                    "n_k": [5, 5], "f_exp": 0.6, **counts}))
+        assert main(["pvalue", str(path)]) == EXIT_SCHEMA
 
     def test_malformed_ledger(self, tmp_path):
         path = tmp_path / "ledger.json"

@@ -1,8 +1,10 @@
 import json
+import time
 import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from spdclab import qstate, simulator
 from spdclab.cli import dataset_to_dict
@@ -23,6 +25,8 @@ from spdclab.simulator import (
     sample_postselected,
     tenfold_rate,
 )
+
+from per_pulse_oracle import Router, enumerate_outcomes, trace_candidates
 
 THETA_REF = 7 * np.pi / 30
 
@@ -251,6 +255,104 @@ class TestRunMonteCarlo:
         assert res.counts.z().total() == 0
 
 
+#: the three configurations the exact model is checked on against the oracle
+ORACLE_CONFIGS = {
+    # demos/monte_carlo_run.py's bright configuration
+    "demo_bright": dict(p=0.25, xi=1.0, g=0.5, overlap=overlap_for_visibility(0.715)),
+    "g2_xi1": dict(p=0.25, xi=1.0, g=2.0, overlap=0.9),
+    "g2_xi06_dark": dict(p=0.25, xi=0.6, g=2.0, overlap=0.9, dark=0.05),
+}
+
+
+def binned_chi2_pvalue(observed, probs):
+    """Chi-square p-value of outcome counts (no-event bucket last).
+
+    Outcomes are binned by their number of V letters; bins expecting fewer
+    than five counts are pooled.
+    """
+    n = int(np.log2(probs.size - 1))
+    bins = np.array([bin(i).count("1") for i in range(2**n)] + [n + 1])
+    obs = np.bincount(bins, weights=observed, minlength=n + 2)
+    exp = np.bincount(bins, weights=probs, minlength=n + 2) * observed.sum()
+    sparse = exp < 5
+    obs = np.append(obs[~sparse], obs[sparse].sum())
+    exp = np.append(exp[~sparse], exp[sparse].sum())
+    keep = exp > 0
+    stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
+    return float(stats.chi2.sf(stat, keep.sum() - 1))
+
+
+class TestExactOutcomes:
+    @pytest.mark.parametrize("setting", ["Z", "M3"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_matches_per_pulse_oracle(self, name, setting):
+        cfg = make_config(theta=THETA_REF, rotated_tail=2, **ORACLE_CONFIGS[name])
+        probs = simulator._outcome_probabilities(
+            cfg, [setting], simulator._CleanEventModel(cfg))[setting]
+        probs = np.append(probs, 1.0 - probs.sum())
+        observed = trace_candidates(cfg, setting, 20_000, np.random.default_rng(6))
+        # the oracle never records an outcome the exact model rules out
+        assert observed[probs == 0.0].sum() == 0
+        assert binned_chi2_pvalue(observed, probs) > 1e-3
+
+    @pytest.mark.parametrize("links, xi_signal, xi_idler, dark", [
+        (((2, 3),), 0.7, 0.63, 0.05),
+        # a chain out of source order, with a signal on an odd mode
+        (((3, 1), (1, 6)), 1.0, 0.8, 0.0),
+    ])
+    def test_equals_enumerated_trace(self, links, xi_signal, xi_idler, dark):
+        n_src = (max(max(link) for link in links) - 1) // 2 + 1
+        # sources differ, so a ring traversed the wrong way shows
+        sources = tuple(
+            SourceModel(pair_prob=0.2 + 0.1 * i, xi_signal=xi_signal,
+                        xi_idler=xi_idler - 0.1 * i, theta_state=THETA_REF + 0.1 * i,
+                        double_pair_factor=2.0)
+            for i in range(n_src))
+        network = FusionNetwork(tuple(PairSource(s.theta_state, s.rotated)
+                                      for s in sources), links)
+        cfg = ExperimentConfig(sources=sources, network=network,
+                               interference=InterferenceModel((0.9,)),
+                               detector=DetectorModel(dark))
+        settings = ("Z", "M0", "M1")
+        probs = simulator._outcome_probabilities(
+            cfg, settings, simulator._CleanEventModel(cfg))
+        for setting in settings:
+            np.testing.assert_allclose(probs[setting], enumerate_outcomes(cfg, setting),
+                                       rtol=0.0, atol=1e-14)
+
+    def test_classical_part_vanishes_without_double_pairs(self):
+        xi, dark = 0.85, 0.1
+        cfg = make_config(p=0.22, xi=xi, theta=THETA_REF, rotated_tail=2,
+                          overlap=0.9, g=0.0, dark=dark)
+        layout = simulator._ring_layout(cfg)
+        tables = [simulator._source_table(cfg.sources[p]) for p, _, _ in layout]
+        for z_rule in (True, False):
+            assert not simulator._classical_part(layout, tables, z_rule).any()
+        settings = ("Z", "M0", "M7")
+        clean = simulator._CleanEventModel(cfg)
+        probs = simulator._outcome_probabilities(cfg, settings, clean)
+        for setting in settings:
+            expect = ((xi * xi) ** 5 * clean.success_prob
+                      * clean.distribution(setting) * (1.0 - dark) ** 10)
+            np.testing.assert_allclose(probs[setting], expect, rtol=1e-13, atol=0.0)
+
+    def test_cost_does_not_grow_with_pulses(self):
+        cfg = reference_config()
+        settings = ["Z"] + [f"M{k}" for k in range(10)]
+        start = time.perf_counter()
+        res = run_monte_carlo(cfg, 10**12, settings)
+        assert time.perf_counter() - start < 0.5
+        assert res.pulses_per_setting == 10**12
+
+    def test_pulse_count_bounds(self):
+        cfg = make_config()
+        for pulses in (0, simulator.MAX_PULSES + 1):
+            with pytest.raises(ValueError):
+                run_monte_carlo(cfg, pulses, ["Z"])
+        res = run_monte_carlo(cfg, simulator.MAX_PULSES, ["Z"])
+        assert res.diagnostics["candidates_per_setting"]["Z"] > 0
+
+
 class TestReferenceConfig:
     def test_twofold_rates_reproduced(self):
         cfg = reference_config()
@@ -307,10 +409,13 @@ class TestClassicalRouting:
 
     def test_route_map_cyclic_shift(self):
         cfg = make_config()
-        router = simulator._ClassicalRouter(cfg)
+        router = Router(cfg)
         # H photons keep their own signal output
         assert [router.route(p, False, 0) for p in range(5)] == [2, 3, 5, 7, 9]
         # V photons reflect to the cyclically previous output
         assert [router.route(p, False, 1) for p in range(5)] == [9, 2, 3, 5, 7]
         # idlers go straight to their own analyzer
         assert [router.route(p, True, 0) for p in range(5)] == [1, 4, 6, 8, 10]
+        # the exact model's ring: (source, signal mode, idler mode) per position
+        assert simulator._ring_layout(cfg) == [
+            (0, 2, 1), (1, 3, 4), (2, 5, 6), (3, 7, 8), (4, 9, 10)]
