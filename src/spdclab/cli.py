@@ -14,6 +14,7 @@ timestamp field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -212,12 +213,8 @@ def _plot_data_files(data: witness.CountDataset, directory: Path) -> None:
                                                  encoding="utf-8")
     rows = ["k,expectation,sigma"]
     for k in range(data.n):
-        agg = data.m(k).aggregates()
-        n_p, n_m = agg["n_plus"], agg["n_minus"]
-        total = n_p + n_m
-        e_k = (n_p - n_m) / total
-        sig = float(np.sqrt(4.0 * n_p * n_m / total**3))
-        rows.append(f"{k},{e_k:.6f},{sig:.6f}")
+        e_k, var = data.m(k).correlation()
+        rows.append(f"{k},{e_k:.6f},{np.sqrt(var):.6f}")
     (directory / "mk_expectations.csv").write_text("\n".join(rows) + "\n",
                                                    encoding="utf-8")
 
@@ -240,13 +237,8 @@ def cmd_simulate(args) -> int:
     raw, digest = _read_json(args.config)
     config = simulator.config_from_dict(raw)
     if args.seed is not None:
-        config = simulator.ExperimentConfig(
-            sources=config.sources, network=config.network,
-            interference=config.interference, rep_rate_hz=config.rep_rate_hz,
-            detector=config.detector, seed=args.seed,
-            provenance=config.provenance,
-        )
-    every = [witness.Z_SETTING] + [witness.m_setting(k) for k in range(config.n_modes())]
+        config = dataclasses.replace(config, seed=args.seed)
+    every = witness.setting_names(config.n_modes())
     settings = args.settings.split(",") if args.settings else every
     if not set(settings) <= set(every) or len(set(settings)) < len(settings):
         raise SchemaError(f"--settings must name distinct settings among {every}")
@@ -274,14 +266,14 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cut_from_args(crys, args) -> crystal.CrystalCut:
-    if args.cut is not None:
-        return crystal.CrystalCut(args.cut[0], args.cut[1], args.length_mm)
+    """``--cut`` or the reference cut, with ``--length-mm`` or the reference length."""
     ref = crys.reference_cut
-    if ref is None:
+    if args.cut is None and ref is None:
         raise SchemaError("species has no reference cut; pass --cut THETA PHI")
-    if args.length_mm != ref.length_mm:
-        return crystal.CrystalCut(ref.theta, ref.phi, args.length_mm)
-    return ref
+    theta, phi = (ref.theta, ref.phi) if args.cut is None else args.cut
+    default_length = ref.length_mm if ref is not None else 1.0
+    length = default_length if args.length_mm is None else args.length_mm
+    return crystal.CrystalCut(theta, phi, length)
 
 
 def cmd_crystal_summary(args) -> int:
@@ -504,10 +496,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "length_mm", None) is None and hasattr(args, "length_mm"):
-            crys = crystal.load_crystal(args.species)
-            args.length_mm = (crys.reference_cut.length_mm
-                              if crys.reference_cut else 1.0)
         return args.func(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

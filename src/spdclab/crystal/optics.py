@@ -51,9 +51,6 @@ class WaveSolution:
     def d_vec(self, branch: str) -> np.ndarray:
         return self.d_fast if branch == FAST else self.d_slow
 
-    def e_vec(self, branch: str) -> np.ndarray:
-        return self.e_fast if branch == FAST else self.e_slow
-
     def walkoff(self, branch: str) -> float:
         return self.walkoff_fast if branch == FAST else self.walkoff_slow
 

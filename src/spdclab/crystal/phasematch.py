@@ -47,13 +47,11 @@ NONCOLLINEAR = "noncollinear"
 class PhaseMatchSolution:
     """One phase-matched configuration (collinear sample or ring point)."""
 
-    pump_direction: np.ndarray
     signal_wavelength_nm: float
     idler_wavelength_nm: float
     pump_wavelength_nm: float
     theta: float
     phi: float
-    emission_angles: tuple        # (signal, idler) opening angles, rad
     delta_k_residual: float       # rad/um
     d_eff_pm_v: float
     walkoff_fast: float
@@ -136,11 +134,9 @@ def phase_match_collinear(
         pump = solve_waves(sel, s, pump_nm)
         down = solve_waves(sel, s, down_nm)
         samples.append(PhaseMatchSolution(
-            pump_direction=s,
             signal_wavelength_nm=down_nm, idler_wavelength_nm=down_nm,
             pump_wavelength_nm=pump_nm,
             theta=root, phi=float(phi),
-            emission_angles=(0.0, 0.0),
             delta_k_residual=f(root),
             d_eff_pm_v=abs(crystal.tensor.contract(
                 pump.d_fast, down.d_fast, down.d_slow)),
@@ -198,15 +194,14 @@ def _ring_mismatch(frame: _PumpFrame, omega, psi: float,
 
 def ring_opening_angle(frame: _PumpFrame, psi: float, branch: str,
                        lam_s: Optional[float] = None,
-                       lam_p: Optional[float] = None,
-                       omega_max: float = 0.20) -> Optional[float]:
+                       lam_p: Optional[float] = None) -> Optional[float]:
     """Opening angle of the branch ring at azimuth psi, or None if absent."""
     lam_p = frame.pump_nm if lam_p is None else lam_p
     lam_s = 2.0 * lam_p if lam_s is None else lam_s
     k_p = frame.k_pump(lam_p)
     # vectorized bracket scan, scalar refinement
     f = lambda om: _ring_mismatch(frame, om, psi, lam_s, lam_p, branch, k_p)
-    grid = np.linspace(1e-5, omega_max, 40)
+    grid = np.linspace(1e-5, 0.20, 40)
     starts = _bracket_starts(f(grid))
     if not starts.size:
         return None
@@ -217,15 +212,13 @@ def ring_opening_angle(frame: _PumpFrame, psi: float, branch: str,
 class NoncollinearArms:
     """The two ring-intersection directions and their pair nonlinearities."""
 
-    pump_direction: np.ndarray
     dir_i: np.ndarray             # arm on the -H side
     dir_j: np.ndarray             # arm on the +H side
     opening_i: float
     opening_j: float
     d_eff_fs: float               # fast at arm i, slow at arm j
     d_eff_sf: float               # slow at arm i, fast at arm j
-    h_axis: np.ndarray            # transverse unit vector joining the arms
-    fast_deflection_rad: float    # fast-eigenpolarization angle from h_axis at arm i
+    fast_deflection_rad: float    # fast-eigenpolarization angle from the arm axis at arm i
 
     @property
     def external_opening_deg(self) -> float:
@@ -262,17 +255,16 @@ def noncollinear_arms(crystal: CrystalData, cut: CrystalCut,
     # The vector from arm i to arm j defines the horizontal axis.
     t_ab = frame.transverse(d_b) - frame.transverse(d_a)
     h2 = t_ab / np.linalg.norm(t_ab)
-    h_axis = h2[0] * frame.e1 + h2[1] * frame.e2
     d_fs = d_eff_contraction(crystal, frame.p, d_a, d_b, pump_nm, lam, lam, FAST, SLOW)
     d_sf = d_eff_contraction(crystal, frame.p, d_a, d_b, pump_nm, lam, lam, SLOW, FAST)
     # fast-polarization deflection from the horizontal at arm i
     t = frame.transverse(solve_waves(sel, d_a, lam).d_fast)
     defl = float(np.arccos(np.clip(abs(np.dot(t, h2)) / np.linalg.norm(t), 0.0, 1.0)))
     return NoncollinearArms(
-        pump_direction=frame.p, dir_i=d_a, dir_j=d_b,
+        dir_i=d_a, dir_j=d_b,
         opening_i=float(om_a), opening_j=float(om_b),
         d_eff_fs=d_fs, d_eff_sf=d_sf,
-        h_axis=h_axis, fast_deflection_rad=defl,
+        fast_deflection_rad=defl,
     )
 
 

@@ -101,7 +101,7 @@ def load_rate_inputs(path: str | None = None) -> dict:
                 delta_walkoff=rec.get("delta_walkoff", 0.0),
                 omega=rec.get("omega", 1.0),
             )
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-            KeyError, TypeError, AttributeError) as exc:
+    # ValueError covers undecodable or invalid JSON and RateInputs' range checks
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"malformed rate inputs {source}: {exc}") from exc
     return out

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalConsistencyError, TopologyError
+from .witness import alpha_coefficients
 
 MAX_DENSE_MODES = 12
 NORM_ATOL = 1e-12
@@ -48,7 +49,6 @@ class PureState:
 
     modes: tuple
     amps: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         n = len(self.modes)
@@ -59,10 +59,9 @@ class PureState:
                 f"amplitude vector must have length 2^{n}, got shape {amps.shape}"
             )
         object.__setattr__(self, "amps", amps)
-        if self.normalized:
-            norm = np.linalg.norm(amps)
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError(f"state flagged normalized but |amps| = {norm!r}")
+        norm = np.linalg.norm(amps)
+        if abs(norm - 1.0) > 1e-9:
+            raise ValueError(f"state must be normalized, but |amps| = {norm!r}")
 
     @property
     def n_modes(self) -> int:
@@ -106,7 +105,7 @@ def canonical_phase(state: PureState) -> PureState:
     if nz.size == 0:
         return state
     phase = amps[nz[0]] / abs(amps[nz[0]])
-    return PureState(state.modes, amps / phase, normalized=state.normalized)
+    return PureState(state.modes, amps / phase)
 
 
 def ghz_state(n: int) -> PureState:
@@ -127,9 +126,6 @@ class LocalOperator:
 
     matrix: np.ndarray
     kind: str
-
-    _HERMITIAN_KINDS = ("pauli_x", "pauli_y", "pauli_z", "m_k", "projector")
-    _UNITARY_KINDS = ("pauli_x", "pauli_y", "pauli_z", "m_k", "waveplate", "rotation")
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -229,10 +225,8 @@ def witness_decomposition(n: int) -> GlobalOperator:
     |GHZ_n><GHZ_n| exactly.
     """
     _check_mode_count(n)
-    terms = []
-    for k in range(n):
-        alpha = (-1.0) ** k / (2.0 * n)
-        terms.append((alpha, tuple([mk_operator(k, n)] * n)))
+    terms = [(alpha, tuple([mk_operator(k, n)] * n))
+             for k, alpha in enumerate(alpha_coefficients(n))]
     terms.append((0.5, tuple([projector_h()] * n)))
     terms.append((0.5, tuple([projector_v()] * n)))
     return GlobalOperator(n, tuple(terms))
@@ -251,7 +245,7 @@ def apply_local(state: PureState, mode, op: LocalOperator) -> PureState:
         raise ValueError(f"apply_local requires a unitary operator, got kind={op.kind!r}")
     axis = state.mode_axis(mode)
     amps = _apply_one(state.amps, state.n_modes, axis, op.matrix)
-    return PureState(state.modes, amps, normalized=state.normalized)
+    return PureState(state.modes, amps)
 
 
 def expectation(state: PureState, op: GlobalOperator) -> float:
@@ -312,7 +306,6 @@ class PairSource:
         return (s, c) if self.rotated else (c, s)  # (amp_HH, amp_VV)
 
 
-DEFAULT_SIGNAL_MODES = (2, 3, 5, 7, 9)
 DEFAULT_PBS_LINKS = ((2, 3), (3, 5), (5, 7), (7, 9))
 
 
@@ -328,6 +321,10 @@ class FusionNetwork:
     pbs_links: tuple = DEFAULT_PBS_LINKS
 
     def __post_init__(self):
+        for mode in (m for link in self.pbs_links for m in link):
+            # bool is an int subclass, but JSON true is not a mode
+            if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)):
+                raise TopologyError(f"link modes must be integers, got {mode!r}")
         links = tuple((int(a), int(b)) for a, b in self.pbs_links)
         object.__setattr__(self, "pbs_links", links)
         object.__setattr__(self, "sources", tuple(self.sources))

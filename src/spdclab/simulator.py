@@ -5,9 +5,13 @@ thermal-style weights (1 : p : g p^2); every photon independently survives
 collection with its arm efficiency.  Pulses whose surviving photons form
 the canonical configuration (exactly one fully surviving pair per source)
 are coherent: their post-selected statistics come from the exact fused
-state, with one scalar overlap per PBS link damping the coherence between
-the all-H and all-V components (partial distinguishability dephases, it
-does not remove photons, so H/V populations are unaffected).  All other
+state psi, with one scalar overlap per PBS link damping the coherence
+between the all-H and all-V components by their product D (partial
+distinguishability dephases, it does not remove photons, so H/V
+populations are unaffected).  A dephasing by D is the mixture
+(1 + D)/2 |psi><psi| + (1 - D)/2 |psi'><psi'|, where psi' is psi with its
+all-V amplitude negated, so the coherent outcome probabilities are two
+Born distributions of pure states.  All other
 surviving configurations (double-pair contamination) are routed as
 classically polarized photons through the PBS chain: H transmits, V
 reflects to the neighboring output, and an event registers only when every
@@ -32,15 +36,23 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import qstate
-from .errors import TopologyError
+from .errors import InsufficientDataError, TopologyError
 from .qstate import (
     DEFAULT_PBS_LINKS,
     FusionNetwork,
     PairSource,
     fuse_and_postselect,
     mk_eigenbasis,
+    outcome_distribution,
 )
-from .witness import CountDataset, SettingCounts, Z_SETTING, m_setting
+from .witness import (
+    CountDataset,
+    SettingCounts,
+    Z_SETTING,
+    population_stats,
+    setting_index,
+    setting_names,
+)
 
 DEFAULT_REP_RATE_HZ = 76.0e6
 
@@ -77,9 +89,13 @@ class SourceModel:
         p = self.pair_number_probs()
         return float(p[1] + 2.0 * p[2])
 
+    def pair_source(self) -> PairSource:
+        """The pair state this source emits."""
+        return PairSource(self.theta_state, self.rotated)
+
     def branch_probs(self) -> tuple:
         """Classical (P_HH, P_VV) of the pair state, rotation included."""
-        a_hh, a_vv = PairSource(self.theta_state, self.rotated).amplitudes()
+        a_hh, a_vv = self.pair_source().amplitudes()
         return float(a_hh**2), float(a_vv**2)
 
 
@@ -168,11 +184,15 @@ def tenfold_rate(total_pair_rate: float, xi: float, rep_rate_hz: float) -> float
     return rep_rate_hz * (p * xi * xi) ** 5 / 16.0 * 3600.0
 
 
+def _fuse(config: ExperimentConfig) -> tuple:
+    """(state, success_prob) of the sources' pair states fused by the network."""
+    return fuse_and_postselect([s.pair_source() for s in config.sources],
+                               config.network)
+
+
 def ideal_output_state(config: ExperimentConfig) -> qstate.PureState:
     """Post-selected pure state at unit efficiency, unit overlap, no doubles."""
-    pairs = [PairSource(s.theta_state, s.rotated) for s in config.sources]
-    state, _ = fuse_and_postselect(pairs, config.network)
-    return state
+    return _fuse(config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -183,51 +203,27 @@ class _CleanEventModel:
     """Exact post-selected statistics for the canonical surviving configuration."""
 
     def __init__(self, config: ExperimentConfig):
-        pairs = [PairSource(s.theta_state, s.rotated) for s in config.sources]
-        state, success = fuse_and_postselect(pairs, config.network)
+        state, self.success_prob = _fuse(config)
         self.n = state.n_modes
-        self.success_prob = success
         nz = np.flatnonzero(np.abs(state.amps) > 1e-14)
-        expected = {0, state.amps.size - 1}
-        if set(nz.tolist()) - expected:
+        if set(nz.tolist()) - {0, state.amps.size - 1}:
             raise TopologyError(
                 "coherence damping supports chain networks whose post-selected "
                 "state has all-H and all-V components only"
             )
-        self.amp_h = float(np.real(state.amps[0]))
-        self.amp_v = float(np.real(state.amps[-1]))
-        self.damping = config.interference.coherence_damping(
-            len(config.network.pbs_links))
-
-    def _port_products(self, basis: np.ndarray) -> tuple:
-        """Per-outcome amplitudes ``prod_i <port b_i | H>`` and ``... | V>``."""
-        n = self.n
-        conj = basis.conj()
-        a_h = np.array([1.0 + 0.0j])
-        a_v = np.array([1.0 + 0.0j])
-        for _ in range(n):
-            a_h = np.concatenate([a_h * conj[0, 0], a_h * conj[0, 1]])
-            a_v = np.concatenate([a_v * conj[1, 0], a_v * conj[1, 1]])
-        return a_h, a_v
+        flipped = state.amps.copy()
+        flipped[-1] *= -1.0
+        damping = config.interference.coherence_damping(len(config.network.pbs_links))
+        # the dephased state as a mixture of two pure states
+        self.mixture = ((0.5 * (1.0 + damping), state),
+                        (0.5 * (1.0 - damping), qstate.PureState(state.modes, flipped)))
 
     def distribution(self, setting: str) -> np.ndarray:
         """Probabilities over the 2^n outcome strings for one setting."""
-        size = 2**self.n
-        if setting == Z_SETTING:
-            probs = np.zeros(size)
-            probs[0] = self.amp_h**2
-            probs[-1] = self.amp_v**2
-        else:
-            k = int(setting[1:])
-            basis = mk_eigenbasis(k, self.n)
-            a_h, a_v = self._port_products(basis)
-            cross = 2.0 * self.damping * self.amp_h * self.amp_v \
-                * np.real(a_h * np.conj(a_v))
-            probs = (self.amp_h**2 * np.abs(a_h) ** 2
-                     + self.amp_v**2 * np.abs(a_v) ** 2
-                     + cross)
-        probs = np.clip(probs, 0.0, None)
-        return probs / probs.sum()
+        k = setting_index(setting)
+        basis = np.eye(2) if k is None else mk_eigenbasis(k, self.n)
+        return sum(w * outcome_distribution(psi, [basis] * self.n)
+                   for w, psi in self.mixture)
 
 
 def sample_postselected(config: ExperimentConfig, setting: str, n_events: int,
@@ -452,7 +448,7 @@ def run_monte_carlo(config: ExperimentConfig, pulses: int,
     rates["tenfold_per_hour_observed"] = {
         s: diagnostics["events_per_setting"][s] / seconds * 3600.0 for s in settings
     }
-    diagnostics.update(_correlation_diagnostics(settings, histograms))
+    diagnostics.update(_correlation_diagnostics(setting_counts))
     return SimResult(counts=_partial_dataset(n, setting_counts),
                      pulses_per_setting=pulses, rates=rates,
                      diagnostics=diagnostics)
@@ -462,34 +458,27 @@ def _partial_dataset(n, setting_counts):
     """Pad unrequested settings with empty histograms to keep the schema."""
     have = {s.setting for s in setting_counts}
     padded = list(setting_counts)
-    for name in [Z_SETTING] + [m_setting(k) for k in range(n)]:
+    for name in setting_names(n):
         if name not in have:
             padded.append(SettingCounts(setting=name, histogram={}))
     return CountDataset(n=n, settings=tuple(padded))
 
 
-def _correlation_diagnostics(settings, histograms) -> dict:
-    from .witness import outcome_sign
-
+def _correlation_diagnostics(setting_counts) -> dict:
+    """Witness statistics of each simulated setting that recorded events."""
     corr = {}
-    z_stats = {}
-    for setting, tally in histograms.items():
-        total = sum(tally.values())
-        if setting == Z_SETTING:
-            if total:
-                n_h = sum(c for o, c in tally.items() if set(o) == {"H"})
-                n_v = sum(c for o, c in tally.items() if set(o) == {"V"})
-                z_stats = {
-                    "population_fraction": (n_h + n_v) / total,
-                    "all_h": n_h, "all_v": n_v, "rest": total - n_h - n_v,
-                }
-            continue
-        if total:
-            plus = sum(c for o, c in tally.items() if outcome_sign(o) > 0)
-            corr[setting] = (2.0 * plus - total) / total
     out = {"correlations": corr}
-    if z_stats:
-        out["z_basis"] = z_stats
+    for s in setting_counts:
+        try:
+            if setting_index(s.setting) is None:
+                pop, agg = population_stats(s), s.aggregates()
+                out["z_basis"] = {"population_fraction": pop.population_fraction,
+                                  "all_h": agg["n_all_h"], "all_v": agg["n_all_v"],
+                                  "rest": agg["n_rest"]}
+            else:
+                corr[s.setting] = s.correlation()[0]
+        except InsufficientDataError:
+            pass  # a setting without events has no statistics
     if corr:
         out["mean_coherence_visibility"] = float(np.mean([abs(v) for v in corr.values()]))
     return out
@@ -510,16 +499,22 @@ REFERENCE_THETA_STATE = 7.0 * np.pi / 30.0
 
 def _solve_pair_prob(twofold_hz: float, xi_s: float, xi_i: float,
                      rep_rate_hz: float, g: float) -> float:
-    """p such that rep * mean_pairs(p) * xi_s * xi_i matches the twofold rate."""
-    from scipy.optimize import brentq
+    """p such that rep * mean_pairs(p) * xi_s * xi_i matches the twofold rate.
 
-    target = twofold_hz / (rep_rate_hz * xi_s * xi_i)
-
-    def f(p):
-        norm = 1.0 + p + g * p * p
-        return (p + 2.0 * g * p * p) / norm - target
-
-    return float(brentq(f, 1e-9, 0.5, xtol=1e-15))
+    With t the target mean pairs per pulse, (p + 2 g p^2) / (1 + p + g p^2) = t
+    is g (2 - t) p^2 + (1 - t) p - t = 0, whose non-negative root is written
+    in the form that stays finite at g = 0.  Raises ValueError when that root
+    is not in [1e-9, 0.5], or does not exist (t >= 1 at g = 0).
+    """
+    t = twofold_hz / (rep_rate_hz * xi_s * xi_i)
+    denom = (1.0 - t) + math.sqrt((1.0 - t) ** 2 + 4.0 * g * (2.0 - t) * t)
+    p = 2.0 * t / denom if denom > 0.0 else math.nan
+    if not 1e-9 <= p <= 0.5:
+        raise ValueError(
+            f"no pair probability in [1e-9, 0.5] gives {twofold_hz} Hz twofold "
+            f"at {rep_rate_hz} Hz with efficiencies {xi_s}, {xi_i} and g = {g}"
+        )
+    return p
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -566,9 +561,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             for rec in raw["sources"]
         )
         links = tuple(tuple(l) for l in raw["network"]["pbs_links"])
-        network = FusionNetwork(
-            tuple(PairSource(s.theta_state, s.rotated) for s in sources), links
-        )
+        network = FusionNetwork(tuple(s.pair_source() for s in sources), links)
         overlap = raw.get("interference", {}).get("mode_overlap", 1.0)
         interference = InterferenceModel(tuple(np.atleast_1d(overlap)))
         detector = DetectorModel(raw.get("detector", {}).get("dark_count_prob", 0.0))
@@ -606,10 +599,8 @@ def reference_config(rep_rate_hz: float = DEFAULT_REP_RATE_HZ,
             theta_state=REFERENCE_THETA_STATE, rotated=(idx >= 3),
             double_pair_factor=double_pair_factor,
         ))
-    network = FusionNetwork(
-        tuple(PairSource(s.theta_state, s.rotated) for s in sources),
-        DEFAULT_PBS_LINKS,
-    )
+    network = FusionNetwork(tuple(s.pair_source() for s in sources),
+                            DEFAULT_PBS_LINKS)
     provenance = {
         "twofold_per_source_hz": "published filtered twofold coincidence rates",
         "xi": "published per-source heralded efficiencies (filtered)",

@@ -32,11 +32,18 @@ def m_setting(k: int) -> str:
     return f"M{k}"
 
 
+def setting_names(n: int) -> list:
+    """The settings of an n-photon dataset: Z, then M0..M(n-1)."""
+    return [Z_SETTING] + [m_setting(k) for k in range(n)]
+
+
 def setting_index(name: str) -> Optional[int]:
     """M-setting index, or None for the Z setting."""
     if name == Z_SETTING:
         return None
-    if isinstance(name, str) and name.startswith("M") and name[1:].isdigit():
+    # isdigit alone admits other scripts' digits, such as '²', which int() rejects
+    if (isinstance(name, str) and name.startswith("M")
+            and name[1:].isascii() and name[1:].isdigit()):
         return int(name[1:])
     raise SchemaError(f"unknown setting name {name!r}")
 
@@ -116,6 +123,20 @@ class SettingCounts:
     def total(self) -> int:
         return sum(self.aggregates().values())
 
+    def correlation(self) -> tuple:
+        """(E, var E) of an M setting: E = (N+ - N-) / N, var E = 4 N+ N- / N^3.
+
+        The variance treats N+ and N- as independent Poisson counts.
+        """
+        if setting_index(self.setting) is None:
+            raise ValueError("correlation expects an M setting")
+        agg = self.aggregates()
+        n_p, n_m = agg["n_plus"], agg["n_minus"]
+        total = n_p + n_m
+        if total < 1:
+            raise InsufficientDataError(f"setting {self.setting} has zero total count")
+        return (n_p - n_m) / total, 4.0 * n_p * n_m / total**3
+
 
 @dataclass(frozen=True)
 class CountDataset:
@@ -127,7 +148,7 @@ class CountDataset:
     def __post_init__(self):
         object.__setattr__(self, "settings", tuple(self.settings))
         names = [s.setting for s in self.settings]
-        expected = [Z_SETTING] + [m_setting(k) for k in range(self.n)]
+        expected = setting_names(self.n)
         if sorted(names) != sorted(expected):
             raise SchemaError(
                 f"dataset must contain settings {expected} exactly once, got {names}"
@@ -153,16 +174,7 @@ class CountDataset:
 
     def correlations(self) -> np.ndarray:
         """E_k = (N_k+ - N_k-) / N_k for k = 0..n-1."""
-        out = np.empty(self.n)
-        for k in range(self.n):
-            agg = self.m(k).aggregates()
-            total = agg["n_plus"] + agg["n_minus"]
-            if total < 1:
-                raise InsufficientDataError(
-                    f"setting {m_setting(k)} has zero total count"
-                )
-            out[k] = (agg["n_plus"] - agg["n_minus"]) / total
-        return out
+        return np.array([self.m(k).correlation()[0] for k in range(self.n)])
 
 
 @dataclass(frozen=True)
@@ -186,6 +198,7 @@ class Verdict:
 class PopulationStats:
     population_fraction: float
     signal_to_noise: float  # math.inf when n_rest == 0
+    variance: float         # Poisson variance of population_fraction
 
 
 def alpha_coefficients(n: int) -> np.ndarray:
@@ -194,11 +207,7 @@ def alpha_coefficients(n: int) -> np.ndarray:
 
 def estimate_fidelity(data: CountDataset) -> FidelityEstimate:
     """Count-based fidelity with delta-method Poisson uncertainty."""
-    z = data.z().aggregates()
-    n_z = sum(z.values())
-    if n_z < 1:
-        raise InsufficientDataError("setting Z has zero total count")
-    population = 0.5 * (z["n_all_h"] + z["n_all_v"]) / n_z
+    population = 0.5 * population_stats(data.z()).population_fraction
     coherence = float(np.dot(alpha_coefficients(data.n), data.correlations()))
     sigma = propagate_poisson(data)
     return FidelityEstimate(
@@ -217,20 +226,9 @@ def propagate_poisson(data: CountDataset) -> float:
     zero variance.
     """
     var = 0.0
-    alphas = alpha_coefficients(data.n)
-    for k in range(data.n):
-        agg = data.m(k).aggregates()
-        n_p, n_m = agg["n_plus"], agg["n_minus"]
-        total = n_p + n_m
-        if total < 1:
-            raise InsufficientDataError(f"setting {m_setting(k)} has zero total count")
-        var += alphas[k] ** 2 * 4.0 * n_p * n_m / total**3
-    z = data.z().aggregates()
-    n_sig = z["n_all_h"] + z["n_all_v"]
-    n_z = n_sig + z["n_rest"]
-    if n_z < 1:
-        raise InsufficientDataError("setting Z has zero total count")
-    var += 0.25 * z["n_rest"] * n_sig / n_z**3
+    for k, alpha in enumerate(alpha_coefficients(data.n)):
+        var += alpha**2 * data.m(k).correlation()[1]
+    var += 0.25 * population_stats(data.z()).variance
     return math.sqrt(var)
 
 
@@ -257,4 +255,5 @@ def population_stats(z: SettingCounts) -> PopulationStats:
     if n_z < 1:
         raise InsufficientDataError("setting Z has zero total count")
     snr = math.inf if agg["n_rest"] == 0 else n_sig / agg["n_rest"]
-    return PopulationStats(population_fraction=n_sig / n_z, signal_to_noise=snr)
+    return PopulationStats(population_fraction=n_sig / n_z, signal_to_noise=snr,
+                           variance=agg["n_rest"] * n_sig / n_z**3)

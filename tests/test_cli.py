@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from spdclab import cli, qstate
+from spdclab import cli, qstate, witness
 from spdclab.cli import (
     EXIT_INSUFFICIENT,
     EXIT_NUMERIC,
@@ -108,6 +108,16 @@ class TestAnalyze:
         assert corr[0] == "k,expectation,sigma"
         assert len(corr) == 11
 
+    def test_plot_rows_are_witness_correlations(self, recon_file, tmp_path):
+        plot_dir = tmp_path / "plots"
+        assert main(["analyze", str(recon_file), "--plot-data", str(plot_dir)]) == EXIT_OK
+        data = dataset_from_dict(json.loads(recon_file.read_text()))
+        rows = (plot_dir / "mk_expectations.csv").read_text().strip().split("\n")[1:]
+        for k, row in enumerate(rows):
+            e_k, var = data.m(k).correlation()
+            assert e_k == data.correlations()[k]
+            assert row == f"{k},{e_k:.6f},{np.sqrt(var):.6f}"
+
     def test_schema_violation_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -164,6 +174,13 @@ class TestAnalyze:
 
     def test_boolean_count_exit_code(self, tmp_path):
         path = self._histogram_file(tmp_path, {"HHH": 5, "VVV": True})
+        assert main(["analyze", str(path)]) == EXIT_SCHEMA
+
+    def test_non_ascii_digit_setting_exit_code(self, tmp_path):
+        path = self._histogram_file(tmp_path, {"HHH": 5, "VVV": 5})
+        raw = json.loads(path.read_text())
+        raw["settings"][-1]["setting"] = "M\u00b2"   # a digit to str.isdigit, not to int()
+        path.write_text(json.dumps(raw))
         assert main(["analyze", str(path)]) == EXIT_SCHEMA
 
     @pytest.mark.parametrize("n", [1.9, True])
@@ -252,6 +269,39 @@ class TestSimulate:
                      "--settings", "Z"]) == EXIT_NUMERIC
         assert "pulses" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [2.9, True])
+    def test_non_integer_link_mode_exit_code(self, tmp_path, mode):
+        # read as int(mode), each of these links would make a simulable chain
+        cfg = self._small_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["network"]["pbs_links"][0][0] = mode
+        cfg.write_text(json.dumps(raw))
+        assert main(["simulate", str(cfg), "--pulses", "1000", "--settings", "Z"]) \
+            == EXIT_SCHEMA
+
+    def test_report_diagnostics_are_witness_statistics(self, tmp_path):
+        cfg = self._small_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        # lossy arms and double pairs, so every Z category is populated
+        raw["sources"] = [dict(src, xi_signal=0.8, xi_idler=0.8, double_pair_factor=2.0)
+                          for src in raw["sources"]]
+        cfg.write_text(json.dumps(raw))
+        out, report = tmp_path / "counts.json", tmp_path / "report.json"
+        assert main(["simulate", str(cfg), "--pulses", "100000000",
+                     "--out", str(out), "--report", str(report)]) == EXIT_OK
+        diag = json.loads(report.read_text())["diagnostics"]
+        data = dataset_from_dict(json.loads(out.read_text()))
+        z = data.z().aggregates()
+        assert min(z.values()) > 0
+        assert diag["z_basis"] == {
+            "population_fraction": witness.population_stats(data.z()).population_fraction,
+            "all_h": z["n_all_h"], "all_v": z["n_all_v"], "rest": z["n_rest"]}
+        corr = data.correlations()
+        assert diag["correlations"] == {f"M{k}": corr[k] for k in range(data.n)}
+        assert diag["mean_coherence_visibility"] == pytest.approx(
+            cli.build_report(data, "0" * 64)["diagnostics"]["mean_coherence_visibility"],
+            rel=1e-15, abs=0.0)
+
     def test_bad_config_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "experiment_config", "sources": []}))
@@ -332,6 +382,15 @@ class TestCrystalCommands:
         assert main(["crystal", "rate-ratio", "--inputs", str(path),
                      "--a", "a", "--b", "b"]) == EXIT_SCHEMA
         assert "schema error" in capsys.readouterr().err
+
+    def test_rate_ratio_inputs_out_of_range_exit_code(self, tmp_path, capsys):
+        inputs = json.loads(resources.files("spdclab.data")
+                            .joinpath("pair_rate_inputs.json").read_text())
+        next(iter(inputs["configurations"].values()))["n_pump"] = 0.9
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps(inputs))
+        assert main(["crystal", "rate-ratio", "--inputs", str(path)]) == EXIT_SCHEMA
+        assert "n_pump" in capsys.readouterr().err
 
     def test_out_of_range_wavelength_is_numeric_failure(self):
         assert main(["crystal", "summary", "--species", "bbo",

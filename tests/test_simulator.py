@@ -184,6 +184,30 @@ class TestPostselectedSampling:
         m1 = simulator._CleanEventModel(cfg1).distribution("Z")
         assert np.abs(m0 - m1).max() < 1e-15
 
+    @pytest.mark.parametrize("overlap", [0.0, 0.4, 1.0])
+    def test_distribution_is_born_rule_of_dephased_state(self, overlap):
+        # a two-source ring, small enough for a dense density matrix
+        sources = tuple(SourceModel(0.1, 1.0, 1.0, theta_state=THETA_REF + 0.2 * i)
+                        for i in range(2))
+        cfg = ExperimentConfig(
+            sources=sources,
+            network=FusionNetwork(tuple(s.pair_source() for s in sources), ((2, 3),)),
+            interference=InterferenceModel((overlap,)))
+        psi = ideal_output_state(cfg).amps
+        rho = np.outer(psi, psi.conj())
+        rho[0, -1] *= overlap
+        rho[-1, 0] *= overlap
+        model = simulator._CleanEventModel(cfg)
+        for k in (None, 0, 1, 3):
+            basis = np.eye(2) if k is None else qstate.mk_eigenbasis(k, 4)
+            u = basis.conj().T
+            for _ in range(3):
+                u = np.kron(u, basis.conj().T)
+            expect = np.real(np.diag(u @ rho @ u.conj().T))
+            setting = "Z" if k is None else f"M{k}"
+            np.testing.assert_allclose(model.distribution(setting), expect,
+                                       rtol=0.0, atol=1e-15)
+
     def test_visibility_monotone_in_overlap(self):
         values = []
         for overlap in (0.3, 0.6, 0.9):
@@ -369,6 +393,22 @@ class TestReferenceConfig:
         cfg = reference_config()
         assert cfg.rep_rate_hz == 76e6
         assert "ASSUMPTION" in cfg.provenance["rep_rate_hz"]
+
+    @pytest.mark.parametrize("g", [0.0, 0.5, 2.0, 8.0])
+    def test_pair_prob_solves_twofold_rate(self, g):
+        cfg = reference_config(double_pair_factor=g)
+        rates = simulator._model_rates(cfg)["twofold_per_source_hz"]
+        for got, want in zip(rates, simulator.REFERENCE_TWOFOLD_HZ):
+            assert abs(got - want) / want < 1e-14
+
+    def test_pair_prob_outside_bracket_raises(self):
+        # at 10 MHz the g = 0 root lies above the p <= 0.5 bracket
+        with pytest.raises(ValueError):
+            reference_config(rep_rate_hz=10e6, double_pair_factor=0.0)
+        # at g = 0, t >= 1 mean pairs per pulse has no root; t <= 0 has none in the bracket
+        for twofold_hz in (1e6, 2e6, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                simulator._solve_pair_prob(twofold_hz, 1.0, 1.0, 1e6, 0.0)
 
     def test_model_tenfold_rate_near_half_count_per_hour(self):
         rates = simulator._model_rates(reference_config())

@@ -207,6 +207,23 @@ class TestSchema:
                 SettingCounts("M0", aggregated={"n_plus": 1, "n_minus": 0}),
             ))
 
+    def test_setting_names_round_trip(self):
+        names = witness.setting_names(3)
+        assert names == ["Z", "M0", "M1", "M2"]
+        assert [witness.setting_index(s) for s in names] == [None, 0, 1, 2]
+        for bad in ("M\u00b2", "M\u0663", "M", "X", "m1"):
+            with pytest.raises(SchemaError):
+                witness.setting_index(bad)
+
+    def test_correlation_and_variance(self):
+        e, var = SettingCounts("M1", aggregated={"n_plus": 7, "n_minus": 3}).correlation()
+        assert e == 0.4 and abs(var - 4 * 7 * 3 / 10**3) < 1e-18
+        with pytest.raises(InsufficientDataError):
+            SettingCounts("M1", aggregated={"n_plus": 0, "n_minus": 0}).correlation()
+        with pytest.raises(ValueError):
+            SettingCounts("Z", aggregated={"n_all_h": 1, "n_all_v": 0,
+                                           "n_rest": 0}).correlation()
+
     def test_duplicate_setting_rejected(self):
         s = SettingCounts("M0", aggregated={"n_plus": 1, "n_minus": 0})
         with pytest.raises(SchemaError):
