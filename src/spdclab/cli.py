@@ -237,6 +237,8 @@ def cmd_simulate(args) -> int:
     raw, digest = _read_json(args.config)
     config = simulator.config_from_dict(raw)
     if args.seed is not None:
+        if args.seed < 0:
+            raise SchemaError(f"--seed must be a non-negative integer, got {args.seed}")
         config = dataclasses.replace(config, seed=args.seed)
     every = witness.setting_names(config.n_modes())
     settings = args.settings.split(",") if args.settings else every
@@ -273,6 +275,8 @@ def _cut_from_args(crys, args) -> crystal.CrystalCut:
     theta, phi = (ref.theta, ref.phi) if args.cut is None else args.cut
     default_length = ref.length_mm if ref is not None else 1.0
     length = default_length if args.length_mm is None else args.length_mm
+    if not (np.isfinite(length) and length > 0):
+        raise SchemaError(f"--length-mm must be positive and finite, got {length}")
     return crystal.CrystalCut(theta, phi, length)
 
 

@@ -49,32 +49,46 @@ class SellmeierSet:
         missing = set(_AXES[self.symmetry]) - set(self.coefficients)
         if missing:
             raise SchemaError(f"{self.species}: missing axes {sorted(missing)}")
+        principal = ("o", "o", "e") if self.symmetry == UNIAXIAL else ("x", "y", "z")
+        try:
+            table = np.array([self.coefficients[ax] for ax in principal], dtype=float)
+        except (TypeError, ValueError):
+            table = None
+        if table is None or table.shape != (3, 4):
+            raise SchemaError(f"{self.species}: each axis needs four Sellmeier coefficients")
+        # columns (A, B, C, D) per principal axis x, y, z
+        object.__setattr__(self, "_principal_coefficients", table.T)
 
-    def _check_range(self, wavelength_nm: float) -> float:
-        lam_um = wavelength_nm * 1e-3
+    def _indices(self, coefficients, wavelength_nm) -> np.ndarray:
+        """Indices for (A, B, C, D) rows of shape (4, k); (..., k) per wavelength."""
+        lam_nm = np.asarray(wavelength_nm, dtype=float)
+        lam = lam_nm[..., None] * 1e-3
         lo, hi = self.valid_range_um
-        if not lo <= lam_um <= hi:
+        inside = (lo <= lam) & (lam <= hi)
+        if not inside.all():
             raise ValueError(
-                f"{self.species}: {wavelength_nm} nm outside the Sellmeier "
-                f"validity range [{lo*1e3:.0f}, {hi*1e3:.0f}] nm"
+                f"{self.species}: {lam_nm[~inside[..., 0]].flat[0]} nm outside "
+                f"the Sellmeier validity range [{lo*1e3:.0f}, {hi*1e3:.0f}] nm"
             )
-        return lam_um
-
-    def axis_index(self, axis: str, wavelength_nm: float) -> float:
-        lam = self._check_range(wavelength_nm)
-        a, b, c, d = self.coefficients[axis]
+        a, b, c, d = coefficients
         n_sq = a + b / (lam * lam - c) - d * lam * lam
-        if n_sq <= 1.0:
-            raise ValueError(f"{self.species}: unphysical index at {wavelength_nm} nm")
-        return float(np.sqrt(n_sq))
+        physical = n_sq > 1.0
+        if not physical.all():
+            bad = lam_nm[~np.all(physical, axis=-1)].flat[0]
+            raise ValueError(f"{self.species}: unphysical index at {bad} nm")
+        return np.sqrt(n_sq)
 
-    def principal_indices(self, wavelength_nm: float) -> np.ndarray:
-        """(n_x, n_y, n_z); uniaxial species map to (n_o, n_o, n_e)."""
-        if self.symmetry == UNIAXIAL:
-            n_o = self.axis_index("o", wavelength_nm)
-            n_e = self.axis_index("e", wavelength_nm)
-            return np.array([n_o, n_o, n_e])
-        return np.array([self.axis_index(ax, wavelength_nm) for ax in "xyz"])
+    def axis_index(self, axis: str, wavelength_nm):
+        """Index along one axis ('o'/'e' or 'x'/'y'/'z'); an array for an array of wavelengths."""
+        n = self._indices(np.reshape(self.coefficients[axis], (4, 1)), wavelength_nm)[..., 0]
+        return float(n) if n.ndim == 0 else n
+
+    def principal_indices(self, wavelength_nm) -> np.ndarray:
+        """(n_x, n_y, n_z); uniaxial species map to (n_o, n_o, n_e).
+
+        Shape (3,) for one wavelength, (N, 3) for an (N,) array of them.
+        """
+        return self._indices(self._principal_coefficients, wavelength_nm)
 
 
 @dataclass(frozen=True)
@@ -119,8 +133,9 @@ class NonlinearTensor:
         return float(np.asarray(e_pump, float) @ (self.d_matrix @ v))
 
 
-def polar_direction(theta, phi: float) -> np.ndarray:
-    """Unit vector at polar angle theta and azimuth phi; (..., 3) for array theta."""
+def polar_direction(theta, phi) -> np.ndarray:
+    """Unit vector at polar angle theta and azimuth phi; (..., 3) for arrays."""
+    theta, phi = np.broadcast_arrays(theta, phi)
     st = np.sin(theta)
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
@@ -138,8 +153,8 @@ class CrystalCut:
             raise ValueError("theta must lie in [0, pi]")
         if not 0.0 <= self.phi < 2.0 * np.pi:
             raise ValueError("phi must lie in [0, 2 pi)")
-        if self.length_mm <= 0:
-            raise ValueError("crystal length must be positive")
+        if not (np.isfinite(self.length_mm) and self.length_mm > 0):
+            raise ValueError("crystal length must be positive and finite")
 
     def direction(self) -> np.ndarray:
         return polar_direction(self.theta, self.phi)

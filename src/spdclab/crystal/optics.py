@@ -11,7 +11,8 @@ eigenproblem form is numerically robust through all principal-plane and
 principal-axis degeneracies; tests verify it against the classic Fresnel
 quadratic and a finite-difference index-gradient oracle.
 
-There is one solver, a batched eigen-solve over (N, 3) directions.
+There is one solver, a batched eigen-solve over (N, 3) directions at one
+wavelength or at an (N,) array of wavelengths, one per direction.
 :func:`index_batch` returns its two index arrays: use it wherever only
 indices or wave numbers are needed (scans, root-find residuals).
 :func:`solve_waves` wraps it for one direction and adds D, E and walk-off,
@@ -72,28 +73,32 @@ def transverse_frame(s: np.ndarray) -> tuple:
     return t1, s[:, [1, 2, 0]] * t1[:, [2, 0, 1]] - s[:, [2, 0, 1]] * t1[:, [1, 2, 0]]
 
 
-def _eigensystem(sellmeier: SellmeierSet, directions, wavelength_nm: float) -> tuple:
+def _eigensystem(sellmeier: SellmeierSet, directions, wavelength_nm) -> tuple:
     """The batched eigen-solve over an (N, 3) block of directions.
 
-    Returns the unit directions, their frames, eps^-1, the transverse
-    restriction (m11, m22, m12) of eps^-1 per row and its eigenvalues
-    (u_fast, u_slow).
+    ``wavelength_nm`` is one wavelength or an (N,) array, one per row.
+    Returns the unit directions, their frames, eps^-1 (shape (3,) or
+    (N, 3), like the principal indices), the transverse restriction
+    (m11, m22, m12) of eps^-1 per row and its eigenvalues (u_fast, u_slow).
     """
     s = np.asarray(directions, dtype=float)
     s = s / np.linalg.norm(s, axis=1, keepdims=True)
     eps_inv = 1.0 / sellmeier.principal_indices(wavelength_nm) ** 2
     t1, t2 = transverse_frame(s)
-    m11 = np.einsum("ij,j,ij->i", t1, eps_inv, t1)
-    m22 = np.einsum("ij,j,ij->i", t2, eps_inv, t2)
-    m12 = np.einsum("ij,j,ij->i", t1, eps_inv, t2)
+    e1 = t1 * eps_inv
+    m11 = np.einsum("ij,ij->i", e1, t1)
+    m22 = np.einsum("ij,ij->i", t2 * eps_inv, t2)
+    m12 = np.einsum("ij,ij->i", e1, t2)
     mean = 0.5 * (m11 + m22)
     radius = np.hypot(0.5 * (m11 - m22), m12)
     return s, t1, t2, eps_inv, (m11, m22, m12), (mean + radius, mean - radius)
 
 
-def index_batch(sellmeier: SellmeierSet, directions: np.ndarray,
-                wavelength_nm: float):
-    """(n_fast, n_slow) arrays for an (N, 3) block of directions."""
+def index_batch(sellmeier: SellmeierSet, directions: np.ndarray, wavelength_nm):
+    """(n_fast, n_slow) arrays for an (N, 3) block of directions.
+
+    ``wavelength_nm`` is one wavelength or an (N,) array, one per direction.
+    """
     u_fast, u_slow = _eigensystem(sellmeier, directions, wavelength_nm)[-1]
     return 1.0 / np.sqrt(u_fast), 1.0 / np.sqrt(u_slow)
 

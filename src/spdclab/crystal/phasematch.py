@@ -18,6 +18,11 @@ where a photon of one branch at the sampled direction has an exactly
 phase-matched partner of the other branch (partner direction free); the
 two rings of a type-II cut cross at two arms, which is where polarization
 pairs of both orderings are emitted.
+
+Every root is found the same way: a grid scan per row brackets the first
+sign change (:func:`_bracket_cells`), then :func:`_solve_bracketed` refines
+all rows at once.  The mismatch functions broadcast over their angles,
+azimuths, wavelengths and branches, so one call evaluates every row.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import NumericalConsistencyError
 from .materials import CrystalCut, CrystalData, SellmeierSet, polar_direction
@@ -38,6 +42,9 @@ TWO_PI = 2.0 * np.pi
 
 #: |Delta k| accepted as phase matched, rad/um
 DELTA_K_TOL = 1e-6
+
+#: steps after which a bracketed root-find gives up
+MAX_ROOT_STEPS = 100
 
 COLLINEAR = "collinear"
 NONCOLLINEAR = "noncollinear"
@@ -68,28 +75,106 @@ class PhaseMatchSolution:
 
 
 def _wave_numbers(sellmeier: SellmeierSet, directions: np.ndarray,
-                  wavelength_nm: float, branch: str) -> np.ndarray:
-    """|k| in rad/um of one branch for an (N, 3) block of directions."""
+                  wavelength_nm, branch) -> np.ndarray:
+    """|k| in rad/um for an (N, 3) block of directions.
+
+    ``wavelength_nm`` and ``branch`` are one value or an (N,) array each.
+    """
     n_fast, n_slow = index_batch(sellmeier, directions, wavelength_nm)
-    return TWO_PI / (wavelength_nm * 1e-3) * (n_fast if branch == FAST else n_slow)
+    n = np.where(np.asarray(branch) == FAST, n_fast, n_slow)
+    return TWO_PI / (np.asarray(wavelength_nm) * 1e-3) * n
 
 
-def _bracket_starts(vals: np.ndarray) -> np.ndarray:
-    """Indices i whose grid cell [i, i + 1] brackets a root; NaN cells never do."""
-    a, b = vals[:-1], vals[1:]
-    return np.flatnonzero(((a == 0.0) | (a * b < 0.0)) & ~np.isnan(b))
+def _bracket_cells(vals: np.ndarray) -> np.ndarray:
+    """Mask of the grid cells [i, i + 1] along the last axis that bracket a root.
+
+    A cell brackets a root when its left value is 0 or its two values
+    differ in sign; a cell with a NaN end never does.
+    """
+    a, b = vals[..., :-1], vals[..., 1:]
+    return ((a == 0.0) | (a * b < 0.0)) & ~np.isnan(b)
 
 
-def collinear_mismatch(sellmeier: SellmeierSet, theta, phi: float, pump_nm: float):
+def _first_brackets(grid: np.ndarray, vals: np.ndarray) -> tuple:
+    """The first bracketing cell of each row of ``vals`` (sampled on ``grid``).
+
+    Returns (rows, a, b, fa, fb): the rows that have a bracket, and that
+    cell's endpoints and their values, ready for :func:`_solve_bracketed`.
+    """
+    cells = _bracket_cells(vals)
+    rows = np.flatnonzero(cells.any(axis=1))
+    i = cells[rows].argmax(axis=1)
+    return rows, grid[i], grid[i + 1], vals[rows, i], vals[rows, i + 1]
+
+
+def _solve_bracketed(f, a, b, fa, fb, xtol: float) -> np.ndarray:
+    """One root of ``f`` inside each row's bracket [a, b], all rows at once.
+
+    ``f(x, rows)`` returns the residuals of rows ``rows`` (indices into
+    ``a``) at the points ``x``; ``fa`` and ``fb`` are the residuals at the
+    endpoints.  Illinois regula falsi proposes each step.  A step that
+    falls outside the open bracket, or follows two steps that did not
+    together halve it, bisects instead; as in Brent's method, a step
+    shorter than xtol / 2 from the last iterate is lengthened to xtol / 2,
+    so that a converged iterate closes its bracket.  Every iterate stays
+    inside its bracket and nothing is extrapolated.  A row stops once its
+    own |b - a| < xtol and returns the endpoint with the smaller |residual|.
+
+    Raises NumericalConsistencyError if a row's endpoints do not bracket a
+    root, if a residual inside a bracket is NaN, or if a row is still open
+    after MAX_ROOT_STEPS steps.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float, ndmin=1)
+                    for v in np.broadcast_arrays(a, b, fa, fb))
+    if not np.all(np.sign(fa) * np.sign(fb) <= 0.0):
+        raise NumericalConsistencyError("root-find endpoints do not bracket a root")
+    a, b = np.where(fb == 0.0, b, a), np.where(fa == 0.0, a, b)  # a root at an end closes
+    ga, gb = fa.copy(), fb.copy()       # true residuals; fa, fb carry the Illinois weights
+    x_last = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    kept = np.zeros(a.shape)            # +1: the last step kept a, -1: it kept b
+    width_1 = np.full(a.shape, np.inf)  # bracket width one and two steps ago
+    width_2 = width_1.copy()
+    for step in range(MAX_ROOT_STEPS + 1):
+        rows = np.flatnonzero(np.abs(b - a) >= xtol)
+        if not rows.size:
+            return np.where(np.abs(ga) <= np.abs(gb), a, b)
+        if step == MAX_ROOT_STEPS:
+            raise NumericalConsistencyError(
+                f"root-find not converged after {MAX_ROOT_STEPS} steps")
+        ra, rb, rfa, rfb, xl = a[rows], b[rows], fa[rows], fb[rows], x_last[rows]
+        width = np.abs(rb - ra)
+        x = (ra * rfb - rb * rfa) / (rfb - rfa)
+        inside = (np.minimum(ra, rb) < x) & (x < np.maximum(ra, rb))
+        x = np.where(inside & (width <= 0.5 * width_2[rows]), x, 0.5 * (ra + rb))
+        x = np.where(np.abs(x - xl) < 0.5 * xtol,
+                     xl + 0.5 * xtol * np.sign(ra + rb - 2.0 * xl), x)
+        fx = np.asarray(f(x, rows), dtype=float)
+        if np.any(np.isnan(fx)):
+            raise NumericalConsistencyError("root-find residual is NaN inside a bracket")
+        to_b = np.sign(fx) == np.sign(rfb)   # x replaces b, a is kept
+        to_a = np.sign(fx) == np.sign(rfa)   # x replaces a, b is kept
+        # Illinois: an endpoint kept twice in a row has its weight halved
+        rfa = np.where(to_b & (kept[rows] == 1.0), 0.5 * rfa, rfa)
+        rfb = np.where(to_a & (kept[rows] == -1.0), 0.5 * rfb, rfb)
+        kept[rows] = np.where(to_b, 1.0, np.where(to_a, -1.0, 0.0))
+        a[rows], fa[rows], ga[rows] = (np.where(to_b, ra, x), np.where(to_b, rfa, fx),
+                                       np.where(to_b, ga[rows], fx))
+        b[rows], fb[rows], gb[rows] = (np.where(to_a, rb, x), np.where(to_a, rfb, fx),
+                                       np.where(to_a, gb[rows], fx))
+        width_2[rows], width_1[rows] = width_1[rows], width
+        x_last[rows] = x
+
+
+def collinear_mismatch(sellmeier: SellmeierSet, theta, phi, pump_nm: float):
     """Delta k = k_p - k_fast - k_slow for degenerate collinear type II, rad/um.
 
-    Vectorized over theta; a scalar theta gives a float.
+    Broadcasts over theta and phi; scalars give a float.
     """
-    s = np.reshape(polar_direction(theta, phi), (-1, 3))
-    n_pump, _ = index_batch(sellmeier, s, pump_nm)
-    n_fast, n_slow = index_batch(sellmeier, s, 2.0 * pump_nm)
+    s = polar_direction(theta, phi)
+    n_pump, _ = index_batch(sellmeier, s.reshape(-1, 3), pump_nm)
+    n_fast, n_slow = index_batch(sellmeier, s.reshape(-1, 3), 2.0 * pump_nm)
     dk = (TWO_PI / (pump_nm * 1e-3)) * (n_pump - 0.5 * (n_fast + n_slow))
-    return float(dk[0]) if np.ndim(theta) == 0 else dk
+    return float(dk[0]) if s.ndim == 1 else dk.reshape(s.shape[:-1])
 
 
 def d_eff_contraction(crystal: CrystalData, pump_dir, sig_dir, idl_dir,
@@ -121,23 +206,24 @@ def phase_match_collinear(
         phi_grid = np.radians(np.arange(0.0, 90.0 + 1e-9, 1.0))
     th_lo, th_hi = (np.pi / 2, np.pi) if branch == "upper" else (1e-6, np.pi / 2)
     down_nm = 2.0 * pump_nm
-    samples = []
     thetas = np.arange(th_lo, th_hi, scan_step_rad)
-    for phi in np.atleast_1d(phi_grid):
-        f = lambda th: collinear_mismatch(sel, th, phi, pump_nm)
-        starts = _bracket_starts(collinear_mismatch(sel, thetas, phi, pump_nm))
-        if not starts.size:
-            continue
-        i = starts[0]
-        root = brentq(f, thetas[i], thetas[i + 1], xtol=1e-12)
+    phis = np.atleast_1d(phi_grid).astype(float)
+    rows, *bracket = _first_brackets(
+        thetas, collinear_mismatch(sel, thetas, phis[:, None], pump_nm))
+    phis = phis[rows]
+    roots = _solve_bracketed(lambda th, r: collinear_mismatch(sel, th, phis[r], pump_nm),
+                             *bracket, xtol=1e-12)
+    residuals = collinear_mismatch(sel, roots, phis, pump_nm)
+    samples = []
+    for root, phi, dk in zip(roots, phis, residuals):
         s = polar_direction(root, phi)
         pump = solve_waves(sel, s, pump_nm)
         down = solve_waves(sel, s, down_nm)
         samples.append(PhaseMatchSolution(
             signal_wavelength_nm=down_nm, idler_wavelength_nm=down_nm,
             pump_wavelength_nm=pump_nm,
-            theta=root, phi=float(phi),
-            delta_k_residual=f(root),
+            theta=float(root), phi=float(phi),
+            delta_k_residual=float(dk),
             d_eff_pm_v=abs(crystal.tensor.contract(
                 pump.d_fast, down.d_fast, down.d_slow)),
             walkoff_fast=down.walkoff_fast, walkoff_slow=down.walkoff_slow,
@@ -159,53 +245,73 @@ class _PumpFrame:
         self.p = cut.direction()
         (self.e1,), (self.e2,) = transverse_frame(self.p[None, :])
 
-    def k_pump(self, pump_nm: Optional[float] = None) -> float:
-        lam = self.pump_nm if pump_nm is None else pump_nm
-        return float(_wave_numbers(self.sellmeier, self.p[None, :], lam, FAST)[0])
+    def k_pump(self, pump_nm=None):
+        """|k| of the fast pump wave along the pump axis; broadcasts over pump_nm."""
+        lam = np.asarray(self.pump_nm if pump_nm is None else pump_nm, dtype=float)
+        k = _wave_numbers(self.sellmeier, np.broadcast_to(self.p, (lam.size, 3)),
+                          lam.ravel(), FAST)
+        return float(k[0]) if lam.ndim == 0 else k.reshape(lam.shape)
 
-    def direction(self, omega, psi: float) -> np.ndarray:
-        """Unit vector at opening omega and azimuth psi; (N, 3) for array omega."""
+    def direction(self, omega, psi) -> np.ndarray:
+        """Unit vector at opening omega and azimuth psi; (..., 3) for arrays."""
         omega = np.asarray(omega, dtype=float)[..., None]
+        psi = np.asarray(psi, dtype=float)[..., None]
         return (np.cos(omega) * self.p
                 + np.sin(omega) * (np.cos(psi) * self.e1 + np.sin(psi) * self.e2))
 
     def transverse(self, d: np.ndarray) -> np.ndarray:
-        t = d - np.dot(d, self.p) * self.p
-        return np.array([np.dot(t, self.e1), np.dot(t, self.e2)])
+        """(kx, ky) components of d in the pump frame; (..., 2) for (..., 3)."""
+        t = d - (d @ self.p)[..., None] * self.p
+        return np.stack([t @ self.e1, t @ self.e2], axis=-1)
 
 
-def _ring_mismatch(frame: _PumpFrame, omega, psi: float,
-                   lam_s: float, lam_p: float, branch: str,
-                   k_p: Optional[float] = None):
+def _ring_mismatch(frame: _PumpFrame, omega, psi, lam_s, lam_p, branch, k_p=None):
     """Residual |k_p - k_s| - k_i for a partner of the opposite branch.
 
-    Vectorized over omega; a scalar omega gives a float.
+    Broadcasts over omega, psi, the wavelengths, the branch and the pump
+    wave number k_p (computed from lam_p when not given); all-scalar
+    arguments give a float.
     """
-    sel = frame.sellmeier
-    lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
     if k_p is None:
         k_p = frame.k_pump(lam_p)
-    d = np.reshape(frame.direction(omega, psi), (-1, 3))
-    v = k_p * frame.p - _wave_numbers(sel, d, lam_s, branch)[:, None] * d
+    args = np.broadcast_arrays(omega, psi, lam_s, lam_p, branch, k_p)
+    shape = args[0].shape
+    omega, psi, lam_s, lam_p, branch, k_p = (x.ravel() for x in args)
+    lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
+    d = frame.direction(omega, psi)
+    v = k_p[:, None] * frame.p - _wave_numbers(frame.sellmeier, d, lam_s, branch)[:, None] * d
     nv = np.linalg.norm(v, axis=1)
-    res = nv - _wave_numbers(sel, v / nv[:, None], lam_i, SLOW if branch == FAST else FAST)
-    return float(res[0]) if np.ndim(omega) == 0 else res
+    res = nv - _wave_numbers(frame.sellmeier, v / nv[:, None], lam_i,
+                             np.where(branch == FAST, SLOW, FAST))
+    return float(res[0]) if not shape else res.reshape(shape)
 
 
-def ring_opening_angle(frame: _PumpFrame, psi: float, branch: str,
-                       lam_s: Optional[float] = None,
-                       lam_p: Optional[float] = None) -> Optional[float]:
-    """Opening angle of the branch ring at azimuth psi, or None if absent."""
+def ring_opening_angle(frame: _PumpFrame, psi, branch, lam_s=None, lam_p=None):
+    """Opening angle of the branch ring at azimuth psi, or None if absent.
+
+    Broadcasts over psi, branch and the wavelengths (lam_p defaults to the
+    frame's pump, lam_s to 2 lam_p): array arguments give an array with NaN
+    where there is no ring.  Every row is bracketed on one 40-point grid of
+    openings and refined in one batched solve.
+    """
     lam_p = frame.pump_nm if lam_p is None else lam_p
-    lam_s = 2.0 * lam_p if lam_s is None else lam_s
+    lam_s = 2.0 * np.asarray(lam_p) if lam_s is None else lam_s
+    psi, branch, lam_s, lam_p = np.broadcast_arrays(psi, branch, lam_s, lam_p)
+    shape = psi.shape
+    psi, branch, lam_s, lam_p = (x.ravel() for x in (psi, branch, lam_s, lam_p))
     k_p = frame.k_pump(lam_p)
-    # vectorized bracket scan, scalar refinement
-    f = lambda om: _ring_mismatch(frame, om, psi, lam_s, lam_p, branch, k_p)
     grid = np.linspace(1e-5, 0.20, 40)
-    starts = _bracket_starts(f(grid))
-    if not starts.size:
-        return None
-    return brentq(f, grid[starts[0]], grid[starts[0] + 1], xtol=1e-11)
+    rows, *bracket = _first_brackets(grid, _ring_mismatch(
+        frame, grid, psi[:, None], lam_s[:, None], lam_p[:, None], branch[:, None],
+        k_p[:, None]))
+    omega = np.full(psi.size, np.nan)
+    psi, branch, lam_s, lam_p, k_p = (x[rows] for x in (psi, branch, lam_s, lam_p, k_p))
+    omega[rows] = _solve_bracketed(
+        lambda om, r: _ring_mismatch(frame, om, psi[r], lam_s[r], lam_p[r], branch[r], k_p[r]),
+        *bracket, xtol=1e-11)
+    if shape:
+        return omega.reshape(shape)
+    return None if np.isnan(omega[0]) else float(omega[0])
 
 
 @dataclass(frozen=True)
@@ -233,25 +339,22 @@ def noncollinear_arms(crystal: CrystalData, cut: CrystalCut,
     lam = 2.0 * pump_nm
 
     def diff(psi):
-        of = ring_opening_angle(frame, psi, FAST)
-        os_ = ring_opening_angle(frame, psi, SLOW)
-        if of is None or os_ is None:
-            return np.nan
-        return of - os_
+        """Fast minus slow ring opening at each psi; NaN where a ring is absent."""
+        fast, slow = ring_opening_angle(frame, psi, np.array([[FAST], [SLOW]]))
+        return fast - slow
 
     psis = np.linspace(0.0, TWO_PI, n_psi, endpoint=False)
-    vals = np.array([diff(p) for p in psis])
-    hits = []
-    for i in _bracket_starts(np.append(vals, vals[0])):  # the scan wraps around
-        psi = brentq(diff, psis[i], psis[i] + TWO_PI / n_psi, xtol=1e-6)
-        om = ring_opening_angle(frame, psi, FAST)
-        hits.append((om, frame.direction(om, psi)))
-    if len(hits) != 2:
+    vals = diff(psis)
+    cells = np.flatnonzero(_bracket_cells(np.append(vals, vals[0])))  # the scan wraps around
+    if cells.size != 2:
         raise ValueError(
-            f"expected exactly two ring intersections, found {len(hits)}; "
+            f"expected exactly two ring intersections, found {cells.size}; "
             "the cut may not be in the non-collinear type-II regime"
         )
-    (om_a, d_a), (om_b, d_b) = hits
+    psi = _solve_bracketed(lambda x, rows: diff(x), psis[cells], psis[cells] + TWO_PI / n_psi,
+                           vals[cells], vals[(cells + 1) % n_psi], xtol=1e-6)
+    om_a, om_b = ring_opening_angle(frame, psi, FAST)
+    d_a, d_b = frame.direction([om_a, om_b], psi)
     # The vector from arm i to arm j defines the horizontal axis.
     t_ab = frame.transverse(d_b) - frame.transverse(d_a)
     h2 = t_ab / np.linalg.norm(t_ab)
@@ -305,7 +408,7 @@ def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
     def ext_deg(theta):
         cut = CrystalCut(theta, phi, length_mm)
         try:
-            # coarse azimuth bracket suffices: crossings are refined by brentq
+            # coarse azimuth bracket suffices: crossings are refined by the solver
             arms = noncollinear_arms(crystal, cut, pump_nm, n_psi=12)
         except ValueError:
             return np.nan
@@ -313,14 +416,17 @@ def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
         n = index_batch(sel, arms.dir_i[None, :], 2 * pump_nm)[0][0]
         return float(np.degrees(np.arcsin(np.clip(n * np.sin(om), -1, 1))))
 
-    f = lambda th: ext_deg(th) - external_half_angle_deg
+    def f(thetas, rows=None):
+        return np.array([ext_deg(th) for th in thetas]) - external_half_angle_deg
+
     # the non-collinear regime may open on either side of the collinear angle
     for lo, hi in ((th0 + np.radians(0.15), th0 + np.radians(6.0)),
                    (th0 - np.radians(6.0), th0 - np.radians(0.15))):
         span = np.linspace(lo, hi, 13)
-        for i in _bracket_starts(np.array([f(t) for t in span])):
-            theta = brentq(f, span[i], span[i + 1], xtol=1e-8)
-            return CrystalCut(theta, phi, length_mm)
+        rows, *bracket = _first_brackets(span, f(span)[None, :])
+        if rows.size:
+            (theta,) = _solve_bracketed(f, *bracket, xtol=1e-8)
+            return CrystalCut(float(theta), phi, length_mm)
     raise ValueError("no cut with the requested arm opening in the scanned range")
 
 
@@ -388,39 +494,29 @@ def spdc_rings(crystal: CrystalData, cut: CrystalCut,
     lam_ss = np.linspace(lam0 - 2 * sig_f, lam0 + 2 * sig_f, n_signal) \
         if sig_f > 0 else np.array([lam0])
     L_um = cut.length_mm * 1e3
-    kx, ky, lam, wt, br = [], [], [], [], []
-    for branch in (FAST, SLOW):
-        for psi in np.linspace(0.0, TWO_PI, n_psi, endpoint=False):
-            for lam_s in lam_ss:
-                w_f = np.exp(-0.5 * ((lam_s - lam0) / sig_f) ** 2) if sig_f > 0 else 1.0
-                for lam_p in lam_ps:
-                    w_p = np.exp(-0.5 * ((lam_p - pump_nm) / sig_p) ** 2) if sig_p > 0 else 1.0
-                    om = ring_opening_angle(frame, psi, branch, lam_s, lam_p)
-                    if om is None:
-                        continue
-                    # half-max angular half-width of sinc^2(dk_par L/2)
-                    h = 1e-5
-                    up, down = _ring_mismatch(frame, np.array([om + h, om - h]),
-                                              psi, lam_s, lam_p, branch)
-                    slope = (up - down) / (2 * h)
-                    half_w = 2.7831 / (L_um * abs(slope)) if slope != 0 else 0.0
-                    pts = [(om, 1.0)]
-                    if 1e-5 < half_w < 0.05:
-                        pts += [(om - half_w, 0.5), (om + half_w, 0.5)]
-                    for o, w_edge in pts:
-                        if o <= 0:
-                            continue
-                        d = frame.direction(o, psi)
-                        t = frame.transverse(d)
-                        kx.append(t[0])
-                        ky.append(t[1])
-                        lam.append(lam_s)
-                        wt.append(w_f * w_p * w_edge)
-                        br.append(branch)
-    if not kx:
+    # one row per (branch, psi, lam_s, lam_p), in that nesting order
+    branch, psi, lam_s, lam_p = (x.ravel() for x in np.meshgrid(
+        np.array([FAST, SLOW]), np.linspace(0.0, TWO_PI, n_psi, endpoint=False),
+        lam_ss, lam_ps, indexing="ij"))
+    om = ring_opening_angle(frame, psi, branch, lam_s, lam_p)
+    found = ~np.isnan(om)
+    branch, psi, lam_s, lam_p, om = (x[found] for x in (branch, psi, lam_s, lam_p, om))
+    w_f = np.exp(-0.5 * ((lam_s - lam0) / sig_f) ** 2) if sig_f > 0 else np.ones_like(om)
+    w_p = np.exp(-0.5 * ((lam_p - pump_nm) / sig_p) ** 2) if sig_p > 0 else np.ones_like(om)
+    # half-max angular half-width of sinc^2(dk_par L/2)
+    h = 1e-5
+    up, down = _ring_mismatch(frame, om + np.array([[h], [-h]]), psi, lam_s, lam_p, branch)
+    slope = np.abs(up - down) / (2 * h)
+    half_w = np.divide(2.7831, L_um * slope, out=np.zeros_like(slope), where=slope != 0)
+    # each centre, then its two half-maximum edge points where the width matters
+    edges = (1e-5 < half_w) & (half_w < 0.05)
+    opening = np.stack([om, om - half_w, om + half_w], axis=1)
+    row, col = np.nonzero(np.stack([np.ones_like(edges), edges, edges], axis=1) & (opening > 0))
+    t = frame.transverse(frame.direction(opening[row, col], psi[row]))
+    weight = w_f[row] * w_p[row] * np.array([1.0, 0.5, 0.5])[col]
+    if not row.size:
         warnings.warn("empty acceptance: no phase-matched directions found")
-    return RingCloud(np.array(kx), np.array(ky), np.array(lam),
-                     np.array(wt), np.array(br))
+    return RingCloud(t[:, 0], t[:, 1], lam_s[row], weight, branch[row])
 
 
 def spectral_fwhm(crystal: CrystalData, cut: CrystalCut, arm: str = "signal",
@@ -457,26 +553,29 @@ def spectral_fwhm(crystal: CrystalData, cut: CrystalCut, arm: str = "signal",
     else:
         lam_ps = np.array([pump_nm])
         weights = np.array([1.0])
-    profile = np.zeros_like(lam_grid)
-    k_ss = np.array([_wave_numbers(sel, d_meas[None, :], lam_s, meas_branch)[0]
-                     for lam_s in lam_grid])
-    for lam_p, w in zip(lam_ps, weights):
-        k_p = frame.k_pump(lam_p)
-        for idx, (lam_s, k_s) in enumerate(zip(lam_grid, k_ss)):
-            lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
-            k_t = k_s * sin_om
-            d_i = frame.p
-            for _ in range(6):  # fixed point: idler polar angle cancels k_t
-                k_i = _wave_numbers(sel, d_i[None, :], lam_i, other)[0]
-                s_t = k_t / k_i
-                if s_t >= 1.0:
-                    break
-                d_i = np.sqrt(1.0 - s_t * s_t) * frame.p - s_t * t_hat
-            k_i = _wave_numbers(sel, d_i[None, :], lam_i, other)[0]
-            if k_t / k_i >= 1.0:
-                continue
-            dk_z = k_p - k_s * cos_om - k_i * np.sqrt(1.0 - (k_t / k_i) ** 2)
-            profile[idx] += w * np.sinc(dk_z * L_um / 2.0 / np.pi) ** 2
+    # rows: pump wavelengths; columns: measured-photon wavelengths
+    k_p = frame.k_pump(lam_ps)[:, None]
+    k_s = _wave_numbers(sel, np.broadcast_to(d_meas, (n_points, 3)), lam_grid, meas_branch)
+    k_t = k_s * sin_om
+    lam_i = 1.0 / (1.0 / lam_ps[:, None] - 1.0 / lam_grid)
+    shape = lam_i.shape
+
+    def k_idler(d_i):
+        return _wave_numbers(sel, d_i.reshape(-1, 3), lam_i.ravel(), other).reshape(shape)
+
+    d_i = np.broadcast_to(frame.p, shape + (3,))
+    for _ in range(6):  # fixed point: idler polar angle cancels k_t
+        s_t = k_t / k_idler(d_i)
+        # a point with s_t >= 1 has no partner; it keeps its d_i and stays so
+        c_t = np.sqrt(np.where(s_t < 1.0, 1.0 - s_t * s_t, 0.0))
+        d_i = np.where((s_t < 1.0)[..., None],
+                       c_t[..., None] * frame.p - s_t[..., None] * t_hat, d_i)
+    k_i = k_idler(d_i)
+    matched = k_t / k_i < 1.0
+    s_t = np.where(matched, k_t / k_i, 0.0)
+    dk_z = k_p - k_s * cos_om - k_i * np.sqrt(1.0 - s_t ** 2)
+    profile = np.sum(weights[:, None] * np.where(
+        matched, np.sinc(dk_z * L_um / 2.0 / np.pi) ** 2, 0.0), axis=0)
     return _fwhm_of_profile(lam_grid, profile)
 
 

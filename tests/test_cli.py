@@ -1,6 +1,10 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +306,16 @@ class TestSimulate:
             cli.build_report(data, "0" * 64)["diagnostics"]["mean_coherence_visibility"],
             rel=1e-15, abs=0.0)
 
+    def test_negative_seed_rejected_before_simulation(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated before validating the seed")
+
+        monkeypatch.setattr(cli.simulator, "run_monte_carlo", fail)
+        cfg = self._small_config(tmp_path)
+        assert main(["simulate", str(cfg), "--pulses", "1000", "--settings", "Z",
+                     "--seed", "-1"]) == EXIT_SCHEMA
+        assert "--seed" in capsys.readouterr().err
+
     def test_bad_config_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "experiment_config", "sources": []}))
@@ -392,6 +406,19 @@ class TestCrystalCommands:
         assert main(["crystal", "rate-ratio", "--inputs", str(path)]) == EXIT_SCHEMA
         assert "n_pump" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["summary", "rings"])
+    @pytest.mark.parametrize("length", ["nan", "inf", "-inf", "0"])
+    def test_bad_length_rejected_before_work(self, tmp_path, monkeypatch, command, length):
+        def fail(*args, **kwargs):
+            raise AssertionError("computed before validating --length-mm")
+
+        for name in ("solve_waves", "spdc_rings"):
+            monkeypatch.setattr(cli.crystal, name, fail)
+        out = tmp_path / "out"
+        assert main(["crystal", command, "--species", "bbo", f"--length-mm={length}",
+                     "--out", str(out)]) == EXIT_SCHEMA
+        assert not out.exists()
+
     def test_out_of_range_wavelength_is_numeric_failure(self):
         assert main(["crystal", "summary", "--species", "bbo",
                      "--cut", "0.75", "0.0", "--pump-nm", "150"]) == EXIT_NUMERIC
@@ -446,3 +473,16 @@ class TestPvalue:
         path = tmp_path / "ledger.json"
         path.write_text(json.dumps({"kind": "trial_ledger", "n": 10}))
         assert main(["pvalue", str(path)]) == EXIT_SCHEMA
+
+
+def test_cli_import_loads_no_scipy():
+    """The CLI runs on numpy alone; scipy is only a test dependency."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spdclab.cli; "
+         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

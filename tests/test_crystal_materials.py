@@ -75,7 +75,8 @@ class TestCrystalCut:
 
     @pytest.mark.parametrize("theta,phi,length", [
         (-0.1, 0.0, 1.0), (3.2, 0.0, 1.0), (1.0, -0.5, 1.0),
-        (1.0, 7.0, 1.0), (1.0, 1.0, 0.0),
+        (1.0, 7.0, 1.0), (1.0, 1.0, 0.0), (1.0, 1.0, float("nan")),
+        (1.0, 1.0, float("inf")),
     ])
     def test_validation(self, theta, phi, length):
         with pytest.raises(ValueError):

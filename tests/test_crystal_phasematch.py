@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from spdclab import crystal
 from spdclab.crystal import phasematch
@@ -263,3 +264,132 @@ class TestVectorizedMismatch:
             scalar = phasematch._ring_mismatch(frame, om, 1.1, 781.0, 389.5, branch)
             assert isinstance(scalar, float)
             assert v == pytest.approx(scalar, rel=0, abs=1e-13)
+
+
+class TestBatchedRootFinder:
+    """The batched bracketed solver against scipy's brentq as the oracle."""
+
+    @staticmethod
+    def _oracle_roots(f_vec, grid, xtol):
+        """First bracket on ``grid`` refined by brentq; None without a bracket."""
+        vals = f_vec(grid)
+        for i in range(grid.size - 1):
+            if np.isnan(vals[i + 1]):
+                continue
+            if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
+                f = lambda x: float(f_vec(np.array([x]))[0])
+                return brentq(f, grid[i], grid[i + 1], xtol=xtol)
+        return None
+
+    @staticmethod
+    def _ring_rows():
+        """Every (branch, psi, lam_s, lam_p) row of spdc_rings at its defaults."""
+        sig_p, sig_f = 2.1 / 2.3548, 3.0 / 2.3548
+        lam_ps = np.linspace(390.0 - 2 * sig_p, 390.0 + 2 * sig_p, 3)
+        lam_ss = np.linspace(780.0 - 2 * sig_f, 780.0 + 2 * sig_f, 5)
+        psis = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
+        return [(b, psi, ls, lp) for b in (crystal.FAST, crystal.SLOW)
+                for psi in psis for ls in lam_ss for lp in lam_ps]
+
+    @pytest.mark.parametrize("species", ["bbo", "bibo"])
+    def test_ring_openings_match_brentq(self, species):
+        crys = crystal.load_crystal(species)
+        frame = phasematch._PumpFrame(crys.sellmeier, crys.reference_cut, 390.0)
+        rows = self._ring_rows()
+        branch, psi, lam_s, lam_p = (np.array(col) for col in zip(*rows))
+        batched = phasematch.ring_opening_angle(frame, psi, branch, lam_s, lam_p)
+        grid = np.linspace(1e-5, 0.20, 40)
+        for (b, ps, ls, lp), got in zip(rows, batched):
+            k_p = frame.k_pump(lp)
+            want = self._oracle_roots(
+                lambda om: phasematch._ring_mismatch(frame, om, ps, ls, lp, b, k_p), grid, 1e-11)
+            assert want is not None and abs(got - want) < 2e-11
+        # scalar arguments keep the scalar form
+        one = phasematch.ring_opening_angle(frame, psi[7], branch[7], lam_s[7], lam_p[7])
+        assert isinstance(one, float) and one == batched[7]
+
+    def test_no_ring_is_none_or_nan(self, bibo):
+        curve = phase_match_collinear(bibo, phi_grid=np.radians([55.0]))
+        cut = CrystalCut(curve[0].theta + 0.05, curve[0].phi, 0.6)
+        frame = phasematch._PumpFrame(bibo.sellmeier, cut, 390.0)
+        assert phasematch.ring_opening_angle(frame, 0.3, crystal.FAST) is None
+        both = phasematch.ring_opening_angle(frame, np.array([0.3, 1.3]), crystal.FAST)
+        assert both.shape == (2,) and np.all(np.isnan(both))
+
+    @pytest.mark.parametrize("species", ["bbo", "bibo"])
+    def test_ring_centres_phase_matched(self, species):
+        crys = crystal.load_crystal(species)
+        cut = crys.reference_cut
+        frame = phasematch._PumpFrame(crys.sellmeier, cut, 390.0)
+        cloud = spdc_rings(crys, cut)
+        sig_p, sig_f = 2.1 / 2.3548, 3.0 / 2.3548
+        lam_ps = np.linspace(390.0 - 2 * sig_p, 390.0 + 2 * sig_p, 3)
+        w_ps = np.exp(-0.5 * ((lam_ps - 390.0) / sig_p) ** 2)
+        w_p = cloud.weight / np.exp(-0.5 * ((cloud.wavelength_nm - 780.0) / sig_f) ** 2)
+        # a centre carries its pump weight; an edge point carries half of it
+        fits = np.abs(w_ps[:, None] - w_p) < 1e-9
+        centre = fits.any(axis=0)
+        assert np.count_nonzero(centre) == 2 * 48 * 5 * 3
+        assert np.all(centre | (np.abs(0.5 * w_ps[:, None] - w_p) < 1e-9).any(axis=0))
+        om = np.arcsin(np.hypot(cloud.kx, cloud.ky))
+        psi = np.arctan2(cloud.ky, cloud.kx)
+        dk = np.abs(phasematch._ring_mismatch(frame, om, psi, cloud.wavelength_nm,
+                                              lam_ps[:, None], cloud.branch))
+        assert np.all(np.where(fits, dk, np.inf).min(axis=0)[centre] < crystal.DELTA_K_TOL)
+
+    @pytest.mark.parametrize("species,branch", [("bbo", "lower"), ("bibo", "upper")])
+    def test_collinear_theta_matches_brentq(self, species, branch):
+        crys = crystal.load_crystal(species)
+        curve = phase_match_collinear(crys, branch=branch)
+        th_lo, th_hi = (np.pi / 2, np.pi) if branch == "upper" else (1e-6, np.pi / 2)
+        thetas = np.arange(th_lo, th_hi, np.radians(0.5))
+        want = {}
+        for phi in np.radians(np.arange(0.0, 90.0 + 1e-9, 1.0)):
+            root = self._oracle_roots(
+                lambda th: phasematch.collinear_mismatch(crys.sellmeier, th, phi, 390.0),
+                thetas, 1e-12)
+            if root is not None:
+                want[float(phi)] = root
+        assert [s.phi for s in curve] == list(want)
+        for s in curve:
+            assert abs(s.theta - want[s.phi]) < 1e-11
+
+    def test_smooth_rows_converge_independently(self):
+        c = np.array([0.001, 0.5, 1.0, 7.9])
+        roots = phasematch._solve_bracketed(lambda x, r: x**3 - c[r],
+                                            0.0, 2.0, -c, 8.0 - c, xtol=1e-13)
+        assert np.max(np.abs(roots - np.cbrt(c))) < 1e-13
+
+    def test_root_at_an_endpoint(self):
+        roots = phasematch._solve_bracketed(lambda x, r: x - 1.0,
+                                            [0.0, 1.0], [1.0, 3.0], [-1.0, 0.0], [0.0, 2.0],
+                                            xtol=1e-12)
+        assert roots.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("fa,fb", [(1.0, 2.0), (-1.0, -0.5), (np.nan, 1.0)],
+                             ids=["both_positive", "both_negative", "nan_end"])
+    def test_unbracketed_endpoints_raise(self, fa, fb):
+        with pytest.raises(NumericalConsistencyError, match="bracket"):
+            phasematch._solve_bracketed(lambda x, r: x, [0.0, 0.0], [1.0, 1.0],
+                                        [-1.0, fa], [1.0, fb], xtol=1e-12)
+
+    def test_step_function_hits_iteration_cap(self):
+        step = lambda x, r: np.where(x < 1 / 3, -1.0, 1.0)
+        root = phasematch._solve_bracketed(step, 0.0, 1.0, -1.0, 1.0, xtol=1e-12)
+        assert abs(root - 1 / 3) < 1e-12
+        # no bracket narrower than one ulp exists, so xtol = 0 runs into the cap
+        with pytest.raises(NumericalConsistencyError, match="not converged"):
+            phasematch._solve_bracketed(step, 0.0, 1.0, -1.0, 1.0, xtol=0.0)
+
+    def test_nan_inside_bracket_raises(self):
+        with pytest.raises(NumericalConsistencyError, match="NaN"):
+            phasematch._solve_bracketed(lambda x, r: np.full_like(x, np.nan),
+                                        0.0, 1.0, -1.0, 1.0, xtol=1e-12)
+
+    def test_nan_row_never_bracketed(self):
+        grid = np.arange(5.0)
+        vals = np.array([[np.nan] * 5, [2.0, 1.0, np.nan, -1.0, -2.0],
+                         [1.0, 0.0, np.nan, 3.0, 4.0], [1.0, -1.0, 0, 0, 0]])
+        assert not phasematch._bracket_cells(vals[0]).any()
+        rows, a, b, fa, fb = phasematch._first_brackets(grid, vals)
+        assert rows.tolist() == [3] and (a[0], b[0], fa[0], fb[0]) == (0.0, 1.0, 1.0, -1.0)
