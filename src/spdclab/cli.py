@@ -36,6 +36,8 @@ EXIT_INSUFFICIENT = 3
 EXIT_NUMERIC = 4
 
 PROVENANCE_KINDS = ("experimental", "simulated", "reconstructed")
+#: trial-ledger keys that describe the record; every other key is a TrialLedger field
+LEDGER_METADATA = ("schema_version", "kind", "provenance", "notes")
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +53,6 @@ def dataset_from_dict(raw: dict) -> witness.CountDataset:
     for key in ("n", "settings"):
         if key not in raw:
             raise SchemaError(f"count file missing required key {key!r}")
-    witness._check_count(raw["n"])
     prov = raw.get("provenance", "experimental")
     if prov not in PROVENANCE_KINDS:
         raise SchemaError(f"provenance must be one of {PROVENANCE_KINDS}, got {prov!r}")
@@ -61,15 +62,8 @@ def dataset_from_dict(raw: dict) -> witness.CountDataset:
     settings = []
     for i, rec in enumerate(raw["settings"]):
         try:
-            settings.append(witness.SettingCounts(
-                setting=rec["setting"],
-                histogram=rec.get("histogram"),
-                aggregated=rec.get("aggregated"),
-                hours=rec.get("hours"),
-            ))
-        except KeyError as exc:
-            raise SchemaError(f"settings[{i}]: missing key {exc}") from exc
-        except SchemaError as exc:
+            settings.append(witness.SettingCounts(**rec))
+        except (TypeError, SchemaError) as exc:
             raise SchemaError(f"settings[{i}]: {exc}") from exc
     return witness.CountDataset(n=raw["n"], settings=tuple(settings))
 
@@ -103,18 +97,9 @@ def ledger_from_dict(raw: dict) -> hyptest.TrialLedger:
         raise SchemaError("ledger file must contain a JSON object")
     if raw.get("kind", "trial_ledger") != "trial_ledger":
         raise SchemaError(f"not a trial_ledger record: kind={raw.get('kind')!r}")
+    record = {k: v for k, v in raw.items() if k not in LEDGER_METADATA}
     try:
-        for c in (raw["n"], raw["n_z"], *raw["n_k"]):
-            witness._check_count(c)
-        return hyptest.TrialLedger(
-            n=raw["n"],
-            n_z=raw["n_z"],
-            n_k=tuple(raw["n_k"]),
-            f_exp=float(raw["f_exp"]),
-            f_0=float(raw.get("f_0", 0.5)),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"ledger missing key {exc}") from exc
+        return hyptest.TrialLedger(**record)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed ledger: {exc}") from exc
 
@@ -275,8 +260,6 @@ def _cut_from_args(crys, args) -> crystal.CrystalCut:
     theta, phi = (ref.theta, ref.phi) if args.cut is None else args.cut
     default_length = ref.length_mm if ref is not None else 1.0
     length = default_length if args.length_mm is None else args.length_mm
-    if not (np.isfinite(length) and length > 0):
-        raise SchemaError(f"--length-mm must be positive and finite, got {length}")
     return crystal.CrystalCut(theta, phi, length)
 
 
@@ -324,6 +307,10 @@ def cmd_crystal_summary(args) -> int:
 
 
 def cmd_crystal_curve(args) -> int:
+    if not np.isfinite([args.phi_start, args.phi_stop, args.phi_step]).all():
+        raise SchemaError("--phi-start, --phi-stop and --phi-step must be finite")
+    if args.phi_step <= 0:
+        raise SchemaError(f"--phi-step must be positive, got {args.phi_step}")
     crys = crystal.load_crystal(args.species)
     samples = crystal.phase_match_collinear(
         crys, pump_nm=args.pump_nm,
@@ -358,6 +345,10 @@ def cmd_crystal_curve(args) -> int:
 def cmd_crystal_rings(args) -> int:
     crys = crystal.load_crystal(args.species)
     cut = _cut_from_args(crys, args)
+    for flag, width in (("--pump-fwhm", args.pump_fwhm),
+                        ("--filter-fwhm", args.filter_fwhm)):
+        if not (np.isfinite(width) and width >= 0):
+            raise SchemaError(f"{flag} must be finite and >= 0, got {width}")
     cloud = crystal.spdc_rings(
         crys, cut, pump_nm=args.pump_nm, pump_fwhm_nm=args.pump_fwhm,
         filter_fwhm_nm=args.filter_fwhm,

@@ -150,11 +150,12 @@ class CrystalCut:
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= np.pi:
-            raise ValueError("theta must lie in [0, pi]")
+            raise SchemaError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi < 2.0 * np.pi:
-            raise ValueError("phi must lie in [0, 2 pi)")
+            raise SchemaError(f"phi must lie in [0, 2 pi), got {self.phi}")
         if not (np.isfinite(self.length_mm) and self.length_mm > 0):
-            raise ValueError("crystal length must be positive and finite")
+            raise SchemaError(
+                f"crystal length must be positive and finite, got {self.length_mm}")
 
     def direction(self) -> np.ndarray:
         return polar_direction(self.theta, self.phi)

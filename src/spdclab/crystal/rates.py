@@ -14,7 +14,7 @@ an input, optionally back-solved from a measured or published rate ratio.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -37,6 +37,9 @@ class RateInputs:
     omega: float = 1.0            # spectral integral, supplied or back-solved
 
     def __post_init__(self):
+        for f in fields(self)[1:]:      # every field after the label is a number
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("n_pump", "n_signal", "n_idler"):
             if getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must exceed 1")
@@ -62,12 +65,7 @@ def relative_pair_rate(a: RateInputs, b: RateInputs) -> float:
 
 def back_solve_omega_ratio(target_ratio: float, a: RateInputs, b: RateInputs) -> float:
     """Omega_a / Omega_b that makes relative_pair_rate(a, b) equal target_ratio."""
-    base = relative_pair_rate(
-        RateInputs(a.label, a.d_eff_pm_v, a.length_mm, a.n_pump, a.n_signal,
-                   a.n_idler, a.delta_walkoff, omega=1.0),
-        RateInputs(b.label, b.d_eff_pm_v, b.length_mm, b.n_pump, b.n_signal,
-                   b.n_idler, b.delta_walkoff, omega=1.0),
-    )
+    base = relative_pair_rate(replace(a, omega=1.0), replace(b, omega=1.0))
     return target_ratio / base
 
 
@@ -91,17 +89,9 @@ def load_rate_inputs(path: str | None = None) -> dict:
     try:
         raw = json.loads(source.read_text(encoding="utf-8"))
         for key, rec in raw["configurations"].items():
-            out[key] = RateInputs(
-                label=key,
-                d_eff_pm_v=rec["d_eff_pm_v"],
-                length_mm=rec["length_mm"],
-                n_pump=rec["n_pump"],
-                n_signal=rec["n_signal"],
-                n_idler=rec["n_idler"],
-                delta_walkoff=rec.get("delta_walkoff", 0.0),
-                omega=rec.get("omega", 1.0),
-            )
-    # ValueError covers undecodable or invalid JSON and RateInputs' range checks
+            out[key] = RateInputs(label=key, **rec)
+    # TypeError covers unknown or missing fields; ValueError covers
+    # undecodable or invalid JSON and RateInputs' own checks
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"malformed rate inputs {source}: {exc}") from exc
     return out

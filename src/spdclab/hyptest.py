@@ -17,12 +17,14 @@ closed form s, so individual trial records never need to be stored.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .witness import alpha_coefficients
+from .errors import SchemaError
+from .witness import _check_count, alpha_coefficients
 
 #: 5! (e/5)^5, the tail-branch prefactor, evaluated once.
 PINELIS_CONST = 120.0 * (math.e / 5.0) ** 5
@@ -42,13 +44,20 @@ class TrialLedger:
     f_0: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "n_k", tuple(int(c) for c in self.n_k))
+        object.__setattr__(self, "n_k", tuple(self.n_k))
+        for c in (self.n, self.n_z, *self.n_k):
+            _check_count(c)
         if len(self.n_k) != self.n:
             raise ValueError(f"expected {self.n} M-setting counts, got {len(self.n_k)}")
         if self.n_z < 1 or any(c < 1 for c in self.n_k):
             raise ValueError("all trial counts must be >= 1")
-        if not (math.isfinite(self.f_exp) and math.isfinite(self.f_0)):
-            raise ValueError("f_exp and f_0 must be finite")
+        for name in ("f_exp", "f_0"):
+            value = getattr(self, name)
+            # bool is a Real, but JSON true is not a fidelity
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and math.isfinite(value)):
+                raise SchemaError(f"{name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     @property
     def n_total(self) -> int:

@@ -30,13 +30,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import qstate
-from .errors import InsufficientDataError, TopologyError
+from .errors import InsufficientDataError, SchemaError, TopologyError
 from .qstate import (
     DEFAULT_PBS_LINKS,
     FusionNetwork,
@@ -103,7 +103,7 @@ class SourceModel:
 class InterferenceModel:
     """Scalar indistinguishability amplitude per PBS link."""
 
-    mode_overlap: tuple
+    mode_overlap: tuple = (1.0,)
 
     def __post_init__(self):
         ov = tuple(float(v) for v in np.atleast_1d(self.mode_overlap))
@@ -524,19 +524,9 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "kind": "experiment_config",
         "rep_rate_hz": config.rep_rate_hz,
         "seed": config.seed,
-        "sources": [
-            {
-                "pair_prob": s.pair_prob,
-                "xi_signal": s.xi_signal,
-                "xi_idler": s.xi_idler,
-                "theta_state": s.theta_state,
-                "rotated": s.rotated,
-                "double_pair_factor": s.double_pair_factor,
-            }
-            for s in config.sources
-        ],
+        "sources": [asdict(s) for s in config.sources],
         "interference": {"mode_overlap": list(config.interference.mode_overlap)},
-        "detector": {"dark_count_prob": config.detector.dark_count_prob},
+        "detector": asdict(config.detector),
         "network": {"pbs_links": [list(l) for l in config.network.pbs_links]},
         "provenance": dict(config.provenance),
     }
@@ -544,32 +534,18 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse a configuration dict, raising SchemaError on malformed fields."""
-    from .errors import SchemaError
-
     try:
         if raw.get("kind", "experiment_config") != "experiment_config":
             raise SchemaError(f"not an experiment_config record: kind={raw.get('kind')!r}")
-        sources = tuple(
-            SourceModel(
-                pair_prob=rec["pair_prob"],
-                xi_signal=rec["xi_signal"],
-                xi_idler=rec["xi_idler"],
-                theta_state=rec.get("theta_state", np.pi / 4),
-                rotated=rec.get("rotated", False),
-                double_pair_factor=rec.get("double_pair_factor", 2.0),
-            )
-            for rec in raw["sources"]
-        )
+        # records are built by field name: an unknown key is a TypeError
+        sources = tuple(SourceModel(**rec) for rec in raw["sources"])
         links = tuple(tuple(l) for l in raw["network"]["pbs_links"])
         network = FusionNetwork(tuple(s.pair_source() for s in sources), links)
-        overlap = raw.get("interference", {}).get("mode_overlap", 1.0)
-        interference = InterferenceModel(tuple(np.atleast_1d(overlap)))
-        detector = DetectorModel(raw.get("detector", {}).get("dark_count_prob", 0.0))
         return ExperimentConfig(
-            sources=sources, network=network, interference=interference,
-            rep_rate_hz=raw.get("rep_rate_hz", DEFAULT_REP_RATE_HZ),
-            detector=detector, seed=raw.get("seed", 0),
-            provenance=raw.get("provenance", {}),
+            sources=sources, network=network,
+            interference=InterferenceModel(**raw.get("interference", {})),
+            detector=DetectorModel(**raw.get("detector", {})),
+            **{k: raw[k] for k in ("rep_rate_hz", "seed", "provenance") if k in raw},
         )
     except SchemaError:
         raise

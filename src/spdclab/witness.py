@@ -146,6 +146,7 @@ class CountDataset:
     settings: tuple
 
     def __post_init__(self):
+        _check_count(self.n)
         object.__setattr__(self, "settings", tuple(self.settings))
         names = [s.setting for s in self.settings]
         expected = setting_names(self.n)

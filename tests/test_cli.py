@@ -200,6 +200,13 @@ class TestAnalyze:
         }))
         assert main(["analyze", str(path)]) == EXIT_SCHEMA
 
+    def test_unknown_setting_key_exit_code(self, recon_file, capsys):
+        raw = json.loads(recon_file.read_text())
+        raw["settings"][0]["hour"] = 1.0        # not a SettingCounts field
+        recon_file.write_text(json.dumps(raw))
+        assert main(["analyze", str(recon_file)]) == EXIT_SCHEMA
+        assert "'hour'" in capsys.readouterr().err
+
 
 class TestSimulate:
     def _small_config(self, tmp_path, pulses_scale=1.0):
@@ -316,6 +323,26 @@ class TestSimulate:
                      "--seed", "-1"]) == EXIT_SCHEMA
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record,key", [
+        (("sources", 0), "double_pair_factr"),
+        (("detector",), "dark_count"),
+        (("interference",), "overlap"),
+    ])
+    def test_unknown_record_key_rejected_before_simulation(
+            self, config_file, monkeypatch, capsys, record, key):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated a config with an unknown key")
+
+        monkeypatch.setattr(cli.simulator, "run_monte_carlo", fail)
+        raw = json.loads(config_file.read_text())
+        target = raw
+        for step in record:
+            target = target[step]
+        target[key] = 0.1
+        config_file.write_text(json.dumps(raw))
+        assert main(["simulate", str(config_file), "--pulses", "1000"]) == EXIT_SCHEMA
+        assert repr(key) in capsys.readouterr().err
+
     def test_bad_config_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "experiment_config", "sources": []}))
@@ -419,6 +446,73 @@ class TestCrystalCommands:
                      "--out", str(out)]) == EXIT_SCHEMA
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["summary", "rings"])
+    @pytest.mark.parametrize("cut", [("nan", "0"), ("0.75", "7"), ("4", "0")])
+    def test_bad_cut_rejected_before_work(self, tmp_path, monkeypatch, command, cut):
+        def fail(*args, **kwargs):
+            raise AssertionError("computed before validating --cut")
+
+        for name in ("solve_waves", "spdc_rings"):
+            monkeypatch.setattr(cli.crystal, name, fail)
+        out = tmp_path / "out"
+        assert main(["crystal", command, "--species", "bbo", "--cut", *cut,
+                     "--out", str(out)]) == EXIT_SCHEMA
+        assert not out.exists()
+
+    @pytest.mark.parametrize("phi_args", [
+        ["--phi-step", "0"], ["--phi-step", "-1"], ["--phi-step", "nan"],
+        ["--phi-step", "inf"], ["--phi-start", "nan"], ["--phi-stop", "inf"],
+    ])
+    def test_bad_phi_grid_rejected_before_work(self, tmp_path, monkeypatch, phi_args):
+        def fail(*args, **kwargs):
+            raise AssertionError("computed before validating the phi grid")
+
+        monkeypatch.setattr(cli.crystal, "phase_match_collinear", fail)
+        out = tmp_path / "curve.csv"
+        assert main(["crystal", "curve", "--species", "bbo", *phi_args,
+                     "--out", str(out)]) == EXIT_SCHEMA
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--pump-fwhm", "--filter-fwhm"])
+    @pytest.mark.parametrize("width", ["-1", "nan", "inf"])
+    def test_bad_spectral_width_rejected_before_work(self, tmp_path, monkeypatch,
+                                                     flag, width):
+        def fail(*args, **kwargs):
+            raise AssertionError("computed before validating the spectral widths")
+
+        monkeypatch.setattr(cli.crystal, "spdc_rings", fail)
+        out = tmp_path / "rings.csv"
+        assert main(["crystal", "rings", "--species", "bbo", f"{flag}={width}",
+                     "--out", str(out)]) == EXIT_SCHEMA
+        assert not out.exists()
+
+    def test_rate_ratio_inputs_unknown_key_exit_code(self, tmp_path, capsys):
+        inputs = json.loads(resources.files("spdclab.data")
+                            .joinpath("pair_rate_inputs.json").read_text())
+        rec = inputs["configurations"]["bibo_0p6mm"]
+        rec["omegaa"] = rec.pop("omega")
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps(inputs))
+        assert main(["crystal", "rate-ratio", "--inputs", str(path)]) == EXIT_SCHEMA
+        assert "'omegaa'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("d_eff_pm_v", float("nan")), ("length_mm", float("inf")),
+        ("n_idler", float("nan")), ("omega", float("inf")),
+        ("delta_walkoff", float("nan")),
+    ])
+    def test_rate_ratio_inputs_non_finite_exit_code(self, tmp_path, capsys, field, value):
+        inputs = json.loads(resources.files("spdclab.data")
+                            .joinpath("pair_rate_inputs.json").read_text())
+        inputs["configurations"]["bibo_0p6mm"][field] = value
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps(inputs))               # NaN / Infinity literals
+        out = tmp_path / "ratio.json"
+        assert main(["crystal", "rate-ratio", "--inputs", str(path),
+                     "--out", str(out)]) == EXIT_SCHEMA
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_wavelength_is_numeric_failure(self):
         assert main(["crystal", "summary", "--species", "bbo",
                      "--cut", "0.75", "0.0", "--pump-nm", "150"]) == EXIT_NUMERIC
@@ -468,6 +562,14 @@ class TestPvalue:
         path.write_text(json.dumps({"kind": "trial_ledger", "n": 2, "n_z": 10,
                                     "n_k": [5, 5], "f_exp": 0.6, **counts}))
         assert main(["pvalue", str(path)]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("fields", [
+        {"f_exp": "0.606"}, {"f_exp": True}, {"f_0": "0.5"}, {"f0": 0.4}])
+    def test_non_numeric_or_unknown_fidelity_exit_code(self, ledger_file, fields):
+        raw = json.loads(ledger_file.read_text())
+        raw.update(fields)
+        ledger_file.write_text(json.dumps(raw))
+        assert main(["pvalue", str(ledger_file)]) == EXIT_SCHEMA
 
     def test_malformed_ledger(self, tmp_path):
         path = tmp_path / "ledger.json"

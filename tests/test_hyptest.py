@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.integrate import quad
 
+from spdclab.errors import SchemaError
 from spdclab.hyptest import (
     GAUSSIAN_BRANCH,
     PINELIS_CONST,
@@ -50,6 +51,22 @@ class TestSTotal:
     def test_non_finite_fidelity_rejected(self, f_exp, f_0):
         with pytest.raises(ValueError):
             TrialLedger(2, 5, (5, 5), f_exp, f_0)
+
+    @pytest.mark.parametrize("counts", [
+        {"n_z": 3.5}, {"n_k": (True, 5.7)}, {"n_k": (5, 5.0)}, {"n": 2.0}])
+    def test_non_integer_counts_rejected(self, counts):
+        fields = {"n": 2, "n_z": 5, "n_k": (5, 5), "f_exp": 0.6, **counts}
+        with pytest.raises(SchemaError):
+            TrialLedger(**fields)
+
+    @pytest.mark.parametrize("f_exp", ["0.606", True, None])
+    def test_non_numeric_fidelity_rejected(self, f_exp):
+        with pytest.raises(SchemaError):
+            TrialLedger(2, 5, (5, 5), f_exp)
+
+    def test_fidelities_stored_as_floats(self):
+        ledger = TrialLedger(2, 5, (5, 5), 1, np.float64(0.5))
+        assert type(ledger.f_exp) is float and type(ledger.f_0) is float
 
 
 class TestNormalTail:

@@ -435,6 +435,21 @@ class TestConfigSerialization:
         with pytest.raises(SchemaError):
             config_from_dict({"kind": "experiment_config", "sources": [{}]})
 
+    def test_omitted_records_take_the_model_defaults(self):
+        raw = config_to_dict(reference_config())
+        for key in ("interference", "detector", "rep_rate_hz", "seed", "provenance"):
+            del raw[key]
+        for rec in raw["sources"]:
+            del rec["double_pair_factor"], rec["rotated"], rec["theta_state"]
+        cfg = config_from_dict(raw)
+        assert cfg.interference == InterferenceModel()
+        assert cfg.interference.mode_overlap == (1.0,)
+        assert cfg.detector == DetectorModel()
+        src = cfg.sources[0]
+        assert src == SourceModel(src.pair_prob, src.xi_signal, src.xi_idler)
+        assert (cfg.rep_rate_hz, cfg.seed, cfg.provenance) == (
+            simulator.DEFAULT_REP_RATE_HZ, 0, {})
+
 
 class TestClassicalRouting:
     def test_non_chain_network_rejected(self):

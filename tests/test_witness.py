@@ -224,6 +224,13 @@ class TestSchema:
             SettingCounts("Z", aggregated={"n_all_h": 1, "n_all_v": 0,
                                            "n_rest": 0}).correlation()
 
+    @pytest.mark.parametrize("n", [1.9, True])
+    def test_non_count_mode_number_rejected(self, n):
+        settings = (SettingCounts("Z", aggregated={"n_all_h": 1, "n_all_v": 1, "n_rest": 0}),
+                    SettingCounts("M0", aggregated={"n_plus": 1, "n_minus": 0}))
+        with pytest.raises(SchemaError):
+            CountDataset(n=n, settings=settings)
+
     def test_duplicate_setting_rejected(self):
         s = SettingCounts("M0", aggregated={"n_plus": 1, "n_minus": 0})
         with pytest.raises(SchemaError):
