@@ -60,11 +60,8 @@ print(f"fast-polarization deflection from the arm axis: "
       f"{np.degrees(arms.fast_deflection_rad):.1f} degrees")
 
 print("\n=== emission rings through a 3 nm filter ===")
-ext = arms.external_opening_deg
-n_arm = crystal.solve_waves(bibo.sellmeier, arms.dir_i, 780.0).n_fast
-ext_deg = float(np.degrees(np.arcsin(n_arm * np.sin(np.radians(ext)))))
-bbo_cut = crystal.cut_for_arm_opening(bbo, external_half_angle_deg=ext_deg,
-                                      length_mm=2.0)
+bbo_cut = crystal.cut_for_arm_opening(
+    bbo, external_half_angle_deg=arms.external_half_angle_deg, length_mm=2.0)
 for name, crys, the_cut in (("bbo", bbo, bbo_cut), ("bibo", bibo, cut)):
     cloud = crystal.spdc_rings(crys, the_cut)
     csv = out_dir / f"rings_{name}.csv"

@@ -38,6 +38,10 @@ EXIT_NUMERIC = 4
 PROVENANCE_KINDS = ("experimental", "simulated", "reconstructed")
 #: trial-ledger keys that describe the record; every other key is a TrialLedger field
 LEDGER_METADATA = ("schema_version", "kind", "provenance", "notes")
+#: count-file keys that describe the record (``simulate`` adds the last three);
+#: every other key is a CountDataset field
+COUNT_METADATA = ("schema_version", "kind", "provenance", "notes",
+                  "config_digest", "seed", "pulses_per_setting")
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +69,12 @@ def dataset_from_dict(raw: dict) -> witness.CountDataset:
             settings.append(witness.SettingCounts(**rec))
         except (TypeError, SchemaError) as exc:
             raise SchemaError(f"settings[{i}]: {exc}") from exc
-    return witness.CountDataset(n=raw["n"], settings=tuple(settings))
+    record = {k: v for k, v in raw.items() if k not in COUNT_METADATA}
+    record["settings"] = tuple(settings)
+    try:
+        return witness.CountDataset(**record)
+    except TypeError as exc:
+        raise SchemaError(f"malformed count file: {exc}") from exc
 
 
 def dataset_to_dict(data: witness.CountDataset, provenance: str,
@@ -287,8 +296,7 @@ def cmd_crystal_summary(args) -> int:
             "pump_quadrature": float(np.hypot(sol_pump.walkoff_fast,
                                               sol_pump.walkoff_slow)),
         },
-        "d_eff_collinear_pm_v": crystal.d_eff_typeII(
-            crys, cut, crystal.COLLINEAR, pump_nm=pump),
+        "d_eff_collinear_pm_v": crystal.d_eff_typeII(crys, cut, pump_nm=pump),
     }
     try:
         arms = crystal.noncollinear_arms(crys, cut, pump_nm=pump)
@@ -311,6 +319,8 @@ def cmd_crystal_curve(args) -> int:
         raise SchemaError("--phi-start, --phi-stop and --phi-step must be finite")
     if args.phi_step <= 0:
         raise SchemaError(f"--phi-step must be positive, got {args.phi_step}")
+    if args.phi_stop < args.phi_start:
+        raise SchemaError(f"--phi-stop {args.phi_stop} is below --phi-start {args.phi_start}")
     crys = crystal.load_crystal(args.species)
     samples = crystal.phase_match_collinear(
         crys, pump_nm=args.pump_nm,

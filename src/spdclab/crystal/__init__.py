@@ -20,9 +20,7 @@ from .optics import (
     walkoff_angle,
 )
 from .phasematch import (
-    COLLINEAR,
     DELTA_K_TOL,
-    NONCOLLINEAR,
     NoncollinearArms,
     PhaseMatchSolution,
     RingCloud,
@@ -47,10 +45,9 @@ __all__ = [
     "SellmeierSet", "crystal_from_dict", "load_crystal",
     "FAST", "SLOW", "WaveSolution", "fresnel_residual", "refractive_indices",
     "solve_waves", "walkoff_angle",
-    "COLLINEAR", "DELTA_K_TOL", "NONCOLLINEAR", "NoncollinearArms",
-    "PhaseMatchSolution", "RingCloud", "collinear_mismatch",
-    "cut_for_arm_opening", "d_eff_typeII", "noncollinear_arms",
-    "phase_match_collinear", "spdc_rings", "spectral_fwhm",
+    "DELTA_K_TOL", "NoncollinearArms", "PhaseMatchSolution", "RingCloud",
+    "collinear_mismatch", "cut_for_arm_opening", "d_eff_typeII",
+    "noncollinear_arms", "phase_match_collinear", "spdc_rings", "spectral_fwhm",
     "RateInputs", "back_solve_omega_ratio", "load_rate_inputs",
     "pair_state_angle", "relative_pair_rate",
 ]

@@ -14,7 +14,7 @@ and the second-order tensor all live in the principal dielectric frame.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
@@ -26,11 +26,6 @@ UNIAXIAL = "uniaxial"
 BIAXIAL = "biaxial"
 
 _AXES = {UNIAXIAL: ("o", "e"), BIAXIAL: ("x", "y", "z")}
-
-# contracted (Voigt) pair for each index pair
-_CONTRACTED = {(0, 0): 0, (1, 1): 1, (2, 2): 2,
-               (1, 2): 3, (2, 1): 3, (0, 2): 4, (2, 0): 4,
-               (0, 1): 5, (1, 0): 5}
 
 
 @dataclass(frozen=True)

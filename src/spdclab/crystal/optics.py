@@ -49,9 +49,6 @@ class WaveSolution:
     def n(self, branch: str) -> float:
         return self.n_fast if branch == FAST else self.n_slow
 
-    def d_vec(self, branch: str) -> np.ndarray:
-        return self.d_fast if branch == FAST else self.d_slow
-
     def walkoff(self, branch: str) -> float:
         return self.walkoff_fast if branch == FAST else self.walkoff_slow
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..errors import NumericalConsistencyError
 from .materials import CrystalCut, CrystalData, SellmeierSet, polar_direction
-from .optics import FAST, SLOW, index_batch, solve_waves, transverse_frame
+from .optics import FAST, SLOW, WaveSolution, index_batch, solve_waves, transverse_frame
 
 TWO_PI = 2.0 * np.pi
 
@@ -45,9 +45,6 @@ DELTA_K_TOL = 1e-6
 
 #: steps after which a bracketed root-find gives up
 MAX_ROOT_STEPS = 100
-
-COLLINEAR = "collinear"
-NONCOLLINEAR = "noncollinear"
 
 
 @dataclass(frozen=True)
@@ -177,14 +174,10 @@ def collinear_mismatch(sellmeier: SellmeierSet, theta, phi, pump_nm: float):
     return float(dk[0]) if s.ndim == 1 else dk.reshape(s.shape[:-1])
 
 
-def d_eff_contraction(crystal: CrystalData, pump_dir, sig_dir, idl_dir,
-                      pump_nm: float, sig_nm: float, idl_nm: float,
-                      sig_branch: str = FAST, idl_branch: str = SLOW) -> float:
-    """|d_eff| for fast pump and the given signal/idler branches."""
-    ep = solve_waves(crystal.sellmeier, pump_dir, pump_nm).d_vec(FAST)
-    es = solve_waves(crystal.sellmeier, sig_dir, sig_nm).d_vec(sig_branch)
-    ei = solve_waves(crystal.sellmeier, idl_dir, idl_nm).d_vec(idl_branch)
-    return abs(crystal.tensor.contract(ep, es, ei))
+def _collinear_d_eff(crystal: CrystalData, pump: WaveSolution,
+                     down: WaveSolution) -> float:
+    """|d_eff| of fast pump -> fast + slow along one direction, from its solved waves."""
+    return abs(crystal.tensor.contract(pump.d_fast, down.d_fast, down.d_slow))
 
 
 def phase_match_collinear(
@@ -224,8 +217,7 @@ def phase_match_collinear(
             pump_wavelength_nm=pump_nm,
             theta=float(root), phi=float(phi),
             delta_k_residual=float(dk),
-            d_eff_pm_v=abs(crystal.tensor.contract(
-                pump.d_fast, down.d_fast, down.d_slow)),
+            d_eff_pm_v=_collinear_d_eff(crystal, pump, down),
             walkoff_fast=down.walkoff_fast, walkoff_slow=down.walkoff_slow,
             n_pump=pump.n_fast, n_signal=down.n_fast, n_idler=down.n_slow,
         ))
@@ -320,20 +312,23 @@ class NoncollinearArms:
 
     dir_i: np.ndarray             # arm on the -H side
     dir_j: np.ndarray             # arm on the +H side
-    opening_i: float
+    opening_i: float              # internal opening from the pump axis, rad
     opening_j: float
     d_eff_fs: float               # fast at arm i, slow at arm j
     d_eff_sf: float               # slow at arm i, fast at arm j
     fast_deflection_rad: float    # fast-eigenpolarization angle from the arm axis at arm i
-
-    @property
-    def external_opening_deg(self) -> float:
-        return float(np.degrees(0.5 * (self.opening_i + self.opening_j)))
+    external_half_angle_deg: float  # mean opening after Snell refraction, degrees
 
 
 def noncollinear_arms(crystal: CrystalData, cut: CrystalCut,
                       pump_nm: float = 390.0, n_psi: int = 36) -> NoncollinearArms:
-    """Locate the two fast/slow ring intersections for a degenerate cut."""
+    """Locate the two fast/slow ring intersections for a degenerate cut.
+
+    Each of the three waves (the pump along the axis, and the degenerate
+    wave at each arm) is solved once.  The external half-angle refracts the
+    mean internal opening at an exit face normal to the pump, with the fast
+    index at arm i: sin(ext) = n_fast sin(mean opening).
+    """
     sel = crystal.sellmeier
     frame = _PumpFrame(sel, cut, pump_nm)
     lam = 2.0 * pump_nm
@@ -358,33 +353,31 @@ def noncollinear_arms(crystal: CrystalData, cut: CrystalCut,
     # The vector from arm i to arm j defines the horizontal axis.
     t_ab = frame.transverse(d_b) - frame.transverse(d_a)
     h2 = t_ab / np.linalg.norm(t_ab)
-    d_fs = d_eff_contraction(crystal, frame.p, d_a, d_b, pump_nm, lam, lam, FAST, SLOW)
-    d_sf = d_eff_contraction(crystal, frame.p, d_a, d_b, pump_nm, lam, lam, SLOW, FAST)
+    d_pump = solve_waves(sel, frame.p, pump_nm).d_fast
+    wave_i, wave_j = solve_waves(sel, d_a, lam), solve_waves(sel, d_b, lam)
     # fast-polarization deflection from the horizontal at arm i
-    t = frame.transverse(solve_waves(sel, d_a, lam).d_fast)
+    t = frame.transverse(wave_i.d_fast)
     defl = float(np.arccos(np.clip(abs(np.dot(t, h2)) / np.linalg.norm(t), 0.0, 1.0)))
+    sin_ext = wave_i.n_fast * np.sin(0.5 * (om_a + om_b))
     return NoncollinearArms(
         dir_i=d_a, dir_j=d_b,
         opening_i=float(om_a), opening_j=float(om_b),
-        d_eff_fs=d_fs, d_eff_sf=d_sf,
+        d_eff_fs=abs(crystal.tensor.contract(d_pump, wave_i.d_fast, wave_j.d_slow)),
+        d_eff_sf=abs(crystal.tensor.contract(d_pump, wave_i.d_slow, wave_j.d_fast)),
         fast_deflection_rad=defl,
+        external_half_angle_deg=float(np.degrees(np.arcsin(np.clip(sin_ext, -1, 1)))),
     )
 
 
-def d_eff_typeII(crystal: CrystalData, cut: CrystalCut,
-                 geometry: str = COLLINEAR, pump_nm: float = 390.0):
-    """Effective nonlinearity at a cut.
+def d_eff_typeII(crystal: CrystalData, cut: CrystalCut, pump_nm: float = 390.0) -> float:
+    """Collinear |d_eff| along the cut direction.
 
-    ``collinear`` returns the single |d_eff| at the cut direction;
-    ``noncollinear`` returns the (d_fs, d_sf) pair at the two ring arms.
+    The pair at the two non-collinear arms is ``noncollinear_arms(...).d_eff_fs``
+    and ``.d_eff_sf``.
     """
-    if geometry == COLLINEAR:
-        s = cut.direction()
-        return d_eff_contraction(crystal, s, s, s, pump_nm, 2 * pump_nm, 2 * pump_nm)
-    if geometry == NONCOLLINEAR:
-        arms = noncollinear_arms(crystal, cut, pump_nm)
-        return arms.d_eff_fs, arms.d_eff_sf
-    raise ValueError(f"geometry must be '{COLLINEAR}' or '{NONCOLLINEAR}'")
+    s = cut.direction()
+    return _collinear_d_eff(crystal, solve_waves(crystal.sellmeier, s, pump_nm),
+                            solve_waves(crystal.sellmeier, s, 2.0 * pump_nm))
 
 
 def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
@@ -392,11 +385,10 @@ def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
                         phi: float = 0.0, length_mm: float = 2.0) -> CrystalCut:
     """Cut whose degenerate arms exit at the requested external half-angle.
 
-    Sweeps theta above the collinear phase-matching angle at fixed phi;
-    external angles follow from Snell refraction at an exit face normal to
-    the pump.
+    Sweeps theta above the collinear phase-matching angle at fixed phi for
+    the cut whose ``noncollinear_arms(...).external_half_angle_deg`` is the
+    requested angle.
     """
-    sel = crystal.sellmeier
     coll = phase_match_collinear(crystal, pump_nm, phi_grid=np.array([phi]),
                                  branch="lower")
     if not coll:
@@ -409,12 +401,9 @@ def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
         cut = CrystalCut(theta, phi, length_mm)
         try:
             # coarse azimuth bracket suffices: crossings are refined by the solver
-            arms = noncollinear_arms(crystal, cut, pump_nm, n_psi=12)
+            return noncollinear_arms(crystal, cut, pump_nm, n_psi=12).external_half_angle_deg
         except ValueError:
             return np.nan
-        om = 0.5 * (arms.opening_i + arms.opening_j)
-        n = index_batch(sel, arms.dir_i[None, :], 2 * pump_nm)[0][0]
-        return float(np.degrees(np.arcsin(np.clip(n * np.sin(om), -1, 1))))
 
     def f(thetas, rows=None):
         return np.array([ext_deg(th) for th in thetas]) - external_half_angle_deg

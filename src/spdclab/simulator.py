@@ -55,6 +55,8 @@ from .witness import (
 )
 
 DEFAULT_REP_RATE_HZ = 76.0e6
+#: config keys that describe the record; every other key is an ExperimentConfig field
+CONFIG_METADATA = ("schema_version", "kind", "notes")
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
-        if len(self.sources) != len(self.network.sources):
-            raise ValueError("config sources must match the network source count")
+        if self.network.sources != tuple(s.pair_source() for s in self.sources):
+            raise TopologyError("network pair states must be the sources' pair states")
         if not 0.0 < self.rep_rate_hz < math.inf:
             raise ValueError("rep_rate_hz must be positive and finite")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
@@ -185,9 +187,8 @@ def tenfold_rate(total_pair_rate: float, xi: float, rep_rate_hz: float) -> float
 
 
 def _fuse(config: ExperimentConfig) -> tuple:
-    """(state, success_prob) of the sources' pair states fused by the network."""
-    return fuse_and_postselect([s.pair_source() for s in config.sources],
-                               config.network)
+    """(state, success_prob) of the network's pair states, fused and post-selected."""
+    return fuse_and_postselect(None, config.network)
 
 
 def ideal_output_state(config: ExperimentConfig) -> qstate.PureState:
@@ -538,14 +539,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if raw.get("kind", "experiment_config") != "experiment_config":
             raise SchemaError(f"not an experiment_config record: kind={raw.get('kind')!r}")
         # records are built by field name: an unknown key is a TypeError
-        sources = tuple(SourceModel(**rec) for rec in raw["sources"])
-        links = tuple(tuple(l) for l in raw["network"]["pbs_links"])
+        record = {k: v for k, v in raw.items() if k not in CONFIG_METADATA}
+        sources = tuple(SourceModel(**rec) for rec in record.pop("sources"))
+        links = tuple(tuple(l) for l in record.pop("network")["pbs_links"])
         network = FusionNetwork(tuple(s.pair_source() for s in sources), links)
         return ExperimentConfig(
             sources=sources, network=network,
-            interference=InterferenceModel(**raw.get("interference", {})),
-            detector=DetectorModel(**raw.get("detector", {})),
-            **{k: raw[k] for k in ("rep_rate_hz", "seed", "provenance") if k in raw},
+            interference=InterferenceModel(**record.pop("interference", {})),
+            detector=DetectorModel(**record.pop("detector", {})),
+            **record,
         )
     except SchemaError:
         raise

@@ -207,6 +207,13 @@ class TestAnalyze:
         assert main(["analyze", str(recon_file)]) == EXIT_SCHEMA
         assert "'hour'" in capsys.readouterr().err
 
+    def test_unknown_top_level_key_exit_code(self, recon_file, capsys):
+        raw = json.loads(recon_file.read_text())
+        raw["note"] = "typo for notes"          # neither metadata nor a CountDataset field
+        recon_file.write_text(json.dumps(raw))
+        assert main(["analyze", str(recon_file)]) == EXIT_SCHEMA
+        assert "'note'" in capsys.readouterr().err
+
 
 class TestSimulate:
     def _small_config(self, tmp_path, pulses_scale=1.0):
@@ -327,6 +334,7 @@ class TestSimulate:
         (("sources", 0), "double_pair_factr"),
         (("detector",), "dark_count"),
         (("interference",), "overlap"),
+        ((), "rep_rate"),
     ])
     def test_unknown_record_key_rejected_before_simulation(
             self, config_file, monkeypatch, capsys, record, key):
@@ -462,6 +470,7 @@ class TestCrystalCommands:
     @pytest.mark.parametrize("phi_args", [
         ["--phi-step", "0"], ["--phi-step", "-1"], ["--phi-step", "nan"],
         ["--phi-step", "inf"], ["--phi-start", "nan"], ["--phi-stop", "inf"],
+        ["--phi-start", "50", "--phi-stop", "10"],
     ])
     def test_bad_phi_grid_rejected_before_work(self, tmp_path, monkeypatch, phi_args):
         def fail(*args, **kwargs):
@@ -472,6 +481,13 @@ class TestCrystalCommands:
         assert main(["crystal", "curve", "--species", "bbo", *phi_args,
                      "--out", str(out)]) == EXIT_SCHEMA
         assert not out.exists()
+
+    def test_equal_phi_endpoints_give_one_sample(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert main(["crystal", "curve", "--species", "bbo", "--branch", "lower",
+                     "--phi-start", "30", "--phi-stop", "30", "--out", str(out)]) == EXIT_OK
+        header, *rows = out.read_text().strip().split("\n")
+        assert len(rows) == 1 and rows[0].startswith(f"{np.radians(30.0):.6f},")
 
     @pytest.mark.parametrize("flag", ["--pump-fwhm", "--filter-fwhm"])
     @pytest.mark.parametrize("width", ["-1", "nan", "inf"])

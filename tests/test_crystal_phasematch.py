@@ -5,8 +5,6 @@ from scipy.optimize import brentq
 from spdclab import crystal
 from spdclab.crystal import phasematch
 from spdclab.crystal import (
-    COLLINEAR,
-    NONCOLLINEAR,
     CrystalCut,
     NonlinearTensor,
     cut_for_arm_opening,
@@ -82,7 +80,7 @@ class TestDEffConventions:
         for theta in (0.55, 0.7533, 0.9):
             for phi in (0.0, 0.4, np.pi / 3, 1.2):
                 cut = CrystalCut(theta, phi, 1.0)
-                got = d_eff_typeII(crys, cut, COLLINEAR)
+                got = d_eff_typeII(crys, cut)
                 want = abs(2.2 * np.cos(theta) ** 2 * np.cos(3 * phi))
                 assert abs(got - want) < 1e-9
 
@@ -93,10 +91,6 @@ class TestDEffConventions:
             a = abs(bibo.tensor.contract(ep, es, ei))
             b = abs(bibo.tensor.contract(-ep, -es, -ei))
             assert abs(a - b) < 1e-12
-
-    def test_geometry_argument_validation(self, bibo):
-        with pytest.raises(ValueError):
-            d_eff_typeII(bibo, bibo.reference_cut, "diagonal")
 
 
 class TestNoncollinearArms:
@@ -121,9 +115,28 @@ class TestNoncollinearArms:
         defl = np.degrees(bibo_arms.fast_deflection_rad)
         assert abs(defl - 15.0) < 3.0
 
-    def test_noncollinear_d_eff_api(self, bibo, bibo_arms):
-        pair = d_eff_typeII(bibo, bibo.reference_cut, NONCOLLINEAR)
-        assert sorted(pair) == sorted((bibo_arms.d_eff_fs, bibo_arms.d_eff_sf))
+    @pytest.mark.parametrize("species", ["bbo", "bibo"])
+    def test_external_half_angle_is_snell_at_arm_i(self, species, request):
+        """Oracle: sin(ext) = n_fast(arm i) sin(mean opening), n from solve_waves."""
+        crys = request.getfixturevalue(species)
+        arms = noncollinear_arms(crys, crys.reference_cut)
+        n = solve_waves(crys.sellmeier, arms.dir_i, 2 * 390.0).n_fast
+        om = 0.5 * (arms.opening_i + arms.opening_j)
+        want = np.degrees(np.arcsin(n * np.sin(om)))
+        assert abs(arms.external_half_angle_deg - want) < 1e-12
+        # refraction out of the denser crystal opens the arms
+        assert arms.external_half_angle_deg > np.degrees(om)
+
+    def test_each_wave_solved_once(self, bibo, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve_waves(*args)
+
+        monkeypatch.setattr(phasematch, "solve_waves", counting)
+        noncollinear_arms(bibo, bibo.reference_cut)
+        assert len(calls) == 3
 
     def test_over_matched_cut_has_no_arms(self, bibo):
         # beyond the collinear curve the pump carries too much momentum and
@@ -152,11 +165,8 @@ class TestRings:
         assert sep > 1.0
 
     def test_bibo_cloud_wider_than_bbo_at_matched_opening(self, bbo, bibo):
-        ext = noncollinear_arms(bibo, bibo.reference_cut).external_opening_deg
-        n = solve_waves(bibo.sellmeier, bibo.reference_cut.direction(), 780.0).n_fast
-        ext_deg = np.degrees(np.arcsin(n * np.sin(np.radians(ext))))
-        bbo_cut = cut_for_arm_opening(bbo, external_half_angle_deg=ext_deg,
-                                      length_mm=2.0)
+        ext = noncollinear_arms(bibo, bibo.reference_cut).external_half_angle_deg
+        bbo_cut = cut_for_arm_opening(bbo, external_half_angle_deg=ext, length_mm=2.0)
         kw = dict(n_psi=16, n_signal=3, n_pump=3)
         cloud_bibo = spdc_rings(bibo, bibo.reference_cut, **kw)
         cloud_bbo = spdc_rings(bbo, bbo_cut, **kw)

@@ -462,6 +462,19 @@ class TestClassicalRouting:
         with pytest.raises(TopologyError):
             run_monte_carlo(cfg, 1000, ["Z"])
 
+    @pytest.mark.parametrize("pairs", [
+        (PairSource(0.3, rotated=True),) + (PairSource(np.pi / 4),) * 4,
+        (PairSource(np.pi / 4 + 1e-9),) + (PairSource(np.pi / 4),) * 4,
+        (PairSource(np.pi / 4),) * 4,
+    ])
+    def test_network_pair_states_must_match_sources(self, pairs):
+        # the fuse reads the network, so a network that disagrees would be simulated
+        with pytest.raises(TopologyError, match="pair states"):
+            ExperimentConfig(
+                sources=tuple(SourceModel(0.1, 0.9, 0.9) for _ in range(5)),
+                network=FusionNetwork(pairs, ((2, 3), (3, 5), (5, 7), (7, 9))[:len(pairs) - 1]),
+                interference=InterferenceModel((1.0,)))
+
     def test_route_map_cyclic_shift(self):
         cfg = make_config()
         router = Router(cfg)
