@@ -14,7 +14,7 @@ from spdclab import qstate
 
 print("=== balanced pairs ===")
 bell_net = qstate.reference_network(theta_state=np.pi / 4)
-state, prob = qstate.fuse_and_postselect(None, bell_net)
+state, prob = qstate.fuse_and_postselect(bell_net)
 print(f"post-selection success probability: {prob:.6f}  (1/16 = {1 / 16:.6f})")
 ghz = qstate.ghz_state(10)
 print(f"max deviation from GHZ_10 amplitudes: {np.abs(state.amps - ghz.amps).max():.2e}")
@@ -22,7 +22,7 @@ print(f"max deviation from GHZ_10 amplitudes: {np.abs(state.amps - ghz.amps).max
 print("\n=== unbalanced pairs, last two rotated by 90 degrees ===")
 theta = 7 * np.pi / 30
 net = qstate.reference_network(theta_state=theta)
-state, prob = qstate.fuse_and_postselect(None, net)
+state, prob = qstate.fuse_and_postselect(net)
 print(f"success probability: {prob:.6f}  (cos^4 sin^4 = {np.cos(theta)**4 * np.sin(theta)**4:.6f})")
 print(f"amplitudes: all-H {state.amps[0].real:.5f} (cos {np.cos(theta):.5f}), "
       f"all-V {state.amps[-1].real:.5f} (sin {np.sin(theta):.5f})")

@@ -11,7 +11,7 @@ configuration to populate actual coincidence histograms.
 
 import numpy as np
 
-from spdclab import qstate, simulator
+from spdclab import simulator
 
 print("=== calibrated reference configuration ===")
 cfg = simulator.reference_config()
@@ -35,10 +35,8 @@ theta = 7 * np.pi / 30
 sources = tuple(simulator.SourceModel(
     pair_prob=0.25, xi_signal=1.0, xi_idler=1.0, theta_state=theta,
     rotated=(i >= 3), double_pair_factor=0.5) for i in range(5))
-network = qstate.FusionNetwork(
-    tuple(qstate.PairSource(s.theta_state, s.rotated) for s in sources))
 bright = simulator.ExperimentConfig(
-    sources=sources, network=network,
+    sources=sources,
     interference=simulator.InterferenceModel(
         (simulator.overlap_for_visibility(0.715),)),
     rep_rate_hz=76e6, seed=2,

@@ -296,7 +296,7 @@ def cmd_crystal_summary(args) -> int:
             "pump_quadrature": float(np.hypot(sol_pump.walkoff_fast,
                                               sol_pump.walkoff_slow)),
         },
-        "d_eff_collinear_pm_v": crystal.d_eff_typeII(crys, cut, pump_nm=pump),
+        "d_eff_collinear_pm_v": crystal.collinear_d_eff(crys, sol_pump, sol_down),
     }
     try:
         arms = crystal.noncollinear_arms(crys, cut, pump_nm=pump)

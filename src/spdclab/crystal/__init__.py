@@ -24,9 +24,9 @@ from .phasematch import (
     NoncollinearArms,
     PhaseMatchSolution,
     RingCloud,
+    collinear_d_eff,
     collinear_mismatch,
     cut_for_arm_opening,
-    d_eff_typeII,
     noncollinear_arms,
     phase_match_collinear,
     spdc_rings,
@@ -46,7 +46,7 @@ __all__ = [
     "FAST", "SLOW", "WaveSolution", "fresnel_residual", "refractive_indices",
     "solve_waves", "walkoff_angle",
     "DELTA_K_TOL", "NoncollinearArms", "PhaseMatchSolution", "RingCloud",
-    "collinear_mismatch", "cut_for_arm_opening", "d_eff_typeII",
+    "collinear_d_eff", "collinear_mismatch", "cut_for_arm_opening",
     "noncollinear_arms", "phase_match_collinear", "spdc_rings", "spectral_fwhm",
     "RateInputs", "back_solve_omega_ratio", "load_rate_inputs",
     "pair_state_angle", "relative_pair_rate",

@@ -174,9 +174,13 @@ def collinear_mismatch(sellmeier: SellmeierSet, theta, phi, pump_nm: float):
     return float(dk[0]) if s.ndim == 1 else dk.reshape(s.shape[:-1])
 
 
-def _collinear_d_eff(crystal: CrystalData, pump: WaveSolution,
-                     down: WaveSolution) -> float:
-    """|d_eff| of fast pump -> fast + slow along one direction, from its solved waves."""
+def collinear_d_eff(crystal: CrystalData, pump: WaveSolution,
+                    down: WaveSolution) -> float:
+    """|d_eff| of fast pump -> fast + slow along one direction, from its solved waves.
+
+    The pair at the two non-collinear arms is ``noncollinear_arms(...).d_eff_fs``
+    and ``.d_eff_sf``.
+    """
     return abs(crystal.tensor.contract(pump.d_fast, down.d_fast, down.d_slow))
 
 
@@ -217,7 +221,7 @@ def phase_match_collinear(
             pump_wavelength_nm=pump_nm,
             theta=float(root), phi=float(phi),
             delta_k_residual=float(dk),
-            d_eff_pm_v=_collinear_d_eff(crystal, pump, down),
+            d_eff_pm_v=collinear_d_eff(crystal, pump, down),
             walkoff_fast=down.walkoff_fast, walkoff_slow=down.walkoff_slow,
             n_pump=pump.n_fast, n_signal=down.n_fast, n_idler=down.n_slow,
         ))
@@ -367,17 +371,6 @@ def noncollinear_arms(crystal: CrystalData, cut: CrystalCut,
         fast_deflection_rad=defl,
         external_half_angle_deg=float(np.degrees(np.arcsin(np.clip(sin_ext, -1, 1)))),
     )
-
-
-def d_eff_typeII(crystal: CrystalData, cut: CrystalCut, pump_nm: float = 390.0) -> float:
-    """Collinear |d_eff| along the cut direction.
-
-    The pair at the two non-collinear arms is ``noncollinear_arms(...).d_eff_fs``
-    and ``.d_eff_sf``.
-    """
-    s = cut.direction()
-    return _collinear_d_eff(crystal, solve_waves(crystal.sellmeier, s, pump_nm),
-                            solve_waves(crystal.sellmeier, s, 2.0 * pump_nm))
 
 
 def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,

@@ -388,19 +388,14 @@ def product_pair_state(pairs: Sequence[PairSource]) -> PureState:
     return PureState(modes, amps)
 
 
-def fuse_and_postselect(pairs, network: FusionNetwork):
-    """Fuse pair states through the network's PBS links and post-select.
+def fuse_and_postselect(network: FusionNetwork):
+    """Fuse the network's pair states through its PBS links and post-select.
 
     Returns ``(state, success_prob)`` where ``state`` is the normalized
     coincidence-basis survivor (global phase canonicalized) and
     ``success_prob`` is the squared norm of the surviving component.
     """
-    if pairs is None:
-        pairs = network.sources
-    pairs = tuple(pairs)
-    if len(pairs) != len(network.sources):
-        raise ValueError("pair list length must match the network's source count")
-    state = product_pair_state(pairs)
+    state = product_pair_state(network.sources)
     n = state.n_modes
     tensor = state.amps.reshape((2,) * n)
     for a, b in network.pbs_links:

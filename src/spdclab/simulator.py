@@ -136,9 +136,16 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Sources, the PBS links fusing their signal photons, and the rig around them.
+
+    Every topology check runs here: the links must be integer pairs of known
+    modes forming a simple chain through one signal photon per source, and
+    the overlap list must give 1 or one value per link.
+    """
+
     sources: tuple
-    network: FusionNetwork
     interference: InterferenceModel
+    pbs_links: tuple = DEFAULT_PBS_LINKS
     rep_rate_hz: float = DEFAULT_REP_RATE_HZ
     detector: DetectorModel = field(default_factory=DetectorModel)
     seed: int = 0
@@ -146,8 +153,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
-        if self.network.sources != tuple(s.pair_source() for s in self.sources):
-            raise TopologyError("network pair states must be the sources' pair states")
+        object.__setattr__(self, "pbs_links", self.network().pbs_links)
+        _ring_layout(self)
+        self.interference.per_link(len(self.pbs_links))
         if not 0.0 < self.rep_rate_hz < math.inf:
             raise ValueError("rep_rate_hz must be positive and finite")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
@@ -155,6 +163,10 @@ class ExperimentConfig:
 
     def n_modes(self) -> int:
         return 2 * len(self.sources)
+
+    def network(self) -> FusionNetwork:
+        """The sources' pair states fused through the PBS links."""
+        return FusionNetwork(tuple(s.pair_source() for s in self.sources), self.pbs_links)
 
 
 def hom_visibility(overlap: float) -> float:
@@ -186,14 +198,9 @@ def tenfold_rate(total_pair_rate: float, xi: float, rep_rate_hz: float) -> float
     return rep_rate_hz * (p * xi * xi) ** 5 / 16.0 * 3600.0
 
 
-def _fuse(config: ExperimentConfig) -> tuple:
-    """(state, success_prob) of the network's pair states, fused and post-selected."""
-    return fuse_and_postselect(None, config.network)
-
-
 def ideal_output_state(config: ExperimentConfig) -> qstate.PureState:
     """Post-selected pure state at unit efficiency, unit overlap, no doubles."""
-    return _fuse(config)[0]
+    return fuse_and_postselect(config.network())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +211,11 @@ class _CleanEventModel:
     """Exact post-selected statistics for the canonical surviving configuration."""
 
     def __init__(self, config: ExperimentConfig):
-        state, self.success_prob = _fuse(config)
+        state, self.success_prob = fuse_and_postselect(config.network())
         self.n = state.n_modes
-        nz = np.flatnonzero(np.abs(state.amps) > 1e-14)
-        if set(nz.tolist()) - {0, state.amps.size - 1}:
-            raise TopologyError(
-                "coherence damping supports chain networks whose post-selected "
-                "state has all-H and all-V components only"
-            )
         flipped = state.amps.copy()
         flipped[-1] *= -1.0
-        damping = config.interference.coherence_damping(len(config.network.pbs_links))
+        damping = config.interference.coherence_damping(len(config.pbs_links))
         # the dephased state as a mixture of two pure states
         self.mixture = ((0.5 * (1.0 + damping), state),
                         (0.5 * (1.0 - damping), qstate.PureState(state.modes, flipped)))
@@ -240,6 +241,8 @@ def sample_postselected(config: ExperimentConfig, setting: str, n_events: int,
 
 def _chain_order(links: Sequence) -> list:
     """Node sequence of a simple PBS chain, e.g. [2, 3, 5, 7, 9]."""
+    if not links:
+        raise TopologyError("a PBS chain needs at least one link")
     order = [links[0][0], links[0][1]]
     for a, b in links[1:]:
         if a == order[-1]:
@@ -261,7 +264,7 @@ def _ring_layout(config: ExperimentConfig) -> list:
     position i holds the H signals of source i and the V signals of source
     i + 1, which makes the classical routing a ring of transfer matrices.
     """
-    chain = _chain_order(config.network.pbs_links)
+    chain = _chain_order(config.pbs_links)
     sources = [(mode - 1) // 2 for mode in chain]
     if sorted(sources) != list(range(len(config.sources))):
         raise TopologyError("chain must fuse one signal photon per source")
@@ -528,7 +531,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "sources": [asdict(s) for s in config.sources],
         "interference": {"mode_overlap": list(config.interference.mode_overlap)},
         "detector": asdict(config.detector),
-        "network": {"pbs_links": [list(l) for l in config.network.pbs_links]},
+        "network": {"pbs_links": [list(l) for l in config.pbs_links]},
         "provenance": dict(config.provenance),
     }
 
@@ -540,11 +543,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise SchemaError(f"not an experiment_config record: kind={raw.get('kind')!r}")
         # records are built by field name: an unknown key is a TypeError
         record = {k: v for k, v in raw.items() if k not in CONFIG_METADATA}
-        sources = tuple(SourceModel(**rec) for rec in record.pop("sources"))
-        links = tuple(tuple(l) for l in record.pop("network")["pbs_links"])
-        network = FusionNetwork(tuple(s.pair_source() for s in sources), links)
+        network = record.pop("network")
+        if not isinstance(network, dict) or set(network) != {"pbs_links"}:
+            raise SchemaError(f"the network record must hold exactly 'pbs_links', "
+                              f"got {network!r}")
         return ExperimentConfig(
-            sources=sources, network=network,
+            sources=tuple(SourceModel(**rec) for rec in record.pop("sources")),
+            pbs_links=network["pbs_links"],
             interference=InterferenceModel(**record.pop("interference", {})),
             detector=DetectorModel(**record.pop("detector", {})),
             **record,
@@ -577,8 +582,6 @@ def reference_config(rep_rate_hz: float = DEFAULT_REP_RATE_HZ,
             theta_state=REFERENCE_THETA_STATE, rotated=(idx >= 3),
             double_pair_factor=double_pair_factor,
         ))
-    network = FusionNetwork(tuple(s.pair_source() for s in sources),
-                            DEFAULT_PBS_LINKS)
     provenance = {
         "twofold_per_source_hz": "published filtered twofold coincidence rates",
         "xi": "published per-source heralded efficiencies (filtered)",
@@ -591,8 +594,7 @@ def reference_config(rep_rate_hz: float = DEFAULT_REP_RATE_HZ,
         "dark_count_prob": "idealized to 0",
     }
     return ExperimentConfig(
-        sources=tuple(sources), network=network,
-        interference=InterferenceModel((overlap,)),
+        sources=tuple(sources), interference=InterferenceModel((overlap,)),
         rep_rate_hz=rep_rate_hz, detector=DetectorModel(0.0),
         seed=seed, provenance=provenance,
     )

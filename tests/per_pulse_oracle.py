@@ -30,7 +30,7 @@ class Router:
 
     def __init__(self, config: ExperimentConfig):
         self.n_sources = len(config.sources)
-        chain = _chain_order(config.network.pbs_links)
+        chain = _chain_order(config.pbs_links)
         if len(chain) != self.n_sources:
             raise TopologyError("chain must fuse one signal photon per source")
         self.signal_mode = {}

@@ -57,11 +57,11 @@ def test_criterion_4_fusion_algebra():
     """Five balanced pairs fuse to GHZ_10 at 1/16; unbalanced reference
     topology gives amplitudes (cos, sin)(7 pi/30), all within 1e-12."""
     bell_net = qstate.reference_network(theta_state=np.pi / 4)
-    state, prob = qstate.fuse_and_postselect(None, bell_net)
+    state, prob = qstate.fuse_and_postselect(bell_net)
     assert abs(prob - 1 / 16) < 1e-12
     assert np.abs(state.amps - qstate.ghz_state(10).amps).max() < 1e-12
 
-    ref_state, _ = qstate.fuse_and_postselect(None, qstate.reference_network())
+    ref_state, _ = qstate.fuse_and_postselect(qstate.reference_network())
     assert abs(ref_state.amps[0] - np.cos(SEVEN_PI_30)) < 1e-12
     assert abs(ref_state.amps[-1] - np.sin(SEVEN_PI_30)) < 1e-12
     _announce(4, "balanced fusion -> GHZ_10 at 1/16; reference topology -> "
@@ -79,10 +79,8 @@ def test_criterion_5_rate_consistency():
     sources = tuple(simulator.SourceModel(
         pair_prob=0.3, xi_signal=1.0, xi_idler=1.0,
         theta_state=np.pi / 4, double_pair_factor=0.0) for _ in range(5))
-    network = qstate.FusionNetwork(
-        tuple(qstate.PairSource(np.pi / 4) for _ in range(5)))
     config = simulator.ExperimentConfig(
-        sources=sources, network=network,
+        sources=sources,
         interference=simulator.InterferenceModel((1.0,)),
         rep_rate_hz=76e6, seed=20260101)
     result = simulator.run_monte_carlo(config, 60_000_000, ["Z"])
@@ -194,10 +192,8 @@ def test_criterion_9_property_stand_ins():
         sources = tuple(simulator.SourceModel(
             pair_prob=0.22, xi_signal=0.85, xi_idler=0.85, theta_state=theta,
             rotated=(i >= 3), double_pair_factor=g) for i in range(5))
-        network = qstate.FusionNetwork(
-            tuple(qstate.PairSource(s.theta_state, s.rotated) for s in sources))
         return simulator.ExperimentConfig(
-            sources=sources, network=network,
+            sources=sources,
             interference=simulator.InterferenceModel((overlap,)),
             rep_rate_hz=76e6, seed=seed)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdclab import cli, qstate, witness
+from spdclab import cli, crystal, qstate, witness
 from spdclab.cli import (
     EXIT_INSUFFICIENT,
     EXIT_NUMERIC,
@@ -335,6 +335,7 @@ class TestSimulate:
         (("detector",), "dark_count"),
         (("interference",), "overlap"),
         ((), "rep_rate"),
+        (("network",), "pbs_link"),
     ])
     def test_unknown_record_key_rejected_before_simulation(
             self, config_file, monkeypatch, capsys, record, key):
@@ -350,6 +351,47 @@ class TestSimulate:
         config_file.write_text(json.dumps(raw))
         assert main(["simulate", str(config_file), "--pulses", "1000"]) == EXIT_SCHEMA
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("links,overlap,cause", [
+        ([[2, 3], [2, 5], [2, 7], [2, 9]], [1.0], "simple PBS chains"),
+        ([[2, 3], [3, 5], [5, 7]], [1.0], "one signal photon per source"),
+        ([], [1.0], "at least one link"),
+        ([[2, 3], [3, 5], [5, 7], [7, 9]], [0.9, 0.8], "1 or 4 overlap values"),
+    ])
+    def test_unsimulable_topology_rejected_before_simulation(
+            self, tmp_path, monkeypatch, capsys, links, overlap, cause):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated a config the model cannot describe")
+
+        monkeypatch.setattr(cli.simulator, "run_monte_carlo", fail)
+        cfg = self._small_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["network"]["pbs_links"] = links
+        raw["interference"]["mode_overlap"] = overlap
+        cfg.write_text(json.dumps(raw))
+        assert main(["simulate", str(cfg), "--pulses", "1000"]) == EXIT_SCHEMA
+        assert cause in capsys.readouterr().err
+
+    def test_seed_override_keeps_the_config_links(self, tmp_path):
+        # replacing the seed must not reset a non-default chain to the default
+        cfg = self._small_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["sources"] = [dict(src, xi_signal=0.8, xi_idler=0.7, double_pair_factor=2.0)
+                          for src in raw["sources"]]
+
+        def counts(name, links, **fields):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**raw, "network": {"pbs_links": links}, **fields}))
+            out = tmp_path / f"{name}.counts.json"
+            assert main(["simulate", str(path), "--pulses", "1000000", "--settings", "Z",
+                         "--out", str(out)] + (["--seed", "3"] if not fields else [])) \
+                == EXIT_OK
+            return json.loads(out.read_text())["settings"]
+
+        chain = [[1, 3], [3, 5], [5, 7], [7, 9]]
+        overridden = counts("override", chain)
+        assert overridden == counts("in_file", chain, seed=3)
+        assert overridden != counts("default_chain", raw["network"]["pbs_links"], seed=3)
 
     def test_bad_config_schema(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -379,6 +421,23 @@ class TestCrystalCommands:
                      "--out", str(out)]) == EXIT_OK
         payload = json.loads(out.read_text())
         assert abs(payload["d_eff_collinear_pm_v"] - 1.15) / 1.15 < 0.10
+
+    def test_summary_solves_each_wave_once(self, tmp_path, monkeypatch):
+        # the cut's pump and down waves, then the two arms' and the arm pump's
+        original = crystal.solve_waves
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("spdclab") \
+                    and getattr(module, "solve_waves", None) is original:
+                monkeypatch.setattr(module, "solve_waves", counted)
+        assert main(["crystal", "summary", "--species", "bibo",
+                     "--out", str(tmp_path / "summary.json")]) == EXIT_OK
+        assert len(calls) == 5
 
     def test_curve_csv(self, tmp_path):
         out = tmp_path / "curve.csv"

@@ -7,8 +7,8 @@ from spdclab.crystal import phasematch
 from spdclab.crystal import (
     CrystalCut,
     NonlinearTensor,
+    collinear_d_eff,
     cut_for_arm_opening,
-    d_eff_typeII,
     noncollinear_arms,
     phase_match_collinear,
     solve_waves,
@@ -79,8 +79,9 @@ class TestDEffConventions:
         crys = crystal.CrystalData(sellmeier=bbo.sellmeier, tensor=pure)
         for theta in (0.55, 0.7533, 0.9):
             for phi in (0.0, 0.4, np.pi / 3, 1.2):
-                cut = CrystalCut(theta, phi, 1.0)
-                got = d_eff_typeII(crys, cut)
+                s = CrystalCut(theta, phi, 1.0).direction()
+                got = collinear_d_eff(crys, solve_waves(bbo.sellmeier, s, 390.0),
+                                      solve_waves(bbo.sellmeier, s, 780.0))
                 want = abs(2.2 * np.cos(theta) ** 2 * np.cos(3 * phi))
                 assert abs(got - want) < 1e-9
 

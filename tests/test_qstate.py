@@ -137,8 +137,7 @@ class TestApplyLocal:
 
     def test_rotating_both_modes_swaps_pair_branches(self):
         theta = 0.37
-        st, _ = fuse_and_postselect([PairSource(theta)],
-                                    FusionNetwork((PairSource(theta),), ((1, 2),)))
+        st, _ = fuse_and_postselect(FusionNetwork((PairSource(theta),), ((1, 2),)))
         out = apply_local(apply_local(st, 1, rotation(np.pi / 2)), 2, rotation(np.pi / 2))
         out = qstate.canonical_phase(out)
         assert abs(out.amps[0] - np.sin(theta)) < ATOL   # HH amplitude
@@ -167,24 +166,24 @@ class TestApplyLocal:
 class TestFusion:
     def test_five_bell_pairs_give_ghz(self):
         net = reference_network(theta_state=np.pi / 4)
-        st, prob = fuse_and_postselect(None, net)
+        st, prob = fuse_and_postselect(net)
         assert abs(prob - 1.0 / 16.0) < ATOL
         assert np.abs(st.amps - ghz_state(10).amps).max() < ATOL
 
     def test_reference_topology_amplitudes(self):
-        st, _ = fuse_and_postselect(None, reference_network())
+        st, _ = fuse_and_postselect(reference_network())
         assert abs(st.amps[0] - np.cos(7 * np.pi / 30)) < ATOL
         assert abs(st.amps[-1] - np.sin(7 * np.pi / 30)) < ATOL
 
     def test_two_h_photons_on_one_pbs_always_pass(self):
         net = FusionNetwork((PairSource(0.0),), ((1, 2),))
-        st, prob = fuse_and_postselect(None, net)
+        st, prob = fuse_and_postselect(net)
         assert abs(prob - 1.0) < ATOL
         assert abs(st.amps[0] - 1.0) < ATOL
 
     @pytest.mark.parametrize("theta", np.linspace(0.1, np.pi / 2 - 0.1, 7))
     def test_success_probability_closed_form(self, theta):
-        st, prob = fuse_and_postselect(None, reference_network(theta_state=theta))
+        st, prob = fuse_and_postselect(reference_network(theta_state=theta))
         c, s = np.cos(theta), np.sin(theta)
         assert abs(prob - c**4 * s**4) < ATOL
         # post-selected amplitudes collapse to (cos, sin) for any theta
@@ -195,10 +194,6 @@ class TestFusion:
         pairs = tuple(PairSource(np.pi / 4) for _ in range(5))
         with pytest.raises(TopologyError):
             FusionNetwork(pairs, ((2, 3), (5, 7)))
-
-    def test_pair_count_mismatch(self):
-        with pytest.raises(ValueError):
-            fuse_and_postselect([PairSource()], reference_network())
 
 
 class TestBasisHelpers:

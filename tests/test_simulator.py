@@ -9,7 +9,6 @@ from scipy import stats
 from spdclab import qstate, simulator
 from spdclab.cli import dataset_to_dict
 from spdclab.errors import TopologyError
-from spdclab.qstate import FusionNetwork, PairSource
 from spdclab.simulator import (
     DetectorModel,
     ExperimentConfig,
@@ -38,11 +37,8 @@ def make_config(p=0.3, xi=1.0, theta=np.pi / 4, rotated_tail=0, overlap=1.0,
                     rotated=(i >= 5 - rotated_tail), double_pair_factor=g)
         for i in range(5)
     )
-    network = FusionNetwork(tuple(PairSource(s.theta_state, s.rotated)
-                                  for s in sources))
     return ExperimentConfig(
-        sources=sources, network=network,
-        interference=InterferenceModel((overlap,)),
+        sources=sources, interference=InterferenceModel((overlap,)),
         rep_rate_hz=rep, detector=DetectorModel(dark), seed=seed,
     )
 
@@ -191,8 +187,7 @@ class TestPostselectedSampling:
                         for i in range(2))
         cfg = ExperimentConfig(
             sources=sources,
-            network=FusionNetwork(tuple(s.pair_source() for s in sources), ((2, 3),)),
-            interference=InterferenceModel((overlap,)))
+            interference=InterferenceModel((overlap,)), pbs_links=((2, 3),))
         psi = ideal_output_state(cfg).amps
         rho = np.outer(psi, psi.conj())
         rho[0, -1] *= overlap
@@ -332,9 +327,7 @@ class TestExactOutcomes:
                         xi_idler=xi_idler - 0.1 * i, theta_state=THETA_REF + 0.1 * i,
                         double_pair_factor=2.0)
             for i in range(n_src))
-        network = FusionNetwork(tuple(PairSource(s.theta_state, s.rotated)
-                                      for s in sources), links)
-        cfg = ExperimentConfig(sources=sources, network=network,
+        cfg = ExperimentConfig(sources=sources, pbs_links=links,
                                interference=InterferenceModel((0.9,)),
                                detector=DetectorModel(dark))
         settings = ("Z", "M0", "M1")
@@ -425,7 +418,7 @@ class TestConfigSerialization:
         cfg = reference_config(seed=33)
         clone = config_from_dict(config_to_dict(cfg))
         assert clone.sources == cfg.sources
-        assert clone.network.pbs_links == cfg.network.pbs_links
+        assert clone.pbs_links == cfg.pbs_links
         assert clone.interference.mode_overlap == cfg.interference.mode_overlap
         assert clone.rep_rate_hz == cfg.rep_rate_hz
         assert clone.seed == cfg.seed
@@ -453,27 +446,12 @@ class TestConfigSerialization:
 
 class TestClassicalRouting:
     def test_non_chain_network_rejected(self):
-        pairs = tuple(PairSource(np.pi / 4) for _ in range(5))
-        star = FusionNetwork(pairs, ((2, 3), (2, 5), (2, 7), (2, 9)))
-        cfg = ExperimentConfig(
-            sources=tuple(SourceModel(0.1, 0.9, 0.9) for _ in range(5)),
-            network=star, interference=InterferenceModel((1.0,)), seed=1,
-        )
         with pytest.raises(TopologyError):
-            run_monte_carlo(cfg, 1000, ["Z"])
-
-    @pytest.mark.parametrize("pairs", [
-        (PairSource(0.3, rotated=True),) + (PairSource(np.pi / 4),) * 4,
-        (PairSource(np.pi / 4 + 1e-9),) + (PairSource(np.pi / 4),) * 4,
-        (PairSource(np.pi / 4),) * 4,
-    ])
-    def test_network_pair_states_must_match_sources(self, pairs):
-        # the fuse reads the network, so a network that disagrees would be simulated
-        with pytest.raises(TopologyError, match="pair states"):
             ExperimentConfig(
                 sources=tuple(SourceModel(0.1, 0.9, 0.9) for _ in range(5)),
-                network=FusionNetwork(pairs, ((2, 3), (3, 5), (5, 7), (7, 9))[:len(pairs) - 1]),
-                interference=InterferenceModel((1.0,)))
+                pbs_links=((2, 3), (2, 5), (2, 7), (2, 9)),
+                interference=InterferenceModel((1.0,)), seed=1,
+            )
 
     def test_route_map_cyclic_shift(self):
         cfg = make_config()

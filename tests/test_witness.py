@@ -240,7 +240,7 @@ class TestSchema:
 class TestConvergenceToExpectation:
     def test_matches_witness_expectation_at_1e6_counts(self):
         """Sampling exact outcome probabilities reproduces <W> within 3 sigma."""
-        state, _ = qstate.fuse_and_postselect(None, qstate.reference_network())
+        state, _ = qstate.fuse_and_postselect(qstate.reference_network())
         n = state.n_modes
         target = qstate.expectation(state, qstate.witness_decomposition(n))
         rng = np.random.default_rng(99)
