@@ -46,6 +46,9 @@ DELTA_K_TOL = 1e-6
 #: steps after which a bracketed root-find gives up
 MAX_ROOT_STEPS = 100
 
+#: polar-angle step of the scan that brackets each collinear root
+COLLINEAR_SCAN_STEP_RAD = np.radians(0.5)
+
 
 @dataclass(frozen=True)
 class PhaseMatchSolution:
@@ -189,7 +192,6 @@ def phase_match_collinear(
     pump_nm: float = 390.0,
     phi_grid: Optional[np.ndarray] = None,
     branch: str = "upper",
-    scan_step_rad: float = np.radians(0.5),
 ) -> list:
     """Collinear degenerate type-II curve theta(phi) with d_eff and walk-offs.
 
@@ -203,7 +205,7 @@ def phase_match_collinear(
         phi_grid = np.radians(np.arange(0.0, 90.0 + 1e-9, 1.0))
     th_lo, th_hi = (np.pi / 2, np.pi) if branch == "upper" else (1e-6, np.pi / 2)
     down_nm = 2.0 * pump_nm
-    thetas = np.arange(th_lo, th_hi, scan_step_rad)
+    thetas = np.arange(th_lo, th_hi, COLLINEAR_SCAN_STEP_RAD)
     phis = np.atleast_1d(phi_grid).astype(float)
     rows, *bracket = _first_brackets(
         thetas, collinear_mismatch(sel, thetas, phis[:, None], pump_nm))

@@ -67,15 +67,6 @@ class PureState:
     def n_modes(self) -> int:
         return len(self.modes)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-    def amplitude(self, outcome: str) -> complex:
-        return complex(self.amps[basis_index(outcome)])
-
     def mode_axis(self, mode) -> int:
         try:
             return self.modes.index(mode)
@@ -311,7 +302,7 @@ DEFAULT_PBS_LINKS = ((2, 3), (3, 5), (5, 7), (7, 9))
 
 @dataclass(frozen=True)
 class FusionNetwork:
-    """Pair sources plus the PBS links that fuse their signal photons.
+    """Pair sources plus the simple PBS chain that fuses their signal photons.
 
     Source p occupies modes (2p+1, 2p+2) for p = 0..n_pairs-1; the default
     five-source chain links signal modes (2,3), (3,5), (5,7), (7,9).
@@ -332,39 +323,36 @@ class FusionNetwork:
         for a, b in links:
             if a not in modes or b not in modes:
                 raise TopologyError(f"link ({a},{b}) references unknown modes")
-        self._check_connected()
+        self.chain()
 
     def mode_labels(self) -> tuple:
         return tuple(range(1, 2 * len(self.sources) + 1))
 
-    def linked_modes(self) -> tuple:
-        out = []
-        for a, b in self.pbs_links:
-            for m in (a, b):
-                if m not in out:
-                    out.append(m)
-        return tuple(out)
+    def chain(self) -> tuple:
+        """The chain's modes in order, oriented along the first listed link.
 
-    def _check_connected(self):
-        nodes = set(self.linked_modes())
-        if not nodes:
-            return
-        adj = {m: set() for m in nodes}
+        The links may be listed in any order, each either way round.  A
+        branch, a cycle, a self-loop, a repeated link, disjoint links or no
+        link at all raises TopologyError.
+        """
+        if not self.pbs_links:
+            raise TopologyError("a PBS chain needs at least one link")
+        neighbours = {}
         for a, b in self.pbs_links:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = set()
-        stack = [next(iter(nodes))]
-        while stack:
-            m = stack.pop()
-            if m in seen:
-                continue
-            seen.add(m)
-            stack.extend(adj[m] - seen)
-        if seen != nodes:
+            neighbours.setdefault(a, []).append(b)
+            neighbours.setdefault(b, []).append(a)
+        order = list(self.pbs_links[0])
+        for _ in range(2):  # extend past the second mode, then past the first
+            while step := [m for m in neighbours[order[-1]] if m not in order]:
+                order.append(step[0])
+            order.reverse()
+        # a walk that repeats no mode and steps along every link is the chain
+        if not len(set(order)) == len(order) == len(self.pbs_links) + 1:
             raise TopologyError(
-                f"PBS links must form a connected fusion over {sorted(nodes)}"
+                f"PBS links {[list(link) for link in self.pbs_links]} do not form "
+                "a chain; fusion supports simple PBS chains only"
             )
+        return tuple(order)
 
 
 def reference_network(theta_state: float = 7 * np.pi / 30, n_rotated: int = 2) -> FusionNetwork:

@@ -239,23 +239,6 @@ def sample_postselected(config: ExperimentConfig, setting: str, n_events: int,
 # Exact outcome probabilities
 # ---------------------------------------------------------------------------
 
-def _chain_order(links: Sequence) -> list:
-    """Node sequence of a simple PBS chain, e.g. [2, 3, 5, 7, 9]."""
-    if not links:
-        raise TopologyError("a PBS chain needs at least one link")
-    order = [links[0][0], links[0][1]]
-    for a, b in links[1:]:
-        if a == order[-1]:
-            order.append(b)
-        elif b == order[-1]:
-            order.append(a)
-        else:
-            raise TopologyError(
-                "classical double-pair routing supports simple PBS chains only"
-            )
-    return order
-
-
 def _ring_layout(config: ExperimentConfig) -> list:
     """(source, signal mode, idler mode) at each position of the PBS chain.
 
@@ -264,7 +247,7 @@ def _ring_layout(config: ExperimentConfig) -> list:
     position i holds the H signals of source i and the V signals of source
     i + 1, which makes the classical routing a ring of transfer matrices.
     """
-    chain = _chain_order(config.pbs_links)
+    chain = config.network().chain()
     sources = [(mode - 1) // 2 for mode in chain]
     if sorted(sources) != list(range(len(config.sources))):
         raise TopologyError("chain must fuse one signal photon per source")
@@ -498,7 +481,6 @@ REFERENCE_TWOFOLD_HZ = (605e3, 655e3, 590e3, 560e3, 515e3)
 REFERENCE_XI = (0.373, 0.390, 0.370, 0.380, 0.368)
 #: published average two-photon interference visibility at the fusion PBSs
 REFERENCE_HOM_VISIBILITY = 0.715
-REFERENCE_THETA_STATE = 7.0 * np.pi / 30.0
 
 
 def _solve_pair_prob(twofold_hz: float, xi_s: float, xi_i: float,
@@ -575,11 +557,12 @@ def reference_config(rep_rate_hz: float = DEFAULT_REP_RATE_HZ,
     """
     overlap = overlap_for_visibility(REFERENCE_HOM_VISIBILITY)
     sources = []
-    for idx, (rate, xi_val) in enumerate(zip(REFERENCE_TWOFOLD_HZ, REFERENCE_XI)):
+    for rate, xi_val, pair in zip(REFERENCE_TWOFOLD_HZ, REFERENCE_XI,
+                                  qstate.reference_network().sources):
         p = _solve_pair_prob(rate, xi_val, xi_val, rep_rate_hz, double_pair_factor)
         sources.append(SourceModel(
             pair_prob=p, xi_signal=xi_val, xi_idler=xi_val,
-            theta_state=REFERENCE_THETA_STATE, rotated=(idx >= 3),
+            theta_state=pair.theta_state, rotated=pair.rotated,
             double_pair_factor=double_pair_factor,
         ))
     provenance = {

@@ -16,11 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from spdclab.simulator import (
-    ExperimentConfig,
-    _CleanEventModel,
-    _chain_order,
-)
+from spdclab.simulator import ExperimentConfig, _CleanEventModel
 from spdclab.errors import TopologyError
 from spdclab.witness import Z_SETTING
 
@@ -30,7 +26,7 @@ class Router:
 
     def __init__(self, config: ExperimentConfig):
         self.n_sources = len(config.sources)
-        chain = _chain_order(config.pbs_links)
+        chain = config.network().chain()
         if len(chain) != self.n_sources:
             raise TopologyError("chain must fuse one signal photon per source")
         self.signal_mode = {}

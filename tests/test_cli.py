@@ -372,6 +372,19 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--pulses", "1000"]) == EXIT_SCHEMA
         assert cause in capsys.readouterr().err
 
+    def test_links_in_any_listed_order(self, config_file, tmp_path):
+        def settings(path):
+            out = tmp_path / f"{path.stem}.counts.json"
+            assert main(["simulate", str(path), "--pulses", "1000000000000000",
+                         "--out", str(out)]) == EXIT_OK
+            return json.loads(out.read_text())["settings"]
+
+        raw = json.loads(config_file.read_text())
+        raw["network"]["pbs_links"] = [[5, 7], [2, 3], [3, 5], [7, 9]]
+        reordered = tmp_path / "reordered.json"
+        reordered.write_text(json.dumps(raw))
+        assert settings(reordered) == settings(config_file)
+
     def test_seed_override_keeps_the_config_links(self, tmp_path):
         # replacing the seed must not reset a non-default chain to the default
         cfg = self._small_config(tmp_path)

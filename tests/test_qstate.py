@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from spdclab import qstate
 from spdclab.errors import TopologyError
 from spdclab.qstate import (
+    DEFAULT_PBS_LINKS,
     FusionNetwork,
     GlobalOperator,
     PairSource,
@@ -22,6 +25,13 @@ from spdclab.qstate import (
 )
 
 ATOL = 1e-12
+
+#: every listing of the default chain: each order of its links, each link either way round
+LISTED_CHAINS = [
+    tuple(link[::-1] if flip else link for link, flip in zip(order, flips))
+    for order in itertools.permutations(DEFAULT_PBS_LINKS)
+    for flips in itertools.product((False, True), repeat=len(DEFAULT_PBS_LINKS))
+]
 
 
 class TestGhzState:
@@ -194,6 +204,28 @@ class TestFusion:
         pairs = tuple(PairSource(np.pi / 4) for _ in range(5))
         with pytest.raises(TopologyError):
             FusionNetwork(pairs, ((2, 3), (5, 7)))
+        for links, cause in [
+            (((2, 3), (2, 5), (2, 7), (2, 9)), "simple PBS chains"),   # a star
+            (((2, 3), (3, 5), (5, 2)), "simple PBS chains"),           # a cycle
+            (((3, 3),), "simple PBS chains"),                          # a self-loop
+            (((2, 3), (3, 5), (3, 2)), "simple PBS chains"),           # a repeated link
+            ((), "at least one link"),
+        ]:
+            with pytest.raises(TopologyError, match=cause):
+                FusionNetwork(pairs, links)
+
+    @pytest.mark.parametrize("links", LISTED_CHAINS)
+    def test_chain_in_any_listed_order(self, links):
+        chain = FusionNetwork(reference_network().sources, links).chain()
+        a, b = links[0]
+        assert chain == ((2, 3, 5, 7, 9) if a < b else (9, 7, 5, 3, 2))
+
+    @pytest.mark.parametrize("links", LISTED_CHAINS)
+    def test_fusion_ignores_link_order(self, links):
+        expected, expected_prob = fuse_and_postselect(reference_network())
+        state, prob = fuse_and_postselect(FusionNetwork(reference_network().sources, links))
+        assert prob == expected_prob
+        assert np.array_equal(state.amps, expected.amps)
 
 
 class TestBasisHelpers:

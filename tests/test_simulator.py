@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 import warnings
@@ -336,6 +337,23 @@ class TestExactOutcomes:
         for setting in settings:
             np.testing.assert_allclose(probs[setting], enumerate_outcomes(cfg, setting),
                                        rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("links", [
+        ((5, 7), (2, 3), (3, 5), (7, 9)),
+        ((2, 3), (7, 9), (5, 3), (5, 7)),
+        ((3, 5), (9, 7), (2, 3), (7, 5)),
+    ])
+    def test_link_order_leaves_probabilities_unchanged(self, links):
+        settings = ("Z", "M0", "M3")
+
+        def probabilities(cfg):
+            return simulator._outcome_probabilities(
+                cfg, settings, simulator._CleanEventModel(cfg))
+
+        expected = probabilities(reference_config())
+        probs = probabilities(dataclasses.replace(reference_config(), pbs_links=links))
+        for setting in settings:
+            assert np.array_equal(probs[setting], expected[setting])
 
     def test_classical_part_vanishes_without_double_pairs(self):
         xi, dark = 0.85, 0.1
