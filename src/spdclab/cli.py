@@ -276,7 +276,19 @@ def cmd_crystal_summary(args) -> int:
     crys = crystal.load_crystal(args.species)
     cut = _cut_from_args(crys, args)
     pump = args.pump_nm
-    sol_pump = crystal.solve_waves(crys.sellmeier, cut.direction(), pump)
+    try:
+        arms = crystal.noncollinear_arms(crys, cut, pump_nm=pump)
+        sol_pump = arms.pump_wave
+        noncollinear = {
+            "d_eff_fs_pm_v": arms.d_eff_fs,
+            "d_eff_sf_pm_v": arms.d_eff_sf,
+            "pair_state_angle_rad": crystal.pair_state_angle(arms.d_eff_fs, arms.d_eff_sf),
+            "opening_internal_rad": [arms.opening_i, arms.opening_j],
+            "fast_deflection_deg": float(np.degrees(arms.fast_deflection_rad)),
+        }
+    except ValueError as exc:
+        sol_pump = crystal.solve_waves(crys.sellmeier, cut.direction(), pump)
+        noncollinear = {"unavailable": str(exc)}
     sol_down = crystal.solve_waves(crys.sellmeier, cut.direction(), 2 * pump)
     payload = {
         "species": crys.sellmeier.species,
@@ -297,19 +309,8 @@ def cmd_crystal_summary(args) -> int:
                                               sol_pump.walkoff_slow)),
         },
         "d_eff_collinear_pm_v": crystal.collinear_d_eff(crys, sol_pump, sol_down),
+        "noncollinear": noncollinear,
     }
-    try:
-        arms = crystal.noncollinear_arms(crys, cut, pump_nm=pump)
-        payload["noncollinear"] = {
-            "d_eff_fs_pm_v": arms.d_eff_fs,
-            "d_eff_sf_pm_v": arms.d_eff_sf,
-            "pair_state_angle_rad": crystal.pair_state_angle(
-                arms.d_eff_fs, arms.d_eff_sf),
-            "opening_internal_rad": [arms.opening_i, arms.opening_j],
-            "fast_deflection_deg": float(np.degrees(arms.fast_deflection_rad)),
-        }
-    except ValueError as exc:
-        payload["noncollinear"] = {"unavailable": str(exc)}
     _dump_json(payload, args.out)
     return EXIT_OK
 

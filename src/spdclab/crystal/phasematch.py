@@ -235,81 +235,133 @@ def phase_match_collinear(
 # ---------------------------------------------------------------------------
 
 class _PumpFrame:
-    """Orthonormal frame with e3 along the pump; directions from (omega, psi)."""
+    """Orthonormal frames with e3 along each pump axis; directions from (omega, psi).
 
-    def __init__(self, sellmeier: SellmeierSet, cut: CrystalCut, pump_nm: float):
+    ``pump_dirs`` is one unit pump direction (3,) or a stack (C, 3), one
+    frame row per cut.  Methods take ``cut``, the frame row of each of their
+    rows (0 for a single cut), which broadcasts with their other arguments.
+    """
+
+    def __init__(self, sellmeier: SellmeierSet, pump_dirs, pump_nm: float):
         self.sellmeier = sellmeier
         self.pump_nm = pump_nm
-        self.p = cut.direction()
-        (self.e1,), (self.e2,) = transverse_frame(self.p[None, :])
+        self.p = np.asarray(pump_dirs, dtype=float).reshape(-1, 3)
+        self.e1, self.e2 = transverse_frame(self.p)
 
-    def k_pump(self, pump_nm=None):
-        """|k| of the fast pump wave along the pump axis; broadcasts over pump_nm."""
-        lam = np.asarray(self.pump_nm if pump_nm is None else pump_nm, dtype=float)
-        k = _wave_numbers(self.sellmeier, np.broadcast_to(self.p, (lam.size, 3)),
-                          lam.ravel(), FAST)
+    def k_pump(self, pump_nm=None, cut=0):
+        """|k| of the fast pump wave along the pump axis; broadcasts over pump_nm and cut."""
+        lam, cut = np.broadcast_arrays(
+            np.asarray(self.pump_nm if pump_nm is None else pump_nm, dtype=float), cut)
+        k = _wave_numbers(self.sellmeier, self.p[cut.ravel()], lam.ravel(), FAST)
         return float(k[0]) if lam.ndim == 0 else k.reshape(lam.shape)
 
-    def direction(self, omega, psi) -> np.ndarray:
+    def direction(self, omega, psi, cut=0) -> np.ndarray:
         """Unit vector at opening omega and azimuth psi; (..., 3) for arrays."""
         omega = np.asarray(omega, dtype=float)[..., None]
         psi = np.asarray(psi, dtype=float)[..., None]
-        return (np.cos(omega) * self.p
-                + np.sin(omega) * (np.cos(psi) * self.e1 + np.sin(psi) * self.e2))
+        return (np.cos(omega) * self.p[cut]
+                + np.sin(omega) * (np.cos(psi) * self.e1[cut] + np.sin(psi) * self.e2[cut]))
 
     def transverse(self, d: np.ndarray) -> np.ndarray:
-        """(kx, ky) components of d in the pump frame; (..., 2) for (..., 3)."""
-        t = d - (d @ self.p)[..., None] * self.p
-        return np.stack([t @ self.e1, t @ self.e2], axis=-1)
+        """(kx, ky) components of d in the first cut's frame; (..., 2) for (..., 3)."""
+        p = self.p[0]
+        t = d - (d @ p)[..., None] * p
+        return np.stack([t @ self.e1[0], t @ self.e2[0]], axis=-1)
 
 
-def _ring_mismatch(frame: _PumpFrame, omega, psi, lam_s, lam_p, branch, k_p=None):
+def _ring_mismatch(frame: _PumpFrame, omega, psi, lam_s, lam_p, branch, k_p=None, cut=0):
     """Residual |k_p - k_s| - k_i for a partner of the opposite branch.
 
-    Broadcasts over omega, psi, the wavelengths, the branch and the pump
-    wave number k_p (computed from lam_p when not given); all-scalar
-    arguments give a float.
+    Broadcasts over omega, psi, the wavelengths, the branch, the pump wave
+    number k_p (computed from lam_p when not given) and the frame row cut;
+    all-scalar arguments give a float.
     """
     if k_p is None:
-        k_p = frame.k_pump(lam_p)
-    args = np.broadcast_arrays(omega, psi, lam_s, lam_p, branch, k_p)
+        k_p = frame.k_pump(lam_p, cut)
+    args = np.broadcast_arrays(omega, psi, lam_s, lam_p, branch, k_p, cut)
     shape = args[0].shape
-    omega, psi, lam_s, lam_p, branch, k_p = (x.ravel() for x in args)
+    omega, psi, lam_s, lam_p, branch, k_p, cut = (x.ravel() for x in args)
     lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
-    d = frame.direction(omega, psi)
-    v = k_p[:, None] * frame.p - _wave_numbers(frame.sellmeier, d, lam_s, branch)[:, None] * d
+    d = frame.direction(omega, psi, cut)
+    v = k_p[:, None] * frame.p[cut] - _wave_numbers(frame.sellmeier, d, lam_s, branch)[:, None] * d
     nv = np.linalg.norm(v, axis=1)
     res = nv - _wave_numbers(frame.sellmeier, v / nv[:, None], lam_i,
                              np.where(branch == FAST, SLOW, FAST))
     return float(res[0]) if not shape else res.reshape(shape)
 
 
-def ring_opening_angle(frame: _PumpFrame, psi, branch, lam_s=None, lam_p=None):
+def ring_opening_angle(frame: _PumpFrame, psi, branch, lam_s=None, lam_p=None, cut=0):
     """Opening angle of the branch ring at azimuth psi, or None if absent.
 
-    Broadcasts over psi, branch and the wavelengths (lam_p defaults to the
-    frame's pump, lam_s to 2 lam_p): array arguments give an array with NaN
-    where there is no ring.  Every row is bracketed on one 40-point grid of
-    openings and refined in one batched solve.
+    Broadcasts over psi, branch, the wavelengths (lam_p defaults to the
+    frame's pump, lam_s to 2 lam_p) and the frame row cut: array arguments
+    give an array with NaN where there is no ring.  Every row is bracketed
+    on one 40-point grid of openings and refined in one batched solve.
     """
     lam_p = frame.pump_nm if lam_p is None else lam_p
     lam_s = 2.0 * np.asarray(lam_p) if lam_s is None else lam_s
-    psi, branch, lam_s, lam_p = np.broadcast_arrays(psi, branch, lam_s, lam_p)
+    psi, branch, lam_s, lam_p, cut = np.broadcast_arrays(psi, branch, lam_s, lam_p, cut)
     shape = psi.shape
-    psi, branch, lam_s, lam_p = (x.ravel() for x in (psi, branch, lam_s, lam_p))
-    k_p = frame.k_pump(lam_p)
+    psi, branch, lam_s, lam_p, cut = (x.ravel() for x in (psi, branch, lam_s, lam_p, cut))
+    k_p = frame.k_pump(lam_p, cut)
     grid = np.linspace(1e-5, 0.20, 40)
     rows, *bracket = _first_brackets(grid, _ring_mismatch(
         frame, grid, psi[:, None], lam_s[:, None], lam_p[:, None], branch[:, None],
-        k_p[:, None]))
+        k_p[:, None], cut[:, None]))
     omega = np.full(psi.size, np.nan)
-    psi, branch, lam_s, lam_p, k_p = (x[rows] for x in (psi, branch, lam_s, lam_p, k_p))
+    psi, branch, lam_s, lam_p, k_p, cut = (
+        x[rows] for x in (psi, branch, lam_s, lam_p, k_p, cut))
     omega[rows] = _solve_bracketed(
-        lambda om, r: _ring_mismatch(frame, om, psi[r], lam_s[r], lam_p[r], branch[r], k_p[r]),
+        lambda om, r: _ring_mismatch(frame, om, psi[r], lam_s[r], lam_p[r], branch[r], k_p[r],
+                                     cut[r]),
         *bracket, xtol=1e-11)
     if shape:
         return omega.reshape(shape)
     return None if np.isnan(omega[0]) else float(omega[0])
+
+
+def _arm_geometry(frame: _PumpFrame, n_psi: int) -> tuple:
+    """Both fast/slow ring intersections of every cut in the frame's stack.
+
+    The fast-minus-slow ring opening is scanned at n_psi azimuths on every
+    cut in one ring solve; both azimuth crossings of every cut that has
+    exactly two are solved together; their fast-ring openings give the
+    arms.  The external half-angle refracts the mean internal opening at an
+    exit face normal to the pump, with the fast index at arm i:
+    sin(ext) = n_fast sin(mean opening).
+
+    Returns (crossings, omega, dirs, ext): the crossing count of each cut
+    (C,), and for the cuts with two, the openings (C, 2) and directions
+    (C, 2, 3) of arm i then arm j and the external half-angle in degrees
+    (C,); NaN for the other cuts.
+    """
+    n_cut = frame.p.shape[0]
+
+    def diff(psi, cut):
+        """Fast minus slow ring opening at each psi; NaN where a ring is absent."""
+        psi, cut = np.broadcast_arrays(psi, cut)
+        branch = np.array([FAST, SLOW]).reshape((2,) + (1,) * psi.ndim)
+        fast, slow = ring_opening_angle(frame, psi, branch, cut=cut)
+        return fast - slow
+
+    psis = np.linspace(0.0, TWO_PI, n_psi, endpoint=False)
+    vals = diff(psis, np.arange(n_cut)[:, None])
+    cells = _bracket_cells(np.concatenate([vals, vals[:, :1]], axis=1))  # the scan wraps around
+    crossings = cells.sum(axis=1)
+    cut, cell = np.nonzero(cells & (crossings == 2)[:, None])  # arm i, then arm j, per cut
+    psi = _solve_bracketed(lambda x, rows: diff(x, cut[rows]),
+                           psis[cell], psis[cell] + TWO_PI / n_psi,
+                           vals[cut, cell], vals[cut, (cell + 1) % n_psi], xtol=1e-6)
+    omega = np.full((n_cut, 2), np.nan)
+    dirs = np.full((n_cut, 2, 3), np.nan)
+    ext = np.full(n_cut, np.nan)
+    arms = cut[::2]
+    omega[arms] = ring_opening_angle(frame, psi, FAST, cut=cut).reshape(-1, 2)
+    dirs[arms] = frame.direction(omega[arms], psi.reshape(-1, 2), arms[:, None])
+    n_fast, _ = index_batch(frame.sellmeier, dirs[arms, 0], 2.0 * frame.pump_nm)
+    sin_ext = n_fast * np.sin(0.5 * (omega[arms, 0] + omega[arms, 1]))
+    ext[arms] = np.degrees(np.arcsin(np.clip(sin_ext, -1, 1)))
+    return crossings, omega, dirs, ext
 
 
 @dataclass(frozen=True)
@@ -324,54 +376,43 @@ class NoncollinearArms:
     d_eff_sf: float               # slow at arm i, fast at arm j
     fast_deflection_rad: float    # fast-eigenpolarization angle from the arm axis at arm i
     external_half_angle_deg: float  # mean opening after Snell refraction, degrees
+    pump_wave: WaveSolution       # the fast pump along the cut axis, as solved for d_eff
 
 
 def noncollinear_arms(crystal: CrystalData, cut: CrystalCut,
                       pump_nm: float = 390.0, n_psi: int = 36) -> NoncollinearArms:
     """Locate the two fast/slow ring intersections for a degenerate cut.
 
-    Each of the three waves (the pump along the axis, and the degenerate
-    wave at each arm) is solved once.  The external half-angle refracts the
-    mean internal opening at an exit face normal to the pump, with the fast
-    index at arm i: sin(ext) = n_fast sin(mean opening).
+    The arms and the external half-angle come from :func:`_arm_geometry` on
+    this one cut.  Each of the three waves (the pump along the axis, and the
+    degenerate wave at each arm) is then solved once for d_eff and the
+    fast deflection.
     """
     sel = crystal.sellmeier
-    frame = _PumpFrame(sel, cut, pump_nm)
-    lam = 2.0 * pump_nm
-
-    def diff(psi):
-        """Fast minus slow ring opening at each psi; NaN where a ring is absent."""
-        fast, slow = ring_opening_angle(frame, psi, np.array([[FAST], [SLOW]]))
-        return fast - slow
-
-    psis = np.linspace(0.0, TWO_PI, n_psi, endpoint=False)
-    vals = diff(psis)
-    cells = np.flatnonzero(_bracket_cells(np.append(vals, vals[0])))  # the scan wraps around
-    if cells.size != 2:
+    frame = _PumpFrame(sel, cut.direction(), pump_nm)
+    (crossings,), (omega,), (dirs,), (ext,) = _arm_geometry(frame, n_psi)
+    if crossings != 2:
         raise ValueError(
-            f"expected exactly two ring intersections, found {cells.size}; "
+            f"expected exactly two ring intersections, found {crossings}; "
             "the cut may not be in the non-collinear type-II regime"
         )
-    psi = _solve_bracketed(lambda x, rows: diff(x), psis[cells], psis[cells] + TWO_PI / n_psi,
-                           vals[cells], vals[(cells + 1) % n_psi], xtol=1e-6)
-    om_a, om_b = ring_opening_angle(frame, psi, FAST)
-    d_a, d_b = frame.direction([om_a, om_b], psi)
+    d_a, d_b = dirs
     # The vector from arm i to arm j defines the horizontal axis.
     t_ab = frame.transverse(d_b) - frame.transverse(d_a)
     h2 = t_ab / np.linalg.norm(t_ab)
-    d_pump = solve_waves(sel, frame.p, pump_nm).d_fast
-    wave_i, wave_j = solve_waves(sel, d_a, lam), solve_waves(sel, d_b, lam)
+    pump = solve_waves(sel, frame.p[0], pump_nm)
+    wave_i, wave_j = solve_waves(sel, d_a, 2.0 * pump_nm), solve_waves(sel, d_b, 2.0 * pump_nm)
     # fast-polarization deflection from the horizontal at arm i
     t = frame.transverse(wave_i.d_fast)
     defl = float(np.arccos(np.clip(abs(np.dot(t, h2)) / np.linalg.norm(t), 0.0, 1.0)))
-    sin_ext = wave_i.n_fast * np.sin(0.5 * (om_a + om_b))
     return NoncollinearArms(
         dir_i=d_a, dir_j=d_b,
-        opening_i=float(om_a), opening_j=float(om_b),
-        d_eff_fs=abs(crystal.tensor.contract(d_pump, wave_i.d_fast, wave_j.d_slow)),
-        d_eff_sf=abs(crystal.tensor.contract(d_pump, wave_i.d_slow, wave_j.d_fast)),
+        opening_i=float(omega[0]), opening_j=float(omega[1]),
+        d_eff_fs=abs(crystal.tensor.contract(pump.d_fast, wave_i.d_fast, wave_j.d_slow)),
+        d_eff_sf=abs(crystal.tensor.contract(pump.d_fast, wave_i.d_slow, wave_j.d_fast)),
         fast_deflection_rad=defl,
-        external_half_angle_deg=float(np.degrees(np.arcsin(np.clip(sin_ext, -1, 1)))),
+        external_half_angle_deg=float(ext),
+        pump_wave=pump,
     )
 
 
@@ -380,9 +421,19 @@ def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
                         phi: float = 0.0, length_mm: float = 2.0) -> CrystalCut:
     """Cut whose degenerate arms exit at the requested external half-angle.
 
-    Sweeps theta above the collinear phase-matching angle at fixed phi for
-    the cut whose ``noncollinear_arms(...).external_half_angle_deg`` is the
-    requested angle.
+    The search starts from the collinear phase-matching angle theta_0 at
+    ``phi``: the lower (theta < 90 deg) family's, or the upper family's when
+    the lower has none.  The non-collinear regime may open on either side
+    of theta_0, so it scans 13 cuts from theta_0 + 0.15 deg to
+    theta_0 + 6 deg and, if none of their cells brackets the requested
+    angle, 13 from theta_0 - 6 deg to theta_0 - 0.15 deg.  The first
+    bracket found is refined to 1e-8 rad.  A cut's angle is the external
+    half-angle ``noncollinear_arms`` reports for it; a cut without two arms
+    brackets nothing.  Each scan is one :func:`_arm_geometry` call over its
+    13 cuts, and each refinement step one call on one cut.
+
+    Raises ValueError when there is no collinear root at ``phi`` or no
+    scanned cell brackets the requested angle.
     """
     coll = phase_match_collinear(crystal, pump_nm, phi_grid=np.array([phi]),
                                  branch="lower")
@@ -392,18 +443,12 @@ def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
         raise ValueError("no collinear phase matching at this azimuth")
     th0 = coll[0].theta
 
-    def ext_deg(theta):
-        cut = CrystalCut(theta, phi, length_mm)
-        try:
-            # coarse azimuth bracket suffices: crossings are refined by the solver
-            return noncollinear_arms(crystal, cut, pump_nm, n_psi=12).external_half_angle_deg
-        except ValueError:
-            return np.nan
-
     def f(thetas, rows=None):
-        return np.array([ext_deg(th) for th in thetas]) - external_half_angle_deg
+        dirs = [CrystalCut(theta, phi, length_mm).direction() for theta in thetas]
+        frame = _PumpFrame(crystal.sellmeier, dirs, pump_nm)
+        # coarse azimuth bracket suffices: crossings are refined by the solver
+        return _arm_geometry(frame, n_psi=12)[-1] - external_half_angle_deg
 
-    # the non-collinear regime may open on either side of the collinear angle
     for lo, hi in ((th0 + np.radians(0.15), th0 + np.radians(6.0)),
                    (th0 - np.radians(6.0), th0 - np.radians(0.15))):
         span = np.linspace(lo, hi, 13)
@@ -469,7 +514,7 @@ def spdc_rings(crystal: CrystalData, cut: CrystalCut,
     two half-maximum edge points per center when the crystal is short
     enough for that width to matter.
     """
-    frame = _PumpFrame(crystal.sellmeier, cut, pump_nm)
+    frame = _PumpFrame(crystal.sellmeier, cut.direction(), pump_nm)
     lam0 = 2.0 * pump_nm
     sig_p = pump_fwhm_nm / 2.3548 if pump_fwhm_nm > 0 else 0.0
     sig_f = filter_fwhm_nm / 2.3548 if filter_fwhm_nm > 0 else 0.0
@@ -517,13 +562,14 @@ def spectral_fwhm(crystal: CrystalData, cut: CrystalCut, arm: str = "signal",
     if arm not in ("signal", "idler"):
         raise ValueError("arm must be 'signal' or 'idler'")
     sel = crystal.sellmeier
-    frame = _PumpFrame(sel, cut, pump_nm)
+    p = cut.direction()
+    frame = _PumpFrame(sel, p, pump_nm)
     arms = noncollinear_arms(crystal, cut, pump_nm)
     meas_branch = FAST if arm == "signal" else SLOW
     other = SLOW if meas_branch == FAST else FAST
     d_meas = arms.dir_i if arm == "signal" else arms.dir_j
-    cos_om = float(np.dot(d_meas, frame.p))
-    t_vec = d_meas - cos_om * frame.p
+    cos_om = float(np.dot(d_meas, p))
+    t_vec = d_meas - cos_om * p
     sin_om = float(np.linalg.norm(t_vec))
     t_hat = t_vec / sin_om
     L_um = cut.length_mm * 1e3
@@ -547,13 +593,13 @@ def spectral_fwhm(crystal: CrystalData, cut: CrystalCut, arm: str = "signal",
     def k_idler(d_i):
         return _wave_numbers(sel, d_i.reshape(-1, 3), lam_i.ravel(), other).reshape(shape)
 
-    d_i = np.broadcast_to(frame.p, shape + (3,))
+    d_i = np.broadcast_to(p, shape + (3,))
     for _ in range(6):  # fixed point: idler polar angle cancels k_t
         s_t = k_t / k_idler(d_i)
         # a point with s_t >= 1 has no partner; it keeps its d_i and stays so
         c_t = np.sqrt(np.where(s_t < 1.0, 1.0 - s_t * s_t, 0.0))
         d_i = np.where((s_t < 1.0)[..., None],
-                       c_t[..., None] * frame.p - s_t[..., None] * t_hat, d_i)
+                       c_t[..., None] * p - s_t[..., None] * t_hat, d_i)
     k_i = k_idler(d_i)
     matched = k_t / k_i < 1.0
     s_t = np.where(matched, k_t / k_i, 0.0)

@@ -436,7 +436,7 @@ class TestCrystalCommands:
         assert abs(payload["d_eff_collinear_pm_v"] - 1.15) / 1.15 < 0.10
 
     def test_summary_solves_each_wave_once(self, tmp_path, monkeypatch):
-        # the cut's pump and down waves, then the two arms' and the arm pump's
+        # the arms' pump (reused as the cut's pump), the two arms' and the cut's down wave
         original = crystal.solve_waves
         calls = []
 
@@ -450,7 +450,7 @@ class TestCrystalCommands:
                 monkeypatch.setattr(module, "solve_waves", counted)
         assert main(["crystal", "summary", "--species", "bibo",
                      "--out", str(tmp_path / "summary.json")]) == EXIT_OK
-        assert len(calls) == 5
+        assert len(calls) == 4
 
     def test_curve_csv(self, tmp_path):
         out = tmp_path / "curve.csv"

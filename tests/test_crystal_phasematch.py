@@ -157,6 +157,54 @@ class TestCutForArmOpening:
         assert abs(ext - 3.0) < 0.05
         assert abs(bbo_cut_3deg.theta - bbo.reference_cut.theta) < 2e-3
 
+    # theta found before the scan was batched; the search solves it to 1e-8 rad
+    @pytest.mark.parametrize("species,phi,theta", [
+        ("bbo", 0.0, 0.7666500690517719),
+        ("bibo", 0.962, 1.1508150606158853),  # lower family, not the 1.944 reference cut
+    ])
+    def test_three_degree_cut_at_reference_phi(self, species, phi, theta, request):
+        crys = request.getfixturevalue(species)
+        cut = cut_for_arm_opening(crys, external_half_angle_deg=3.0, phi=phi, length_mm=1.0)
+        assert (cut.phi, cut.length_mm) == (phi, 1.0)
+        assert abs(cut.theta - theta) < 1e-8
+        arms = noncollinear_arms(crys, cut, n_psi=12)
+        om = 0.5 * (arms.opening_i + arms.opening_j)
+        n = solve_waves(crys.sellmeier, arms.dir_i, 780.0).n_fast
+        assert abs(np.degrees(np.arcsin(n * np.sin(om))) - 3.0) < 1e-3
+
+    @pytest.mark.parametrize("half_angle", [20.0, 0.1])
+    def test_unreachable_opening_raises(self, bbo, half_angle):
+        with pytest.raises(ValueError, match="^no cut with the requested arm opening "
+                                             "in the scanned range$"):
+            cut_for_arm_opening(bbo, external_half_angle_deg=half_angle)
+
+    def test_theta_scan_is_one_batched_solve(self, bbo, monkeypatch):
+        """The 13 scanned cuts share one azimuth scan; each refinement step solves one cut."""
+        frame_rows, first_ring_call, ring_cuts = [], [], []
+        arm_geometry, ring_opening_angle = phasematch._arm_geometry, phasematch.ring_opening_angle
+
+        def counted_geometry(frame, n_psi):
+            frame_rows.append(frame.p.shape[0])
+            first_ring_call.append(len(ring_cuts))
+            return arm_geometry(frame, n_psi)
+
+        def counted_ring(frame, *args, cut=0):
+            ring_cuts.append(np.unique(cut).size)
+            return ring_opening_angle(frame, *args, cut=cut)
+
+        def no_arms(*args, **kwargs):
+            raise AssertionError("the cut search needs no d_eff solves")
+
+        monkeypatch.setattr(phasematch, "_arm_geometry", counted_geometry)
+        monkeypatch.setattr(phasematch, "ring_opening_angle", counted_ring)
+        monkeypatch.setattr(phasematch, "noncollinear_arms", no_arms)
+        cut_for_arm_opening(bbo, external_half_angle_deg=3.0)
+        # one scan of 13 cuts, whose first ring solve covers all of them
+        assert frame_rows[0] == 13 and ring_cuts[first_ring_call[0]] == 13
+        # then the refinement: one cut per step, and every ring solve on that cut alone
+        assert len(frame_rows) > 1 and frame_rows[1:] == [1] * (len(frame_rows) - 1)
+        assert set(ring_cuts[first_ring_call[1]:]) == {1}
+
 
 class TestRings:
     def test_rings_intersect_in_two_regions(self, bibo_arms):
@@ -267,7 +315,7 @@ class TestVectorizedMismatch:
 
     @pytest.mark.parametrize("branch", [crystal.FAST, crystal.SLOW])
     def test_ring_mismatch(self, bibo, branch):
-        frame = phasematch._PumpFrame(bibo.sellmeier, bibo.reference_cut, 390.0)
+        frame = phasematch._PumpFrame(bibo.sellmeier, bibo.reference_cut.direction(), 390.0)
         omegas = np.linspace(1e-5, 0.2, 23)
         vals = phasematch._ring_mismatch(frame, omegas, 1.1, 781.0, 389.5, branch)
         assert vals.shape == omegas.shape
@@ -305,7 +353,7 @@ class TestBatchedRootFinder:
     @pytest.mark.parametrize("species", ["bbo", "bibo"])
     def test_ring_openings_match_brentq(self, species):
         crys = crystal.load_crystal(species)
-        frame = phasematch._PumpFrame(crys.sellmeier, crys.reference_cut, 390.0)
+        frame = phasematch._PumpFrame(crys.sellmeier, crys.reference_cut.direction(), 390.0)
         rows = self._ring_rows()
         branch, psi, lam_s, lam_p = (np.array(col) for col in zip(*rows))
         batched = phasematch.ring_opening_angle(frame, psi, branch, lam_s, lam_p)
@@ -322,7 +370,7 @@ class TestBatchedRootFinder:
     def test_no_ring_is_none_or_nan(self, bibo):
         curve = phase_match_collinear(bibo, phi_grid=np.radians([55.0]))
         cut = CrystalCut(curve[0].theta + 0.05, curve[0].phi, 0.6)
-        frame = phasematch._PumpFrame(bibo.sellmeier, cut, 390.0)
+        frame = phasematch._PumpFrame(bibo.sellmeier, cut.direction(), 390.0)
         assert phasematch.ring_opening_angle(frame, 0.3, crystal.FAST) is None
         both = phasematch.ring_opening_angle(frame, np.array([0.3, 1.3]), crystal.FAST)
         assert both.shape == (2,) and np.all(np.isnan(both))
@@ -331,7 +379,7 @@ class TestBatchedRootFinder:
     def test_ring_centres_phase_matched(self, species):
         crys = crystal.load_crystal(species)
         cut = crys.reference_cut
-        frame = phasematch._PumpFrame(crys.sellmeier, cut, 390.0)
+        frame = phasematch._PumpFrame(crys.sellmeier, cut.direction(), 390.0)
         cloud = spdc_rings(crys, cut)
         sig_p, sig_f = 2.1 / 2.3548, 3.0 / 2.3548
         lam_ps = np.linspace(390.0 - 2 * sig_p, 390.0 + 2 * sig_p, 3)
