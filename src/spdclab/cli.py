@@ -9,6 +9,9 @@ Exit codes are a contract: 0 success, 2 schema violation, 3 insufficient
 data, 4 numerical failure.  Reports embed a SHA-256 digest of their input
 file, so re-running on identical inputs reproduces the report up to the
 timestamp field.
+
+The count path (``analyze``, ``pvalue``) runs on the standard library alone;
+``simulate`` and ``crystal`` import numpy and their packages when they run.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, crystal, hyptest, simulator, witness
+from . import __version__, hyptest, witness
 from .errors import (
     InsufficientDataError,
     NumericalConsistencyError,
@@ -183,9 +185,8 @@ def build_report(data: witness.CountDataset, digest: str, f_0: float = 0.5) -> d
             "population_fraction": pop.population_fraction,
             "signal_to_noise": (None if pop.signal_to_noise == float("inf")
                                 else pop.signal_to_noise),
-            "correlations": {witness.m_setting(k): float(corr[k])
-                             for k in range(data.n)},
-            "mean_coherence_visibility": float(np.mean(np.abs(corr))),
+            "correlations": {witness.m_setting(k): corr[k] for k in range(data.n)},
+            "mean_coherence_visibility": witness.mean_coherence_visibility(corr),
             "normalized_trial_spread": hyptest.s_total(ledger),
         },
     }
@@ -208,7 +209,7 @@ def _plot_data_files(data: witness.CountDataset, directory: Path) -> None:
     rows = ["k,expectation,sigma"]
     for k in range(data.n):
         e_k, var = data.m(k).correlation()
-        rows.append(f"{k},{e_k:.6f},{np.sqrt(var):.6f}")
+        rows.append(f"{k},{e_k:.6f},{math.sqrt(var):.6f}")
     (directory / "mk_expectations.csv").write_text("\n".join(rows) + "\n",
                                                    encoding="utf-8")
 
@@ -228,6 +229,8 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    from . import simulator
+
     raw, digest = _read_json(args.config)
     config = simulator.config_from_dict(raw)
     if args.seed is not None:
@@ -263,6 +266,8 @@ def cmd_simulate(args) -> int:
 
 def _cut_from_args(crys, args) -> crystal.CrystalCut:
     """``--cut`` or the reference cut, with ``--length-mm`` or the reference length."""
+    from . import crystal
+
     ref = crys.reference_cut
     if args.cut is None and ref is None:
         raise SchemaError("species has no reference cut; pass --cut THETA PHI")
@@ -273,6 +278,10 @@ def _cut_from_args(crys, args) -> crystal.CrystalCut:
 
 
 def cmd_crystal_summary(args) -> int:
+    import numpy as np
+
+    from . import crystal
+
     crys = crystal.load_crystal(args.species)
     cut = _cut_from_args(crys, args)
     pump = args.pump_nm
@@ -284,7 +293,7 @@ def cmd_crystal_summary(args) -> int:
             "d_eff_sf_pm_v": arms.d_eff_sf,
             "pair_state_angle_rad": crystal.pair_state_angle(arms.d_eff_fs, arms.d_eff_sf),
             "opening_internal_rad": [arms.opening_i, arms.opening_j],
-            "fast_deflection_deg": float(np.degrees(arms.fast_deflection_rad)),
+            "fast_deflection_deg": math.degrees(arms.fast_deflection_rad),
         }
     except ValueError as exc:
         sol_pump = crystal.solve_waves(crys.sellmeier, cut.direction(), pump)
@@ -316,7 +325,11 @@ def cmd_crystal_summary(args) -> int:
 
 
 def cmd_crystal_curve(args) -> int:
-    if not np.isfinite([args.phi_start, args.phi_stop, args.phi_step]).all():
+    import numpy as np
+
+    from . import crystal
+
+    if not all(map(math.isfinite, (args.phi_start, args.phi_stop, args.phi_step))):
         raise SchemaError("--phi-start, --phi-stop and --phi-step must be finite")
     if args.phi_step <= 0:
         raise SchemaError(f"--phi-step must be positive, got {args.phi_step}")
@@ -354,11 +367,13 @@ def cmd_crystal_curve(args) -> int:
 
 
 def cmd_crystal_rings(args) -> int:
+    from . import crystal
+
     crys = crystal.load_crystal(args.species)
     cut = _cut_from_args(crys, args)
     for flag, width in (("--pump-fwhm", args.pump_fwhm),
                         ("--filter-fwhm", args.filter_fwhm)):
-        if not (np.isfinite(width) and width >= 0):
+        if not (math.isfinite(width) and width >= 0):
             raise SchemaError(f"{flag} must be finite and >= 0, got {width}")
     cloud = crystal.spdc_rings(
         crys, cut, pump_nm=args.pump_nm, pump_fwhm_nm=args.pump_fwhm,
@@ -381,6 +396,8 @@ def cmd_crystal_rings(args) -> int:
 
 
 def cmd_crystal_rate_ratio(args) -> int:
+    from . import crystal
+
     table = crystal.load_rate_inputs(args.inputs)
     try:
         a, b = table[args.a], table[args.b]

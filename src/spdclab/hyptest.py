@@ -17,14 +17,11 @@ closed form s, so individual trial records never need to be stored.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import SchemaError
-from .witness import _check_count, alpha_coefficients
+from .witness import _check_count, _check_mode_count, _is_finite_real, alpha_coefficients
 
 #: 5! (e/5)^5, the tail-branch prefactor, evaluated once.
 PINELIS_CONST = 120.0 * (math.e / 5.0) ** 5
@@ -45,7 +42,8 @@ class TrialLedger:
 
     def __post_init__(self):
         object.__setattr__(self, "n_k", tuple(self.n_k))
-        for c in (self.n, self.n_z, *self.n_k):
+        _check_mode_count(self.n)
+        for c in (self.n_z, *self.n_k):
             _check_count(c)
         if len(self.n_k) != self.n:
             raise ValueError(f"expected {self.n} M-setting counts, got {len(self.n_k)}")
@@ -53,9 +51,7 @@ class TrialLedger:
             raise ValueError("all trial counts must be >= 1")
         for name in ("f_exp", "f_0"):
             value = getattr(self, name)
-            # bool is a Real, but JSON true is not a fidelity
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and math.isfinite(value)):
+            if not _is_finite_real(value):
                 raise SchemaError(f"{name} must be a finite real number, got {value!r}")
             object.__setattr__(self, name, float(value))
 
@@ -80,8 +76,8 @@ class PValueBound:
 
 def s_total(ledger: TrialLedger) -> float:
     """sqrt(1/(16 N_z) + sum_k alpha_k^2 / N_k), i.e. S_{N_t} / N_t."""
-    alpha_sq = alpha_coefficients(ledger.n) ** 2
-    return math.sqrt(1.0 / (16.0 * ledger.n_z) + float(np.sum(alpha_sq / np.array(ledger.n_k))))
+    terms = (alpha**2 / c for alpha, c in zip(alpha_coefficients(ledger.n), ledger.n_k))
+    return math.sqrt(1.0 / (16.0 * ledger.n_z) + math.fsum(terms))
 
 
 def normal_tail(x: float) -> float:
@@ -127,6 +123,8 @@ def simulate_null_exceedance(
     the all-H bin and every M_k outcome is an independent fair sign.
     Used to check that computed bounds are never undershot in simulation.
     """
+    import numpy as np
+
     alphas = alpha_coefficients(ledger.n)
     f_bar = np.full(runs, 0.5)  # population term: (N_z + 0) / (2 N_z)
     for k, n_k in enumerate(ledger.n_k):

@@ -49,6 +49,7 @@ from .witness import (
     CountDataset,
     SettingCounts,
     Z_SETTING,
+    mean_coherence_visibility,
     population_stats,
     setting_index,
     setting_names,
@@ -467,7 +468,7 @@ def _correlation_diagnostics(setting_counts) -> dict:
         except InsufficientDataError:
             pass  # a setting without events has no statistics
     if corr:
-        out["mean_coherence_visibility"] = float(np.mean([abs(v) for v in corr.values()]))
+        out["mean_coherence_visibility"] = mean_coherence_visibility(corr.values())
     return out
 
 

@@ -18,10 +18,9 @@ i.e. +1 for an even number of 'V' outcomes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import Iterable, Optional
 
 from .errors import InsufficientDataError, SchemaError
 
@@ -53,9 +52,21 @@ def outcome_sign(outcome: str) -> int:
 
 
 def _check_count(c) -> None:
-    # bool is an int subclass, but JSON true is not a count
-    if isinstance(c, bool) or not (isinstance(c, (int, np.integer)) and c >= 0):
+    # bool is an int subclass, but JSON true is not a count; numpy's integer
+    # types register as numbers.Integral, so simulated counts pass
+    if isinstance(c, bool) or not (isinstance(c, numbers.Integral) and c >= 0):
         raise SchemaError(f"counts must be non-negative integers, got {c!r}")
+
+
+def _is_finite_real(x) -> bool:
+    # bool is a Real, but JSON true is not a number
+    return not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
+
+
+def _check_mode_count(n) -> None:
+    _check_count(n)
+    if n < 1:
+        raise SchemaError(f"n must be at least 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,10 @@ class SettingCounts:
 
     def __post_init__(self):
         k = setting_index(self.setting)
+        if self.hours is not None and not (_is_finite_real(self.hours)
+                                           and self.hours >= 0):
+            raise SchemaError(f"setting {self.setting}: hours must be null or a finite "
+                              f"non-negative number, got {self.hours!r}")
         if self.histogram is None and self.aggregated is None:
             raise SchemaError(f"setting {self.setting}: no counts given")
         if not all(isinstance(c, (dict, type(None)))
@@ -146,7 +161,7 @@ class CountDataset:
     settings: tuple
 
     def __post_init__(self):
-        _check_count(self.n)
+        _check_mode_count(self.n)
         object.__setattr__(self, "settings", tuple(self.settings))
         names = [s.setting for s in self.settings]
         expected = setting_names(self.n)
@@ -173,9 +188,9 @@ class CountDataset:
     def m(self, k: int) -> SettingCounts:
         return self.setting(m_setting(k))
 
-    def correlations(self) -> np.ndarray:
+    def correlations(self) -> list:
         """E_k = (N_k+ - N_k-) / N_k for k = 0..n-1."""
-        return np.array([self.m(k).correlation()[0] for k in range(self.n)])
+        return [self.m(k).correlation()[0] for k in range(self.n)]
 
 
 @dataclass(frozen=True)
@@ -202,14 +217,22 @@ class PopulationStats:
     variance: float         # Poisson variance of population_fraction
 
 
-def alpha_coefficients(n: int) -> np.ndarray:
-    return np.array([(-1.0) ** k / (2.0 * n) for k in range(n)])
+def alpha_coefficients(n: int) -> list:
+    return [(-1.0) ** k / (2.0 * n) for k in range(n)]
+
+
+def mean_coherence_visibility(correlations: Iterable[float]) -> float:
+    """Mean |E_k| over the given correlations; the sum is exact, so the
+    order they come in does not matter."""
+    magnitudes = [abs(e) for e in correlations]
+    return math.fsum(magnitudes) / len(magnitudes)
 
 
 def estimate_fidelity(data: CountDataset) -> FidelityEstimate:
     """Count-based fidelity with delta-method Poisson uncertainty."""
     population = 0.5 * population_stats(data.z()).population_fraction
-    coherence = float(np.dot(alpha_coefficients(data.n), data.correlations()))
+    coherence = math.fsum(alpha * e for alpha, e in
+                          zip(alpha_coefficients(data.n), data.correlations()))
     sigma = propagate_poisson(data)
     return FidelityEstimate(
         value=population + coherence,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdclab import cli, crystal, qstate, witness
+from spdclab import cli, crystal, qstate, simulator, witness
 from spdclab.cli import (
     EXIT_INSUFFICIENT,
     EXIT_NUMERIC,
@@ -200,6 +200,24 @@ class TestAnalyze:
         }))
         assert main(["analyze", str(path)]) == EXIT_SCHEMA
 
+    def test_zero_mode_count_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({
+            "kind": "count_dataset", "n": 0, "provenance": "simulated",
+            "settings": [{"setting": "Z",
+                          "aggregated": {"n_all_h": 5, "n_all_v": 5, "n_rest": 1}}],
+        }))
+        assert main(["analyze", str(path)]) == EXIT_SCHEMA
+        assert "n must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hours", ["x", True, -1.0, float("inf")])
+    def test_bad_hours_exit_code(self, recon_file, capsys, hours):
+        raw = json.loads(recon_file.read_text())
+        raw["settings"][1]["hours"] = hours
+        recon_file.write_text(json.dumps(raw))
+        assert main(["analyze", str(recon_file)]) == EXIT_SCHEMA
+        assert "hours" in capsys.readouterr().err
+
     def test_unknown_setting_key_exit_code(self, recon_file, capsys):
         raw = json.loads(recon_file.read_text())
         raw["settings"][0]["hour"] = 1.0        # not a SettingCounts field
@@ -276,7 +294,7 @@ class TestSimulate:
         def fail(*args, **kwargs):
             raise AssertionError("simulated before validating the settings")
 
-        monkeypatch.setattr(cli.simulator, "run_monte_carlo", fail)
+        monkeypatch.setattr(simulator, "run_monte_carlo", fail)
         cfg = self._small_config(tmp_path)
         assert main(["simulate", str(cfg), "--pulses", "1000000000000",
                      "--settings", settings]) == EXIT_SCHEMA
@@ -316,15 +334,14 @@ class TestSimulate:
             "all_h": z["n_all_h"], "all_v": z["n_all_v"], "rest": z["n_rest"]}
         corr = data.correlations()
         assert diag["correlations"] == {f"M{k}": corr[k] for k in range(data.n)}
-        assert diag["mean_coherence_visibility"] == pytest.approx(
-            cli.build_report(data, "0" * 64)["diagnostics"]["mean_coherence_visibility"],
-            rel=1e-15, abs=0.0)
+        assert diag["mean_coherence_visibility"] == \
+            cli.build_report(data, "0" * 64)["diagnostics"]["mean_coherence_visibility"]
 
     def test_negative_seed_rejected_before_simulation(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise AssertionError("simulated before validating the seed")
 
-        monkeypatch.setattr(cli.simulator, "run_monte_carlo", fail)
+        monkeypatch.setattr(simulator, "run_monte_carlo", fail)
         cfg = self._small_config(tmp_path)
         assert main(["simulate", str(cfg), "--pulses", "1000", "--settings", "Z",
                      "--seed", "-1"]) == EXIT_SCHEMA
@@ -342,7 +359,7 @@ class TestSimulate:
         def fail(*args, **kwargs):
             raise AssertionError("simulated a config with an unknown key")
 
-        monkeypatch.setattr(cli.simulator, "run_monte_carlo", fail)
+        monkeypatch.setattr(simulator, "run_monte_carlo", fail)
         raw = json.loads(config_file.read_text())
         target = raw
         for step in record:
@@ -363,7 +380,7 @@ class TestSimulate:
         def fail(*args, **kwargs):
             raise AssertionError("simulated a config the model cannot describe")
 
-        monkeypatch.setattr(cli.simulator, "run_monte_carlo", fail)
+        monkeypatch.setattr(simulator, "run_monte_carlo", fail)
         cfg = self._small_config(tmp_path)
         raw = json.loads(cfg.read_text())
         raw["network"]["pbs_links"] = links
@@ -520,7 +537,7 @@ class TestCrystalCommands:
             raise AssertionError("computed before validating --length-mm")
 
         for name in ("solve_waves", "spdc_rings"):
-            monkeypatch.setattr(cli.crystal, name, fail)
+            monkeypatch.setattr(crystal, name, fail)
         out = tmp_path / "out"
         assert main(["crystal", command, "--species", "bbo", f"--length-mm={length}",
                      "--out", str(out)]) == EXIT_SCHEMA
@@ -533,7 +550,7 @@ class TestCrystalCommands:
             raise AssertionError("computed before validating --cut")
 
         for name in ("solve_waves", "spdc_rings"):
-            monkeypatch.setattr(cli.crystal, name, fail)
+            monkeypatch.setattr(crystal, name, fail)
         out = tmp_path / "out"
         assert main(["crystal", command, "--species", "bbo", "--cut", *cut,
                      "--out", str(out)]) == EXIT_SCHEMA
@@ -548,7 +565,7 @@ class TestCrystalCommands:
         def fail(*args, **kwargs):
             raise AssertionError("computed before validating the phi grid")
 
-        monkeypatch.setattr(cli.crystal, "phase_match_collinear", fail)
+        monkeypatch.setattr(crystal, "phase_match_collinear", fail)
         out = tmp_path / "curve.csv"
         assert main(["crystal", "curve", "--species", "bbo", *phi_args,
                      "--out", str(out)]) == EXIT_SCHEMA
@@ -568,7 +585,7 @@ class TestCrystalCommands:
         def fail(*args, **kwargs):
             raise AssertionError("computed before validating the spectral widths")
 
-        monkeypatch.setattr(cli.crystal, "spdc_rings", fail)
+        monkeypatch.setattr(crystal, "spdc_rings", fail)
         out = tmp_path / "rings.csv"
         assert main(["crystal", "rings", "--species", "bbo", f"{flag}={width}",
                      "--out", str(out)]) == EXIT_SCHEMA
@@ -659,20 +676,55 @@ class TestPvalue:
         ledger_file.write_text(json.dumps(raw))
         assert main(["pvalue", str(ledger_file)]) == EXIT_SCHEMA
 
+    def test_zero_mode_count_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps({"kind": "trial_ledger", "n": 0, "n_z": 10,
+                                    "n_k": [], "f_exp": 0.6}))
+        assert main(["pvalue", str(path)]) == EXIT_SCHEMA
+        assert "n must be at least 1" in capsys.readouterr().err
+
     def test_malformed_ledger(self, tmp_path):
         path = tmp_path / "ledger.json"
         path.write_text(json.dumps({"kind": "trial_ledger", "n": 10}))
         assert main(["pvalue", str(path)]) == EXIT_SCHEMA
 
 
-def test_cli_import_loads_no_scipy():
-    """The CLI runs on numpy alone; scipy is only a test dependency."""
+def _run_python(*args):
+    """A fresh interpreter on this checkout's ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, spdclab.cli; "
-         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().split("\n")[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    """Every command runs on numpy alone; scipy is only a test dependency."""
+    assert _run_python(
+        "-c", "import sys, spdclab.cli, spdclab.crystal, spdclab.simulator; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))") == "[]"
+
+
+#: calls cli.main like the ``spdclab`` entry point, then lists the heavy modules loaded
+_COUNT_PATH_DRIVER = """
+import sys
+from spdclab import cli
+counts, ledger, out = sys.argv[1:]
+assert cli.main(["analyze", counts, "--out", out + "/report.json",
+                 "--plot-data", out + "/plots"]) == 0
+assert cli.main(["pvalue", ledger, "--out", out + "/pvalue.json"]) == 0
+try:
+    cli.main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0
+print(sorted(m for m in ("numpy", "spdclab.crystal", "spdclab.simulator")
+             if m in sys.modules))
+"""
+
+
+def test_count_path_imports_no_numpy(recon_file, ledger_file, tmp_path):
+    """``analyze``, ``pvalue`` and ``--version`` run on the standard library alone."""
+    assert _run_python("-c", _COUNT_PATH_DRIVER, recon_file, ledger_file, tmp_path) == "[]"
+    assert (tmp_path / "plots" / "mk_expectations.csv").is_file()

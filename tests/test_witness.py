@@ -200,6 +200,11 @@ class TestSchema:
         with pytest.raises(SchemaError):
             SettingCounts("Z", aggregated={"n_all_h": -1, "n_all_v": 0, "n_rest": 0})
 
+    def test_numpy_integer_counts_accepted(self):
+        data = _dataset(np.int64(1), {"n_all_h": np.int64(4), "n_all_v": np.uint32(3),
+                                      "n_rest": np.int16(1)}, [(np.int64(5), np.int8(2))])
+        assert data.z().total() == 8 and data.m(0).correlation()[0] == 3 / 7
+
     def test_missing_setting_rejected(self):
         with pytest.raises(SchemaError):
             CountDataset(n=2, settings=(
