@@ -128,18 +128,17 @@ def _read_json(path: str) -> tuple:
 
 
 def _dump_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+def _write_text(text: str, out: str | Path | None) -> None:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +193,10 @@ def build_report(data: witness.CountDataset, digest: str, f_0: float = 0.5) -> d
 
 def _plot_data_files(data: witness.CountDataset, directory: Path) -> None:
     """CSV plot data: H/V-basis populations and per-setting correlations."""
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {directory}: {exc}") from exc
     z = data.z()
     lines = ["outcome,count"]
     if z.histogram is not None:
@@ -204,14 +206,12 @@ def _plot_data_files(data: witness.CountDataset, directory: Path) -> None:
         agg = z.aggregates()
         lines += [f"all_H,{agg['n_all_h']}", f"all_V,{agg['n_all_v']}",
                   f"rest,{agg['n_rest']}"]
-    (directory / "z_populations.csv").write_text("\n".join(lines) + "\n",
-                                                 encoding="utf-8")
+    _write_text("\n".join(lines) + "\n", directory / "z_populations.csv")
     rows = ["k,expectation,sigma"]
     for k in range(data.n):
         e_k, var = data.m(k).correlation()
         rows.append(f"{k},{e_k:.6f},{math.sqrt(var):.6f}")
-    (directory / "mk_expectations.csv").write_text("\n".join(rows) + "\n",
-                                                   encoding="utf-8")
+    _write_text("\n".join(rows) + "\n", directory / "mk_expectations.csv")
 
 
 def cmd_analyze(args) -> int:
@@ -264,6 +264,11 @@ def cmd_simulate(args) -> int:
 # crystal
 # ---------------------------------------------------------------------------
 
+def _check_pump_nm(args) -> None:
+    if not (math.isfinite(args.pump_nm) and args.pump_nm > 0):
+        raise SchemaError(f"--pump-nm must be finite and positive, got {args.pump_nm}")
+
+
 def _cut_from_args(crys, args) -> crystal.CrystalCut:
     """``--cut`` or the reference cut, with ``--length-mm`` or the reference length."""
     from . import crystal
@@ -282,6 +287,7 @@ def cmd_crystal_summary(args) -> int:
 
     from . import crystal
 
+    _check_pump_nm(args)
     crys = crystal.load_crystal(args.species)
     cut = _cut_from_args(crys, args)
     pump = args.pump_nm
@@ -335,6 +341,7 @@ def cmd_crystal_curve(args) -> int:
         raise SchemaError(f"--phi-step must be positive, got {args.phi_step}")
     if args.phi_stop < args.phi_start:
         raise SchemaError(f"--phi-stop {args.phi_stop} is below --phi-start {args.phi_start}")
+    _check_pump_nm(args)
     crys = crystal.load_crystal(args.species)
     samples = crystal.phase_match_collinear(
         crys, pump_nm=args.pump_nm,
@@ -369,6 +376,7 @@ def cmd_crystal_curve(args) -> int:
 def cmd_crystal_rings(args) -> int:
     from . import crystal
 
+    _check_pump_nm(args)
     crys = crystal.load_crystal(args.species)
     cut = _cut_from_args(crys, args)
     for flag, width in (("--pump-fwhm", args.pump_fwhm),

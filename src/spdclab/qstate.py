@@ -80,15 +80,6 @@ def basis_labels(n: int) -> list:
             for i in range(2**n)]
 
 
-def basis_index(outcome: str) -> int:
-    idx = 0
-    for ch in outcome:
-        if ch not in "HV":
-            raise ValueError(f"outcome strings use 'H'/'V' only, got {outcome!r}")
-        idx = (idx << 1) | (ch == "V")
-    return idx
-
-
 def canonical_phase(state: PureState) -> PureState:
     """Rotate the global phase so the first nonzero amplitude is real positive."""
     amps = state.amps

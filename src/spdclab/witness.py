@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import InsufficientDataError, SchemaError
@@ -53,8 +53,11 @@ def outcome_sign(outcome: str) -> int:
 
 def _check_count(c) -> None:
     # bool is an int subclass, but JSON true is not a count; numpy's integer
-    # types register as numbers.Integral, so simulated counts pass
-    if isinstance(c, bool) or not (isinstance(c, numbers.Integral) and c >= 0):
+    # types register as numbers.Integral, so simulated counts pass.  JSON's
+    # ints skip that abstract-class test, which costs a microsecond a count
+    integral = type(c) is int or (not isinstance(c, bool)
+                                  and isinstance(c, numbers.Integral))
+    if not (integral and c >= 0):
         raise SchemaError(f"counts must be non-negative integers, got {c!r}")
 
 
@@ -83,6 +86,8 @@ class SettingCounts:
     histogram: Optional[dict] = None
     aggregated: Optional[dict] = None
     hours: Optional[float] = None
+    # the aggregates as Python ints, reduced once: no statistic walks the histogram
+    _aggregates: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = setting_index(self.setting)
@@ -95,48 +100,41 @@ class SettingCounts:
         if not all(isinstance(c, (dict, type(None)))
                    for c in (self.histogram, self.aggregated)):
             raise SchemaError(f"setting {self.setting}: counts must be JSON objects")
+        keys = ("n_all_h", "n_all_v", "n_rest") if k is None else ("n_plus", "n_minus")
+        reduced = None
         if self.histogram is not None:
+            reduced = dict.fromkeys(keys, 0)
             for outcome, c in self.histogram.items():
-                if set(outcome) - set("HV"):
+                letters = set(outcome)
+                if letters - set("HV"):
                     raise SchemaError(f"bad outcome string {outcome!r}")
                 _check_count(c)
+                if k is not None:
+                    key = "n_plus" if outcome_sign(outcome) > 0 else "n_minus"
+                else:
+                    key = ("n_all_h" if letters == {"H"} else
+                           "n_all_v" if letters == {"V"} else "n_rest")
+                reduced[key] += int(c)
         if self.aggregated is not None:
-            want = {"n_plus", "n_minus"} if k is not None else {"n_all_h", "n_all_v", "n_rest"}
-            if set(self.aggregated) != want:
+            if set(self.aggregated) != set(keys):
                 raise SchemaError(
-                    f"setting {self.setting}: aggregated keys must be {sorted(want)}"
+                    f"setting {self.setting}: aggregated keys must be {sorted(keys)}"
                 )
             for c in self.aggregated.values():
                 _check_count(c)
-        if self.histogram is not None and self.aggregated is not None:
-            if self._aggregate_from_histogram() != dict(self.aggregated):
+            given = {key: int(self.aggregated[key]) for key in keys}
+            if reduced is not None and reduced != given:
                 raise SchemaError(
                     f"setting {self.setting}: histogram and aggregated counts disagree"
                 )
-
-    def _aggregate_from_histogram(self) -> dict:
-        k = setting_index(self.setting)
-        if k is None:
-            n_h = n_v = n_rest = 0
-            for outcome, c in self.histogram.items():
-                if set(outcome) == {"H"}:
-                    n_h += c
-                elif set(outcome) == {"V"}:
-                    n_v += c
-                else:
-                    n_rest += c
-            return {"n_all_h": int(n_h), "n_all_v": int(n_v), "n_rest": int(n_rest)}
-        n_plus = sum(c for o, c in self.histogram.items() if outcome_sign(o) > 0)
-        n_minus = sum(c for o, c in self.histogram.items() if outcome_sign(o) < 0)
-        return {"n_plus": int(n_plus), "n_minus": int(n_minus)}
+            reduced = given
+        object.__setattr__(self, "_aggregates", reduced)
 
     def aggregates(self) -> dict:
-        if self.aggregated is not None:
-            return dict(self.aggregated)
-        return self._aggregate_from_histogram()
+        return dict(self._aggregates)
 
     def total(self) -> int:
-        return sum(self.aggregates().values())
+        return sum(self._aggregates.values())
 
     def correlation(self) -> tuple:
         """(E, var E) of an M setting: E = (N+ - N-) / N, var E = 4 N+ N- / N^3.
@@ -145,8 +143,7 @@ class SettingCounts:
         """
         if setting_index(self.setting) is None:
             raise ValueError("correlation expects an M setting")
-        agg = self.aggregates()
-        n_p, n_m = agg["n_plus"], agg["n_minus"]
+        n_p, n_m = self._aggregates["n_plus"], self._aggregates["n_minus"]
         total = n_p + n_m
         if total < 1:
             raise InsufficientDataError(f"setting {self.setting} has zero total count")
@@ -229,31 +226,27 @@ def mean_coherence_visibility(correlations: Iterable[float]) -> float:
 
 
 def estimate_fidelity(data: CountDataset) -> FidelityEstimate:
-    """Count-based fidelity with delta-method Poisson uncertainty."""
-    population = 0.5 * population_stats(data.z()).population_fraction
-    coherence = math.fsum(alpha * e for alpha, e in
-                          zip(alpha_coefficients(data.n), data.correlations()))
-    sigma = propagate_poisson(data)
+    """Count-based fidelity with delta-method Poisson uncertainty.
+
+    Every category is an independent Poisson count.  For each M_k term,
+    var[(N+-N-)/N] = 4 N+ N- / N^3; for the Z term, var[(N0+N1)/N] =
+    N_rest (N0+N1) / N^3.  Empty categories contribute zero variance.
+    """
+    pop = population_stats(data.z())
+    coherence_terms, var = [], 0.0
+    for k, alpha in enumerate(alpha_coefficients(data.n)):
+        e_k, var_k = data.m(k).correlation()
+        coherence_terms.append(alpha * e_k)
+        var += alpha**2 * var_k
+    var += 0.25 * pop.variance
+    population = 0.5 * pop.population_fraction
+    coherence = math.fsum(coherence_terms)
     return FidelityEstimate(
         value=population + coherence,
-        sigma=sigma,
+        sigma=math.sqrt(var),
         population_term=population,
         coherence_term=coherence,
     )
-
-
-def propagate_poisson(data: CountDataset) -> float:
-    """First-order standard deviation, independent Poisson counts per category.
-
-    For each M_k term, var[(N+-N-)/N] = 4 N+ N- / N^3; for the Z term,
-    var[(N0+N1)/N] = N_rest (N0+N1) / N^3.  Empty categories contribute
-    zero variance.
-    """
-    var = 0.0
-    for k, alpha in enumerate(alpha_coefficients(data.n)):
-        var += alpha**2 * data.m(k).correlation()[1]
-    var += 0.25 * population_stats(data.z()).variance
-    return math.sqrt(var)
 
 
 def entanglement_verdict(est: FidelityEstimate, threshold: float = 0.5) -> Verdict:
@@ -273,7 +266,7 @@ def entanglement_verdict(est: FidelityEstimate, threshold: float = 0.5) -> Verdi
 def population_stats(z: SettingCounts) -> PopulationStats:
     if setting_index(z.setting) is not None:
         raise ValueError("population_stats expects the Z setting")
-    agg = z.aggregates()
+    agg = z._aggregates
     n_sig = agg["n_all_h"] + agg["n_all_v"]
     n_z = n_sig + agg["n_rest"]
     if n_z < 1:

@@ -122,6 +122,28 @@ class TestAnalyze:
             assert e_k == data.correlations()[k]
             assert row == f"{k},{e_k:.6f},{np.sqrt(var):.6f}"
 
+    @pytest.mark.parametrize("n,seed", [(2, 1), (5, 2), (10, 3)])
+    def test_histogram_and_aggregated_forms_report_alike(self, tmp_path, n, seed):
+        rng = np.random.default_rng(seed)
+        labels = qstate.basis_labels(n)
+        histograms = [{o: int(c) for o, c in zip(labels, rng.integers(0, 40, 2**n)) if c}
+                      for _ in range(n + 1)]
+        hist_data = witness.CountDataset(n=n, settings=tuple(
+            witness.SettingCounts(name, histogram=h)
+            for name, h in zip(witness.setting_names(n), histograms)))
+        agg_data = witness.CountDataset(n=n, settings=tuple(
+            witness.SettingCounts(s.setting, aggregated=s.aggregates())
+            for s in hist_data.settings))
+        reports = []
+        for form, data in (("histogram", hist_data), ("aggregated", agg_data)):
+            path, out = tmp_path / f"{form}.json", tmp_path / f"{form}.report.json"
+            path.write_text(json.dumps(cli.dataset_to_dict(data, "simulated")))
+            assert main(["analyze", str(path), "--out", str(out)]) == EXIT_OK
+            report = json.loads(out.read_text())
+            reports.append({key: report[key]
+                            for key in ("fidelity", "verdict", "pvalue", "diagnostics")})
+        assert reports[0] == reports[1]
+
     def test_schema_violation_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -591,6 +613,21 @@ class TestCrystalCommands:
                      "--out", str(out)]) == EXIT_SCHEMA
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["summary", "curve", "rings"])
+    @pytest.mark.parametrize("pump", ["nan", "inf", "0", "-5"])
+    def test_bad_pump_wavelength_rejected_before_work(self, tmp_path, monkeypatch, capsys,
+                                                      command, pump):
+        def fail(*args, **kwargs):
+            raise AssertionError("computed before validating --pump-nm")
+
+        for name in ("load_crystal", "solve_waves", "phase_match_collinear", "spdc_rings"):
+            monkeypatch.setattr(crystal, name, fail)
+        out = tmp_path / "out"
+        assert main(["crystal", command, "--species", "bbo", f"--pump-nm={pump}",
+                     "--out", str(out)]) == EXIT_SCHEMA
+        assert "--pump-nm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rate_ratio_inputs_unknown_key_exit_code(self, tmp_path, capsys):
         inputs = json.loads(resources.files("spdclab.data")
                             .joinpath("pair_rate_inputs.json").read_text())
@@ -689,15 +726,42 @@ class TestPvalue:
         assert main(["pvalue", str(path)]) == EXIT_SCHEMA
 
 
-def _run_python(*args):
+def _python(*args):
     """A fresh interpreter on this checkout's ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *map(str, args)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+def _run_python(*args):
+    """The last line a fresh interpreter prints, after it exits 0."""
+    proc = _python(*args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().split("\n")[-1]
+
+
+@pytest.mark.parametrize("case", ["analyze --out", "analyze --plot-data",
+                                  "simulate --report", "pvalue --out", "crystal curve --out"])
+def test_failed_write_exit_code(recon_file, ledger_file, config_file, tmp_path, case):
+    """A file that cannot be written is a one-line exit 2, not a traceback."""
+    missing = tmp_path / "missing" / "out"
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    argv = {
+        "analyze --out": ["analyze", recon_file, "--out", missing],
+        "analyze --plot-data": ["analyze", recon_file, "--plot-data", regular / "plots"],
+        "simulate --report": ["simulate", config_file, "--pulses", "1000000000",
+                              "--out", tmp_path / "counts.json", "--report", missing],
+        "pvalue --out": ["pvalue", ledger_file, "--out", missing],
+        "crystal curve --out": ["crystal", "curve", "--species", "bbo",
+                                "--phi-stop", "0", "--out", missing],
+    }[case]
+    proc = _python("-m", "spdclab.cli", *argv)
+    assert proc.returncode == EXIT_SCHEMA
+    assert proc.stderr.startswith("schema error: cannot write ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_cli_import_loads_no_scipy():

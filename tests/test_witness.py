@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
-from spdclab import qstate, witness
+from spdclab import cli, qstate, witness
 from spdclab.errors import InsufficientDataError, SchemaError
 from spdclab.witness import (
     CountDataset,
@@ -12,7 +13,6 @@ from spdclab.witness import (
     estimate_fidelity,
     m_setting,
     population_stats,
-    propagate_poisson,
 )
 
 # frozen expected values for the shipped reconstruction (exact rationals:
@@ -100,14 +100,14 @@ class TestEstimateFidelity:
 
 class TestPoissonPropagation:
     def test_shipped_reconstruction_sigma(self, reconstruction_dataset):
-        sigma = propagate_poisson(reconstruction_dataset)
+        sigma = estimate_fidelity(reconstruction_dataset).sigma
         assert abs(sigma - RECON_SIGMA) < 1e-12
         assert 0.025 <= sigma <= 0.033
         assert abs(sigma - 0.029) / 0.029 < 0.15
 
     def test_empty_complement_contributes_zero(self):
         data = _dataset(1, {"n_all_h": 50, "n_all_v": 50, "n_rest": 0}, [(25, 25)])
-        sigma = propagate_poisson(data)
+        sigma = estimate_fidelity(data).sigma
         # population term variance vanishes; only the coherence term is left
         expected = math.sqrt(0.25 * 4 * 25 * 25 / 50**3)
         assert abs(sigma - expected) < 1e-12
@@ -118,8 +118,8 @@ class TestPoissonPropagation:
         c = 9
         scaled = _dataset(2, {"n_all_h": 8 * c, "n_all_v": 6 * c, "n_rest": 4 * c},
                           [(9 * c, 3 * c), (4 * c, 10 * c)])
-        assert abs(propagate_poisson(scaled)
-                   - propagate_poisson(base) / math.sqrt(c)) < 1e-12
+        assert abs(estimate_fidelity(scaled).sigma
+                   - estimate_fidelity(base).sigma / math.sqrt(c)) < 1e-12
 
     def test_against_parametric_bootstrap(self, reconstruction_dataset):
         """Delta method vs 1e5-resample parametric bootstrap, 10% relative."""
@@ -139,7 +139,7 @@ class TestPoissonPropagation:
             m = rng.poisson(agg["n_minus"], runs).astype(float)
             f += alphas[k] * (p - m) / np.maximum(p + m, 1)
         boot = f.std()
-        delta = propagate_poisson(data)
+        delta = estimate_fidelity(data).sigma
         assert abs(delta - boot) / boot < 0.10
 
 
@@ -240,6 +240,66 @@ class TestSchema:
         s = SettingCounts("M0", aggregated={"n_plus": 1, "n_minus": 0})
         with pytest.raises(SchemaError):
             CountDataset(n=1, settings=(s, s))
+
+
+class _WalkCountingHistogram(dict):
+    """A histogram that counts how often its (outcome, count) pairs are walked."""
+
+    walks = 0
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
+def _brute_force_aggregates(setting, histogram):
+    """Aggregates summed straight from the definitions, one bucket at a time."""
+    def bucket(keep):
+        return sum(int(c) for o, c in histogram.items() if keep(o))
+
+    if setting == "Z":
+        return {"n_all_h": bucket(lambda o: o == "H" * len(o)),
+                "n_all_v": bucket(lambda o: o == "V" * len(o)),
+                "n_rest": bucket(lambda o: "H" in o and "V" in o)}
+    return {"n_plus": bucket(lambda o: o.count("V") % 2 == 0),
+            "n_minus": bucket(lambda o: o.count("V") % 2 == 1)}
+
+
+#: counts as JSON gives them and as numpy hands them over, narrow types included
+_counts = st.one_of(st.integers(0, 10**15),
+                    st.integers(0, 255).map(np.uint8),
+                    st.integers(0, 2**62).map(np.int64))
+_histograms = st.integers(1, 6).flatmap(lambda n: st.dictionaries(
+    st.text("HV", min_size=n, max_size=n), _counts, max_size=40))
+
+
+class TestReduction:
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(setting=st.sampled_from(["Z", "M0", "M3"]), histogram=_histograms)
+    def test_histogram_reduces_to_brute_force_aggregates(self, setting, histogram):
+        agg = SettingCounts(setting, histogram=histogram).aggregates()
+        assert agg == _brute_force_aggregates(setting, histogram)
+        assert all(type(c) is int for c in agg.values())
+
+    def test_numpy_aggregates_do_not_overflow(self):
+        big = SettingCounts("M0", aggregated={"n_plus": np.int64(3_000_000),
+                                              "n_minus": np.int64(2_000_000)})
+        assert big.correlation() == SettingCounts(
+            "M0", aggregated={"n_plus": 3_000_000, "n_minus": 2_000_000}).correlation()
+
+    def test_each_histogram_walked_once(self):
+        rng = np.random.default_rng(3)
+        n = 4
+        labels = qstate.basis_labels(n)
+        histograms = [_WalkCountingHistogram(zip(labels, map(int, rng.integers(1, 50, 2**n))))
+                      for _ in range(n + 1)]
+        data = CountDataset(n=n, settings=tuple(
+            SettingCounts(name, histogram=h)
+            for name, h in zip(witness.setting_names(n), histograms)))
+        assert [h.walks for h in histograms] == [1] * (n + 1)
+        estimate_fidelity(data)
+        cli.build_report(data, "0" * 64)
+        assert [h.walks for h in histograms] == [1] * (n + 1)
 
 
 class TestConvergenceToExpectation:
