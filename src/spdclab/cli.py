@@ -131,6 +131,27 @@ def _dump_json(payload: dict, out: str | None) -> None:
     _write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
+def _check_outputs(args) -> None:
+    """Refuse an output path that cannot be written, before any work is done.
+
+    ``--out`` and ``--report`` need an existing parent directory and must not
+    name a directory; ``--plot-data`` must be a directory or creatable as one.
+    """
+    for out in (getattr(args, "out", None), getattr(args, "report", None)):
+        if not out:
+            continue
+        if Path(out).is_dir():
+            raise SchemaError(f"cannot write {out}: it is a directory")
+        if not Path(out).parent.is_dir():
+            raise SchemaError(f"cannot write {out}: {Path(out).parent} is not a directory")
+    plot_dir = getattr(args, "plot_data", None)
+    if plot_dir:
+        nearest = next((p for p in (Path(plot_dir), *Path(plot_dir).parents) if p.exists()),
+                       Path(plot_dir))
+        if not nearest.is_dir():
+            raise SchemaError(f"cannot write {plot_dir}: {nearest} is not a directory")
+
+
 def _write_text(text: str, out: str | Path | None) -> None:
     if not out:
         sys.stdout.write(text)
@@ -527,6 +548,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

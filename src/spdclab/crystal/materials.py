@@ -13,6 +13,7 @@ and the second-order tensor all live in the principal dielectric frame.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -53,6 +54,9 @@ class SellmeierSet:
             raise SchemaError(f"{self.species}: each axis needs four Sellmeier coefficients")
         # columns (A, B, C, D) per principal axis x, y, z
         object.__setattr__(self, "_principal_coefficients", table.T)
+        # one evaluation per wavelength; a call that raises leaves no entry
+        object.__setattr__(self, "_principal_at", functools.lru_cache(maxsize=64)(
+            self._principal_at_one))
 
     def _indices(self, coefficients, wavelength_nm) -> np.ndarray:
         """Indices for (A, B, C, D) rows of shape (4, k); (..., k) per wavelength."""
@@ -78,12 +82,21 @@ class SellmeierSet:
         n = self._indices(np.reshape(self.coefficients[axis], (4, 1)), wavelength_nm)[..., 0]
         return float(n) if n.ndim == 0 else n
 
+    def _principal_at_one(self, wavelength_nm: float) -> np.ndarray:
+        n = self._indices(self._principal_coefficients, wavelength_nm)
+        n.setflags(write=False)  # shared by every later call at this wavelength
+        return n
+
     def principal_indices(self, wavelength_nm) -> np.ndarray:
         """(n_x, n_y, n_z); uniaxial species map to (n_o, n_o, n_e).
 
-        Shape (3,) for one wavelength, (N, 3) for an (N,) array of them.
+        Shape (3,) for one wavelength, (N, 3) for an (N,) array of them.  The
+        (3,) array of one wavelength is computed once and is read-only.
         """
-        return self._indices(self._principal_coefficients, wavelength_nm)
+        lam = np.asarray(wavelength_nm, dtype=float)
+        if lam.ndim == 0:
+            return self._principal_at(float(lam))
+        return self._indices(self._principal_coefficients, lam)
 
 
 @dataclass(frozen=True)

@@ -57,17 +57,44 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+_Z_AXIS, _X_AXIS = np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0, 0.0]])
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # cyclic column shifts
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=1, keepdims=True), the same sums without its dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
+
+
 def transverse_frame(s: np.ndarray) -> tuple:
     """(t1, t2) completing each unit row of s to the right-handed frame (t1, t2, s).
 
     t1 is the projected z axis, or the x axis where |s_z| >= 0.9.
     """
-    helper = np.where(np.abs(s[:, 2:3]) < 0.9,
-                      np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0, 0.0]]))
-    t1 = helper - np.sum(helper * s, axis=1, keepdims=True) * s
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    # s x t1 spelled out: np.cross alone costs a third of a one-row solve
-    return t1, s[:, [1, 2, 0]] * t1[:, [2, 0, 1]] - s[:, [2, 0, 1]] * t1[:, [1, 2, 0]]
+    helper = np.where(np.abs(s[:, 2:3]) < 0.9, _Z_AXIS, _X_AXIS)
+    t1 = helper - np.add.reduce(helper * s, axis=1, keepdims=True) * s
+    t1 /= _row_norms(t1)
+    # s x t1 spelled out: np.cross alone costs a third of a one-row solve.  The
+    # fancy index leaves t2 column-major, which fixes the order in which the
+    # einsums of _eigensystem add up its rows.
+    return t1, s[:, _NEXT] * t1[:, _PREV] - s[:, _PREV] * t1[:, _NEXT]
+
+
+def _inverse_permittivity(sellmeier: SellmeierSet, wavelength_nm) -> np.ndarray:
+    """eps^-1 on the principal axes: (3,) for one wavelength, (N, 3) for (N,) of them.
+
+    The Sellmeier indices are evaluated once per run of equal neighbouring
+    wavelengths: a block at one wavelength costs one evaluation (which the
+    set keeps per wavelength), and the rows of a grid scan one each.
+    """
+    lam = np.asarray(wavelength_nm, dtype=float)
+    if lam.ndim == 0 or not lam.size:
+        return 1.0 / sellmeier.principal_indices(lam) ** 2
+    starts = np.flatnonzero(np.concatenate(([True], lam[1:] != lam[:-1])))
+    if starts.size == 1:
+        return 1.0 / sellmeier.principal_indices(lam[0]) ** 2
+    eps_inv = 1.0 / sellmeier.principal_indices(lam[starts]) ** 2
+    return np.repeat(eps_inv, np.diff(starts, append=lam.size), axis=0)
 
 
 def _eigensystem(sellmeier: SellmeierSet, directions, wavelength_nm) -> tuple:
@@ -75,12 +102,12 @@ def _eigensystem(sellmeier: SellmeierSet, directions, wavelength_nm) -> tuple:
 
     ``wavelength_nm`` is one wavelength or an (N,) array, one per row.
     Returns the unit directions, their frames, eps^-1 (shape (3,) or
-    (N, 3), like the principal indices), the transverse restriction
-    (m11, m22, m12) of eps^-1 per row and its eigenvalues (u_fast, u_slow).
+    (N, 3)), the transverse restriction (m11, m22, m12) of eps^-1 per row
+    and its eigenvalues (u_fast, u_slow).
     """
     s = np.asarray(directions, dtype=float)
-    s = s / np.linalg.norm(s, axis=1, keepdims=True)
-    eps_inv = 1.0 / sellmeier.principal_indices(wavelength_nm) ** 2
+    s = s / _row_norms(s)
+    eps_inv = _inverse_permittivity(sellmeier, wavelength_nm)
     t1, t2 = transverse_frame(s)
     e1 = t1 * eps_inv
     m11 = np.einsum("ij,ij->i", e1, t1)

@@ -21,13 +21,15 @@ pairs of both orderings are emitted.
 
 Every root is found the same way: a grid scan per row brackets the first
 sign change (:func:`_bracket_cells`), then :func:`_solve_bracketed` refines
-all rows at once.  The mismatch functions broadcast over their angles,
-azimuths, wavelengths and branches, so one call evaluates every row.
+all rows at once by Illinois regula falsi.  A row bisects only when it
+stalls: its step leaves the open bracket, or its last two steps did not
+halve the bracket and its last step did not halve the |residual| at the
+iterate.  The mismatch functions broadcast over their angles, azimuths,
+wavelengths and branches, so one call evaluates every row.
 """
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -112,13 +114,16 @@ def _solve_bracketed(f, a, b, fa, fb, xtol: float) -> np.ndarray:
 
     ``f(x, rows)`` returns the residuals of rows ``rows`` (indices into
     ``a``) at the points ``x``; ``fa`` and ``fb`` are the residuals at the
-    endpoints.  Illinois regula falsi proposes each step.  A step that
-    falls outside the open bracket, or follows two steps that did not
-    together halve it, bisects instead; as in Brent's method, a step
-    shorter than xtol / 2 from the last iterate is lengthened to xtol / 2,
-    so that a converged iterate closes its bracket.  Every iterate stays
-    inside its bracket and nothing is extrapolated.  A row stops once its
-    own |b - a| < xtol and returns the endpoint with the smaller |residual|.
+    endpoints.  Illinois regula falsi proposes each step.  The step bisects
+    instead only when the solver stalls: when it falls outside the open
+    bracket, or when the last two steps did not together halve the
+    bracket and the last step did not halve the |residual| at the iterate.
+    Iterates closing in from one side therefore keep their superlinear
+    regula-falsi steps.  As in Brent's method, a step shorter than xtol / 2
+    from the last iterate is lengthened to xtol / 2, so that a converged
+    iterate closes its bracket.  Every iterate stays inside its bracket and
+    nothing is extrapolated.  A row stops once its own |b - a| < xtol and
+    returns the endpoint with the smaller |residual|.
 
     Raises NumericalConsistencyError if a row's endpoints do not bracket a
     root, if a residual inside a bracket is NaN, or if a row is still open
@@ -134,6 +139,8 @@ def _solve_bracketed(f, a, b, fa, fb, xtol: float) -> np.ndarray:
     kept = np.zeros(a.shape)            # +1: the last step kept a, -1: it kept b
     width_1 = np.full(a.shape, np.inf)  # bracket width one and two steps ago
     width_2 = width_1.copy()
+    res_0 = np.minimum(np.abs(fa), np.abs(fb))  # |residual| at the last iterate
+    res_1 = np.full(a.shape, np.inf)            # and at the one before
     for step in range(MAX_ROOT_STEPS + 1):
         rows = np.flatnonzero(np.abs(b - a) >= xtol)
         if not rows.size:
@@ -145,7 +152,8 @@ def _solve_bracketed(f, a, b, fa, fb, xtol: float) -> np.ndarray:
         width = np.abs(rb - ra)
         x = (ra * rfb - rb * rfa) / (rfb - rfa)
         inside = (np.minimum(ra, rb) < x) & (x < np.maximum(ra, rb))
-        x = np.where(inside & (width <= 0.5 * width_2[rows]), x, 0.5 * (ra + rb))
+        progress = (width <= 0.5 * width_2[rows]) | (res_0[rows] <= 0.5 * res_1[rows])
+        x = np.where(inside & progress, x, 0.5 * (ra + rb))
         x = np.where(np.abs(x - xl) < 0.5 * xtol,
                      xl + 0.5 * xtol * np.sign(ra + rb - 2.0 * xl), x)
         fx = np.asarray(f(x, rows), dtype=float)
@@ -162,6 +170,7 @@ def _solve_bracketed(f, a, b, fa, fb, xtol: float) -> np.ndarray:
         b[rows], fb[rows], gb[rows] = (np.where(to_a, rb, x), np.where(to_a, rfb, fx),
                                        np.where(to_a, gb[rows], fx))
         width_2[rows], width_1[rows] = width_1[rows], width
+        res_1[rows], res_0[rows] = res_0[rows], np.abs(fx)
         x_last[rows] = x
 
 
@@ -274,19 +283,30 @@ def _ring_mismatch(frame: _PumpFrame, omega, psi, lam_s, lam_p, branch, k_p=None
 
     Broadcasts over omega, psi, the wavelengths, the branch, the pump wave
     number k_p (computed from lam_p when not given) and the frame row cut;
-    all-scalar arguments give a float.
+    all-scalar arguments give a float.  Each part is computed on the shape
+    of the arguments it depends on, so a scan of openings (omega (G,), the
+    rest (R, 1)) does the work that does not depend on the opening once per
+    row, and the Sellmeier indices once per row and wavelength.
     """
     if k_p is None:
         k_p = frame.k_pump(lam_p, cut)
-    args = np.broadcast_arrays(omega, psi, lam_s, lam_p, branch, k_p, cut)
-    shape = args[0].shape
-    omega, psi, lam_s, lam_p, branch, k_p, cut = (x.ravel() for x in args)
+    lam_s, lam_p, branch, cut = (np.asarray(x) for x in (lam_s, lam_p, branch, cut))
     lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
+    partner = np.where(branch == FAST, SLOW, FAST)
     d = frame.direction(omega, psi, cut)
-    v = k_p[:, None] * frame.p[cut] - _wave_numbers(frame.sellmeier, d, lam_s, branch)[:, None] * d
+    shape = np.broadcast_shapes(d.shape[:-1], lam_s.shape, lam_p.shape, branch.shape,
+                                np.shape(k_p))
+
+    def flat(x):
+        """x broadcast to the full shape, one entry per residual."""
+        x = np.asarray(x)
+        return (x if x.shape == shape else np.broadcast_to(x, shape)).ravel()
+
+    d = (d if d.shape[:-1] == shape else np.broadcast_to(d, shape + (3,))).reshape(-1, 3)
+    k_s = _wave_numbers(frame.sellmeier, d, flat(lam_s), flat(branch))
+    v = flat(k_p)[:, None] * frame.p[flat(cut)] - k_s[:, None] * d
     nv = np.linalg.norm(v, axis=1)
-    res = nv - _wave_numbers(frame.sellmeier, v / nv[:, None], lam_i,
-                             np.where(branch == FAST, SLOW, FAST))
+    res = nv - _wave_numbers(frame.sellmeier, v / nv[:, None], flat(lam_i), flat(partner))
     return float(res[0]) if not shape else res.reshape(shape)
 
 
@@ -478,12 +498,11 @@ class RingCloud:
     branch: np.ndarray            # 'fast'/'slow' strings
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("kx,ky,wavelength_nm,weight,branch\n")
-        for i in range(self.kx.size):
-            buf.write(f"{self.kx[i]:.6e},{self.ky[i]:.6e},"
-                      f"{self.wavelength_nm[i]:.3f},{self.weight[i]:.5f},{self.branch[i]}\n")
-        return buf.getvalue()
+        # Python floats and strs format like the numpy scalars, at a fraction of the cost
+        rows = zip(self.kx.tolist(), self.ky.tolist(), self.wavelength_nm.tolist(),
+                   self.weight.tolist(), self.branch.tolist())
+        return "kx,ky,wavelength_nm,weight,branch\n" + "".join(
+            f"{kx:.6e},{ky:.6e},{lam:.3f},{w:.5f},{b}\n" for kx, ky, lam, w, b in rows)
 
     def radial_spread(self, branch: str = FAST) -> float:
         """Mean over azimuth of (max-min) opening angle, rad; the ring width."""

@@ -764,6 +764,26 @@ def test_failed_write_exit_code(recon_file, ledger_file, config_file, tmp_path, 
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("case", ["simulate --report", "analyze --plot-data", "analyze --out"])
+def test_unwritable_output_refused_before_work(recon_file, config_file, tmp_path, capsys, case):
+    """An output that cannot be written is an exit 2 before any output is written."""
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    first, missing = tmp_path / "first.json", tmp_path / "missing" / "r.json"
+    argv = {
+        "simulate --report": ["simulate", str(config_file), "--pulses", "1000000000",
+                              "--out", str(first), "--report", str(missing)],
+        "analyze --plot-data": ["analyze", str(recon_file), "--out", str(first),
+                                "--plot-data", str(regular / "plots")],
+        "analyze --out": ["analyze", str(recon_file), "--out", str(tmp_path),
+                          "--plot-data", str(tmp_path / "plots")],
+    }[case]
+    assert main(argv) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: cannot write ") and err.count("\n") == 1
+    assert not first.exists() and not (tmp_path / "plots").exists()
+
+
 def test_cli_import_loads_no_scipy():
     """Every command runs on numpy alone; scipy is only a test dependency."""
     assert _run_python(

@@ -3,6 +3,7 @@ import pytest
 
 from spdclab import crystal
 from spdclab.crystal import CrystalCut, NonlinearTensor
+from spdclab.crystal.optics import index_batch
 from spdclab.errors import SchemaError
 
 
@@ -40,6 +41,19 @@ class TestSellmeier:
             bbo.sellmeier.axis_index("o", 2000.0)
         with pytest.raises(ValueError, match="outside"):
             bibo.sellmeier.principal_indices(150.0)
+
+    def test_kept_indices_still_checked(self, bibo):
+        """One wavelength's indices are kept, a rejected wavelength raises on every call."""
+        sel = bibo.sellmeier
+        first = sel.principal_indices(780.0)
+        assert sel.principal_indices(780.0) is first and not first.flags.writeable
+        assert np.array_equal(first, sel.principal_indices(np.array([780.0, 780.0]))[1])
+        block = np.tile([0.6, 0.0, 0.8], (4, 1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside"):
+                sel.principal_indices(150.0)
+            with pytest.raises(ValueError, match="outside"):
+                index_batch(sel, block, np.full(4, 150.0))
 
 
 class TestTensor:

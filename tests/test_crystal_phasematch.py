@@ -172,6 +172,43 @@ class TestCutForArmOpening:
         n = solve_waves(crys.sellmeier, arms.dir_i, 780.0).n_fast
         assert abs(np.degrees(np.arcsin(n * np.sin(om))) - 3.0) < 1e-3
 
+    # theta found before the solver's fallback rule changed, to 1e-8 rad
+    @pytest.mark.parametrize("species,phi,half_angle,theta", [
+        ("bbo", 0.0, 2.2, 0.7604733371600038),
+        ("bbo", 0.0, 3.8, 0.7747361615218825),
+        ("bibo", 0.962, 2.2, 1.1443816854083007),
+        ("bibo", 0.962, 3.8, 1.1593313988729759),
+    ])
+    def test_cut_away_from_three_degrees(self, species, phi, half_angle, theta, request):
+        crys = request.getfixturevalue(species)
+        cut = cut_for_arm_opening(crys, external_half_angle_deg=half_angle, phi=phi)
+        assert abs(cut.theta - theta) < 1e-8
+
+    @pytest.mark.parametrize("species,phi,max_residuals", [("bbo", 0.0, 330),
+                                                           ("bibo", 0.962, 400)])
+    def test_search_step_counts(self, species, phi, max_residuals, request, monkeypatch):
+        """Residuals over every nested root-find, and refinement steps, at 2.2 deg."""
+        residuals, one_cut_geometries = [], []
+        solve, arm_geometry = phasematch._solve_bracketed, phasematch._arm_geometry
+
+        def counted_solve(f, *args, **kwargs):
+            def counted_f(x, rows):
+                residuals.append(x.size)
+                return f(x, rows)
+            return solve(counted_f, *args, **kwargs)
+
+        def counted_geometry(frame, n_psi):
+            if frame.p.shape[0] == 1:
+                one_cut_geometries.append(n_psi)
+            return arm_geometry(frame, n_psi)
+
+        monkeypatch.setattr(phasematch, "_solve_bracketed", counted_solve)
+        monkeypatch.setattr(phasematch, "_arm_geometry", counted_geometry)
+        cut_for_arm_opening(request.getfixturevalue(species), external_half_angle_deg=2.2,
+                            phi=phi)
+        assert len(residuals) <= max_residuals
+        assert 0 < len(one_cut_geometries) <= 7
+
     @pytest.mark.parametrize("half_angle", [20.0, 0.1])
     def test_unreachable_opening_raises(self, bbo, half_angle):
         with pytest.raises(ValueError, match="^no cut with the requested arm opening "
@@ -431,6 +468,31 @@ class TestBatchedRootFinder:
         with pytest.raises(NumericalConsistencyError, match="bracket"):
             phasematch._solve_bracketed(lambda x, r: x, [0.0, 0.0], [1.0, 1.0],
                                         [-1.0, fa], [1.0, fb], xtol=1e-12)
+
+    def test_one_sided_approach_keeps_regula_falsi(self):
+        """A convex residual that regula falsi closes in on from one side."""
+        calls = []
+
+        def f(x, rows):
+            calls.append(x.size)
+            return np.exp(x) - 2.0
+
+        (root,) = phasematch._solve_bracketed(f, -4.0, 4.0, np.exp(-4.0) - 2.0,
+                                              np.exp(4.0) - 2.0, xtol=1e-12)
+        assert abs(root - np.log(2.0)) < 1e-12
+        assert len(calls) <= 15
+
+    def test_stalled_row_bisects(self):
+        """x**15 is flat near its root: regula falsi stalls there and bisection takes over."""
+        calls = []
+
+        def f(x, rows):
+            calls.append(x.size)
+            return x**15
+
+        (root,) = phasematch._solve_bracketed(f, -0.2, 1.0, (-0.2)**15, 1.0, xtol=1e-6)
+        assert abs(root) < 1e-6
+        assert len(calls) <= 56 < phasematch.MAX_ROOT_STEPS
 
     def test_step_function_hits_iteration_cap(self):
         step = lambda x, r: np.where(x < 1 / 3, -1.0, 1.0)
