@@ -77,11 +77,6 @@ class SellmeierSet:
             raise ValueError(f"{self.species}: unphysical index at {bad} nm")
         return np.sqrt(n_sq)
 
-    def axis_index(self, axis: str, wavelength_nm):
-        """Index along one axis ('o'/'e' or 'x'/'y'/'z'); an array for an array of wavelengths."""
-        n = self._indices(np.reshape(self.coefficients[axis], (4, 1)), wavelength_nm)[..., 0]
-        return float(n) if n.ndim == 0 else n
-
     def _principal_at_one(self, wavelength_nm: float) -> np.ndarray:
         n = self._indices(self._principal_coefficients, wavelength_nm)
         n.setflags(write=False)  # shared by every later call at this wavelength

@@ -54,11 +54,9 @@ COLLINEAR_SCAN_STEP_RAD = np.radians(0.5)
 
 @dataclass(frozen=True)
 class PhaseMatchSolution:
-    """One phase-matched configuration (collinear sample or ring point)."""
+    """One degenerate collinear sample: signal and idler at twice the pump
+    wavelength, all three waves along one direction (ring points are RingClouds)."""
 
-    signal_wavelength_nm: float
-    idler_wavelength_nm: float
-    pump_wavelength_nm: float
     theta: float
     phi: float
     delta_k_residual: float       # rad/um
@@ -68,12 +66,6 @@ class PhaseMatchSolution:
     n_pump: float
     n_signal: float
     n_idler: float
-
-    def __post_init__(self):
-        inv = 1.0 / self.pump_wavelength_nm
-        inv_sum = 1.0 / self.signal_wavelength_nm + 1.0 / self.idler_wavelength_nm
-        if abs(inv - inv_sum) > 1e-9:
-            raise ValueError("energy conservation violated beyond 1e-9 nm^-1")
 
 
 def _wave_numbers(sellmeier: SellmeierSet, directions: np.ndarray,
@@ -228,8 +220,6 @@ def phase_match_collinear(
         pump = solve_waves(sel, s, pump_nm)
         down = solve_waves(sel, s, down_nm)
         samples.append(PhaseMatchSolution(
-            signal_wavelength_nm=down_nm, idler_wavelength_nm=down_nm,
-            pump_wavelength_nm=pump_nm,
             theta=float(root), phi=float(phi),
             delta_k_residual=float(dk),
             d_eff_pm_v=collinear_d_eff(crystal, pump, down),

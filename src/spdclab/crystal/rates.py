@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import SchemaError
+from ..witness import _is_finite_real
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class RateInputs:
 
     def __post_init__(self):
         for f in fields(self)[1:]:      # every field after the label is a number
-            if not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+            if not _is_finite_real(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a finite number")
         for name in ("n_pump", "n_signal", "n_idler"):
             if getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must exceed 1")

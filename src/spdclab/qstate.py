@@ -1,9 +1,14 @@
 """Exact few-photon polarization states and post-selected PBS fusion.
 
 States live in the 2^n dimensional space of n polarization qubits, one per
-path mode.  Basis strings run over {H,V}^n, big-endian in the mode order
-(first mode is the most significant "bit", H=0, V=1), so histograms and
-amplitude vectors are reproducible across runs.
+path mode.  Modes are numbered 1..n and mode m is tensor axis m - 1.  Basis
+strings run over {H,V}^n, big-endian in the mode order (mode 1 is the most
+significant "bit", H=0, V=1), so histograms and amplitude vectors are
+reproducible across runs.  A single-photon operator is a complex 2x2 array.
+
+``GlobalOperator``, ``expectation`` and ``witness_decomposition`` are the
+exact reference for the witness identity (the GHZ projector split into the
+M_k settings) and for the tests of the count-based estimator.
 
 The fusion model uses the standard polarizing-beam-splitter convention:
 H transmits, V reflects.  Demanding one photon per output then keeps only
@@ -30,10 +35,6 @@ NORM_ATOL = 1e-12
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-H_KET = np.array([1.0, 0.0], dtype=complex)
-V_KET = np.array([0.0, 1.0], dtype=complex)
 
 
 def _check_mode_count(n: int) -> None:
@@ -45,33 +46,23 @@ def _check_mode_count(n: int) -> None:
 
 @dataclass(frozen=True)
 class PureState:
-    """Pure polarization state of ``len(modes)`` photons, one per mode."""
+    """Pure polarization state of n photons on modes 1..n, one per mode."""
 
-    modes: tuple
     amps: np.ndarray
 
     def __post_init__(self):
-        n = len(self.modes)
-        _check_mode_count(n)
         amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (2**n,):
-            raise ValueError(
-                f"amplitude vector must have length 2^{n}, got shape {amps.shape}"
-            )
+        if amps.ndim != 1 or amps.size & (amps.size - 1):
+            raise ValueError(f"amplitude vector length must be a power of 2, got {amps.shape}")
         object.__setattr__(self, "amps", amps)
+        _check_mode_count(self.n_modes)
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state must be normalized, but |amps| = {norm!r}")
 
     @property
     def n_modes(self) -> int:
-        return len(self.modes)
-
-    def mode_axis(self, mode) -> int:
-        try:
-            return self.modes.index(mode)
-        except ValueError:
-            raise ValueError(f"unknown mode {mode!r}; state has modes {self.modes}") from None
+        return self.amps.size.bit_length() - 1
 
 
 def basis_labels(n: int) -> list:
@@ -87,7 +78,7 @@ def canonical_phase(state: PureState) -> PureState:
     if nz.size == 0:
         return state
     phase = amps[nz[0]] / abs(amps[nz[0]])
-    return PureState(state.modes, amps / phase)
+    return PureState(amps / phase)
 
 
 def ghz_state(n: int) -> PureState:
@@ -95,53 +86,21 @@ def ghz_state(n: int) -> PureState:
     _check_mode_count(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-    return PureState(tuple(range(1, n + 1)), amps)
+    return PureState(amps)
 
 
 # ---------------------------------------------------------------------------
-# Local and global operators
+# Global operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalOperator:
-    """2x2 single-photon operator with a semantic tag."""
-
-    matrix: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("local operators are 2x2")
-        object.__setattr__(self, "matrix", m)
-
-    def is_hermitian(self, atol: float = NORM_ATOL) -> bool:
-        return bool(np.allclose(self.matrix, self.matrix.conj().T, atol=atol))
-
-    def is_unitary(self, atol: float = NORM_ATOL) -> bool:
-        return bool(np.allclose(self.matrix @ self.matrix.conj().T, np.eye(2), atol=atol))
-
-
-def pauli_x() -> LocalOperator:
-    return LocalOperator(_PAULI_X, "pauli_x")
-
-
-def pauli_y() -> LocalOperator:
-    return LocalOperator(_PAULI_Y, "pauli_y")
-
-
-def pauli_z() -> LocalOperator:
-    return LocalOperator(_PAULI_Z, "pauli_z")
-
-
-def mk_operator(k: int, n: int) -> LocalOperator:
+def mk_operator(k: int, n: int) -> np.ndarray:
     """cos(k pi/n) sigma_x + sin(k pi/n) sigma_y; Hermitian, eigenvalues +-1."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must satisfy 0 <= k <= n-1, got k={k}, n={n}")
     angle = k * np.pi / n
-    return LocalOperator(np.cos(angle) * _PAULI_X + np.sin(angle) * _PAULI_Y, "m_k")
+    return np.cos(angle) * _PAULI_X + np.sin(angle) * _PAULI_Y
 
 
 def mk_eigenbasis(k: int, n: int) -> np.ndarray:
@@ -152,37 +111,19 @@ def mk_eigenbasis(k: int, n: int) -> np.ndarray:
     return np.column_stack([plus, minus])
 
 
-def half_waveplate(angle: float) -> LocalOperator:
-    """HWP with fast axis at `angle` to H (Jones matrix, global phase dropped)."""
-    c, s = np.cos(2 * angle), np.sin(2 * angle)
-    return LocalOperator(np.array([[c, s], [s, -c]], dtype=complex), "waveplate")
-
-
-def rotation(angle: float) -> LocalOperator:
-    """Polarization rotation by `angle`: H -> cos|H> + sin|V>."""
-    c, s = np.cos(angle), np.sin(angle)
-    return LocalOperator(np.array([[c, -s], [s, c]], dtype=complex), "rotation")
-
-
-def projector_h() -> LocalOperator:
-    return LocalOperator(np.outer(H_KET, H_KET.conj()), "projector")
-
-
-def projector_v() -> LocalOperator:
-    return LocalOperator(np.outer(V_KET, V_KET.conj()), "projector")
-
-
 @dataclass(frozen=True)
 class GlobalOperator:
-    """Sum of coefficient-weighted n-fold tensor products of local operators."""
+    """Sum of coefficient-weighted n-fold tensor products of 2x2 operators."""
 
     n: int
-    terms: tuple  # of (coefficient, tuple of n LocalOperator)
+    terms: tuple  # of (coefficient, tuple of n complex 2x2 arrays)
 
     def __post_init__(self):
         for coeff, factors in self.terms:
             if len(factors) != self.n:
                 raise ValueError("every term needs one local factor per mode")
+            if any(np.shape(f) != (2, 2) for f in factors):
+                raise ValueError("local factors are 2x2")
 
     def dense(self) -> np.ndarray:
         # 2^n x 2^n matrices: keep the cap well below the state-vector one
@@ -194,7 +135,7 @@ class GlobalOperator:
         for coeff, factors in self.terms:
             block = np.array([[1.0 + 0j]])
             for op in factors:
-                block = np.kron(block, op.matrix)
+                block = np.kron(block, op)
             out += coeff * block
         return out
 
@@ -209,8 +150,8 @@ def witness_decomposition(n: int) -> GlobalOperator:
     _check_mode_count(n)
     terms = [(alpha, tuple([mk_operator(k, n)] * n))
              for k, alpha in enumerate(alpha_coefficients(n))]
-    terms.append((0.5, tuple([projector_h()] * n)))
-    terms.append((0.5, tuple([projector_v()] * n)))
+    for diagonal in ((1, 0), (0, 1)):   # |H><H| and |V><V|
+        terms.append((0.5, (np.diag(diagonal).astype(complex),) * n))
     return GlobalOperator(n, tuple(terms))
 
 
@@ -219,15 +160,6 @@ def _apply_one(amps: np.ndarray, n: int, axis: int, matrix: np.ndarray) -> np.nd
     tensor = np.tensordot(matrix, tensor, axes=([1], [axis]))
     tensor = np.moveaxis(tensor, 0, axis)
     return tensor.reshape(-1)
-
-
-def apply_local(state: PureState, mode, op: LocalOperator) -> PureState:
-    """Apply a single-mode unitary; the result stays normalized."""
-    if not op.is_unitary():
-        raise ValueError(f"apply_local requires a unitary operator, got kind={op.kind!r}")
-    axis = state.mode_axis(mode)
-    amps = _apply_one(state.amps, state.n_modes, axis, op.matrix)
-    return PureState(state.modes, amps)
 
 
 def expectation(state: PureState, op: GlobalOperator) -> float:
@@ -240,13 +172,13 @@ def expectation(state: PureState, op: GlobalOperator) -> float:
         raise ValueError(f"operator acts on {op.n} modes, state has {state.n_modes}")
     for _, factors in op.terms:
         for f in factors:
-            if not f.is_hermitian():
+            if not np.allclose(f, np.conj(f).T, atol=NORM_ATOL):
                 raise ValueError("expectation requires Hermitian factors")
     total = 0.0 + 0.0j
     for coeff, factors in op.terms:
         amps = state.amps
         for axis, f in enumerate(factors):
-            amps = _apply_one(amps, state.n_modes, axis, f.matrix)
+            amps = _apply_one(amps, state.n_modes, axis, f)
         total += coeff * np.vdot(state.amps, amps)
     if abs(total.imag) > 1e-10:
         raise NumericalConsistencyError(
@@ -363,8 +295,7 @@ def product_pair_state(pairs: Sequence[PairSource]) -> PureState:
         pair_amps[0] = a_hh   # HH
         pair_amps[3] = a_vv   # VV
         amps = np.kron(amps, pair_amps)
-    modes = tuple(range(1, 2 * len(pairs) + 1))
-    return PureState(modes, amps)
+    return PureState(amps)
 
 
 def fuse_and_postselect(network: FusionNetwork):
@@ -375,16 +306,11 @@ def fuse_and_postselect(network: FusionNetwork):
     ``success_prob`` is the squared norm of the surviving component.
     """
     state = product_pair_state(network.sources)
-    n = state.n_modes
-    tensor = state.amps.reshape((2,) * n)
-    for a, b in network.pbs_links:
-        ia, ib = state.mode_axis(a), state.mode_axis(b)
-        idx_a = np.arange(2).reshape([2 if ax == ia else 1 for ax in range(n)])
-        idx_b = np.arange(2).reshape([2 if ax == ib else 1 for ax in range(n)])
-        tensor = np.where(idx_a == idx_b, tensor, 0.0)
-    amps = tensor.reshape(-1)
+    pol = np.indices((2,) * state.n_modes)   # pol[m - 1]: mode m's H=0 / V=1 per amplitude
+    agree = np.all([pol[a - 1] == pol[b - 1] for a, b in network.pbs_links], axis=0)
+    amps = np.where(agree.reshape(-1), state.amps, 0.0)
     success = float(np.vdot(amps, amps).real)
     if success <= 0.0:
         raise NumericalConsistencyError("post-selection annihilated the state")
-    survivor = PureState(state.modes, amps / np.sqrt(success))
+    survivor = PureState(amps / np.sqrt(success))
     return canonical_phase(survivor), success

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ from .witness import (
     CountDataset,
     SettingCounts,
     Z_SETTING,
+    _is_finite_real,
     mean_coherence_visibility,
     population_stats,
     setting_index,
@@ -72,15 +73,18 @@ class SourceModel:
     double_pair_factor: float = 2.0     # g: double-pair weight is g p^2
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.name != "rotated" and not _is_finite_real(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a finite number")
+        if not isinstance(self.rotated, bool):
+            raise ValueError(f"rotated must be true or false, got {self.rotated!r}")
         if not 0.0 <= self.pair_prob < 1.0:
             raise ValueError("pair_prob must lie in [0, 1)")
         for name in ("xi_signal", "xi_idler"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if not 0.0 <= self.double_pair_factor < math.inf:
+        if self.double_pair_factor < 0.0:
             raise ValueError("double_pair_factor must be finite and >= 0")
-        if not math.isfinite(self.theta_state):
-            raise ValueError("theta_state must be finite")
 
     def pair_number_probs(self) -> np.ndarray:
         """P(0), P(1), P(2) pairs per pulse; weights 1 : p : g p^2."""
@@ -109,10 +113,11 @@ class InterferenceModel:
     mode_overlap: tuple = (1.0,)
 
     def __post_init__(self):
-        ov = tuple(float(v) for v in np.atleast_1d(self.mode_overlap))
-        if any(not 0.0 <= v <= 1.0 for v in ov):
-            raise ValueError("overlaps must lie in [0, 1]")
-        object.__setattr__(self, "mode_overlap", ov)
+        # object dtype keeps JSON true a bool instead of casting it to 1.0
+        ov = np.atleast_1d(np.asarray(self.mode_overlap, dtype=object))
+        if not all(_is_finite_real(v) and 0.0 <= v <= 1.0 for v in ov):
+            raise ValueError("mode_overlap values must be numbers in [0, 1]")
+        object.__setattr__(self, "mode_overlap", tuple(float(v) for v in ov))
 
     def per_link(self, n_links: int) -> tuple:
         if len(self.mode_overlap) == 1:
@@ -131,7 +136,7 @@ class DetectorModel:
     dark_count_prob: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.dark_count_prob < 1.0:
+        if not (_is_finite_real(self.dark_count_prob) and 0.0 <= self.dark_count_prob < 1.0):
             raise ValueError("dark_count_prob must lie in [0, 1)")
 
 
@@ -157,9 +162,10 @@ class ExperimentConfig:
         object.__setattr__(self, "pbs_links", self.network().pbs_links)
         _ring_layout(self)
         self.interference.per_link(len(self.pbs_links))
-        if not 0.0 < self.rep_rate_hz < math.inf:
+        if not (_is_finite_real(self.rep_rate_hz) and self.rep_rate_hz > 0.0):
             raise ValueError("rep_rate_hz must be positive and finite")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if not (_is_finite_real(self.seed) and isinstance(self.seed, (int, np.integer))
+                and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
 
     def n_modes(self) -> int:
@@ -170,15 +176,8 @@ class ExperimentConfig:
         return FusionNetwork(tuple(s.pair_source() for s in self.sources), self.pbs_links)
 
 
-def hom_visibility(overlap: float) -> float:
-    """Two-photon interference dip visibility of the scalar-overlap model."""
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap must lie in [0, 1]")
-    return overlap * overlap
-
-
 def overlap_for_visibility(visibility: float) -> float:
-    """Inverse of hom_visibility."""
+    """Scalar mode overlap giving two-photon interference visibility v = overlap^2."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
     return float(np.sqrt(visibility))
@@ -199,11 +198,6 @@ def tenfold_rate(total_pair_rate: float, xi: float, rep_rate_hz: float) -> float
     return rep_rate_hz * (p * xi * xi) ** 5 / 16.0 * 3600.0
 
 
-def ideal_output_state(config: ExperimentConfig) -> qstate.PureState:
-    """Post-selected pure state at unit efficiency, unit overlap, no doubles."""
-    return fuse_and_postselect(config.network())[0]
-
-
 # ---------------------------------------------------------------------------
 # Clean-event statistics
 # ---------------------------------------------------------------------------
@@ -219,7 +213,7 @@ class _CleanEventModel:
         damping = config.interference.coherence_damping(len(config.pbs_links))
         # the dephased state as a mixture of two pure states
         self.mixture = ((0.5 * (1.0 + damping), state),
-                        (0.5 * (1.0 - damping), qstate.PureState(state.modes, flipped)))
+                        (0.5 * (1.0 - damping), qstate.PureState(flipped)))
 
     def distribution(self, setting: str) -> np.ndarray:
         """Probabilities over the 2^n outcome strings for one setting."""

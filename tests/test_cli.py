@@ -310,6 +310,28 @@ class TestSimulate:
               "--seed", "99", "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
 
+    @pytest.mark.parametrize("record,key,value", [
+        (("sources", 0), "pair_prob", True), (("sources", 0), "xi_signal", True),
+        (("sources", 0), "xi_idler", True), (("sources", 0), "theta_state", True),
+        (("sources", 0), "double_pair_factor", True), (("sources", 0), "rotated", "false"),
+        ((), "rep_rate_hz", True), ((), "seed", True),
+        (("interference",), "mode_overlap", [True]), (("detector",), "dark_count_prob", False),
+    ])
+    def test_boolean_for_number_exit_code(self, tmp_path, capsys, record, key, value):
+        # JSON true is not 1.0, and "false" is not false
+        cfg = self._small_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        target = raw
+        for step in record:
+            target = target[step]
+        target[key] = value
+        cfg.write_text(json.dumps(raw))
+        out, report = tmp_path / "counts.json", tmp_path / "report.json"
+        assert main(["simulate", str(cfg), "--pulses", "500000", "--settings", "Z",
+                     "--out", str(out), "--report", str(report)]) == EXIT_SCHEMA
+        assert key in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
+
     @pytest.mark.parametrize("settings", ["M42", "X", "Z,M0,Z", "M01", "M10", "Z,"])
     def test_bad_settings_rejected_before_simulation(self, tmp_path, monkeypatch,
                                                      settings):
@@ -642,6 +664,9 @@ class TestCrystalCommands:
         ("d_eff_pm_v", float("nan")), ("length_mm", float("inf")),
         ("n_idler", float("nan")), ("omega", float("inf")),
         ("delta_walkoff", float("nan")),
+        # JSON true is not a number either
+        *((field, True) for field in ("d_eff_pm_v", "length_mm", "n_pump", "n_signal",
+                                      "n_idler", "delta_walkoff", "omega")),
     ])
     def test_rate_ratio_inputs_non_finite_exit_code(self, tmp_path, capsys, field, value):
         inputs = json.loads(resources.files("spdclab.data")

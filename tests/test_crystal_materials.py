@@ -23,7 +23,7 @@ class TestLoading:
 
 class TestSellmeier:
     def test_bbo_ordinary_index_at_780(self, bbo):
-        n_o = bbo.sellmeier.axis_index("o", 780.0)
+        n_o = bbo.sellmeier.principal_indices(780.0)[0]
         assert abs(n_o - 1.66) / 1.66 < 0.01
 
     def test_biaxial_ordering_everywhere(self, bibo):
@@ -38,7 +38,7 @@ class TestSellmeier:
 
     def test_out_of_range_rejected(self, bbo, bibo):
         with pytest.raises(ValueError, match="outside"):
-            bbo.sellmeier.axis_index("o", 2000.0)
+            bbo.sellmeier.principal_indices(2000.0)
         with pytest.raises(ValueError, match="outside"):
             bibo.sellmeier.principal_indices(150.0)
 

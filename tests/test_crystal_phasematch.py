@@ -36,11 +36,6 @@ class TestCollinearCurve:
         for s in bibo_curve:
             assert abs(s.delta_k_residual) < crystal.DELTA_K_TOL
 
-    def test_energy_conservation_validated(self, bibo_curve):
-        s = bibo_curve[0]
-        inv = 1 / s.pump_wavelength_nm
-        assert abs(inv - 1 / s.signal_wavelength_nm - 1 / s.idler_wavelength_nm) < 1e-9
-
     def test_bibo_max_d_eff(self, bibo_curve):
         best = max(s.d_eff_pm_v for s in bibo_curve)
         assert abs(best - 1.94) / 1.94 < 0.10

@@ -10,21 +10,21 @@ from spdclab.qstate import (
     FusionNetwork,
     GlobalOperator,
     PairSource,
-    apply_local,
+    PureState,
     expectation,
     fuse_and_postselect,
     ghz_state,
-    half_waveplate,
+    mk_eigenbasis,
     mk_operator,
     reference_network,
-    pauli_x,
-    pauli_y,
-    pauli_z,
-    rotation,
     witness_decomposition,
 )
 
 ATOL = 1e-12
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: every listing of the default chain: each order of its links, each link either way round
 LISTED_CHAINS = [
@@ -57,21 +57,55 @@ class TestGhzState:
             ghz_state(n)
 
 
+class TestPureStateChecks:
+    @pytest.mark.parametrize("size", [0, 3, 6, 12])
+    def test_length_not_power_of_two(self, size):
+        with pytest.raises(ValueError):
+            PureState(np.ones(size) / np.sqrt(max(size, 1)))
+
+    def test_not_normalized(self):
+        with pytest.raises(ValueError, match="normalized"):
+            PureState(np.array([1.0, 1.0]))
+
+    def test_beyond_dense_cap(self):
+        with pytest.raises(ValueError, match="1..12 modes"):
+            PureState(np.ones(2**13) / np.sqrt(2**13))
+
+    def test_mode_m_is_axis_m_minus_1(self):
+        # outcome 'HV' (index 1): mode 1 carries H, mode 2 carries V
+        st = PureState(np.array([0.0, 1.0, 0.0, 0.0]))
+        assert st.n_modes == 2 and qstate.basis_labels(2)[1] == "HV"
+        eye = np.eye(2)
+        assert expectation(st, GlobalOperator(2, ((1.0, (PAULI_Z, eye)),))) == 1.0
+        assert expectation(st, GlobalOperator(2, ((1.0, (eye, PAULI_Z)),))) == -1.0
+
+
+class TestGlobalOperatorChecks:
+    def test_wrong_factor_count(self):
+        with pytest.raises(ValueError, match="one local factor per mode"):
+            GlobalOperator(3, ((1.0, (PAULI_Z, PAULI_Z)),))
+
+    @pytest.mark.parametrize("bad", [np.eye(3), np.ones(2), np.ones((2, 2, 1))])
+    def test_factor_not_2x2(self, bad):
+        with pytest.raises(ValueError, match="2x2"):
+            GlobalOperator(2, ((1.0, (PAULI_Z, bad)),))
+
+
 class TestMkOperator:
     def test_k0_is_pauli_x(self):
-        assert np.allclose(mk_operator(0, 10).matrix, pauli_x().matrix, atol=ATOL)
+        assert np.allclose(mk_operator(0, 10), PAULI_X, atol=ATOL)
 
     def test_k5_n10_is_pauli_y(self):
-        assert np.allclose(mk_operator(5, 10).matrix, pauli_y().matrix, atol=ATOL)
+        assert np.allclose(mk_operator(5, 10), PAULI_Y, atol=ATOL)
 
     def test_k1_n4_is_diagonal_combination(self):
-        expect = (pauli_x().matrix + pauli_y().matrix) / np.sqrt(2)
-        assert np.allclose(mk_operator(1, 4).matrix, expect, atol=ATOL)
+        expect = (PAULI_X + PAULI_Y) / np.sqrt(2)
+        assert np.allclose(mk_operator(1, 4), expect, atol=ATOL)
 
     @pytest.mark.parametrize("n", [2, 5, 10])
     def test_hermitian_involutory_traceless(self, n):
         for k in range(n):
-            m = mk_operator(k, n).matrix
+            m = mk_operator(k, n)
             assert np.allclose(m, m.conj().T, atol=ATOL)
             assert np.allclose(m @ m, np.eye(2), atol=ATOL)
             assert abs(np.trace(m)) < ATOL
@@ -82,6 +116,14 @@ class TestMkOperator:
     def test_domain_errors(self, k, n):
         with pytest.raises(ValueError):
             mk_operator(k, n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_eigenbasis_columns_are_eigenvectors(self, n):
+        # the simulator measures through mk_eigenbasis, the witness oracle through mk_operator
+        for k in range(n):
+            m, basis = mk_operator(k, n), mk_eigenbasis(k, n)
+            for column, eigenvalue in zip(basis.T, (1.0, -1.0)):
+                assert np.allclose(m @ column, eigenvalue * column, atol=ATOL)
 
 
 class TestWitnessDecomposition:
@@ -123,7 +165,7 @@ class TestExpectation:
 
     def test_pauli_z_tensor_is_one(self):
         st = ghz_state(10)
-        assert abs(expectation(st, _tensor_op(pauli_z(), 10)) - 1.0) < 1e-10
+        assert abs(expectation(st, _tensor_op(PAULI_Z, 10)) - 1.0) < 1e-10
 
     def test_witness_on_ghz_is_one(self):
         st = ghz_state(10)
@@ -134,43 +176,9 @@ class TestExpectation:
             expectation(ghz_state(3), witness_decomposition(4))
 
     def test_non_hermitian_rejected(self):
-        bad = qstate.LocalOperator(np.array([[0, 1], [0, 0]]), "rotation")
+        bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
             expectation(ghz_state(2), GlobalOperator(2, ((1.0, (bad, bad)),)))
-
-
-class TestApplyLocal:
-    def test_hwp_at_45_flips_h_to_v(self):
-        st = qstate.PureState((1,), np.array([1.0, 0.0], dtype=complex))
-        out = apply_local(st, 1, half_waveplate(np.pi / 4))
-        assert np.allclose(out.amps, [0.0, 1.0], atol=ATOL)
-
-    def test_rotating_both_modes_swaps_pair_branches(self):
-        theta = 0.37
-        st, _ = fuse_and_postselect(FusionNetwork((PairSource(theta),), ((1, 2),)))
-        out = apply_local(apply_local(st, 1, rotation(np.pi / 2)), 2, rotation(np.pi / 2))
-        out = qstate.canonical_phase(out)
-        assert abs(out.amps[0] - np.sin(theta)) < ATOL   # HH amplitude
-        assert abs(out.amps[3] - np.cos(theta)) < ATOL   # VV amplitude
-
-    def test_identity_rotation_is_noop(self):
-        st = ghz_state(3)
-        out = apply_local(st, 2, rotation(0.0))
-        assert np.allclose(out.amps, st.amps, atol=ATOL)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            apply_local(ghz_state(2), 99, rotation(0.1))
-
-    def test_norm_preserved_under_random_unitaries(self):
-        rng = np.random.default_rng(7)
-        st = ghz_state(4)
-        for _ in range(25):
-            mode = int(rng.integers(1, 5))
-            op = rotation(rng.uniform(0, 2 * np.pi)) if rng.random() < 0.5 \
-                else half_waveplate(rng.uniform(0, np.pi))
-            st = apply_local(st, mode, op)
-            assert abs(np.linalg.norm(st.amps) - 1.0) < ATOL
 
 
 class TestFusion:
@@ -243,6 +251,6 @@ class TestBasisHelpers:
         assert abs(probs.sum() - 1.0) < ATOL
 
     def test_canonical_phase(self):
-        st = qstate.PureState((1,), np.array([-1j * 2**-0.5, 1j * 2**-0.5]))
+        st = PureState(np.array([-1j * 2**-0.5, 1j * 2**-0.5]))
         out = qstate.canonical_phase(st)
         assert out.amps[0].real > 0 and abs(out.amps[0].imag) < ATOL

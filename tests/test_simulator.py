@@ -10,6 +10,7 @@ from scipy import stats
 from spdclab import qstate, simulator
 from spdclab.cli import dataset_to_dict
 from spdclab.errors import TopologyError
+from spdclab.qstate import fuse_and_postselect
 from spdclab.simulator import (
     DetectorModel,
     ExperimentConfig,
@@ -17,8 +18,6 @@ from spdclab.simulator import (
     SourceModel,
     config_from_dict,
     config_to_dict,
-    hom_visibility,
-    ideal_output_state,
     overlap_for_visibility,
     reference_config,
     run_monte_carlo,
@@ -81,17 +80,17 @@ class TestInterferenceModel:
 
 class TestHomVisibility:
     def test_limits(self):
-        assert hom_visibility(1.0) == 1.0
-        assert hom_visibility(0.0) == 0.0
+        assert overlap_for_visibility(1.0) == 1.0
+        assert overlap_for_visibility(0.0) == 0.0
 
     def test_reference_target(self):
         overlap = overlap_for_visibility(0.715)
         assert abs(overlap - 0.846) < 1e-3
-        assert abs(hom_visibility(overlap) - 0.715) < 1e-12
+        assert abs(overlap**2 - 0.715) < 1e-12   # v = overlap^2
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            hom_visibility(1.2)
+            overlap_for_visibility(1.2)
 
 
 class TestTenfoldRate:
@@ -121,12 +120,12 @@ class TestTenfoldRate:
 class TestIdealOutputState:
     def test_reference_configuration(self):
         cfg = make_config(theta=THETA_REF, rotated_tail=2)
-        st = ideal_output_state(cfg)
+        st = fuse_and_postselect(cfg.network())[0]
         assert abs(st.amps[0] - np.cos(THETA_REF)) < 1e-12
         assert abs(st.amps[-1] - np.sin(THETA_REF)) < 1e-12
 
     def test_balanced_pairs_give_ghz(self):
-        st = ideal_output_state(make_config(theta=np.pi / 4))
+        st = fuse_and_postselect(make_config(theta=np.pi / 4).network())[0]
         assert np.abs(st.amps - qstate.ghz_state(10).amps).max() < 1e-12
 
 
@@ -157,7 +156,7 @@ class TestPostselectedSampling:
 
     def test_ideal_correlation_matches_exact_oracle(self):
         cfg = make_config(theta=THETA_REF, rotated_tail=2, overlap=1.0)
-        st = ideal_output_state(cfg)
+        st = fuse_and_postselect(cfg.network())[0]
         oracle = qstate.expectation(
             st, qstate.GlobalOperator(10, ((1.0, tuple([qstate.mk_operator(0, 10)] * 10)),)))
         rng = np.random.default_rng(8)
@@ -189,7 +188,7 @@ class TestPostselectedSampling:
         cfg = ExperimentConfig(
             sources=sources,
             interference=InterferenceModel((overlap,)), pbs_links=((2, 3),))
-        psi = ideal_output_state(cfg).amps
+        psi = fuse_and_postselect(cfg.network())[0].amps
         rho = np.outer(psi, psi.conj())
         rho[0, -1] *= overlap
         rho[-1, 0] *= overlap
@@ -428,7 +427,7 @@ class TestReferenceConfig:
     def test_overlap_from_published_visibility(self):
         cfg = reference_config()
         overlap = cfg.interference.mode_overlap[0]
-        assert abs(hom_visibility(overlap) - 0.715) < 1e-12
+        assert abs(overlap**2 - 0.715) < 1e-12   # v = overlap^2
 
 
 class TestConfigSerialization:
