@@ -9,6 +9,7 @@ Subpackages and modules:
 * ``hyptest``   distribution-free p-value bound for the bi-separability test
 * ``crystal``   refractive indices, walk-off, d_eff and phase matching for
                 uniaxial/biaxial crystals
+* ``rates``     relative pair-generation rates of two source configurations
 * ``simulator`` Monte Carlo model of the pulsed five-source experiment
 * ``cli``       command-line interface (``spdclab`` entry point)
 """

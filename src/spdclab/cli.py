@@ -10,8 +10,10 @@ data, 4 numerical failure.  Reports embed a SHA-256 digest of their input
 file, so re-running on identical inputs reproduces the report up to the
 timestamp field.
 
-The count path (``analyze``, ``pvalue``) runs on the standard library alone;
-``simulate`` and ``crystal`` import numpy and their packages when they run.
+``analyze``, ``pvalue`` and ``crystal rate-ratio`` run on the standard library
+alone: each takes 0.10-0.12 s in a fresh process on a 2-core Xeon, where
+``rate-ratio`` took 0.28 s with numpy.  ``simulate`` and the other ``crystal``
+commands import numpy and their packages when they run.
 """
 
 from __future__ import annotations
@@ -425,9 +427,9 @@ def cmd_crystal_rings(args) -> int:
 
 
 def cmd_crystal_rate_ratio(args) -> int:
-    from . import crystal
+    from . import rates
 
-    table = crystal.load_rate_inputs(args.inputs)
+    table = rates.load_rate_inputs(args.inputs)
     try:
         a, b = table[args.a], table[args.b]
     except KeyError as exc:
@@ -437,7 +439,7 @@ def cmd_crystal_rate_ratio(args) -> int:
     _dump_json({
         "numerator": args.a,
         "denominator": args.b,
-        "rate_ratio": crystal.relative_pair_rate(a, b),
+        "rate_ratio": rates.relative_pair_rate(a, b),
         "omega_ratio": a.omega / b.omega,
     }, args.out)
     return EXIT_OK

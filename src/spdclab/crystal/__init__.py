@@ -1,5 +1,7 @@
 """Nonlinear-crystal phase matching for type-II down-conversion sources."""
 
+# the rate formula lives in ``spdclab.rates`` (no numpy); re-exported here unchanged
+from ..rates import RateInputs, load_rate_inputs, relative_pair_rate
 from .materials import (
     BIAXIAL,
     UNIAXIAL,
@@ -28,16 +30,10 @@ from .phasematch import (
     collinear_mismatch,
     cut_for_arm_opening,
     noncollinear_arms,
+    pair_state_angle,
     phase_match_collinear,
     spdc_rings,
     spectral_fwhm,
-)
-from .rates import (
-    RateInputs,
-    back_solve_omega_ratio,
-    load_rate_inputs,
-    pair_state_angle,
-    relative_pair_rate,
 )
 
 __all__ = [
@@ -47,7 +43,7 @@ __all__ = [
     "solve_waves", "walkoff_angle",
     "DELTA_K_TOL", "NoncollinearArms", "PhaseMatchSolution", "RingCloud",
     "collinear_d_eff", "collinear_mismatch", "cut_for_arm_opening",
-    "noncollinear_arms", "phase_match_collinear", "spdc_rings", "spectral_fwhm",
-    "RateInputs", "back_solve_omega_ratio", "load_rate_inputs",
-    "pair_state_angle", "relative_pair_rate",
+    "noncollinear_arms", "pair_state_angle", "phase_match_collinear",
+    "spdc_rings", "spectral_fwhm",
+    "RateInputs", "load_rate_inputs", "relative_pair_rate",
 ]

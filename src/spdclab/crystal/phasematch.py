@@ -426,6 +426,18 @@ def noncollinear_arms(crystal: CrystalData, cut: CrystalCut,
     )
 
 
+def pair_state_angle(d_eff_arm_i: float, d_eff_arm_j: float) -> float:
+    """State angle of cos(theta)|HH> + sin(theta)|VV> from the arm nonlinearities.
+
+    The two polarization orderings are generated with amplitudes
+    proportional to their effective nonlinearities, so
+    theta = arctan(d_i / d_j).
+    """
+    if d_eff_arm_i < 0 or d_eff_arm_j < 0:
+        raise ValueError("arm nonlinearities are magnitudes, must be >= 0")
+    return float(np.arctan2(d_eff_arm_i, d_eff_arm_j))
+
+
 def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
                         external_half_angle_deg: float = 3.0,
                         phi: float = 0.0, length_mm: float = 2.0) -> CrystalCut:

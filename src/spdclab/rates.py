@@ -1,6 +1,6 @@
-"""Relative pair-generation rates and the entangled-pair state angle.
+"""Relative pair-generation rates of two down-conversion source configurations.
 
-The relative total pair rate of two source configurations follows
+The relative total pair rate of two configurations follows
 
     R_a / R_b = (d_a/d_b)^2 (L_a/L_b)
                 * [n_p n_s n_i (n_i - n_s)]_b / [n_p n_s n_i (n_i - n_s)]_a
@@ -8,20 +8,21 @@ The relative total pair rate of two source configurations follows
 
 where Omega is a dimensionless spectral integral that depends on the
 walk-off parameter Delta.  No closed form for Omega is implemented; it is
-an input, optionally back-solved from a measured or published rate ratio.
+an input.  The shipped BiBO Omega was back-solved once so that the formula
+reproduces the published ratio 0.424, as the data file's note says.
+
+Standard library only: ``crystal rate-ratio`` runs without numpy.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from ..errors import SchemaError
-from ..witness import _is_finite_real
+from .errors import SchemaError
+from .witness import _is_finite_real
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class RateInputs:
     n_signal: float
     n_idler: float
     delta_walkoff: float = 0.0    # walk-off parameter feeding Omega (informational)
-    omega: float = 1.0            # spectral integral, supplied or back-solved
+    omega: float = 1.0            # spectral integral, an input
 
     def __post_init__(self):
         for f in fields(self)[1:]:      # every field after the label is a number
@@ -44,6 +45,9 @@ class RateInputs:
         for name in ("n_pump", "n_signal", "n_idler"):
             if getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must exceed 1")
+        # the index factor's (n_i - n_s) must be positive for a positive rate
+        if self.n_idler <= self.n_signal:
+            raise ValueError("n_idler must exceed n_signal")
         if self.length_mm <= 0 or self.d_eff_pm_v <= 0 or self.omega <= 0:
             raise ValueError("d_eff, length and omega must be positive")
 
@@ -53,33 +57,10 @@ class RateInputs:
 
 def relative_pair_rate(a: RateInputs, b: RateInputs) -> float:
     """R_a / R_b per the rate formula above."""
-    fa, fb = a.index_factor(), b.index_factor()
-    if fa == 0.0:
-        raise ZeroDivisionError(
-            f"{a.label}: n_idler equals n_signal; rate formula is singular"
-        )
     return ((a.d_eff_pm_v / b.d_eff_pm_v) ** 2
             * (a.length_mm / b.length_mm)
-            * (fb / fa)
+            * (b.index_factor() / a.index_factor())
             * (a.omega / b.omega))
-
-
-def back_solve_omega_ratio(target_ratio: float, a: RateInputs, b: RateInputs) -> float:
-    """Omega_a / Omega_b that makes relative_pair_rate(a, b) equal target_ratio."""
-    base = relative_pair_rate(replace(a, omega=1.0), replace(b, omega=1.0))
-    return target_ratio / base
-
-
-def pair_state_angle(d_eff_arm_i: float, d_eff_arm_j: float) -> float:
-    """State angle of cos(theta)|HH> + sin(theta)|VV> from the arm nonlinearities.
-
-    The two polarization orderings are generated with amplitudes
-    proportional to their effective nonlinearities, so
-    theta = arctan(d_i / d_j).
-    """
-    if d_eff_arm_i < 0 or d_eff_arm_j < 0:
-        raise ValueError("arm nonlinearities are magnitudes, must be >= 0")
-    return float(np.arctan2(d_eff_arm_i, d_eff_arm_j))
 
 
 def load_rate_inputs(path: str | None = None) -> dict:

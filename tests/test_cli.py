@@ -565,14 +565,23 @@ class TestCrystalCommands:
                      "--a", "a", "--b", "b"]) == EXIT_SCHEMA
         assert "schema error" in capsys.readouterr().err
 
-    def test_rate_ratio_inputs_out_of_range_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("config", ["bibo_0p6mm", "bbo_2mm"], ids=["a", "b"])
+    @pytest.mark.parametrize("case", ["n_pump_below_1", "n_idler_equal", "n_idler_inverted"])
+    def test_rate_ratio_inputs_out_of_range_exit_code(self, tmp_path, capsys, case, config):
         inputs = json.loads(resources.files("spdclab.data")
                             .joinpath("pair_rate_inputs.json").read_text())
-        next(iter(inputs["configurations"].values()))["n_pump"] = 0.9
+        rec = inputs["configurations"][config]
+        field, value = {"n_pump_below_1": ("n_pump", 0.9),
+                        "n_idler_equal": ("n_idler", rec["n_signal"]),
+                        "n_idler_inverted": ("n_idler", rec["n_signal"] - 0.05)}[case]
+        rec[field] = value
         path = tmp_path / "inputs.json"
         path.write_text(json.dumps(inputs))
-        assert main(["crystal", "rate-ratio", "--inputs", str(path)]) == EXIT_SCHEMA
-        assert "n_pump" in capsys.readouterr().err
+        out = tmp_path / "ratio.json"
+        assert main(["crystal", "rate-ratio", "--inputs", str(path),
+                     "--out", str(out)]) == EXIT_SCHEMA
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["summary", "rings"])
     @pytest.mark.parametrize("length", ["nan", "inf", "-inf", "0"])
@@ -820,10 +829,13 @@ def test_cli_import_loads_no_scipy():
 _COUNT_PATH_DRIVER = """
 import sys
 from spdclab import cli
-counts, ledger, out = sys.argv[1:]
+counts, ledger, rate_inputs, out = sys.argv[1:]
 assert cli.main(["analyze", counts, "--out", out + "/report.json",
                  "--plot-data", out + "/plots"]) == 0
 assert cli.main(["pvalue", ledger, "--out", out + "/pvalue.json"]) == 0
+assert cli.main(["crystal", "rate-ratio", "--out", out + "/ratio.json"]) == 0
+assert cli.main(["crystal", "rate-ratio", "--inputs", rate_inputs,
+                 "--a", "bbo_2mm", "--b", "bibo_0p6mm", "--out", out + "/inverse.json"]) == 0
 try:
     cli.main(["--version"])
 except SystemExit as exc:
@@ -834,6 +846,12 @@ print(sorted(m for m in ("numpy", "spdclab.crystal", "spdclab.simulator")
 
 
 def test_count_path_imports_no_numpy(recon_file, ledger_file, tmp_path):
-    """``analyze``, ``pvalue`` and ``--version`` run on the standard library alone."""
-    assert _run_python("-c", _COUNT_PATH_DRIVER, recon_file, ledger_file, tmp_path) == "[]"
+    """``analyze``, ``pvalue``, ``crystal rate-ratio`` and ``--version`` run on the
+    standard library alone."""
+    rate_inputs = shipped_path(tmp_path, "pair_rate_inputs.json")
+    assert _run_python("-c", _COUNT_PATH_DRIVER, recon_file, ledger_file, rate_inputs,
+                       tmp_path) == "[]"
     assert (tmp_path / "plots" / "mk_expectations.csv").is_file()
+    ratio = json.loads((tmp_path / "ratio.json").read_text())["rate_ratio"]
+    inverse = json.loads((tmp_path / "inverse.json").read_text())["rate_ratio"]
+    assert abs(ratio - 0.424) < 1e-12 and abs(ratio * inverse - 1.0) < 1e-12

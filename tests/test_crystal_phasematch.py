@@ -361,14 +361,13 @@ class TestBatchedRootFinder:
     """The batched bracketed solver against scipy's brentq as the oracle."""
 
     @staticmethod
-    def _oracle_roots(f_vec, grid, xtol):
-        """First bracket on ``grid`` refined by brentq; None without a bracket."""
-        vals = f_vec(grid)
+    def _oracle_root(f, grid, vals, xtol):
+        """First bracket of ``vals`` (f on ``grid``) refined by brentq on the scalar f;
+        None without a bracket."""
         for i in range(grid.size - 1):
             if np.isnan(vals[i + 1]):
                 continue
             if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-                f = lambda x: float(f_vec(np.array([x]))[0])
                 return brentq(f, grid[i], grid[i + 1], xtol=xtol)
         return None
 
@@ -390,10 +389,14 @@ class TestBatchedRootFinder:
         branch, psi, lam_s, lam_p = (np.array(col) for col in zip(*rows))
         batched = phasematch.ring_opening_angle(frame, psi, branch, lam_s, lam_p)
         grid = np.linspace(1e-5, 0.20, 40)
-        for (b, ps, ls, lp), got in zip(rows, batched):
-            k_p = frame.k_pump(lp)
-            want = self._oracle_roots(
-                lambda om: phasematch._ring_mismatch(frame, om, ps, ls, lp, b, k_p), grid, 1e-11)
+        k_p = frame.k_pump(lam_p)
+        # the bracket scan of every row in one call; brentq refines each row alone
+        scans = phasematch._ring_mismatch(frame, grid, psi[:, None], lam_s[:, None],
+                                          lam_p[:, None], branch[:, None], k_p[:, None])
+        for (b, ps, ls, lp), kp, vals, got in zip(rows, k_p, scans, batched):
+            want = self._oracle_root(
+                lambda om: phasematch._ring_mismatch(frame, om, ps, ls, lp, b, kp),
+                grid, vals, 1e-11)
             assert want is not None and abs(got - want) < 2e-11
         # scalar arguments keep the scalar form
         one = phasematch.ring_opening_angle(frame, psi[7], branch[7], lam_s[7], lam_p[7])
@@ -436,9 +439,8 @@ class TestBatchedRootFinder:
         thetas = np.arange(th_lo, th_hi, np.radians(0.5))
         want = {}
         for phi in np.radians(np.arange(0.0, 90.0 + 1e-9, 1.0)):
-            root = self._oracle_roots(
-                lambda th: phasematch.collinear_mismatch(crys.sellmeier, th, phi, 390.0),
-                thetas, 1e-12)
+            f = lambda th: phasematch.collinear_mismatch(crys.sellmeier, th, phi, 390.0)
+            root = self._oracle_root(f, thetas, f(thetas), 1e-12)
             if root is not None:
                 want[float(phi)] = root
         assert [s.phi for s in curve] == list(want)

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from spdclab.crystal import (
-    RateInputs,
-    back_solve_omega_ratio,
-    load_rate_inputs,
-    pair_state_angle,
-    relative_pair_rate,
-)
+from spdclab.crystal import pair_state_angle
+from spdclab.rates import RateInputs, load_rate_inputs, relative_pair_rate
 
 SEVEN_PI_30 = 7 * np.pi / 30
 
@@ -58,20 +53,11 @@ class TestRelativePairRate:
                              a.n_signal, a.n_idler, a.delta_walkoff, a.omega)
         assert abs(relative_pair_rate(shorter, a) - 0.5) < 1e-12
 
-    def test_singular_when_indices_degenerate(self, shipped_inputs):
-        bad = RateInputs("degenerate", 1.0, 1.0, 1.6, 1.7, 1.7)
-        with pytest.raises(ZeroDivisionError):
-            relative_pair_rate(bad, shipped_inputs["bbo_2mm"])
-
-    def test_back_solve_roundtrip(self, shipped_inputs):
-        a = shipped_inputs["bibo_0p6mm"]
-        b = shipped_inputs["bbo_2mm"]
-        target = 0.37
-        ratio = back_solve_omega_ratio(target, a, b)
-        solved = RateInputs(a.label, a.d_eff_pm_v, a.length_mm, a.n_pump,
-                            a.n_signal, a.n_idler, a.delta_walkoff,
-                            omega=ratio * b.omega)
-        assert abs(relative_pair_rate(solved, b) - target) < 1e-12
+    def test_singular_when_indices_degenerate(self):
+        # n_idler == n_signal zero-divides the rate; n_idler < n_signal makes it negative
+        for n_idler in (1.7, 1.65):
+            with pytest.raises(ValueError, match="n_idler must exceed n_signal"):
+                RateInputs("degenerate", 1.0, 1.0, 1.6, 1.7, n_idler)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
