@@ -58,8 +58,8 @@ class SellmeierSet:
         object.__setattr__(self, "_principal_at", functools.lru_cache(maxsize=64)(
             self._principal_at_one))
 
-    def _indices(self, coefficients, wavelength_nm) -> np.ndarray:
-        """Indices for (A, B, C, D) rows of shape (4, k); (..., k) per wavelength."""
+    def _indices(self, wavelength_nm) -> np.ndarray:
+        """(n_x, n_y, n_z) from the principal coefficients; (..., 3) per wavelength."""
         lam_nm = np.asarray(wavelength_nm, dtype=float)
         lam = lam_nm[..., None] * 1e-3
         lo, hi = self.valid_range_um
@@ -69,7 +69,7 @@ class SellmeierSet:
                 f"{self.species}: {lam_nm[~inside[..., 0]].flat[0]} nm outside "
                 f"the Sellmeier validity range [{lo*1e3:.0f}, {hi*1e3:.0f}] nm"
             )
-        a, b, c, d = coefficients
+        a, b, c, d = self._principal_coefficients
         n_sq = a + b / (lam * lam - c) - d * lam * lam
         physical = n_sq > 1.0
         if not physical.all():
@@ -78,7 +78,7 @@ class SellmeierSet:
         return np.sqrt(n_sq)
 
     def _principal_at_one(self, wavelength_nm: float) -> np.ndarray:
-        n = self._indices(self._principal_coefficients, wavelength_nm)
+        n = self._indices(wavelength_nm)
         n.setflags(write=False)  # shared by every later call at this wavelength
         return n
 
@@ -91,7 +91,7 @@ class SellmeierSet:
         lam = np.asarray(wavelength_nm, dtype=float)
         if lam.ndim == 0:
             return self._principal_at(float(lam))
-        return self._indices(self._principal_coefficients, lam)
+        return self._indices(lam)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ There is one solver, a batched eigen-solve over (N, 3) directions at one
 wavelength or at an (N,) array of wavelengths, one per direction.
 :func:`index_batch` returns its two index arrays: use it wherever only
 indices or wave numbers are needed (scans, root-find residuals).
-:func:`solve_waves` wraps it for one direction and adds D, E and walk-off,
+:func:`solve_waves` wraps it for one direction and adds D and walk-off,
 which cost more; use it only where those are needed (d_eff, walk-offs).
 """
 
@@ -35,14 +35,10 @@ SLOW = "slow"
 class WaveSolution:
     """Both eigenwaves for one (direction, wavelength)."""
 
-    direction: np.ndarray
-    wavelength_nm: float
     n_fast: float
     n_slow: float
     d_fast: np.ndarray
     d_slow: np.ndarray
-    e_fast: np.ndarray
-    e_slow: np.ndarray
     walkoff_fast: float
     walkoff_slow: float
 
@@ -101,7 +97,7 @@ def _eigensystem(sellmeier: SellmeierSet, directions, wavelength_nm) -> tuple:
     """The batched eigen-solve over an (N, 3) block of directions.
 
     ``wavelength_nm`` is one wavelength or an (N,) array, one per row.
-    Returns the unit directions, their frames, eps^-1 (shape (3,) or
+    Returns the frames of the unit directions, eps^-1 (shape (3,) or
     (N, 3)), the transverse restriction (m11, m22, m12) of eps^-1 per row
     and its eigenvalues (u_fast, u_slow).
     """
@@ -115,7 +111,7 @@ def _eigensystem(sellmeier: SellmeierSet, directions, wavelength_nm) -> tuple:
     m12 = np.einsum("ij,ij->i", e1, t2)
     mean = 0.5 * (m11 + m22)
     radius = np.hypot(0.5 * (m11 - m22), m12)
-    return s, t1, t2, eps_inv, (m11, m22, m12), (mean + radius, mean - radius)
+    return t1, t2, eps_inv, (m11, m22, m12), (mean + radius, mean - radius)
 
 
 def index_batch(sellmeier: SellmeierSet, directions: np.ndarray, wavelength_nm):
@@ -128,10 +124,10 @@ def index_batch(sellmeier: SellmeierSet, directions: np.ndarray, wavelength_nm):
 
 
 def solve_waves(sellmeier: SellmeierSet, direction, wavelength_nm: float) -> WaveSolution:
-    """Both eigenwaves, with D, E and walk-off, for one propagation direction."""
-    s, t1, t2, eps_inv, m, u = _eigensystem(
+    """Both eigenwaves, with D and walk-off, for one propagation direction."""
+    t1, t2, eps_inv, m, u = _eigensystem(
         sellmeier, np.reshape(direction, (1, 3)), wavelength_nm)
-    s, t1, t2 = s[0], t1[0], t2[0]
+    t1, t2 = t1[0], t2[0]
     m11, m22, m12 = (float(x[0]) for x in m)
 
     def branch(u):
@@ -144,15 +140,12 @@ def solve_waves(sellmeier: SellmeierSet, direction, wavelength_nm: float) -> Wav
         d = v[0] * t1 + v[1] * t2
         e = _unit(eps_inv * d)
         walk = float(np.arccos(np.clip(np.dot(d, e), -1.0, 1.0)))
-        return n, d, e, walk
+        return n, d, walk
 
-    nf, df, ef, wf = branch(float(u[0][0]))
-    ns, ds, es, ws = branch(float(u[1][0]))
-    return WaveSolution(
-        direction=s, wavelength_nm=wavelength_nm,
-        n_fast=nf, n_slow=ns, d_fast=df, d_slow=ds, e_fast=ef, e_slow=es,
-        walkoff_fast=wf, walkoff_slow=ws,
-    )
+    nf, df, wf = branch(float(u[0][0]))
+    ns, ds, ws = branch(float(u[1][0]))
+    return WaveSolution(n_fast=nf, n_slow=ns, d_fast=df, d_slow=ds,
+                        walkoff_fast=wf, walkoff_slow=ws)
 
 
 def refractive_indices(sellmeier: SellmeierSet, direction, wavelength_nm: float):

@@ -63,9 +63,6 @@ class PhaseMatchSolution:
     d_eff_pm_v: float
     walkoff_fast: float
     walkoff_slow: float
-    n_pump: float
-    n_signal: float
-    n_idler: float
 
 
 def _wave_numbers(sellmeier: SellmeierSet, directions: np.ndarray,
@@ -224,7 +221,6 @@ def phase_match_collinear(
             delta_k_residual=float(dk),
             d_eff_pm_v=collinear_d_eff(crystal, pump, down),
             walkoff_fast=down.walkoff_fast, walkoff_slow=down.walkoff_slow,
-            n_pump=pump.n_fast, n_signal=down.n_fast, n_idler=down.n_slow,
         ))
     return samples
 
@@ -247,10 +243,9 @@ class _PumpFrame:
         self.p = np.asarray(pump_dirs, dtype=float).reshape(-1, 3)
         self.e1, self.e2 = transverse_frame(self.p)
 
-    def k_pump(self, pump_nm=None, cut=0):
+    def k_pump(self, pump_nm, cut=0):
         """|k| of the fast pump wave along the pump axis; broadcasts over pump_nm and cut."""
-        lam, cut = np.broadcast_arrays(
-            np.asarray(self.pump_nm if pump_nm is None else pump_nm, dtype=float), cut)
+        lam, cut = np.broadcast_arrays(np.asarray(pump_nm, dtype=float), cut)
         k = _wave_numbers(self.sellmeier, self.p[cut.ravel()], lam.ravel(), FAST)
         return float(k[0]) if lam.ndim == 0 else k.reshape(lam.shape)
 
@@ -485,6 +480,20 @@ def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
 # Emission rings and spectra
 # ---------------------------------------------------------------------------
 
+def _gaussian_samples(center: float, fwhm: float, n: int, half_span: float) -> tuple:
+    """(wavelengths, weights): n samples across center +- half_span sigma of a
+    Gaussian spectrum of the given FWHM, with its unnormalised weights.
+
+    A width whose sigma is not positive (zero, or so small that it underflows)
+    gives the center alone with weight 1: a monochromatic line.
+    """
+    sigma = fwhm / 2.3548
+    if not sigma > 0:
+        return np.array([center]), np.array([1.0])
+    lam = np.linspace(center - half_span * sigma, center + half_span * sigma, n)
+    return lam, np.exp(-0.5 * ((lam - center) / sigma) ** 2)
+
+
 @dataclass(frozen=True)
 class RingCloud:
     """Point cloud of phase-matched emission directions.
@@ -536,23 +545,17 @@ def spdc_rings(crystal: CrystalData, cut: CrystalCut,
     enough for that width to matter.
     """
     frame = _PumpFrame(crystal.sellmeier, cut.direction(), pump_nm)
-    lam0 = 2.0 * pump_nm
-    sig_p = pump_fwhm_nm / 2.3548 if pump_fwhm_nm > 0 else 0.0
-    sig_f = filter_fwhm_nm / 2.3548 if filter_fwhm_nm > 0 else 0.0
-    lam_ps = np.linspace(pump_nm - 2 * sig_p, pump_nm + 2 * sig_p, n_pump) \
-        if sig_p > 0 else np.array([pump_nm])
-    lam_ss = np.linspace(lam0 - 2 * sig_f, lam0 + 2 * sig_f, n_signal) \
-        if sig_f > 0 else np.array([lam0])
+    lam_ss, w_ss = _gaussian_samples(2.0 * pump_nm, filter_fwhm_nm, n_signal, 2.0)
+    lam_ps, w_ps = _gaussian_samples(pump_nm, pump_fwhm_nm, n_pump, 2.0)
     L_um = cut.length_mm * 1e3
-    # one row per (branch, psi, lam_s, lam_p), in that nesting order
-    branch, psi, lam_s, lam_p = (x.ravel() for x in np.meshgrid(
+    # one row per (branch, psi, signal sample, pump sample), in that nesting order
+    branch, psi, i_s, i_p = (x.ravel() for x in np.meshgrid(
         np.array([FAST, SLOW]), np.linspace(0.0, TWO_PI, n_psi, endpoint=False),
-        lam_ss, lam_ps, indexing="ij"))
-    om = ring_opening_angle(frame, psi, branch, lam_s, lam_p)
+        np.arange(lam_ss.size), np.arange(lam_ps.size), indexing="ij"))
+    om = ring_opening_angle(frame, psi, branch, lam_ss[i_s], lam_ps[i_p])
     found = ~np.isnan(om)
-    branch, psi, lam_s, lam_p, om = (x[found] for x in (branch, psi, lam_s, lam_p, om))
-    w_f = np.exp(-0.5 * ((lam_s - lam0) / sig_f) ** 2) if sig_f > 0 else np.ones_like(om)
-    w_p = np.exp(-0.5 * ((lam_p - pump_nm) / sig_p) ** 2) if sig_p > 0 else np.ones_like(om)
+    branch, psi, i_s, i_p, om = (x[found] for x in (branch, psi, i_s, i_p, om))
+    lam_s, lam_p = lam_ss[i_s], lam_ps[i_p]
     # half-max angular half-width of sinc^2(dk_par L/2)
     h = 1e-5
     up, down = _ring_mismatch(frame, om + np.array([[h], [-h]]), psi, lam_s, lam_p, branch)
@@ -563,7 +566,7 @@ def spdc_rings(crystal: CrystalData, cut: CrystalCut,
     opening = np.stack([om, om - half_w, om + half_w], axis=1)
     row, col = np.nonzero(np.stack([np.ones_like(edges), edges, edges], axis=1) & (opening > 0))
     t = frame.transverse(frame.direction(opening[row, col], psi[row]))
-    weight = w_f[row] * w_p[row] * np.array([1.0, 0.5, 0.5])[col]
+    weight = w_ss[i_s[row]] * w_ps[i_p[row]] * np.array([1.0, 0.5, 0.5])[col]
     if not row.size:
         warnings.warn("empty acceptance: no phase-matched directions found")
     return RingCloud(t[:, 0], t[:, 1], lam_s[row], weight, branch[row])
@@ -596,14 +599,8 @@ def spectral_fwhm(crystal: CrystalData, cut: CrystalCut, arm: str = "signal",
     L_um = cut.length_mm * 1e3
     lam0 = 2.0 * pump_nm
     lam_grid = np.linspace(lam0 - span_nm, lam0 + span_nm, n_points)
-    if pump_fwhm_nm > 0:
-        sig = pump_fwhm_nm / 2.3548
-        lam_ps = np.linspace(pump_nm - 2.5 * sig, pump_nm + 2.5 * sig, 7)
-        weights = np.exp(-0.5 * ((lam_ps - pump_nm) / sig) ** 2)
-        weights /= weights.sum()
-    else:
-        lam_ps = np.array([pump_nm])
-        weights = np.array([1.0])
+    lam_ps, weights = _gaussian_samples(pump_nm, pump_fwhm_nm, 7, 2.5)
+    weights /= weights.sum()
     # rows: pump wavelengths; columns: measured-photon wavelengths
     k_p = frame.k_pump(lam_ps)[:, None]
     k_s = _wave_numbers(sel, np.broadcast_to(d_meas, (n_points, 3)), lam_grid, meas_branch)

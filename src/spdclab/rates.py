@@ -67,13 +67,23 @@ def load_rate_inputs(path: str | None = None) -> dict:
     """Rate-formula inputs keyed by configuration label, from ``path`` or the shipped file."""
     source = (Path(path) if path is not None
               else resources.files("spdclab.data").joinpath("pair_rate_inputs.json"))
-    out = {}
     try:
         raw = json.loads(source.read_text(encoding="utf-8"))
-        for key, rec in raw["configurations"].items():
-            out[key] = RateInputs(label=key, **rec)
-    # TypeError covers unknown or missing fields; ValueError covers
-    # undecodable or invalid JSON and RateInputs' own checks
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError) as exc:    # unreadable, undecodable or invalid JSON
         raise SchemaError(f"malformed rate inputs {source}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise SchemaError("rate inputs file must contain a JSON object")
+    configurations = raw.get("configurations")
+    if not isinstance(configurations, dict):
+        raise SchemaError("rate inputs 'configurations' must be a JSON object")
+    out = {}
+    for key, rec in configurations.items():
+        if not isinstance(rec, dict):
+            raise SchemaError(f"rate inputs configuration {key!r} must be a JSON object")
+        try:
+            out[key] = RateInputs(label=key, **rec)
+        # TypeError covers unknown or missing fields; ValueError RateInputs' own checks
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(
+                f"malformed rate inputs {source}: configuration {key!r}: {exc}") from exc
     return out

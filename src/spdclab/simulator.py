@@ -515,6 +515,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse a configuration dict, raising SchemaError on malformed fields."""
+    if not isinstance(raw, dict):
+        raise SchemaError("config file must contain a JSON object")
     try:
         if raw.get("kind", "experiment_config") != "experiment_config":
             raise SchemaError(f"not an experiment_config record: kind={raw.get('kind')!r}")

@@ -200,8 +200,6 @@ class FidelityEstimate:
 
 @dataclass(frozen=True)
 class Verdict:
-    fidelity: float
-    sigma: float
     threshold: float
     sigmas_above: float
     genuine: bool
@@ -255,8 +253,6 @@ def entanglement_verdict(est: FidelityEstimate, threshold: float = 0.5) -> Verdi
         raise ValueError("verdict requires sigma > 0")
     sigmas = (est.value - threshold) / est.sigma
     return Verdict(
-        fidelity=est.value,
-        sigma=est.sigma,
         threshold=threshold,
         sigmas_above=sigmas,
         genuine=bool(est.value > threshold),

@@ -496,6 +496,59 @@ class TestCrystalCommands:
         payload = json.loads(out.read_text())
         assert abs(payload["d_eff_collinear_pm_v"] - 1.15) / 1.15 < 0.10
 
+    def test_summary_at_a_cut_without_arms(self, tmp_path):
+        bibo = crystal.load_crystal("bibo")
+        (coll,) = crystal.phase_match_collinear(bibo, phi_grid=np.radians([55.0]))
+        cut = crystal.CrystalCut(coll.theta + 0.05, coll.phi, bibo.reference_cut.length_mm)
+        out = tmp_path / "summary.json"
+        assert main(["crystal", "summary", "--species", "bibo", "--cut", repr(cut.theta),
+                     repr(cut.phi), "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert list(payload["noncollinear"]) == ["unavailable"]
+        pump, down = (crystal.solve_waves(bibo.sellmeier, cut.direction(), lam)
+                      for lam in (390.0, 780.0))
+        assert payload["indices"] == {"pump_fast": pump.n_fast, "down_fast": down.n_fast,
+                                      "down_slow": down.n_slow}
+
+    @staticmethod
+    def _assert_json_rows_match_csv(rows, csv_text):
+        """The same rows in the same order, keyed by the CSV header, equal at its precision."""
+        header, *lines = csv_text.strip().split("\n")
+        names = header.split(",")
+        assert len(rows) == len(lines) > 0
+        for row, line in zip(rows, lines):
+            assert sorted(row) == sorted(names)
+            for name, text in zip(names, line.split(",")):
+                if isinstance(row[name], str):
+                    assert row[name] == text
+                    continue
+                mantissa, exponent, _ = text.partition("e")
+                spec = f".{len(mantissa.partition('.')[2])}{'e' if exponent else 'f'}"
+                assert format(row[name], spec) == text, name
+
+    @pytest.mark.parametrize("branch", ["upper", "lower"])
+    def test_curve_json_rows_match_csv(self, tmp_path, branch):
+        argv = ["crystal", "curve", "--species", "bibo", "--branch", branch,
+                "--phi-step", "5"]
+        csv, js = tmp_path / "curve.csv", tmp_path / "curve.json"
+        assert main([*argv, "--out", str(csv)]) == EXIT_OK
+        assert main([*argv, "--format", "json", "--out", str(js)]) == EXIT_OK
+        payload = json.loads(js.read_text())
+        assert (payload["species"], payload["branch"]) == ("BiBO", branch)
+        self._assert_json_rows_match_csv(payload["samples"], csv.read_text())
+
+    @pytest.mark.parametrize("species,widths", [
+        ("bibo", []), ("bbo", ["--pump-fwhm", "0", "--filter-fwhm", "0"])],
+        ids=["bibo_filtered", "bbo_mono"])
+    def test_rings_json_rows_match_csv(self, tmp_path, species, widths):
+        argv = ["crystal", "rings", "--species", species, *widths]
+        csv, js = tmp_path / "rings.csv", tmp_path / "rings.json"
+        assert main([*argv, "--out", str(csv)]) == EXIT_OK
+        assert main([*argv, "--format", "json", "--out", str(js)]) == EXIT_OK
+        payload = json.loads(js.read_text())
+        assert payload["species"] == crystal.load_crystal(species).sellmeier.species
+        self._assert_json_rows_match_csv(payload["points"], csv.read_text())
+
     def test_summary_solves_each_wave_once(self, tmp_path, monkeypatch):
         # the arms' pump (reused as the cut's pump), the two arms' and the cut's down wave
         original = crystal.solve_waves
@@ -563,7 +616,8 @@ class TestCrystalCommands:
         }}))
         assert main(["crystal", "rate-ratio", "--inputs", str(path),
                      "--a", "a", "--b", "b"]) == EXIT_SCHEMA
-        assert "schema error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "schema error" in err and "configuration 'a'" in err
 
     @pytest.mark.parametrize("config", ["bibo_0p6mm", "bbo_2mm"], ids=["a", "b"])
     @pytest.mark.parametrize("case", ["n_pump_below_1", "n_idler_equal", "n_idler_inverted"])
@@ -580,7 +634,8 @@ class TestCrystalCommands:
         out = tmp_path / "ratio.json"
         assert main(["crystal", "rate-ratio", "--inputs", str(path),
                      "--out", str(out)]) == EXIT_SCHEMA
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err and f"configuration {config!r}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["summary", "rings"])
@@ -667,7 +722,8 @@ class TestCrystalCommands:
         path = tmp_path / "inputs.json"
         path.write_text(json.dumps(inputs))
         assert main(["crystal", "rate-ratio", "--inputs", str(path)]) == EXIT_SCHEMA
-        assert "'omegaa'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'omegaa'" in err and "configuration 'bibo_0p6mm'" in err
 
     @pytest.mark.parametrize("field,value", [
         ("d_eff_pm_v", float("nan")), ("length_mm", float("inf")),
@@ -686,7 +742,8 @@ class TestCrystalCommands:
         out = tmp_path / "ratio.json"
         assert main(["crystal", "rate-ratio", "--inputs", str(path),
                      "--out", str(out)]) == EXIT_SCHEMA
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err and "configuration 'bibo_0p6mm'" in err
         assert not out.exists()
 
     def test_out_of_range_wavelength_is_numeric_failure(self):
@@ -796,6 +853,39 @@ def test_failed_write_exit_code(recon_file, ledger_file, config_file, tmp_path, 
     assert proc.returncode == EXIT_SCHEMA
     assert proc.stderr.startswith("schema error: cannot write ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,name,kind", [
+    ("analyze", "tenfold_trial_ledger.json", "count_dataset"),
+    ("pvalue", "tenfold_run_reconstruction.counts.json", "trial_ledger"),
+    ("simulate", "tenfold_run_reconstruction.counts.json", "experiment_config"),
+])
+def test_record_of_the_wrong_kind_exit_code(tmp_path, capsys, command, name, kind):
+    extra = ["--pulses", "10"] if command == "simulate" else []
+    out = tmp_path / "out.json"
+    assert main([command, str(shipped_path(tmp_path, name)), *extra,
+                 "--out", str(out)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: not a") and f" {kind} record: kind=" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    ("simulate {} --pulses 10", [1, 2], "config file must contain a JSON object"),
+    ("simulate {} --pulses 10", "text", "config file must contain a JSON object"),
+    ("crystal rate-ratio --inputs {}", [1, 2], "rate inputs file must contain a JSON object"),
+    ("crystal rate-ratio --inputs {}", "text", "rate inputs file must contain a JSON object"),
+    ("crystal rate-ratio --inputs {}", {"configurations": [1, 2]},
+     "rate inputs 'configurations' must be a JSON object"),
+    ("crystal rate-ratio --inputs {}", {"configurations": {"bbo_2mm": "text"}},
+     "rate inputs configuration 'bbo_2mm' must be a JSON object"),
+], ids=["simulate_list", "simulate_string", "rate_list", "rate_string",
+        "rate_configurations_list", "rate_record_string"])
+def test_non_object_record_exit_code(tmp_path, capsys, argv, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main([arg.format(path) for arg in argv.split()]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"schema error: {message}\n"
 
 
 @pytest.mark.parametrize("case", ["simulate --report", "analyze --plot-data", "analyze --out"])

@@ -317,6 +317,15 @@ class TestSpectralFwhm:
         with pytest.raises(ValueError):
             spectral_fwhm(bibo, bibo.reference_cut, arm="pump")
 
+    def test_subnormal_pump_width_is_monochromatic(self, bibo):
+        # sigma = FWHM / 2.3548 underflows to 0, as for a zero width
+        cut = bibo.reference_cut
+        assert (spectral_fwhm(bibo, cut, pump_fwhm_nm=5e-324)
+                == spectral_fwhm(bibo, cut, pump_fwhm_nm=0.0))
+        kw = dict(n_psi=8, filter_fwhm_nm=0.0)
+        tiny, zero = (spdc_rings(bibo, cut, pump_fwhm_nm=w, **kw) for w in (5e-324, 0.0))
+        assert np.array_equal(tiny.kx, zero.kx) and np.array_equal(tiny.weight, zero.weight)
+
     def test_fwhm_of_profile_interpolates(self):
         x = np.linspace(-2.0, 2.0, 401)
         width = phasematch._fwhm_of_profile(x, np.exp(-0.5 * x**2))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import time
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -431,6 +432,12 @@ class TestReferenceConfig:
 
 
 class TestConfigSerialization:
+    def test_shipped_reference_file_is_the_reference_config(self):
+        raw = json.loads(resources.files("spdclab.data")
+                         .joinpath("reference_tenfold_config.json").read_text())
+        raw.pop("notes")
+        assert raw == config_to_dict(reference_config())
+
     def test_roundtrip(self):
         cfg = reference_config(seed=33)
         clone = config_from_dict(config_to_dict(cfg))
