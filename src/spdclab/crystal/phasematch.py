@@ -19,13 +19,20 @@ phase-matched partner of the other branch (partner direction free); the
 two rings of a type-II cut cross at two arms, which is where polarization
 pairs of both orderings are emitted.
 
-Every root is found the same way: a grid scan per row brackets the first
-sign change (:func:`_bracket_cells`), then :func:`_solve_bracketed` refines
-all rows at once by Illinois regula falsi.  A row bisects only when it
-stalls: its step leaves the open bracket, or its last two steps did not
+Every root is bracketed by a grid scan and refined by one solver.  A ring
+opening or a collinear angle is the first sign change of its row
+(:func:`_first_brackets`): the grid's first half is scanned for every row,
+its second half only for the rows with no bracket in the first.  The arm
+azimuth scan and the cut search's 13-cut scan need every cell, so they scan
+their whole grid (:func:`_bracket_cells`).  :func:`_solve_bracketed` then
+refines all rows at once by Illinois regula falsi.  A row bisects only when
+it stalls: its step leaves the open bracket, or its last two steps did not
 halve the bracket and its last step did not halve the |residual| at the
-iterate.  The mismatch functions broadcast over their angles, azimuths,
-wavelengths and branches, so one call evaluates every row.
+iterate.  The cut search first tries two batched calls that interpolate
+from its scan (:func:`_refine_scanned_root`), and hands the solver the
+tightest verified bracket when they miss.  The mismatch functions broadcast
+over their angles, azimuths, wavelengths and branches, so one call
+evaluates every row.
 """
 
 from __future__ import annotations
@@ -86,16 +93,37 @@ def _bracket_cells(vals: np.ndarray) -> np.ndarray:
     return ((a == 0.0) | (a * b < 0.0)) & ~np.isnan(b)
 
 
-def _first_brackets(grid: np.ndarray, vals: np.ndarray) -> tuple:
-    """The first bracketing cell of each row of ``vals`` (sampled on ``grid``).
+def _first_brackets(f, grid: np.ndarray, n_rows: int) -> tuple:
+    """The first bracketing cell of each of ``n_rows`` rows of ``f`` sampled on ``grid``.
 
-    Returns (rows, a, b, fa, fb): the rows that have a bracket, and that
-    cell's endpoints and their values, ready for :func:`_solve_bracketed`.
+    ``f(x, rows)`` returns the residuals of rows ``rows`` at the points
+    ``x``, shape (rows.size, x.size).  The grid is scanned in two halves
+    that share their middle point: every row on the first half, then only
+    the rows with no bracket there on the second.  The cells of the two
+    halves are all the grid's cells, so each row's first bracket is the
+    one a scan of the whole grid finds.
+
+    Returns (rows, a, b, fa, fb): the rows that have a bracket, in order,
+    and that cell's endpoints and their values, ready for
+    :func:`_solve_bracketed`.
     """
-    cells = _bracket_cells(vals)
-    rows = np.flatnonzero(cells.any(axis=1))
-    i = cells[rows].argmax(axis=1)
-    return rows, grid[i], grid[i + 1], vals[rows, i], vals[rows, i + 1]
+    mid = grid.size // 2
+    cell = np.full(n_rows, -1)
+    fa, fb = np.empty(n_rows), np.empty(n_rows)
+    todo = np.arange(n_rows)
+    for lo, hi in ((0, mid + 1), (mid, grid.size)):
+        if not todo.size:
+            break
+        vals = f(grid[lo:hi], todo)
+        cells = _bracket_cells(vals)
+        hit = cells.any(axis=1)
+        i = cells[hit].argmax(axis=1)
+        cell[todo[hit]] = lo + i
+        fa[todo[hit]], fb[todo[hit]] = vals[hit, i], vals[hit, i + 1]
+        todo = todo[~hit]
+    rows = np.flatnonzero(cell >= 0)
+    i = cell[rows]
+    return rows, grid[i], grid[i + 1], fa[rows], fb[rows]
 
 
 def _solve_bracketed(f, a, b, fa, fb, xtol: float) -> np.ndarray:
@@ -206,7 +234,7 @@ def phase_match_collinear(
     thetas = np.arange(th_lo, th_hi, COLLINEAR_SCAN_STEP_RAD)
     phis = np.atleast_1d(phi_grid).astype(float)
     rows, *bracket = _first_brackets(
-        thetas, collinear_mismatch(sel, thetas, phis[:, None], pump_nm))
+        lambda th, r: collinear_mismatch(sel, th, phis[r, None], pump_nm), thetas, phis.size)
     phis = phis[rows]
     roots = _solve_bracketed(lambda th, r: collinear_mismatch(sel, th, phis[r], pump_nm),
                              *bracket, xtol=1e-12)
@@ -301,7 +329,8 @@ def ring_opening_angle(frame: _PumpFrame, psi, branch, lam_s=None, lam_p=None, c
     Broadcasts over psi, branch, the wavelengths (lam_p defaults to the
     frame's pump, lam_s to 2 lam_p) and the frame row cut: array arguments
     give an array with NaN where there is no ring.  Every row is bracketed
-    on one 40-point grid of openings and refined in one batched solve.
+    on one 40-point grid of openings (its second half scanned only for the
+    rows with no bracket in the first) and refined in one batched solve.
     """
     lam_p = frame.pump_nm if lam_p is None else lam_p
     lam_s = 2.0 * np.asarray(lam_p) if lam_s is None else lam_s
@@ -309,10 +338,10 @@ def ring_opening_angle(frame: _PumpFrame, psi, branch, lam_s=None, lam_p=None, c
     shape = psi.shape
     psi, branch, lam_s, lam_p, cut = (x.ravel() for x in (psi, branch, lam_s, lam_p, cut))
     k_p = frame.k_pump(lam_p, cut)
-    grid = np.linspace(1e-5, 0.20, 40)
-    rows, *bracket = _first_brackets(grid, _ring_mismatch(
-        frame, grid, psi[:, None], lam_s[:, None], lam_p[:, None], branch[:, None],
-        k_p[:, None], cut[:, None]))
+    rows, *bracket = _first_brackets(
+        lambda om, r: _ring_mismatch(frame, om, psi[r, None], lam_s[r, None], lam_p[r, None],
+                                     branch[r, None], k_p[r, None], cut[r, None]),
+        np.linspace(1e-5, 0.20, 40), psi.size)
     omega = np.full(psi.size, np.nan)
     psi, branch, lam_s, lam_p, k_p, cut = (
         x[rows] for x in (psi, branch, lam_s, lam_p, k_p, cut))
@@ -433,6 +462,69 @@ def pair_state_angle(d_eff_arm_i: float, d_eff_arm_j: float) -> float:
     return float(np.arctan2(d_eff_arm_i, d_eff_arm_j))
 
 
+def _inverse_interpolation(x, y) -> float:
+    """The point where the polynomial x(y) through the points (x, y) meets y = 0.
+
+    With two points this is the secant, with three inverse quadratic
+    interpolation; NaN where two y values coincide.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    est = 0.0
+    for k in range(x.size):
+        others = np.delete(y, k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            est += x[k] * np.prod(others / (others - y[k]))
+    return float(est)
+
+
+#: offsets of the three cuts around the scan's estimate, rad
+CUT_PROBE_RAD = 2e-5
+
+
+def _refine_scanned_root(f, xs, fs, i: int, xtol: float) -> float:
+    """A root of ``f`` in the scanned cell [xs[i], xs[i + 1]], in few batched calls of f.
+
+    1. Inverse interpolation through the finite scan points xs[i - 1 .. i + 2]
+       estimates the root (the secant when that leaves the cell).
+    2. One call at the estimate and +- CUT_PROBE_RAD; when these bracket the
+       root, inverse quadratic interpolation through them improves it.
+    3. One call at +- xtol / 4 around that verifies a sign change narrower
+       than xtol.
+
+    Every evaluated point inside the verified bracket narrows it.  When a
+    batch does not bracket the root, :func:`_solve_bracketed` continues from
+    the tightest verified bracket, so nothing is extrapolated.  Returns the
+    end of the final bracket with the smaller |residual|, as the solver does.
+    """
+    a, b, fa, fb = xs[i], xs[i + 1], fs[i], fs[i + 1]
+
+    def narrow(x, fx):
+        nonlocal a, b, fa, fb
+        for xk, fk in zip(x, fx):
+            if a < xk < b and not np.isnan(fk):
+                if np.sign(fk) == np.sign(fa):
+                    a, fa = xk, fk
+                else:
+                    b, fb = xk, fk
+
+    near = np.arange(max(i - 1, 0), min(i + 3, xs.size))
+    near = near[~np.isnan(fs[near])]
+    est = _inverse_interpolation(xs[near], fs[near])
+    if not a < est < b:
+        est = _inverse_interpolation([a, b], [fa, fb])
+    for offsets in ((-CUT_PROBE_RAD, 0.0, CUT_PROBE_RAD), (-0.25 * xtol, 0.25 * xtol)):
+        x = est + np.array(offsets)
+        fx = f(x)
+        narrow(x, fx)
+        if abs(b - a) < xtol:
+            return float(a if abs(fa) <= abs(fb) else b)
+        est = _inverse_interpolation(x, fx)
+        if not (a < est < b and np.min(fx) <= 0.0 <= np.max(fx)):
+            break
+    (root,) = _solve_bracketed(f, a, b, fa, fb, xtol=xtol)
+    return float(root)
+
+
 def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
                         external_half_angle_deg: float = 3.0,
                         phi: float = 0.0, length_mm: float = 2.0) -> CrystalCut:
@@ -443,11 +535,13 @@ def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
     the lower has none.  The non-collinear regime may open on either side
     of theta_0, so it scans 13 cuts from theta_0 + 0.15 deg to
     theta_0 + 6 deg and, if none of their cells brackets the requested
-    angle, 13 from theta_0 - 6 deg to theta_0 - 0.15 deg.  The first
-    bracket found is refined to 1e-8 rad.  A cut's angle is the external
-    half-angle ``noncollinear_arms`` reports for it; a cut without two arms
-    brackets nothing.  Each scan is one :func:`_arm_geometry` call over its
-    13 cuts, and each refinement step one call on one cut.
+    angle, 13 from theta_0 - 6 deg to theta_0 - 0.15 deg.  A cut's angle is
+    the external half-angle ``noncollinear_arms`` reports for it; a cut
+    without two arms brackets nothing.  Each scan is one
+    :func:`_arm_geometry` call over its 13 cuts.  The first bracket found
+    is refined to a verified sign change narrower than 1e-8 rad by
+    :func:`_refine_scanned_root`: one call on 3 cuts, then one on 2, so a
+    search takes 3 calls when the first scan brackets the angle.
 
     Raises ValueError when there is no collinear root at ``phi`` or no
     scanned cell brackets the requested angle.
@@ -469,10 +563,11 @@ def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
     for lo, hi in ((th0 + np.radians(0.15), th0 + np.radians(6.0)),
                    (th0 - np.radians(6.0), th0 - np.radians(0.15))):
         span = np.linspace(lo, hi, 13)
-        rows, *bracket = _first_brackets(span, f(span)[None, :])
-        if rows.size:
-            (theta,) = _solve_bracketed(f, *bracket, xtol=1e-8)
-            return CrystalCut(float(theta), phi, length_mm)
+        vals = f(span)
+        cells = _bracket_cells(vals)
+        if cells.any():
+            theta = _refine_scanned_root(f, span, vals, int(cells.argmax()), xtol=1e-8)
+            return CrystalCut(theta, phi, length_mm)
     raise ValueError("no cut with the requested arm opening in the scanned range")
 
 

@@ -73,6 +73,8 @@ def load_rate_inputs(path: str | None = None) -> dict:
         raise SchemaError(f"malformed rate inputs {source}: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("rate inputs file must contain a JSON object")
+    if raw.get("kind", "pair_rate_inputs") != "pair_rate_inputs":
+        raise SchemaError(f"not a pair_rate_inputs record: kind={raw.get('kind')!r}")
     configurations = raw.get("configurations")
     if not isinstance(configurations, dict):
         raise SchemaError("rate inputs 'configurations' must be a JSON object")

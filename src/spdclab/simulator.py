@@ -513,6 +513,13 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
+def _json_object(record, name: str) -> dict:
+    """``record``, which a config must give as a JSON object; SchemaError naming it if not."""
+    if not isinstance(record, dict):
+        raise SchemaError(f"experiment config record {name} must be a JSON object")
+    return record
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse a configuration dict, raising SchemaError on malformed fields."""
     if not isinstance(raw, dict):
@@ -527,10 +534,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise SchemaError(f"the network record must hold exactly 'pbs_links', "
                               f"got {network!r}")
         return ExperimentConfig(
-            sources=tuple(SourceModel(**rec) for rec in record.pop("sources")),
+            sources=tuple(SourceModel(**_json_object(rec, f"sources[{i}]"))
+                          for i, rec in enumerate(record.pop("sources"))),
             pbs_links=network["pbs_links"],
-            interference=InterferenceModel(**record.pop("interference", {})),
-            detector=DetectorModel(**record.pop("detector", {})),
+            interference=InterferenceModel(
+                **_json_object(record.pop("interference", {}), "interference")),
+            detector=DetectorModel(**_json_object(record.pop("detector", {}), "detector")),
             **record,
         )
     except SchemaError:

@@ -870,6 +870,33 @@ def test_record_of_the_wrong_kind_exit_code(tmp_path, capsys, command, name, kin
     assert err.count("\n") == 1 and not out.exists()
 
 
+def test_rate_inputs_of_the_wrong_kind_exit_code(tmp_path, capsys):
+    out = tmp_path / "ratio.json"
+    assert main(["crystal", "rate-ratio", "--inputs",
+                 str(shipped_path(tmp_path, "tenfold_trial_ledger.json")),
+                 "--out", str(out)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == (
+        "schema error: not a pair_rate_inputs record: kind='trial_ledger'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record,value", [("sources[0]", 1), ("interference", [1.0]),
+                                          ("detector", "text")])
+def test_non_object_config_record_exit_code(config_file, tmp_path, capsys, record, value):
+    raw = json.loads(config_file.read_text())
+    if record == "sources[0]":
+        raw["sources"][0] = value
+    else:
+        raw[record] = value
+    config_file.write_text(json.dumps(raw))
+    out = tmp_path / "counts.json"
+    assert main(["simulate", str(config_file), "--pulses", "10",
+                 "--out", str(out)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == (
+        f"schema error: experiment config record {record} must be a JSON object\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,doc,message", [
     ("simulate {} --pulses 10", [1, 2], "config file must contain a JSON object"),
     ("simulate {} --pulses 10", "text", "config file must contain a JSON object"),

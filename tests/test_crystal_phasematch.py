@@ -179,11 +179,11 @@ class TestCutForArmOpening:
         cut = cut_for_arm_opening(crys, external_half_angle_deg=half_angle, phi=phi)
         assert abs(cut.theta - theta) < 1e-8
 
-    @pytest.mark.parametrize("species,phi,max_residuals", [("bbo", 0.0, 330),
-                                                           ("bibo", 0.962, 400)])
+    @pytest.mark.parametrize("species,phi,max_residuals", [("bbo", 0.0, 130),
+                                                           ("bibo", 0.962, 160)])
     def test_search_step_counts(self, species, phi, max_residuals, request, monkeypatch):
-        """Residuals over every nested root-find, and refinement steps, at 2.2 deg."""
-        residuals, one_cut_geometries = [], []
+        """Residuals over every nested root-find, and geometry calls, at 2.2 deg."""
+        residuals, geometries = [], []
         solve, arm_geometry = phasematch._solve_bracketed, phasematch._arm_geometry
 
         def counted_solve(f, *args, **kwargs):
@@ -193,8 +193,7 @@ class TestCutForArmOpening:
             return solve(counted_f, *args, **kwargs)
 
         def counted_geometry(frame, n_psi):
-            if frame.p.shape[0] == 1:
-                one_cut_geometries.append(n_psi)
+            geometries.append(frame.p.shape[0])
             return arm_geometry(frame, n_psi)
 
         monkeypatch.setattr(phasematch, "_solve_bracketed", counted_solve)
@@ -202,7 +201,65 @@ class TestCutForArmOpening:
         cut_for_arm_opening(request.getfixturevalue(species), external_half_angle_deg=2.2,
                             phi=phi)
         assert len(residuals) <= max_residuals
-        assert 0 < len(one_cut_geometries) <= 7
+        assert 0 < len(geometries) <= 4
+
+    @pytest.mark.parametrize("species,phi,half_angle", [
+        ("bbo", 0.0, 2.2), ("bbo", 0.0, 3.0), ("bbo", 0.0, 3.8),
+        ("bibo", 0.962, 2.2), ("bibo", 0.962, 3.0), ("bibo", 0.962, 3.8),
+    ])
+    def test_theta_in_verified_sign_change(self, species, phi, half_angle, request,
+                                           monkeypatch):
+        """Three geometry calls; the last evaluates two cuts less than 1e-8 rad apart
+        whose residuals change sign, and the returned theta is the one nearer zero."""
+        calls = []
+        arm_geometry = phasematch._arm_geometry
+
+        def recorded_geometry(frame, n_psi):
+            out = arm_geometry(frame, n_psi)
+            calls.append((frame.p, out[-1] - half_angle))
+            return out
+
+        monkeypatch.setattr(phasematch, "_arm_geometry", recorded_geometry)
+        cut = cut_for_arm_opening(request.getfixturevalue(species),
+                                  external_half_angle_deg=half_angle, phi=phi)
+        assert [p.shape[0] for p, _ in calls] == [13, 3, 2]
+        p, res = calls[-1]
+        thetas = np.arctan2(np.hypot(p[:, 0], p[:, 1]), p[:, 2])
+        assert res[0] * res[1] <= 0.0 and 0.0 < thetas[1] - thetas[0] < 1e-8
+        assert abs(cut.theta - thetas[np.argmin(np.abs(res))]) < 1e-14
+
+    def test_missed_batch_continues_from_tightest_bracket(self, bbo, monkeypatch):
+        """A scan estimate 1e-4 rad too high puts all three probe cuts above the root;
+        the solver then refines [scan point below, lowest probe] and the pin still holds."""
+        interpolate, solve = phasematch._inverse_interpolation, phasematch._solve_bracketed
+        arm_geometry = phasematch._arm_geometry
+        estimates, brackets, frame_rows = [], [], []
+
+        def off_estimate(x, y):
+            est = interpolate(x, y) + (0.0 if estimates else 1e-4)
+            estimates.append(est)
+            return est
+
+        def recorded_solve(f, a, b, fa, fb, xtol):
+            if xtol == 1e-8:
+                brackets.append((a, b, fa, fb))
+            return solve(f, a, b, fa, fb, xtol=xtol)
+
+        def counted_geometry(frame, n_psi):
+            frame_rows.append(frame.p.shape[0])
+            return arm_geometry(frame, n_psi)
+
+        monkeypatch.setattr(phasematch, "_inverse_interpolation", off_estimate)
+        monkeypatch.setattr(phasematch, "_solve_bracketed", recorded_solve)
+        monkeypatch.setattr(phasematch, "_arm_geometry", counted_geometry)
+        cut = cut_for_arm_opening(bbo, external_half_angle_deg=3.0)
+        assert abs(cut.theta - 0.7666500690517719) < 1e-8
+        ((a, b, fa, fb),) = brackets
+        th0 = phase_match_collinear(bbo, phi_grid=np.array([0.0]), branch="lower")[0].theta
+        span = np.linspace(th0 + np.radians(0.15), th0 + np.radians(6.0), 13)
+        assert a in span and b == estimates[0] - phasematch.CUT_PROBE_RAD
+        assert fa < 0.0 < fb and a < cut.theta < b
+        assert frame_rows[:2] == [13, 3] and set(frame_rows[2:]) == {1}
 
     @pytest.mark.parametrize("half_angle", [20.0, 0.1])
     def test_unreachable_opening_raises(self, bbo, half_angle):
@@ -211,7 +268,8 @@ class TestCutForArmOpening:
             cut_for_arm_opening(bbo, external_half_angle_deg=half_angle)
 
     def test_theta_scan_is_one_batched_solve(self, bbo, monkeypatch):
-        """The 13 scanned cuts share one azimuth scan; each refinement step solves one cut."""
+        """The 13 scanned cuts share one azimuth scan; the refinement is one call on
+        3 cuts and one on 2."""
         frame_rows, first_ring_call, ring_cuts = [], [], []
         arm_geometry, ring_opening_angle = phasematch._arm_geometry, phasematch.ring_opening_angle
 
@@ -231,11 +289,10 @@ class TestCutForArmOpening:
         monkeypatch.setattr(phasematch, "ring_opening_angle", counted_ring)
         monkeypatch.setattr(phasematch, "noncollinear_arms", no_arms)
         cut_for_arm_opening(bbo, external_half_angle_deg=3.0)
-        # one scan of 13 cuts, whose first ring solve covers all of them
-        assert frame_rows[0] == 13 and ring_cuts[first_ring_call[0]] == 13
-        # then the refinement: one cut per step, and every ring solve on that cut alone
-        assert len(frame_rows) > 1 and frame_rows[1:] == [1] * (len(frame_rows) - 1)
-        assert set(ring_cuts[first_ring_call[1]:]) == {1}
+        # one scan of 13 cuts (two when the upper side brackets nothing), then 3, then 2
+        assert frame_rows in ([13, 3, 2], [13, 13, 3, 2])
+        # the first ring solve of each call covers all of its cuts
+        assert [ring_cuts[i] for i in first_ring_call] == frame_rows
 
 
 class TestRings:
@@ -518,5 +575,80 @@ class TestBatchedRootFinder:
         vals = np.array([[np.nan] * 5, [2.0, 1.0, np.nan, -1.0, -2.0],
                          [1.0, 0.0, np.nan, 3.0, 4.0], [1.0, -1.0, 0, 0, 0]])
         assert not phasematch._bracket_cells(vals[0]).any()
-        rows, a, b, fa, fb = phasematch._first_brackets(grid, vals)
+        rows, a, b, fa, fb = phasematch._first_brackets(
+            lambda x, r: vals[r][:, x.astype(int)], grid, 4)
         assert rows.tolist() == [3] and (a[0], b[0], fa[0], fb[0]) == (0.0, 1.0, 1.0, -1.0)
+
+
+class TestTwoStageScan:
+    """The first-bracket scan in two halves against a scan of the whole grid written here."""
+
+    @staticmethod
+    def _whole_grid_roots(residual, grid, vals, xtol):
+        """Each row's root in the first bracket of ``vals`` (the rows sampled on all of
+        ``grid``), refined by the solver, NaN without one; and that cell, -1 without."""
+        cells = phasematch._bracket_cells(vals)
+        rows = np.flatnonzero(cells.any(axis=1))
+        i = cells[rows].argmax(axis=1)
+        roots, first = np.full(vals.shape[0], np.nan), np.full(vals.shape[0], -1)
+        roots[rows] = phasematch._solve_bracketed(lambda x, r: residual(x, rows[r]),
+                                                  grid[i], grid[i + 1], vals[rows, i],
+                                                  vals[rows, i + 1], xtol=xtol)
+        first[rows] = i
+        return roots, first
+
+    def test_second_half_only_for_rows_without_a_bracket(self):
+        grid = np.arange(8.0)
+        vals = np.array([[1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0],
+                         [4.0, 3.0, 2.0, 1.0, 0.5, 0.25, -1.0, -2.0],
+                         [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]])
+        calls = []
+
+        def f(x, rows):
+            calls.append((x.tolist(), rows.tolist()))
+            return vals[rows][:, x.astype(int)]
+
+        rows, a, b, fa, fb = phasematch._first_brackets(f, grid, 3)
+        assert calls == [([0.0, 1.0, 2.0, 3.0, 4.0], [0, 1, 2]), ([4.0, 5.0, 6.0, 7.0], [1, 2])]
+        assert rows.tolist() == [0, 1] and a.tolist() == [0.0, 5.0] and b.tolist() == [1.0, 6.0]
+        assert fa.tolist() == [1.0, 0.25] and fb.tolist() == [-1.0, -1.0]
+
+    def test_ring_openings_past_the_midpoint_and_absent(self, bbo):
+        """BBO 0.05 and 0.1 rad past its reference cut opens rings past the grid's
+        midpoint (0.103 rad); 0.05 rad before it has no ring.  One stack of three cuts."""
+        th = bbo.reference_cut.theta
+        dirs = [CrystalCut(th + d, 0.0, 2.0).direction() for d in (0.05, 0.1, -0.05)]
+        frame = phasematch._PumpFrame(bbo.sellmeier, dirs, 390.0)
+        ring_rows = TestBatchedRootFinder._ring_rows()
+        branch, psi, lam_s, lam_p = (np.tile(np.array(col), 3) for col in zip(*ring_rows))
+        cut = np.repeat(np.arange(3), len(ring_rows))
+        got = phasematch.ring_opening_angle(frame, psi, branch, lam_s, lam_p, cut)
+        grid = np.linspace(1e-5, 0.20, 40)
+        k_p = frame.k_pump(lam_p, cut)
+        vals = phasematch._ring_mismatch(frame, grid, psi[:, None], lam_s[:, None],
+                                         lam_p[:, None], branch[:, None], k_p[:, None],
+                                         cut[:, None])
+        want, first = self._whole_grid_roots(
+            lambda om, r: phasematch._ring_mismatch(frame, om, psi[r], lam_s[r], lam_p[r],
+                                                    branch[r], k_p[r], cut[r]),
+            grid, vals, 1e-11)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.any(first[cut == 0] >= 20) and np.any(first[cut == 1] >= 20)
+        assert np.all(first[cut < 2] >= 0) and np.all(first[cut == 2] == -1)
+
+    @pytest.mark.parametrize("branch", ["lower", "upper"])
+    def test_collinear_roots_match_whole_grid(self, bibo, branch):
+        """BiBO's lower family at phi = 0.962 has its root in cell 130 of 179, past the
+        midpoint; the upper family's lies before it.  Low azimuths have no root."""
+        sel = bibo.sellmeier
+        phis = np.concatenate([np.radians([5.0, 10.0, 30.0, 60.0, 90.0]), [0.962]])
+        got = phase_match_collinear(bibo, phi_grid=phis, branch=branch)
+        th_lo, th_hi = (np.pi / 2, np.pi) if branch == "upper" else (1e-6, np.pi / 2)
+        thetas = np.arange(th_lo, th_hi, phasematch.COLLINEAR_SCAN_STEP_RAD)
+        want, first = self._whole_grid_roots(
+            lambda th, r: phasematch.collinear_mismatch(sel, th, phis[r], 390.0), thetas,
+            phasematch.collinear_mismatch(sel, thetas, phis[:, None], 390.0), 1e-12)
+        assert [(s.phi, s.theta) for s in got] == [
+            (float(p), float(t)) for p, t in zip(phis, want) if not np.isnan(t)]
+        assert first[:2].tolist() == [-1, -1] and np.all(first[2:] >= 0)
+        assert (first[-1] > thetas.size // 2) == (branch == "lower")

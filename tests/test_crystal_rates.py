@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,14 @@ class TestRelativePairRate:
             RateInputs("bad", 1.0, 1.0, 0.9, 1.6, 1.7)
         with pytest.raises(ValueError):
             RateInputs("bad", -1.0, 1.0, 1.6, 1.6, 1.7)
+
+    def test_record_without_kind_is_read(self, tmp_path, shipped_inputs):
+        raw = json.loads(resources.files("spdclab.data")
+                         .joinpath("pair_rate_inputs.json").read_text())
+        del raw["kind"]
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps(raw))
+        assert load_rate_inputs(str(path)) == shipped_inputs
 
 
 class TestPairStateAngle:
