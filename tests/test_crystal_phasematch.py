@@ -179,10 +179,10 @@ class TestCutForArmOpening:
         cut = cut_for_arm_opening(crys, external_half_angle_deg=half_angle, phi=phi)
         assert abs(cut.theta - theta) < 1e-8
 
-    @pytest.mark.parametrize("species,phi,max_residuals", [("bbo", 0.0, 130),
-                                                           ("bibo", 0.962, 160)])
-    def test_search_step_counts(self, species, phi, max_residuals, request, monkeypatch):
-        """Residuals over every nested root-find, and geometry calls, at 2.2 deg."""
+    @staticmethod
+    def _counted_search(crys, phi, monkeypatch):
+        """Run the 2.2 deg search; return residual sizes over every nested
+        root-find and the cut count of each geometry call."""
         residuals, geometries = [], []
         solve, arm_geometry = phasematch._solve_bracketed, phasematch._arm_geometry
 
@@ -198,10 +198,27 @@ class TestCutForArmOpening:
 
         monkeypatch.setattr(phasematch, "_solve_bracketed", counted_solve)
         monkeypatch.setattr(phasematch, "_arm_geometry", counted_geometry)
-        cut_for_arm_opening(request.getfixturevalue(species), external_half_angle_deg=2.2,
-                            phi=phi)
+        cut_for_arm_opening(crys, external_half_angle_deg=2.2, phi=phi)
+        return residuals, geometries
+
+    # budget of the earlier one-cut-per-step refinement
+    @pytest.mark.parametrize("species,phi,max_residuals", [("bbo", 0.0, 330),
+                                                           ("bibo", 0.962, 400)])
+    def test_search_step_counts(self, species, phi, max_residuals, request, monkeypatch):
+        """Residuals over every nested root-find, and geometry calls, at 2.2 deg."""
+        residuals, geometries = self._counted_search(request.getfixturevalue(species),
+                                                     phi, monkeypatch)
         assert len(residuals) <= max_residuals
         assert 0 < len(geometries) <= 4
+
+    # budget of the batched refinement (116 and 144 residuals when written)
+    @pytest.mark.parametrize("species,phi,max_residuals", [("bbo", 0.0, 130),
+                                                           ("bibo", 0.962, 160)])
+    def test_batched_refinement_residual_counts(self, species, phi, max_residuals,
+                                                request, monkeypatch):
+        residuals, _ = self._counted_search(request.getfixturevalue(species), phi,
+                                            monkeypatch)
+        assert len(residuals) <= max_residuals
 
     @pytest.mark.parametrize("species,phi,half_angle", [
         ("bbo", 0.0, 2.2), ("bbo", 0.0, 3.0), ("bbo", 0.0, 3.8),
