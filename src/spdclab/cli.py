@@ -11,15 +11,16 @@ file, so re-running on identical inputs reproduces the report up to the
 timestamp field.
 
 ``analyze``, ``pvalue`` and ``crystal rate-ratio`` run on the standard library
-alone: each takes 0.10-0.12 s in a fresh process on a 2-core Xeon, where
-``rate-ratio`` took 0.28 s with numpy.  ``simulate`` and the other ``crystal``
-commands import numpy and their packages when they run.
+alone, without ``dataclasses`` and the ``inspect`` it imports: each takes
+0.09-0.10 s in a fresh process on a 2-core Xeon (median of 30, no cached
+bytecode), where it took 0.10-0.12 s with ``dataclasses`` and ``rate-ratio``
+took 0.28 s with numpy.  ``simulate`` and the other ``crystal`` commands import
+numpy and their packages when they run.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -252,6 +253,8 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    import dataclasses
+
     from . import simulator
 
     raw, digest = _read_json(args.config)

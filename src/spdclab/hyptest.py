@@ -12,16 +12,20 @@ N_t (F_bar - F_0).  A bounded-increment concentration bound then gives
 where D(x) = min{exp(-x^2/2), 5! (e/5)^5 I(x)} and I is the standard
 normal upper-tail function.  Per-trial half-ranges enter only through the
 closed form s, so individual trial records never need to be stored.
+
+Standard library only, with no ``dataclasses`` either: ``analyze`` and
+``pvalue`` import this module, and each fresh call of theirs would pay
+about 12 ms for the ``inspect`` that ``dataclasses`` imports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import SchemaError
-from .witness import _check_count, _check_mode_count, _is_finite_real, alpha_coefficients
+from .witness import (_check_count, _check_mode_count, _is_finite_real, _Record,
+                      alpha_coefficients)
 
 #: 5! (e/5)^5, the tail-branch prefactor, evaluated once.
 PINELIS_CONST = 120.0 * (math.e / 5.0) ** 5
@@ -30,30 +34,24 @@ GAUSSIAN_BRANCH = "gaussian"
 TAIL_BRANCH = "pinelis_tail"
 
 
-@dataclass(frozen=True)
-class TrialLedger:
+class TrialLedger(_Record):
     """Per-setting trial totals plus observed and null fidelity."""
 
-    n: int
-    n_z: int
-    n_k: tuple
-    f_exp: float
-    f_0: float = 0.5
+    __slots__ = ("n", "n_z", "n_k", "f_exp", "f_0")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_k", tuple(self.n_k))
-        _check_mode_count(self.n)
-        for c in (self.n_z, *self.n_k):
+    def __init__(self, n: int, n_z: int, n_k: tuple, f_exp: float, f_0: float = 0.5):
+        n_k = tuple(n_k)
+        _check_mode_count(n)
+        for c in (n_z, *n_k):
             _check_count(c)
-        if len(self.n_k) != self.n:
-            raise ValueError(f"expected {self.n} M-setting counts, got {len(self.n_k)}")
-        if self.n_z < 1 or any(c < 1 for c in self.n_k):
+        if len(n_k) != n:
+            raise ValueError(f"expected {n} M-setting counts, got {len(n_k)}")
+        if n_z < 1 or any(c < 1 for c in n_k):
             raise ValueError("all trial counts must be >= 1")
-        for name in ("f_exp", "f_0"):
-            value = getattr(self, name)
+        for name, value in (("f_exp", f_exp), ("f_0", f_0)):
             if not _is_finite_real(value):
                 raise SchemaError(f"{name} must be a finite real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        self._fill(n, n_z, n_k, float(f_exp), float(f_0))
 
     @property
     def n_total(self) -> int:
@@ -65,8 +63,7 @@ class TrialLedger:
                            self.f_exp, self.f_0)
 
 
-@dataclass(frozen=True)
-class PValueBound:
+class PValueBound(NamedTuple):
     x_arg: float
     bound: float
     branch: str

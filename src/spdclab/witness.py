@@ -13,14 +13,18 @@ Outcome strings use 'H'/'V' characters ordered by path label.  For an M_k
 setting the letters denote the analyzer ports: 'H' is the +1 port, 'V' the
 -1 port, and the event sign is the product of the per-photon eigenvalues,
 i.e. +1 for an even number of 'V' outcomes.
+
+Standard library only, and light even there: no numpy and no
+``dataclasses``, whose import of ``inspect`` costs about 12 ms, a tenth of
+a fresh ``analyze``.  Plain value records are ``NamedTuple``s; the records
+that check their input are ``__slots__`` classes on ``_Record``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InsufficientDataError, SchemaError
 
@@ -72,8 +76,49 @@ def _check_mode_count(n) -> None:
         raise SchemaError(f"n must be at least 1, got {n!r}")
 
 
-@dataclass(frozen=True)
-class SettingCounts:
+class _Record:
+    """Read-only record whose subclass lists its fields in ``__slots__``, in
+    ``__init__`` order.  Slots named with a leading ``_`` hold derived state
+    and take no part in ``==``, ``hash`` or ``repr``.  ``__init__`` checks its
+    arguments and sets the slots with ``_fill``; any later assignment raises
+    ``AttributeError``, as on a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):       # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+    def _fill(self, *values) -> None:
+        """Set the slots, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+
+class SettingCounts(_Record):
     """Tallies for one measurement setting.
 
     Either a full histogram over outcome strings, aggregated totals, or
@@ -82,29 +127,25 @@ class SettingCounts:
     ``{"n_all_h": .., "n_all_v": .., "n_rest": ..}`` for Z.
     """
 
-    setting: str
-    histogram: Optional[dict] = None
-    aggregated: Optional[dict] = None
-    hours: Optional[float] = None
-    # the aggregates as Python ints, reduced once: no statistic walks the histogram
-    _aggregates: dict = field(init=False, repr=False, compare=False)
+    # _aggregates: the aggregates as Python ints, reduced once, so no
+    # statistic walks the histogram
+    __slots__ = ("setting", "histogram", "aggregated", "hours", "_aggregates")
 
-    def __post_init__(self):
-        k = setting_index(self.setting)
-        if self.hours is not None and not (_is_finite_real(self.hours)
-                                           and self.hours >= 0):
-            raise SchemaError(f"setting {self.setting}: hours must be null or a finite "
-                              f"non-negative number, got {self.hours!r}")
-        if self.histogram is None and self.aggregated is None:
-            raise SchemaError(f"setting {self.setting}: no counts given")
-        if not all(isinstance(c, (dict, type(None)))
-                   for c in (self.histogram, self.aggregated)):
-            raise SchemaError(f"setting {self.setting}: counts must be JSON objects")
+    def __init__(self, setting: str, histogram: Optional[dict] = None,
+                 aggregated: Optional[dict] = None, hours: Optional[float] = None):
+        k = setting_index(setting)
+        if hours is not None and not (_is_finite_real(hours) and hours >= 0):
+            raise SchemaError(f"setting {setting}: hours must be null or a finite "
+                              f"non-negative number, got {hours!r}")
+        if histogram is None and aggregated is None:
+            raise SchemaError(f"setting {setting}: no counts given")
+        if not all(isinstance(c, (dict, type(None))) for c in (histogram, aggregated)):
+            raise SchemaError(f"setting {setting}: counts must be JSON objects")
         keys = ("n_all_h", "n_all_v", "n_rest") if k is None else ("n_plus", "n_minus")
         reduced = None
-        if self.histogram is not None:
+        if histogram is not None:
             reduced = dict.fromkeys(keys, 0)
-            for outcome, c in self.histogram.items():
+            for outcome, c in histogram.items():
                 letters = set(outcome)
                 if letters - set("HV"):
                     raise SchemaError(f"bad outcome string {outcome!r}")
@@ -115,20 +156,20 @@ class SettingCounts:
                     key = ("n_all_h" if letters == {"H"} else
                            "n_all_v" if letters == {"V"} else "n_rest")
                 reduced[key] += int(c)
-        if self.aggregated is not None:
-            if set(self.aggregated) != set(keys):
+        if aggregated is not None:
+            if set(aggregated) != set(keys):
                 raise SchemaError(
-                    f"setting {self.setting}: aggregated keys must be {sorted(keys)}"
+                    f"setting {setting}: aggregated keys must be {sorted(keys)}"
                 )
-            for c in self.aggregated.values():
+            for c in aggregated.values():
                 _check_count(c)
-            given = {key: int(self.aggregated[key]) for key in keys}
+            given = {key: int(aggregated[key]) for key in keys}
             if reduced is not None and reduced != given:
                 raise SchemaError(
-                    f"setting {self.setting}: histogram and aggregated counts disagree"
+                    f"setting {setting}: histogram and aggregated counts disagree"
                 )
             reduced = given
-        object.__setattr__(self, "_aggregates", reduced)
+        self._fill(setting, histogram, aggregated, hours, reduced)
 
     def aggregates(self) -> dict:
         return dict(self._aggregates)
@@ -150,28 +191,31 @@ class SettingCounts:
         return (n_p - n_m) / total, 4.0 * n_p * n_m / total**3
 
 
-@dataclass(frozen=True)
-class CountDataset:
+class CountDataset(_Record):
     """One SettingCounts per required setting: Z plus M_0..M_{n-1}."""
 
-    n: int
-    settings: tuple
+    __slots__ = ("n", "settings")
 
-    def __post_init__(self):
-        _check_mode_count(self.n)
-        object.__setattr__(self, "settings", tuple(self.settings))
-        names = [s.setting for s in self.settings]
-        expected = setting_names(self.n)
+    def __init__(self, n: int, settings: tuple):
+        _check_mode_count(n)
+        settings = tuple(settings)
+        # the count first: the names of a huge n are never built
+        if len(settings) != n + 1:
+            raise SchemaError(f"a dataset with n = {n} must have {n + 1} settings, "
+                              f"got {len(settings)}")
+        names = [s.setting for s in settings]
+        expected = setting_names(n)
         if sorted(names) != sorted(expected):
             raise SchemaError(
                 f"dataset must contain settings {expected} exactly once, got {names}"
             )
-        for s in self.settings:
+        for s in settings:
             for outcome in s.histogram or {}:
-                if len(outcome) != self.n:
+                if len(outcome) != n:
                     raise SchemaError(
-                        f"setting {s.setting}: outcome {outcome!r} is not {self.n} letters long"
+                        f"setting {s.setting}: outcome {outcome!r} is not {n} letters long"
                     )
+        self._fill(n, settings)
 
     def setting(self, name: str) -> SettingCounts:
         for s in self.settings:
@@ -190,23 +234,20 @@ class CountDataset:
         return [self.m(k).correlation()[0] for k in range(self.n)]
 
 
-@dataclass(frozen=True)
-class FidelityEstimate:
+class FidelityEstimate(NamedTuple):
     value: float
     sigma: float
     population_term: float
     coherence_term: float
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     threshold: float
     sigmas_above: float
     genuine: bool
 
 
-@dataclass(frozen=True)
-class PopulationStats:
+class PopulationStats(NamedTuple):
     population_fraction: float
     signal_to_noise: float  # math.inf when n_rest == 0
     variance: float         # Poisson variance of population_fraction

@@ -1,0 +1,38 @@
+"""Shared checks of the immutable records that witness, hyptest and rates
+define: construction, field-wise equality, repr, read-only fields, copies
+and the TypeError an unknown or missing keyword raises."""
+
+import copy
+import pickle
+
+import pytest
+
+
+def check_record(cls, args: tuple, kwargs: dict, changed: dict) -> None:
+    """``args`` and ``kwargs`` build the same record by position and by
+    keyword; ``changed`` gives other values for some fields."""
+    a, b = cls(*args), cls(**kwargs)
+    assert a == b and not a != b
+    for name, value in kwargs.items():
+        assert getattr(b, name) == value
+    other = cls(**{**kwargs, **changed})
+    assert other != a and not other == a
+
+    text = repr(a)
+    assert text.startswith(f"{cls.__name__}(")
+    for name in kwargs:
+        assert f"{name}=" in text
+
+    for name in kwargs:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+    with pytest.raises(TypeError):
+        cls(**kwargs, not_a_field=1)
+    first, *_ = kwargs
+    with pytest.raises(TypeError):
+        cls(**{k: v for k, v in kwargs.items() if k != first})

@@ -817,13 +817,13 @@ class TestPvalue:
         assert main(["pvalue", str(path)]) == EXIT_SCHEMA
 
 
-def _python(*args):
+def _python(*args, timeout=60, preexec_fn=None):
     """A fresh interpreter on this checkout's ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *map(str, args)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True,
+                          text=True, timeout=timeout, preexec_fn=preexec_fn)
 
 
 def _run_python(*args):
@@ -868,6 +868,44 @@ def test_record_of_the_wrong_kind_exit_code(tmp_path, capsys, command, name, kin
     err = capsys.readouterr().err
     assert err.startswith("schema error: not a") and f" {kind} record: kind=" in err
     assert err.count("\n") == 1 and not out.exists()
+
+
+def _limit_address_space():
+    import resource     # POSIX only
+
+    limit = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_huge_n_with_few_settings_exit_code(tmp_path):
+    """The number of settings is checked before the n + 1 setting names are
+    built, so n = 1e9 with one setting is a prompt exit 2 under a 512 MiB
+    address-space limit, not a MemoryError traceback."""
+    path = tmp_path / "huge_n.json"
+    path.write_text(json.dumps({
+        "kind": "count_dataset", "n": 10**9,
+        "settings": [{"setting": "Z",
+                      "aggregated": {"n_all_h": 1, "n_all_v": 1, "n_rest": 0}}],
+    }))
+    proc = _python("-m", "spdclab.cli", "analyze", path, timeout=20,
+                   preexec_fn=_limit_address_space)
+    assert proc.returncode == EXIT_SCHEMA
+    assert proc.stderr == ("schema error: a dataset with n = 1000000000 must have "
+                           "1000000001 settings, got 1\n")
+    assert proc.stdout == ""
+
+
+def test_wrong_setting_names_keep_their_message(tmp_path, capsys):
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({
+        "kind": "count_dataset", "n": 1,
+        "settings": [{"setting": "M1", "aggregated": {"n_plus": 1, "n_minus": 1}},
+                     {"setting": "M0", "aggregated": {"n_plus": 1, "n_minus": 1}}],
+    }))
+    assert main(["analyze", str(path)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == (
+        "schema error: dataset must contain settings ['Z', 'M0'] exactly once, "
+        "got ['M1', 'M0']\n")
 
 
 def test_rate_inputs_of_the_wrong_kind_exit_code(tmp_path, capsys):
@@ -957,14 +995,15 @@ try:
     cli.main(["--version"])
 except SystemExit as exc:
     assert exc.code == 0
-print(sorted(m for m in ("numpy", "spdclab.crystal", "spdclab.simulator")
+print(sorted(m for m in ("numpy", "spdclab.crystal", "spdclab.simulator",
+                         "dataclasses", "inspect")
              if m in sys.modules))
 """
 
 
 def test_count_path_imports_no_numpy(recon_file, ledger_file, tmp_path):
     """``analyze``, ``pvalue``, ``crystal rate-ratio`` and ``--version`` run on the
-    standard library alone."""
+    standard library alone, without ``dataclasses`` and the ``inspect`` it imports."""
     rate_inputs = shipped_path(tmp_path, "pair_rate_inputs.json")
     assert _run_python("-c", _COUNT_PATH_DRIVER, recon_file, ledger_file, rate_inputs,
                        tmp_path) == "[]"

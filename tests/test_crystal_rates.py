@@ -4,6 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from record_checks import check_record
 from spdclab.crystal import pair_state_angle
 from spdclab.rates import RateInputs, load_rate_inputs, relative_pair_rate
 
@@ -67,6 +68,13 @@ class TestRelativePairRate:
             RateInputs("bad", 1.0, 1.0, 0.9, 1.6, 1.7)
         with pytest.raises(ValueError):
             RateInputs("bad", -1.0, 1.0, 1.6, 1.6, 1.7)
+
+    def test_record_semantics(self):
+        check_record(RateInputs, ("x", 2.0, 0.6, 1.9, 1.8, 1.85),
+                     {"label": "x", "d_eff_pm_v": 2.0, "length_mm": 0.6, "n_pump": 1.9,
+                      "n_signal": 1.8, "n_idler": 1.85, "delta_walkoff": 0.0,
+                      "omega": 1.0},
+                     {"omega": 1.2})
 
     def test_record_without_kind_is_read(self, tmp_path, shipped_inputs):
         raw = json.loads(resources.files("spdclab.data")

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.integrate import quad
 
+from record_checks import check_record
 from spdclab.errors import SchemaError
 from spdclab.hyptest import (
     GAUSSIAN_BRANCH,
     PINELIS_CONST,
     TAIL_BRANCH,
+    PValueBound,
     TrialLedger,
     normal_tail,
     p_value_bound,
@@ -67,6 +69,25 @@ class TestSTotal:
     def test_fidelities_stored_as_floats(self):
         ledger = TrialLedger(2, 5, (5, 5), 1, np.float64(0.5))
         assert type(ledger.f_exp) is float and type(ledger.f_0) is float
+
+
+class TestRecords:
+    def test_trial_ledger(self):
+        check_record(TrialLedger, (2, 10, [20, 30], 0.7),
+                     {"n": 2, "n_z": 10, "n_k": (20, 30), "f_exp": 0.7, "f_0": 0.5},
+                     {"n_k": (20, 31)})
+
+    def test_equal_ledgers_hash_equal(self):
+        a = TrialLedger(2, 10, [20, 30], 0.7)
+        b = TrialLedger(n=2, n_z=10, n_k=(20, 30), f_exp=0.7, f_0=0.5)
+        assert hash(a) == hash(b) and len({a, b, a.scaled(1)}) == 1
+        assert a.scaled(2) not in {a, b}
+
+    def test_pvalue_bound(self):
+        check_record(PValueBound, (3.2, 1e-3, TAIL_BRANCH),
+                     {"x_arg": 3.2, "bound": 1e-3, "branch": TAIL_BRANCH,
+                      "informative": True, "note": None},
+                     {"informative": False, "note": "non-informative"})
 
 
 class TestNormalTail:

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from record_checks import check_record
 from spdclab import cli, qstate, witness
 from spdclab.errors import InsufficientDataError, SchemaError
 from spdclab.witness import (
     CountDataset,
+    FidelityEstimate,
+    PopulationStats,
     SettingCounts,
+    Verdict,
     entanglement_verdict,
     estimate_fidelity,
     m_setting,
@@ -240,6 +244,46 @@ class TestSchema:
         s = SettingCounts("M0", aggregated={"n_plus": 1, "n_minus": 0})
         with pytest.raises(SchemaError):
             CountDataset(n=1, settings=(s, s))
+
+
+_Z_AGG = {"n_all_h": 3, "n_all_v": 2, "n_rest": 1}
+_Z = SettingCounts("Z", aggregated=_Z_AGG)
+_M0 = SettingCounts("M0", histogram={"H": 4, "V": 1})
+
+#: record -> (positional args, the same record by keyword, other values for some fields)
+RECORD_CASES = {
+    "SettingCounts": (SettingCounts, ("Z", None, _Z_AGG, 2.0),
+                      {"setting": "Z", "histogram": None, "aggregated": _Z_AGG,
+                       "hours": 2.0},
+                      {"hours": 2.5}),
+    "CountDataset": (CountDataset, (1, [_Z, _M0]), {"n": 1, "settings": (_Z, _M0)},
+                     {"settings": (_Z, SettingCounts("M0", histogram={"H": 4, "V": 2}))}),
+    "FidelityEstimate": (FidelityEstimate, (0.6, 0.03, 0.4, 0.2),
+                         {"value": 0.6, "sigma": 0.03, "population_term": 0.4,
+                          "coherence_term": 0.2},
+                         {"sigma": 0.04}),
+    "Verdict": (Verdict, (0.5, 3.5, True),
+                {"threshold": 0.5, "sigmas_above": 3.5, "genuine": True},
+                {"genuine": False}),
+    "PopulationStats": (PopulationStats, (0.77, math.inf, 1e-4),
+                        {"population_fraction": 0.77, "signal_to_noise": math.inf,
+                         "variance": 1e-4},
+                        {"signal_to_noise": 3.4}),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", RECORD_CASES)
+    def test_record_semantics(self, name):
+        check_record(*RECORD_CASES[name])
+
+    def test_reduced_aggregates_not_compared_or_shown(self):
+        a = SettingCounts("M0", histogram={"HH": 4, "VH": 1})
+        b = SettingCounts("M0", histogram={"HH": 4, "VH": 1})
+        object.__setattr__(b, "_aggregates", {"n_plus": 0, "n_minus": 0})
+        assert a == b and "_aggregates" not in repr(a)
+        # the same totals from another histogram make another record
+        assert a != SettingCounts("M0", histogram={"VV": 4, "HV": 1})
 
 
 class _WalkCountingHistogram(dict):
