@@ -11,10 +11,9 @@ file, so re-running on identical inputs reproduces the report up to the
 timestamp field.
 
 ``analyze``, ``pvalue`` and ``crystal rate-ratio`` run on the standard library
-alone, without ``dataclasses`` and the ``inspect`` it imports: each takes
-0.09-0.10 s in a fresh process on a 2-core Xeon (median of 30, no cached
-bytecode), where it took 0.10-0.12 s with ``dataclasses`` and ``rate-ratio``
-took 0.28 s with numpy.  ``simulate`` and the other ``crystal`` commands import
+alone, without numpy or ``dataclasses`` (and the ``inspect`` it imports): these
+commands are bound by interpreter start-up, so every import on their path is
+paid by every run.  ``simulate`` and the other ``crystal`` commands import
 numpy and their packages when they run.
 """
 
@@ -47,6 +46,18 @@ LEDGER_METADATA = ("schema_version", "kind", "provenance", "notes")
 #: every other key is a CountDataset field
 COUNT_METADATA = ("schema_version", "kind", "provenance", "notes",
                   "config_digest", "seed", "pulses_per_setting")
+#: most azimuths ``crystal curve`` solves: 10^4 take 2.5-3.5 s and 0.2 GB (BiBO, 2-core Xeon)
+MAX_CURVE_SAMPLES = 10_000
+
+#: every table the CLI writes, as (column name, format spec) pairs in column order;
+#: the names are both its CSV header and its JSON keys
+CURVE_COLUMNS = (("phi_rad", ".6f"), ("theta_rad", ".9f"), ("d_eff_pm_v", ".5f"),
+                 ("walkoff_fast_rad", ".6f"), ("walkoff_slow_rad", ".6f"),
+                 ("delta_k_rad_per_um", ".3e"))
+RING_COLUMNS = (("kx", ".6e"), ("ky", ".6e"), ("wavelength_nm", ".3f"),
+                ("weight", ".5f"), ("branch", ""))
+Z_POPULATION_COLUMNS = (("outcome", ""), ("count", ""))
+MK_COLUMNS = (("k", ""), ("expectation", ".6f"), ("sigma", ".6f"))
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +176,23 @@ def _write_text(text: str, out: str | Path | None) -> None:
         raise SchemaError(f"cannot write {out}: {exc}") from exc
 
 
+def _csv_text(columns: tuple, rows) -> str:
+    """A header of the column names, then each row formatted by the column specs."""
+    line = ",".join(f"{{:{spec}}}" for _, spec in columns) + "\n"
+    return ",".join(name for name, _ in columns) + "\n" + "".join(
+        line.format(*row) for row in rows)
+
+
+def _write_table(columns: tuple, rows: list, args, key: str, **meta) -> None:
+    """``rows`` to ``args.out`` as ``args.format``: CSV, or JSON with ``meta`` and
+    the rows under ``key`` as objects keyed by the column names."""
+    if args.format == "json":
+        names = [name for name, _ in columns]
+        _dump_json({**meta, key: [dict(zip(names, row)) for row in rows]}, args.out)
+    else:
+        _write_text(_csv_text(columns, rows), args.out)
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -222,20 +250,19 @@ def _plot_data_files(data: witness.CountDataset, directory: Path) -> None:
     except OSError as exc:
         raise SchemaError(f"cannot write {directory}: {exc}") from exc
     z = data.z()
-    lines = ["outcome,count"]
     if z.histogram is not None:
-        for outcome in sorted(z.histogram):
-            lines.append(f"{outcome},{z.histogram[outcome]}")
+        populations = sorted(z.histogram.items())
     else:
         agg = z.aggregates()
-        lines += [f"all_H,{agg['n_all_h']}", f"all_V,{agg['n_all_v']}",
-                  f"rest,{agg['n_rest']}"]
-    _write_text("\n".join(lines) + "\n", directory / "z_populations.csv")
-    rows = ["k,expectation,sigma"]
+        populations = [("all_H", agg["n_all_h"]), ("all_V", agg["n_all_v"]),
+                       ("rest", agg["n_rest"])]
+    _write_text(_csv_text(Z_POPULATION_COLUMNS, populations),
+                directory / "z_populations.csv")
+    expectations = []
     for k in range(data.n):
         e_k, var = data.m(k).correlation()
-        rows.append(f"{k},{e_k:.6f},{math.sqrt(var):.6f}")
-    _write_text("\n".join(rows) + "\n", directory / "mk_expectations.csv")
+        expectations.append((k, e_k, math.sqrt(var)))
+    _write_text(_csv_text(MK_COLUMNS, expectations), directory / "mk_expectations.csv")
 
 
 def cmd_analyze(args) -> int:
@@ -253,25 +280,24 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    import dataclasses
-
+    if args.pulses < 1:
+        raise SchemaError(f"--pulses must be a positive integer, got {args.pulses}")
+    if args.seed is not None and args.seed < 0:
+        raise SchemaError(f"--seed must be a non-negative integer, got {args.seed}")
     from . import simulator
 
     raw, digest = _read_json(args.config)
     config = simulator.config_from_dict(raw)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise SchemaError(f"--seed must be a non-negative integer, got {args.seed}")
-        config = dataclasses.replace(config, seed=args.seed)
+    seed = config.seed if args.seed is None else args.seed
     every = witness.setting_names(config.n_modes())
     settings = args.settings.split(",") if args.settings else every
     if not set(settings) <= set(every) or len(set(settings)) < len(settings):
         raise SchemaError(f"--settings must name distinct settings among {every}")
-    result = simulator.run_monte_carlo(config, args.pulses, settings)
+    result = simulator.run_monte_carlo(config, args.pulses, settings, seed=seed)
     counts_payload = dataset_to_dict(
         result.counts, provenance="simulated",
         notes="Monte Carlo output",
-        extra={"config_digest": f"sha256:{digest}", "seed": config.seed,
+        extra={"config_digest": f"sha256:{digest}", "seed": seed,
                "pulses_per_setting": result.pulses_per_setting},
     )
     _dump_json(counts_payload, args.out)
@@ -367,35 +393,22 @@ def cmd_crystal_curve(args) -> int:
         raise SchemaError(f"--phi-step must be positive, got {args.phi_step}")
     if args.phi_stop < args.phi_start:
         raise SchemaError(f"--phi-stop {args.phi_stop} is below --phi-start {args.phi_start}")
+    samples = (args.phi_stop + 1e-9 - args.phi_start) / args.phi_step
+    if samples > MAX_CURVE_SAMPLES:
+        raise SchemaError(f"--phi-step {args.phi_step} gives {samples:.3g} samples "
+                          f"from --phi-start to --phi-stop; at most {MAX_CURVE_SAMPLES}")
     _check_pump_nm(args)
     crys = crystal.load_crystal(args.species)
-    samples = crystal.phase_match_collinear(
+    curve = crystal.phase_match_collinear(
         crys, pump_nm=args.pump_nm,
         phi_grid=np.radians(np.arange(args.phi_start, args.phi_stop + 1e-9,
                                       args.phi_step)),
         branch=args.branch,
     )
-    if args.format == "json":
-        _dump_json({
-            "species": crys.sellmeier.species,
-            "branch": args.branch,
-            "samples": [
-                {"phi_rad": s.phi, "theta_rad": s.theta,
-                 "d_eff_pm_v": s.d_eff_pm_v,
-                 "walkoff_fast_rad": s.walkoff_fast,
-                 "walkoff_slow_rad": s.walkoff_slow,
-                 "delta_k_rad_per_um": s.delta_k_residual}
-                for s in samples
-            ],
-        }, args.out)
-        return EXIT_OK
-    lines = ["phi_rad,theta_rad,d_eff_pm_v,walkoff_fast_rad,walkoff_slow_rad,"
-             "delta_k_rad_per_um"]
-    for s in samples:
-        lines.append(f"{s.phi:.6f},{s.theta:.9f},{s.d_eff_pm_v:.5f},"
-                     f"{s.walkoff_fast:.6f},{s.walkoff_slow:.6f},"
-                     f"{s.delta_k_residual:.3e}")
-    _write_text("\n".join(lines) + "\n", args.out)
+    rows = [(s.phi, s.theta, s.d_eff_pm_v, s.walkoff_fast, s.walkoff_slow,
+             s.delta_k_residual) for s in curve]
+    _write_table(CURVE_COLUMNS, rows, args, "samples",
+                 species=crys.sellmeier.species, branch=args.branch)
     return EXIT_OK
 
 
@@ -413,19 +426,9 @@ def cmd_crystal_rings(args) -> int:
         crys, cut, pump_nm=args.pump_nm, pump_fwhm_nm=args.pump_fwhm,
         filter_fwhm_nm=args.filter_fwhm,
     )
-    if args.format == "json":
-        _dump_json({
-            "species": crys.sellmeier.species,
-            "points": [
-                {"kx": float(cloud.kx[i]), "ky": float(cloud.ky[i]),
-                 "wavelength_nm": float(cloud.wavelength_nm[i]),
-                 "weight": float(cloud.weight[i]),
-                 "branch": str(cloud.branch[i])}
-                for i in range(cloud.kx.size)
-            ],
-        }, args.out)
-        return EXIT_OK
-    _write_text(cloud.to_csv(), args.out)
+    rows = list(zip(cloud.kx.tolist(), cloud.ky.tolist(), cloud.wavelength_nm.tolist(),
+                    cloud.weight.tolist(), cloud.branch.tolist()))
+    _write_table(RING_COLUMNS, rows, args, "points", species=crys.sellmeier.species)
     return EXIT_OK
 
 

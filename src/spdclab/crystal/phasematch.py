@@ -603,13 +603,6 @@ class RingCloud:
     weight: np.ndarray
     branch: np.ndarray            # 'fast'/'slow' strings
 
-    def to_csv(self) -> str:
-        # Python floats and strs format like the numpy scalars, at a fraction of the cost
-        rows = zip(self.kx.tolist(), self.ky.tolist(), self.wavelength_nm.tolist(),
-                   self.weight.tolist(), self.branch.tolist())
-        return "kx,ky,wavelength_nm,weight,branch\n" + "".join(
-            f"{kx:.6e},{ky:.6e},{lam:.3f},{w:.5f},{b}\n" for kx, ky, lam, w, b in rows)
-
     def radial_spread(self, branch: str = FAST) -> float:
         """Mean over azimuth of (max-min) opening angle, rad; the ring width."""
         mask = self.branch == branch

@@ -144,9 +144,9 @@ class DetectorModel:
 class ExperimentConfig:
     """Sources, the PBS links fusing their signal photons, and the rig around them.
 
-    Every topology check runs here: the links must be integer pairs of known
-    modes forming a simple chain through one signal photon per source, and
-    the overlap list must give 1 or one value per link.
+    Every topology check runs here: at most ``MAX_DENSE_MODES // 2`` sources,
+    links that are integer pairs of known modes forming a simple chain through
+    one signal photon per source, and an overlap list of 1 or one value per link.
     """
 
     sources: tuple
@@ -159,6 +159,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
+        if self.n_modes() > qstate.MAX_DENSE_MODES:
+            raise ValueError(f"at most {qstate.MAX_DENSE_MODES // 2} sources "
+                             f"({qstate.MAX_DENSE_MODES} modes) can be simulated, "
+                             f"got {len(self.sources)}")
         object.__setattr__(self, "pbs_links", self.network().pbs_links)
         _ring_layout(self)
         self.interference.per_link(len(self.pbs_links))

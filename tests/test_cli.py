@@ -122,6 +122,23 @@ class TestAnalyze:
             assert e_k == data.correlations()[k]
             assert row == f"{k},{e_k:.6f},{np.sqrt(var):.6f}"
 
+    def test_plot_populations_from_histograms(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 4
+        labels = qstate.basis_labels(n)
+        histograms = [{o: int(c) for o, c in zip(labels, rng.integers(0, 9, 2**n)) if c}
+                      for _ in range(n + 1)]
+        raw = cli.dataset_to_dict(witness.CountDataset(n=n, settings=tuple(
+            witness.SettingCounts(name, histogram=h)
+            for name, h in zip(witness.setting_names(n), histograms))), "simulated")
+        z_hist = raw["settings"][0]["histogram"]
+        raw["settings"][0]["histogram"] = dict(reversed(z_hist.items()))
+        path, plot_dir = tmp_path / "hist.json", tmp_path / "plots"
+        path.write_text(json.dumps(raw))
+        assert main(["analyze", str(path), "--plot-data", str(plot_dir)]) == EXIT_OK
+        assert (plot_dir / "z_populations.csv").read_text().split("\n") == [
+            "outcome,count", *(f"{o},{c}" for o, c in sorted(histograms[0].items())), ""]
+
     @pytest.mark.parametrize("n,seed", [(2, 1), (5, 2), (10, 3)])
     def test_histogram_and_aggregated_forms_report_alike(self, tmp_path, n, seed):
         rng = np.random.default_rng(seed)
@@ -342,6 +359,33 @@ class TestSimulate:
         cfg = self._small_config(tmp_path)
         assert main(["simulate", str(cfg), "--pulses", "1000000000000",
                      "--settings", settings]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("pulses", ["0", "-5"])
+    def test_non_positive_pulses_rejected_before_simulation(self, tmp_path, monkeypatch,
+                                                            capsys, pulses):
+        def fail(*args, **kwargs):
+            raise AssertionError("read the config before validating --pulses")
+
+        monkeypatch.setattr(simulator, "config_from_dict", fail)
+        cfg = self._small_config(tmp_path)
+        assert main(["simulate", str(cfg), "--pulses", pulses, "--settings", "Z"]) \
+            == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            f"schema error: --pulses must be a positive integer, got {pulses}\n")
+
+    def test_too_many_sources_rejected_at_load(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated more modes than a dense state holds")
+
+        monkeypatch.setattr(simulator, "run_monte_carlo", fail)
+        cfg = self._small_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["sources"] = raw["sources"][:1] * 7
+        raw["network"]["pbs_links"] = [[2, 3], [3, 5], [5, 7], [7, 9], [9, 11], [11, 13]]
+        cfg.write_text(json.dumps(raw))
+        assert main(["simulate", str(cfg), "--pulses", "1000"]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "at most 6 sources (12 modes)" in err and err.count("\n") == 1
 
     def test_pulse_count_beyond_int64_exit_code(self, tmp_path, capsys):
         cfg = self._small_config(tmp_path)
@@ -576,6 +620,18 @@ class TestCrystalCommands:
         for row in lines[1:]:
             assert abs(float(row.split(",")[-1])) < 1e-6  # delta-k residual
 
+    def test_rings_csv_export(self, tmp_path):
+        bibo = crystal.load_crystal("bibo")
+        out = tmp_path / "rings.csv"
+        assert main(["crystal", "rings", "--species", "bibo", "--pump-fwhm", "0",
+                     "--filter-fwhm", "0", "--out", str(out)]) == EXIT_OK
+        header, *rows = out.read_text().strip().split("\n")
+        assert header == "kx,ky,wavelength_nm,weight,branch"
+        cloud = crystal.spdc_rings(bibo, bibo.reference_cut, pump_fwhm_nm=0.0,
+                                   filter_fwhm_nm=0.0)
+        assert len(rows) == cloud.kx.size
+        assert {row.rsplit(",", 1)[1] for row in rows} == {"fast", "slow"}
+
     def test_rings_csv_and_divergence(self, tmp_path):
         out_bbo = tmp_path / "bbo.csv"
         out_bibo = tmp_path / "bibo.csv"
@@ -668,8 +724,11 @@ class TestCrystalCommands:
         ["--phi-step", "0"], ["--phi-step", "-1"], ["--phi-step", "nan"],
         ["--phi-step", "inf"], ["--phi-start", "nan"], ["--phi-stop", "inf"],
         ["--phi-start", "50", "--phi-stop", "10"],
+        # more azimuths than the cap, or an infinite count
+        ["--phi-step", "1e-9"], ["--phi-step", "5e-324"], ["--phi-step", "0.009"],
     ])
-    def test_bad_phi_grid_rejected_before_work(self, tmp_path, monkeypatch, phi_args):
+    def test_bad_phi_grid_rejected_before_work(self, tmp_path, monkeypatch, capsys,
+                                               phi_args):
         def fail(*args, **kwargs):
             raise AssertionError("computed before validating the phi grid")
 
@@ -677,6 +736,8 @@ class TestCrystalCommands:
         out = tmp_path / "curve.csv"
         assert main(["crystal", "curve", "--species", "bbo", *phi_args,
                      "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: --phi-") and err.count("\n") == 1
         assert not out.exists()
 
     def test_equal_phi_endpoints_give_one_sample(self, tmp_path):

@@ -346,14 +346,6 @@ class TestRings:
                                pump_fwhm_nm=0.0, filter_fwhm_nm=0.0)
         assert cloud.kx.size == 0
 
-    def test_csv_export(self, bibo):
-        cloud = spdc_rings(bibo, bibo.reference_cut, n_psi=8, n_signal=1, n_pump=1)
-        text = cloud.to_csv()
-        header, *rows = text.strip().split("\n")
-        assert header == "kx,ky,wavelength_nm,weight,branch"
-        assert len(rows) == cloud.kx.size
-        assert cloud.kx.size >= 16  # both branches, all azimuths
-
 
 class TestSpectralFwhm:
     def test_bibo_signal_arm(self, bibo):
