@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from spdclab import cli, crystal
+from spdclab import crystal
+from spdclab.fileio import _csv_text
+from spdclab.numpy_commands import RING_COLUMNS, ring_rows
 
 out_dir = Path(__file__).resolve().parent
 bbo = crystal.load_crystal("bbo")
@@ -65,9 +67,7 @@ bbo_cut = crystal.cut_for_arm_opening(
 for name, crys, the_cut in (("bbo", bbo, bbo_cut), ("bibo", bibo, cut)):
     cloud = crystal.spdc_rings(crys, the_cut)
     csv = out_dir / f"rings_{name}.csv"
-    assert cli.main(["crystal", "rings", "--species", name,
-                     "--cut", repr(the_cut.theta), repr(the_cut.phi),
-                     "--length-mm", repr(the_cut.length_mm), "--out", str(csv)]) == 0
+    csv.write_text(_csv_text(RING_COLUMNS, ring_rows(cloud)), encoding="utf-8")
     print(f"{name.upper()}: ring width {np.degrees(cloud.radial_spread()):.3f} deg "
           f"({cloud.kx.size} points) -> {csv.name}")
 

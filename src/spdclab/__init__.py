@@ -11,7 +11,11 @@ Subpackages and modules:
                 uniaxial/biaxial crystals
 * ``rates``     relative pair-generation rates of two source configurations
 * ``simulator`` Monte Carlo model of the pulsed five-source experiment
-* ``cli``       command-line interface (``spdclab`` entry point)
+* ``cli``       command-line interface (``spdclab`` entry point): parser,
+                exit codes, loaders and the standard-library commands
+* ``numpy_commands``  ``simulate`` and ``crystal summary|curve|rings``
+                handlers, imported by ``cli`` only when dispatched to
+* ``fileio``    JSON, text and CSV-table I/O shared by both
 """
 
 __version__ = "0.1.0"

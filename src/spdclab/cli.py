@@ -13,18 +13,27 @@ timestamp field.
 ``analyze``, ``pvalue`` and ``crystal rate-ratio`` run on the standard library
 alone, without numpy or ``dataclasses`` (and the ``inspect`` it imports): these
 commands are bound by interpreter start-up, so every import on their path is
-paid by every run.  ``simulate`` and the other ``crystal`` commands import
-numpy and their packages when they run.
+paid by every run.  The code is split so that they compile and import only
+what they run:
+
+* this module holds the parser, ``main``, the exit codes, the count-file and
+  ledger loaders and the standard-library handlers;
+* ``numpy_commands`` holds the ``simulate`` and ``crystal summary|curve|rings``
+  handlers, and is imported only when ``main`` dispatches to one of them;
+* ``fileio`` holds the JSON, text and table I/O that both use; this module
+  re-exports its names.
+
+Neither ``numpy_commands`` nor ``fileio`` may import ``spdclab.cli``.  Under
+``python -m spdclab.cli`` this module runs as ``__main__``, so importing
+``spdclab.cli`` would compile and run it a second time, in every ``simulate``
+and ``crystal`` process.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, hyptest, witness
@@ -32,6 +41,13 @@ from .errors import (
     InsufficientDataError,
     NumericalConsistencyError,
     SchemaError,
+)
+from .fileio import (  # noqa: F401  (re-exported)
+    _csv_text,
+    _dump_json,
+    _read_json,
+    _write_text,
+    dataset_to_dict,
 )
 
 EXIT_OK = 0
@@ -46,16 +62,7 @@ LEDGER_METADATA = ("schema_version", "kind", "provenance", "notes")
 #: every other key is a CountDataset field
 COUNT_METADATA = ("schema_version", "kind", "provenance", "notes",
                   "config_digest", "seed", "pulses_per_setting")
-#: most azimuths ``crystal curve`` solves: 10^4 take 2.5-3.5 s and 0.2 GB (BiBO, 2-core Xeon)
-MAX_CURVE_SAMPLES = 10_000
-
-#: every table the CLI writes, as (column name, format spec) pairs in column order;
-#: the names are both its CSV header and its JSON keys
-CURVE_COLUMNS = (("phi_rad", ".6f"), ("theta_rad", ".9f"), ("d_eff_pm_v", ".5f"),
-                 ("walkoff_fast_rad", ".6f"), ("walkoff_slow_rad", ".6f"),
-                 ("delta_k_rad_per_um", ".3e"))
-RING_COLUMNS = (("kx", ".6e"), ("ky", ".6e"), ("wavelength_nm", ".3f"),
-                ("weight", ".5f"), ("branch", ""))
+#: the ``--plot-data`` tables, as (column name, format spec) pairs in column order
 Z_POPULATION_COLUMNS = (("outcome", ""), ("count", ""))
 MK_COLUMNS = (("k", ""), ("expectation", ".6f"), ("sigma", ".6f"))
 
@@ -93,30 +100,6 @@ def dataset_from_dict(raw: dict) -> witness.CountDataset:
         raise SchemaError(f"malformed count file: {exc}") from exc
 
 
-def dataset_to_dict(data: witness.CountDataset, provenance: str,
-                    notes: str = "", extra: dict | None = None) -> dict:
-    out = {
-        "schema_version": 1,
-        "kind": "count_dataset",
-        "n": data.n,
-        "provenance": provenance,
-        "notes": notes,
-        "settings": [],
-    }
-    for s in data.settings:
-        rec = {"setting": s.setting}
-        if s.histogram is not None:
-            rec["histogram"] = {k: int(v) for k, v in sorted(s.histogram.items())}
-        if s.aggregated is not None:
-            rec["aggregated"] = {k: int(v) for k, v in sorted(s.aggregated.items())}
-        if s.hours is not None:
-            rec["hours"] = s.hours
-        out["settings"].append(rec)
-    if extra:
-        out.update(extra)
-    return out
-
-
 def ledger_from_dict(raw: dict) -> hyptest.TrialLedger:
     if not isinstance(raw, dict):
         raise SchemaError("ledger file must contain a JSON object")
@@ -127,22 +110,6 @@ def ledger_from_dict(raw: dict) -> hyptest.TrialLedger:
         return hyptest.TrialLedger(**record)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed ledger: {exc}") from exc
-
-
-def _read_json(path: str) -> tuple:
-    p = Path(path)
-    try:
-        blob = p.read_bytes()
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(blob.decode("utf-8")), hashlib.sha256(blob).hexdigest()
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def _dump_json(payload: dict, out: str | None) -> None:
-    _write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _check_outputs(args) -> None:
@@ -166,38 +133,13 @@ def _check_outputs(args) -> None:
             raise SchemaError(f"cannot write {plot_dir}: {nearest} is not a directory")
 
 
-def _write_text(text: str, out: str | Path | None) -> None:
-    if not out:
-        sys.stdout.write(text)
-        return
-    try:
-        Path(out).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"cannot write {out}: {exc}") from exc
-
-
-def _csv_text(columns: tuple, rows) -> str:
-    """A header of the column names, then each row formatted by the column specs."""
-    line = ",".join(f"{{:{spec}}}" for _, spec in columns) + "\n"
-    return ",".join(name for name, _ in columns) + "\n" + "".join(
-        line.format(*row) for row in rows)
-
-
-def _write_table(columns: tuple, rows: list, args, key: str, **meta) -> None:
-    """``rows`` to ``args.out`` as ``args.format``: CSV, or JSON with ``meta`` and
-    the rows under ``key`` as objects keyed by the column names."""
-    if args.format == "json":
-        names = [name for name, _ in columns]
-        _dump_json({**meta, key: [dict(zip(names, row)) for row in rows]}, args.out)
-    else:
-        _write_text(_csv_text(columns, rows), args.out)
-
-
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
 
 def build_report(data: witness.CountDataset, digest: str, f_0: float = 0.5) -> dict:
+    from datetime import datetime, timezone     # only this report carries a time
+
     est = witness.estimate_fidelity(data)
     verdict = witness.entanglement_verdict(est, threshold=f_0)
     ledger = hyptest.TrialLedger(
@@ -276,161 +218,8 @@ def cmd_analyze(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# simulate
+# crystal rate-ratio
 # ---------------------------------------------------------------------------
-
-def cmd_simulate(args) -> int:
-    if args.pulses < 1:
-        raise SchemaError(f"--pulses must be a positive integer, got {args.pulses}")
-    if args.seed is not None and args.seed < 0:
-        raise SchemaError(f"--seed must be a non-negative integer, got {args.seed}")
-    from . import simulator
-
-    raw, digest = _read_json(args.config)
-    config = simulator.config_from_dict(raw)
-    seed = config.seed if args.seed is None else args.seed
-    every = witness.setting_names(config.n_modes())
-    settings = args.settings.split(",") if args.settings else every
-    if not set(settings) <= set(every) or len(set(settings)) < len(settings):
-        raise SchemaError(f"--settings must name distinct settings among {every}")
-    result = simulator.run_monte_carlo(config, args.pulses, settings, seed=seed)
-    counts_payload = dataset_to_dict(
-        result.counts, provenance="simulated",
-        notes="Monte Carlo output",
-        extra={"config_digest": f"sha256:{digest}", "seed": seed,
-               "pulses_per_setting": result.pulses_per_setting},
-    )
-    _dump_json(counts_payload, args.out)
-    if args.report:
-        _dump_json({
-            "tool": "spdclab",
-            "tool_version": __version__,
-            "config_digest": f"sha256:{digest}",
-            "rates": result.rates,
-            "diagnostics": result.diagnostics,
-        }, args.report)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# crystal
-# ---------------------------------------------------------------------------
-
-def _check_pump_nm(args) -> None:
-    if not (math.isfinite(args.pump_nm) and args.pump_nm > 0):
-        raise SchemaError(f"--pump-nm must be finite and positive, got {args.pump_nm}")
-
-
-def _cut_from_args(crys, args) -> crystal.CrystalCut:
-    """``--cut`` or the reference cut, with ``--length-mm`` or the reference length."""
-    from . import crystal
-
-    ref = crys.reference_cut
-    if args.cut is None and ref is None:
-        raise SchemaError("species has no reference cut; pass --cut THETA PHI")
-    theta, phi = (ref.theta, ref.phi) if args.cut is None else args.cut
-    default_length = ref.length_mm if ref is not None else 1.0
-    length = default_length if args.length_mm is None else args.length_mm
-    return crystal.CrystalCut(theta, phi, length)
-
-
-def cmd_crystal_summary(args) -> int:
-    import numpy as np
-
-    from . import crystal
-
-    _check_pump_nm(args)
-    crys = crystal.load_crystal(args.species)
-    cut = _cut_from_args(crys, args)
-    pump = args.pump_nm
-    try:
-        arms = crystal.noncollinear_arms(crys, cut, pump_nm=pump)
-        sol_pump = arms.pump_wave
-        noncollinear = {
-            "d_eff_fs_pm_v": arms.d_eff_fs,
-            "d_eff_sf_pm_v": arms.d_eff_sf,
-            "pair_state_angle_rad": crystal.pair_state_angle(arms.d_eff_fs, arms.d_eff_sf),
-            "opening_internal_rad": [arms.opening_i, arms.opening_j],
-            "fast_deflection_deg": math.degrees(arms.fast_deflection_rad),
-        }
-    except ValueError as exc:
-        sol_pump = crystal.solve_waves(crys.sellmeier, cut.direction(), pump)
-        noncollinear = {"unavailable": str(exc)}
-    sol_down = crystal.solve_waves(crys.sellmeier, cut.direction(), 2 * pump)
-    payload = {
-        "species": crys.sellmeier.species,
-        "cut": {"theta_rad": cut.theta, "phi_rad": cut.phi,
-                "length_mm": cut.length_mm},
-        "pump_nm": pump,
-        "indices": {
-            "pump_fast": sol_pump.n_fast,
-            "down_fast": sol_down.n_fast,
-            "down_slow": sol_down.n_slow,
-        },
-        "walkoff_rad": {
-            "pump_fast": sol_pump.walkoff_fast,
-            "pump_slow": sol_pump.walkoff_slow,
-            "down_fast": sol_down.walkoff_fast,
-            "down_slow": sol_down.walkoff_slow,
-            "pump_quadrature": float(np.hypot(sol_pump.walkoff_fast,
-                                              sol_pump.walkoff_slow)),
-        },
-        "d_eff_collinear_pm_v": crystal.collinear_d_eff(crys, sol_pump, sol_down),
-        "noncollinear": noncollinear,
-    }
-    _dump_json(payload, args.out)
-    return EXIT_OK
-
-
-def cmd_crystal_curve(args) -> int:
-    import numpy as np
-
-    from . import crystal
-
-    if not all(map(math.isfinite, (args.phi_start, args.phi_stop, args.phi_step))):
-        raise SchemaError("--phi-start, --phi-stop and --phi-step must be finite")
-    if args.phi_step <= 0:
-        raise SchemaError(f"--phi-step must be positive, got {args.phi_step}")
-    if args.phi_stop < args.phi_start:
-        raise SchemaError(f"--phi-stop {args.phi_stop} is below --phi-start {args.phi_start}")
-    samples = (args.phi_stop + 1e-9 - args.phi_start) / args.phi_step
-    if samples > MAX_CURVE_SAMPLES:
-        raise SchemaError(f"--phi-step {args.phi_step} gives {samples:.3g} samples "
-                          f"from --phi-start to --phi-stop; at most {MAX_CURVE_SAMPLES}")
-    _check_pump_nm(args)
-    crys = crystal.load_crystal(args.species)
-    curve = crystal.phase_match_collinear(
-        crys, pump_nm=args.pump_nm,
-        phi_grid=np.radians(np.arange(args.phi_start, args.phi_stop + 1e-9,
-                                      args.phi_step)),
-        branch=args.branch,
-    )
-    rows = [(s.phi, s.theta, s.d_eff_pm_v, s.walkoff_fast, s.walkoff_slow,
-             s.delta_k_residual) for s in curve]
-    _write_table(CURVE_COLUMNS, rows, args, "samples",
-                 species=crys.sellmeier.species, branch=args.branch)
-    return EXIT_OK
-
-
-def cmd_crystal_rings(args) -> int:
-    from . import crystal
-
-    _check_pump_nm(args)
-    crys = crystal.load_crystal(args.species)
-    cut = _cut_from_args(crys, args)
-    for flag, width in (("--pump-fwhm", args.pump_fwhm),
-                        ("--filter-fwhm", args.filter_fwhm)):
-        if not (math.isfinite(width) and width >= 0):
-            raise SchemaError(f"{flag} must be finite and >= 0, got {width}")
-    cloud = crystal.spdc_rings(
-        crys, cut, pump_nm=args.pump_nm, pump_fwhm_nm=args.pump_fwhm,
-        filter_fwhm_nm=args.filter_fwhm,
-    )
-    rows = list(zip(cloud.kx.tolist(), cloud.ky.tolist(), cloud.wavelength_nm.tolist(),
-                    cloud.weight.tolist(), cloud.branch.tolist()))
-    _write_table(RING_COLUMNS, rows, args, "points", species=crys.sellmeier.species)
-    return EXIT_OK
-
 
 def cmd_crystal_rate_ratio(args) -> int:
     from . import rates
@@ -478,6 +267,17 @@ def cmd_pvalue(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _deferred(name: str):
+    """The handler ``numpy_commands.<name>``, imported when it is called."""
+    def run(args) -> int:
+        from . import numpy_commands
+
+        getattr(numpy_commands, name)(args)
+        return EXIT_OK
+    run.deferred = name
+    return run
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdclab",
@@ -501,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--settings", help="comma list, e.g. Z,M0,M5 (default: all)")
     p.add_argument("--out")
     p.add_argument("--report", help="write a rates/diagnostics report here")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=_deferred("cmd_simulate"))
 
     pc = sub.add_parser("crystal", help="phase-matching calculations")
     csub = pc.add_subparsers(dest="crystal_command", required=True)
@@ -516,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = csub.add_parser("summary", help="indices, walk-offs and d_eff at a cut")
     add_cut_args(q)
     q.add_argument("--out")
-    q.set_defaults(func=cmd_crystal_summary)
+    q.set_defaults(func=_deferred("cmd_crystal_summary"))
 
     q = csub.add_parser("curve", help="collinear type-II phase-matching curve")
     q.add_argument("--species", required=True, choices=["bbo", "bibo"])
@@ -527,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--phi-step", type=float, default=1.0)
     q.add_argument("--format", choices=["csv", "json"], default="csv")
     q.add_argument("--out")
-    q.set_defaults(func=cmd_crystal_curve)
+    q.set_defaults(func=_deferred("cmd_crystal_curve"))
 
     q = csub.add_parser("rings", help="emission-ring point cloud")
     add_cut_args(q)
@@ -535,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--filter-fwhm", type=float, default=3.0)
     q.add_argument("--format", choices=["csv", "json"], default="csv")
     q.add_argument("--out")
-    q.set_defaults(func=cmd_crystal_rings)
+    q.set_defaults(func=_deferred("cmd_crystal_rings"))
 
     q = csub.add_parser("rate-ratio", help="relative pair-generation rate")
     q.add_argument("--inputs", help="JSON file of rate inputs (default: shipped)")

@@ -51,6 +51,8 @@ class TrialLedger(_Record):
         for name, value in (("f_exp", f_exp), ("f_0", f_0)):
             if not _is_finite_real(value):
                 raise SchemaError(f"{name} must be a finite real number, got {value!r}")
+        if not 0 <= f_0 <= 1:
+            raise SchemaError(f"f_0 is a fidelity and must lie in [0, 1], got {f_0!r}")
         self._fill(n, n_z, n_k, float(f_exp), float(f_0))
 
     @property
@@ -113,12 +115,15 @@ def simulate_null_exceedance(
     runs: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Empirical P(F_bar >= threshold) under an extremal bi-separable null.
+    """Empirical P(F_bar >= threshold) under one bi-separable null.
 
     The null is a product state with perfect H/V population and vanishing
     M_k correlations (fidelity exactly F_0 = 1/2): every Z trial lands in
-    the all-H bin and every M_k outcome is an independent fair sign.
-    Used to check that computed bounds are never undershot in simulation.
+    the all-H bin and every M_k outcome is an independent fair sign.  It is
+    the mildest null, not the worst: on the shipped ledger its exact tail at
+    the published 0.606 is 1.44e-5, while bi-separable GHZ-diagonal nulls
+    with population fraction near 0.62 reach about 2.5e-4.  Used to check that
+    computed bounds are never undershot in simulation.
     """
     import numpy as np
 

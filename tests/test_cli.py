@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdclab import cli, crystal, qstate, simulator, witness
+from spdclab import cli, crystal, numpy_commands, qstate, simulator, witness
 from spdclab.cli import (
     EXIT_INSUFFICIENT,
     EXIT_NUMERIC,
@@ -53,7 +55,8 @@ class TestAnalyze:
         assert report["verdict"]["sigmas_above_threshold"] >= 3.5
         assert 3.3e-3 <= report["pvalue"]["bound"] <= 4.0e-3
         assert abs(report["diagnostics"]["signal_to_noise"] - 3.36) < 0.01
-        assert report["inputs_digest"].startswith("sha256:")
+        assert report["inputs_digest"] == \
+            "sha256:" + hashlib.sha256(recon_file.read_bytes()).hexdigest()
 
     def test_report_reproducible_modulo_timestamp(self, recon_file, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -263,6 +266,15 @@ class TestAnalyze:
         recon_file.write_text(json.dumps(raw))
         assert main(["analyze", str(recon_file)]) == EXIT_SCHEMA
         assert "'hour'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("f0", ["-1", "1.5"])
+    def test_null_fidelity_outside_unit_interval_exit_code(self, recon_file, tmp_path,
+                                                           capsys, f0):
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(recon_file), "--f0", f0, "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: f_0 ") and "[0, 1]" in err
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_unknown_top_level_key_exit_code(self, recon_file, capsys):
         raw = json.loads(recon_file.read_text())
@@ -819,6 +831,19 @@ class TestPvalue:
         payload = json.loads(out.read_text())
         assert 3.3e-3 <= payload["bound"] <= 4.0e-3
         assert abs(payload["normalized_trial_spread"] - 0.0329) < 0.0003
+        assert payload["inputs_digest"] == \
+            "sha256:" + hashlib.sha256(ledger_file.read_bytes()).hexdigest()
+
+    def test_null_fidelity_outside_unit_interval_exit_code(self, ledger_file, tmp_path,
+                                                           capsys):
+        raw = json.loads(ledger_file.read_text())
+        raw["f_0"] = 2
+        ledger_file.write_text(json.dumps(raw))
+        out = tmp_path / "p.json"
+        assert main(["pvalue", str(ledger_file), "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: malformed ledger: f_0 ") and "[0, 1]" in err
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_threshold_fidelity(self, tmp_path):
         path = tmp_path / "ledger.json"
@@ -1072,3 +1097,90 @@ def test_count_path_imports_no_numpy(recon_file, ledger_file, tmp_path):
     ratio = json.loads((tmp_path / "ratio.json").read_text())["rate_ratio"]
     inverse = json.loads((tmp_path / "inverse.json").read_text())["rate_ratio"]
     assert abs(ratio - 0.424) < 1e-12 and abs(ratio * inverse - 1.0) < 1e-12
+
+
+def _imported_modules(stderr: str) -> set:
+    """Every module a ``python -X importtime`` run lists."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:") and line.count("|") == 2}
+
+
+@pytest.mark.parametrize("command", ["crystal summary", "simulate"])
+def test_main_module_is_compiled_once(config_file, tmp_path, command):
+    """Under ``python -m spdclab.cli`` the module runs as ``__main__``; the split-off
+    modules never import ``spdclab.cli``, which would compile and run it again."""
+    argv = {"crystal summary": ["crystal", "summary", "--species", "bibo"],
+            "simulate": ["simulate", config_file, "--pulses", "1000000000", "--seed", "3",
+                         "--report", tmp_path / "report.json"]}[command]
+    proc = _python("-X", "importtime", "-m", "spdclab.cli", *argv,
+                   "--out", tmp_path / "out.json")
+    assert proc.returncode == 0, proc.stderr
+    modules = _imported_modules(proc.stderr)
+    assert {"spdclab.fileio", "spdclab.numpy_commands"} <= modules
+    assert "spdclab.cli" not in modules
+
+
+#: runs one command like the ``spdclab`` entry point, then lists the modules it
+#: should not need
+_ONE_COMMAND_DRIVER = """
+import json, sys
+from spdclab import cli
+try:
+    rc = cli.main(json.loads(sys.argv[1]))
+except SystemExit as exc:
+    rc = exc.code
+assert rc == 0, rc
+print(json.dumps([m for m in ("spdclab.numpy_commands", "hashlib", "datetime")
+                  if m in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "pvalue", "rate-ratio", "--version"])
+def test_count_path_loads_only_what_it_runs(recon_file, ledger_file, tmp_path, command):
+    """The standard-library commands never load the numpy handlers; they take the
+    input digest from the builtin ``_sha256`` where it exists (Python 3.11), so
+    not ``hashlib``; and only ``analyze`` stamps a time, so only it loads
+    ``datetime``."""
+    argv = {"analyze": ["analyze", str(recon_file), "--plot-data", str(tmp_path / "plots")],
+            "pvalue": ["pvalue", str(ledger_file)],
+            "rate-ratio": ["crystal", "rate-ratio"],
+            "--version": ["--version"]}[command]
+    if command != "--version":
+        argv += ["--out", str(tmp_path / "out.json")]
+    loaded = set(json.loads(_run_python("-c", _ONE_COMMAND_DRIVER, json.dumps(argv))))
+    expected = {"datetime"} if command == "analyze" else set()
+    if sys.version_info < (3, 12):
+        assert "hashlib" not in loaded
+    assert loaded - {"hashlib"} == expected
+
+
+def _leaf_parsers(parser, prefix=()):
+    """(argv prefix, parser) of every subcommand that has no subcommands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield prefix, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*prefix, name))
+
+
+def test_every_subcommand_help_and_handler(capsys):
+    """``--help`` exits 0 at every level, and every handler the parser names exists:
+    those deferred to ``numpy_commands`` are looked up there by name."""
+    leaves = dict(_leaf_parsers(cli.build_parser()))
+    prefixes = {()} | {leaf[:i] for leaf in leaves for i in range(1, len(leaf) + 1)}
+    for prefix in sorted(prefixes):
+        with pytest.raises(SystemExit) as exc:
+            main([*prefix, "--help"])
+        assert exc.value.code == 0, prefix
+        assert capsys.readouterr().out.startswith("usage: spdclab")
+    deferred = set()
+    for prefix, parser in leaves.items():
+        func = parser.get_default("func")
+        assert callable(func), prefix
+        if hasattr(func, "deferred"):
+            assert callable(getattr(numpy_commands, func.deferred)), prefix
+            deferred.add(func.deferred)
+    assert deferred == {"cmd_simulate", "cmd_crystal_summary", "cmd_crystal_curve",
+                        "cmd_crystal_rings"}
+    assert len(leaves) == 7

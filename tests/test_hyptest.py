@@ -54,6 +54,15 @@ class TestSTotal:
         with pytest.raises(ValueError):
             TrialLedger(2, 5, (5, 5), f_exp, f_0)
 
+    @pytest.mark.parametrize("f_0", [-1.0, -1e-12, 1.5, 2])
+    def test_null_fidelity_outside_unit_interval_rejected(self, f_0):
+        with pytest.raises(SchemaError, match=r"f_0 .* \[0, 1\]"):
+            TrialLedger(2, 5, (5, 5), 0.6, f_0)
+
+    @pytest.mark.parametrize("f_0", [0, 1.0])
+    def test_null_fidelity_at_the_interval_ends_accepted(self, f_0):
+        assert TrialLedger(2, 5, (5, 5), 0.6, f_0).f_0 == f_0
+
     @pytest.mark.parametrize("counts", [
         {"n_z": 3.5}, {"n_k": (True, 5.7)}, {"n_k": (5, 5.0)}, {"n": 2.0}])
     def test_non_integer_counts_rejected(self, counts):
@@ -191,7 +200,9 @@ class TestPValueBound:
 
 class TestNullSimulation:
     def test_bound_never_undershoots_simulation(self, trial_ledger):
-        """Empirical exceedance under an extremal null stays below the bound."""
+        """Empirical exceedance under the product-state null (population 1,
+        E_k = 0) stays below the bound.  That null is the mildest one, not the
+        worst (see ``simulate_null_exceedance``)."""
         rng = np.random.default_rng(17)
         thresholds = (0.55, 0.58, 0.606)
         freq = simulate_null_exceedance(trial_ledger, thresholds, 100_000, rng)
