@@ -14,7 +14,7 @@ import numpy as np
 
 from spdclab import crystal
 from spdclab.fileio import _csv_text
-from spdclab.numpy_commands import RING_COLUMNS, ring_rows
+from spdclab.numpy_commands import CURVE_COLUMNS, RING_COLUMNS, curve_rows, ring_rows
 
 out_dir = Path(__file__).resolve().parent
 bbo = crystal.load_crystal("bbo")
@@ -37,10 +37,7 @@ for name, crys, branch in (("BBO", bbo, "lower"), ("BiBO", bibo, "upper")):
     print(f"{name}: {len(curve)} samples, max d_eff = {best.d_eff_pm_v:.3f} pm/V "
           f"at (theta, phi) = ({best.theta:.3f}, {best.phi:.3f}) rad")
     csv = out_dir / f"curve_{name.lower()}.csv"
-    rows = ["phi_rad,theta_rad,d_eff_pm_v,walkoff_fast_rad,walkoff_slow_rad"]
-    rows += [f"{s.phi:.5f},{s.theta:.7f},{s.d_eff_pm_v:.5f},"
-             f"{s.walkoff_fast:.6f},{s.walkoff_slow:.6f}" for s in curve]
-    csv.write_text("\n".join(rows) + "\n")
+    csv.write_text(_csv_text(CURVE_COLUMNS, curve_rows(curve)), encoding="utf-8")
     print(f"  wrote {csv.name}")
 
 print("\n=== minimal walk-off region of the BiBO curve ===")

@@ -15,7 +15,7 @@ Subpackages and modules:
                 exit codes, loaders and the standard-library commands
 * ``numpy_commands``  ``simulate`` and ``crystal summary|curve|rings``
                 handlers, imported by ``cli`` only when dispatched to
-* ``fileio``    JSON, text and CSV-table I/O shared by both
+* ``fileio``    JSON, text and CSV-table I/O; the one JSON reader and record check
 """
 
 __version__ = "0.1.0"

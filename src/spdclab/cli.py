@@ -46,6 +46,7 @@ from .fileio import (  # noqa: F401  (re-exported)
     _csv_text,
     _dump_json,
     _read_json,
+    _record_fields,
     _write_text,
     dataset_to_dict,
 )
@@ -72,27 +73,22 @@ MK_COLUMNS = (("k", ""), ("expectation", ".6f"), ("sigma", ".6f"))
 # ---------------------------------------------------------------------------
 
 def dataset_from_dict(raw: dict) -> witness.CountDataset:
-    if not isinstance(raw, dict):
-        raise SchemaError("count file must contain a JSON object")
-    kind = raw.get("kind", "count_dataset")
-    if kind != "count_dataset":
-        raise SchemaError(f"not a count_dataset record: kind={kind!r}")
+    record = _record_fields(raw, "count_dataset", "count file", COUNT_METADATA)
     for key in ("n", "settings"):
-        if key not in raw:
+        if key not in record:
             raise SchemaError(f"count file missing required key {key!r}")
     prov = raw.get("provenance", "experimental")
     if prov not in PROVENANCE_KINDS:
         raise SchemaError(f"provenance must be one of {PROVENANCE_KINDS}, got {prov!r}")
-    if not (isinstance(raw["settings"], list)
-            and all(isinstance(rec, dict) for rec in raw["settings"])):
+    if not (isinstance(record["settings"], list)
+            and all(isinstance(rec, dict) for rec in record["settings"])):
         raise SchemaError("settings must be a list of JSON objects")
     settings = []
-    for i, rec in enumerate(raw["settings"]):
+    for i, rec in enumerate(record["settings"]):
         try:
             settings.append(witness.SettingCounts(**rec))
         except (TypeError, SchemaError) as exc:
             raise SchemaError(f"settings[{i}]: {exc}") from exc
-    record = {k: v for k, v in raw.items() if k not in COUNT_METADATA}
     record["settings"] = tuple(settings)
     try:
         return witness.CountDataset(**record)
@@ -101,11 +97,7 @@ def dataset_from_dict(raw: dict) -> witness.CountDataset:
 
 
 def ledger_from_dict(raw: dict) -> hyptest.TrialLedger:
-    if not isinstance(raw, dict):
-        raise SchemaError("ledger file must contain a JSON object")
-    if raw.get("kind", "trial_ledger") != "trial_ledger":
-        raise SchemaError(f"not a trial_ledger record: kind={raw.get('kind')!r}")
-    record = {k: v for k, v in raw.items() if k not in LEDGER_METADATA}
+    record = _record_fields(raw, "trial_ledger", "ledger file", LEDGER_METADATA)
     try:
         return hyptest.TrialLedger(**record)
     except (TypeError, ValueError) as exc:
@@ -141,7 +133,9 @@ def build_report(data: witness.CountDataset, digest: str, f_0: float = 0.5) -> d
     from datetime import datetime, timezone     # only this report carries a time
 
     est = witness.estimate_fidelity(data)
-    verdict = witness.entanglement_verdict(est, threshold=f_0)
+    # sigma is 0 when Z has no rest counts and every M_k is one-sided
+    sigmas_above = (witness.entanglement_verdict(est, threshold=f_0).sigmas_above
+                    if est.sigma > 0 else None)
     ledger = hyptest.TrialLedger(
         n=data.n,
         n_z=data.z().total(),
@@ -164,9 +158,9 @@ def build_report(data: witness.CountDataset, digest: str, f_0: float = 0.5) -> d
             "coherence_term": est.coherence_term,
         },
         "verdict": {
-            "threshold": verdict.threshold,
-            "sigmas_above_threshold": verdict.sigmas_above,
-            "genuine_multipartite": verdict.genuine,
+            "threshold": f_0,
+            "sigmas_above_threshold": sigmas_above,
+            "genuine_multipartite": est.value > f_0,
         },
         "pvalue": {
             "x_arg": bound.x_arg,

@@ -14,7 +14,6 @@ and the second-order tensor all live in the principal dielectric frame.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -22,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import SchemaError
+from ..fileio import _read_json
 
 UNIAXIAL = "uniaxial"
 BIAXIAL = "biaxial"
@@ -172,18 +172,9 @@ class CrystalData:
     notes: str = ""
 
 
-def _load_json(name: str) -> dict:
-    with resources.files("spdclab.data").joinpath(name).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def load_crystal(species: str) -> CrystalData:
-    """Load a shipped crystal data file ('bbo' or 'bibo')."""
-    species = species.lower()
-    try:
-        raw = _load_json(f"{species}.json")
-    except FileNotFoundError:
-        raise SchemaError(f"no shipped data file for species {species!r}") from None
+    """Load a shipped crystal data file ('bbo' or 'bibo'); SchemaError if there is none."""
+    raw, _ = _read_json(resources.files("spdclab.data").joinpath(f"{species.lower()}.json"))
     return crystal_from_dict(raw)
 
 

@@ -58,6 +58,9 @@ MAX_ROOT_STEPS = 100
 #: polar-angle step of the scan that brackets each collinear root
 COLLINEAR_SCAN_STEP_RAD = np.radians(0.5)
 
+#: half-width of ``spectral_fwhm``'s wavelength grid around twice the pump, nm
+SPECTRUM_SPAN_NM = 40.0
+
 
 @dataclass(frozen=True)
 class PhaseMatchSolution:
@@ -662,7 +665,7 @@ def spdc_rings(crystal: CrystalData, cut: CrystalCut,
 
 def spectral_fwhm(crystal: CrystalData, cut: CrystalCut, arm: str = "signal",
                   pump_fwhm_nm: float = 2.1, pump_nm: float = 390.0,
-                  span_nm: float = 40.0, n_points: int = 161) -> float:
+                  n_points: int = 161) -> float:
     """FWHM (nm) of one arm's phase-matching spectrum.
 
     The measured photon sits at a fixed ring-intersection direction (the
@@ -686,7 +689,7 @@ def spectral_fwhm(crystal: CrystalData, cut: CrystalCut, arm: str = "signal",
     t_hat = t_vec / sin_om
     L_um = cut.length_mm * 1e3
     lam0 = 2.0 * pump_nm
-    lam_grid = np.linspace(lam0 - span_nm, lam0 + span_nm, n_points)
+    lam_grid = np.linspace(lam0 - SPECTRUM_SPAN_NM, lam0 + SPECTRUM_SPAN_NM, n_points)
     lam_ps, weights = _gaussian_samples(pump_nm, pump_fwhm_nm, 7, 2.5)
     weights /= weights.sum()
     # rows: pump wavelengths; columns: measured-photon wavelengths
@@ -723,7 +726,7 @@ def _fwhm_of_profile(x: np.ndarray, y: np.ndarray) -> float:
     left_of, right_of = below[below < peak_idx], below[below > peak_idx]
     if not (half > 0.0 and left_of.size and right_of.size):
         raise NumericalConsistencyError(
-            "half maximum not bracketed inside the spectral grid; widen the span")
+            f"half maximum not bracketed inside the {x[0]:g}-{x[-1]:g} nm spectral grid")
     j = left_of[-1]
     left = x[j] + (half - y[j]) * (x[j + 1] - x[j]) / (y[j + 1] - y[j])
     j = right_of[0]

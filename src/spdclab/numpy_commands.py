@@ -95,6 +95,12 @@ def _cut_from_args(crys, args) -> crystal.CrystalCut:
     return crystal.CrystalCut(theta, phi, length)
 
 
+def curve_rows(curve) -> list:
+    """The samples of a ``crystal.phase_match_collinear`` curve as rows of ``CURVE_COLUMNS``."""
+    return [(s.phi, s.theta, s.d_eff_pm_v, s.walkoff_fast, s.walkoff_slow,
+             s.delta_k_residual) for s in curve]
+
+
 def ring_rows(cloud) -> list:
     """The points of a ``crystal.RingCloud`` as rows of ``RING_COLUMNS``."""
     return list(zip(cloud.kx.tolist(), cloud.ky.tolist(), cloud.wavelength_nm.tolist(),
@@ -171,9 +177,7 @@ def cmd_crystal_curve(args) -> None:
                                       args.phi_step)),
         branch=args.branch,
     )
-    rows = [(s.phi, s.theta, s.d_eff_pm_v, s.walkoff_fast, s.walkoff_slow,
-             s.delta_k_residual) for s in curve]
-    _write_table(CURVE_COLUMNS, rows, args, "samples",
+    _write_table(CURVE_COLUMNS, curve_rows(curve), args, "samples",
                  species=crys.sellmeier.species, branch=args.branch)
 
 

@@ -221,6 +221,8 @@ class PairSource:
 
 
 DEFAULT_PBS_LINKS = ((2, 3), (3, 5), (5, 7), (7, 9))
+#: pairs of the reference network rotated by 90 degrees, the last ones (published)
+REFERENCE_ROTATED = 2
 
 
 @dataclass(frozen=True)
@@ -278,10 +280,10 @@ class FusionNetwork:
         return tuple(order)
 
 
-def reference_network(theta_state: float = 7 * np.pi / 30, n_rotated: int = 2) -> FusionNetwork:
-    """Five-source chain with the last ``n_rotated`` pairs rotated by 90 degrees."""
+def reference_network(theta_state: float = 7 * np.pi / 30) -> FusionNetwork:
+    """Five-source chain with the last ``REFERENCE_ROTATED`` pairs rotated by 90 degrees."""
     sources = tuple(
-        PairSource(theta_state, rotated=(p >= 5 - n_rotated)) for p in range(5)
+        PairSource(theta_state, rotated=(p >= 5 - REFERENCE_ROTATED)) for p in range(5)
     )
     return FusionNetwork(sources, DEFAULT_PBS_LINKS)
 

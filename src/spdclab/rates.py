@@ -18,11 +18,11 @@ without numpy, and without the ``inspect`` import that would add about
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from pathlib import Path
 
 from .errors import SchemaError
+from .fileio import _json_object, _read_json, _record_fields
 from .witness import _is_finite_real, _Record
 
 
@@ -69,21 +69,12 @@ def load_rate_inputs(path: str | None = None) -> dict:
     """Rate-formula inputs keyed by configuration label, from ``path`` or the shipped file."""
     source = (Path(path) if path is not None
               else resources.files("spdclab.data").joinpath("pair_rate_inputs.json"))
-    try:
-        raw = json.loads(source.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:    # unreadable, undecodable or invalid JSON
-        raise SchemaError(f"malformed rate inputs {source}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SchemaError("rate inputs file must contain a JSON object")
-    if raw.get("kind", "pair_rate_inputs") != "pair_rate_inputs":
-        raise SchemaError(f"not a pair_rate_inputs record: kind={raw.get('kind')!r}")
-    configurations = raw.get("configurations")
-    if not isinstance(configurations, dict):
-        raise SchemaError("rate inputs 'configurations' must be a JSON object")
+    record = _record_fields(_read_json(source)[0], "pair_rate_inputs", "rate inputs file")
+    configurations = _json_object(record.get("configurations"),
+                                  "rate inputs 'configurations'")
     out = {}
     for key, rec in configurations.items():
-        if not isinstance(rec, dict):
-            raise SchemaError(f"rate inputs configuration {key!r} must be a JSON object")
+        _json_object(rec, f"rate inputs configuration {key!r}")
         try:
             out[key] = RateInputs(label=key, **rec)
         # TypeError covers unknown or missing fields; ValueError RateInputs' own checks

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import qstate
 from .errors import InsufficientDataError, SchemaError, TopologyError
+from .fileio import _json_object, _record_fields
 from .qstate import (
     DEFAULT_PBS_LINKS,
     FusionNetwork,
@@ -517,33 +518,23 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def _json_object(record, name: str) -> dict:
-    """``record``, which a config must give as a JSON object; SchemaError naming it if not."""
-    if not isinstance(record, dict):
-        raise SchemaError(f"experiment config record {name} must be a JSON object")
-    return record
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse a configuration dict, raising SchemaError on malformed fields."""
-    if not isinstance(raw, dict):
-        raise SchemaError("config file must contain a JSON object")
+    # records are built by field name: an unknown key is a TypeError
+    record = _record_fields(raw, "experiment_config", "config file", CONFIG_METADATA)
     try:
-        if raw.get("kind", "experiment_config") != "experiment_config":
-            raise SchemaError(f"not an experiment_config record: kind={raw.get('kind')!r}")
-        # records are built by field name: an unknown key is a TypeError
-        record = {k: v for k, v in raw.items() if k not in CONFIG_METADATA}
         network = record.pop("network")
         if not isinstance(network, dict) or set(network) != {"pbs_links"}:
             raise SchemaError(f"the network record must hold exactly 'pbs_links', "
                               f"got {network!r}")
+        what = "experiment config record"
         return ExperimentConfig(
-            sources=tuple(SourceModel(**_json_object(rec, f"sources[{i}]"))
+            sources=tuple(SourceModel(**_json_object(rec, f"{what} sources[{i}]"))
                           for i, rec in enumerate(record.pop("sources"))),
             pbs_links=network["pbs_links"],
             interference=InterferenceModel(
-                **_json_object(record.pop("interference", {}), "interference")),
-            detector=DetectorModel(**_json_object(record.pop("detector", {}), "detector")),
+                **_json_object(record.pop("interference", {}), f"{what} interference")),
+            detector=DetectorModel(**_json_object(record.pop("detector", {}), f"{what} detector")),
             **record,
         )
     except SchemaError:

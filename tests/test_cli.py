@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -85,6 +86,22 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert report["fidelity"]["value"] > 0.99
         assert report["verdict"]["genuine_multipartite"] is True
+
+    def test_zero_variance_dataset(self, tmp_path):
+        """One-sided M_k counts and no Z rest counts give sigma = 0: the report
+        holds no distance in sigmas, and F > f_0 alone is the verdict."""
+        settings = [{"setting": "Z", "aggregated": {"n_all_h": 6, "n_all_v": 4, "n_rest": 0}}]
+        settings += [{"setting": f"M{k}", "aggregated": {"n_plus": 5 * (1 - k % 2),
+                                                         "n_minus": 5 * (k % 2)}}
+                     for k in range(4)]
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"kind": "count_dataset", "n": 4, "settings": settings}))
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(path), "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["fidelity"]["value"] == 1.0 and report["fidelity"]["sigma"] == 0.0
+        assert report["verdict"] == {"threshold": 0.5, "sigmas_above_threshold": None,
+                                     "genuine_multipartite": True}
 
     def test_uniform_noise_dataset(self, tmp_path):
         n = 10
@@ -1022,6 +1039,8 @@ def test_non_object_config_record_exit_code(config_file, tmp_path, capsys, recor
 
 
 @pytest.mark.parametrize("argv,doc,message", [
+    ("analyze {}", [1, 2], "count file must contain a JSON object"),
+    ("pvalue {}", "text", "ledger file must contain a JSON object"),
     ("simulate {} --pulses 10", [1, 2], "config file must contain a JSON object"),
     ("simulate {} --pulses 10", "text", "config file must contain a JSON object"),
     ("crystal rate-ratio --inputs {}", [1, 2], "rate inputs file must contain a JSON object"),
@@ -1030,8 +1049,8 @@ def test_non_object_config_record_exit_code(config_file, tmp_path, capsys, recor
      "rate inputs 'configurations' must be a JSON object"),
     ("crystal rate-ratio --inputs {}", {"configurations": {"bbo_2mm": "text"}},
      "rate inputs configuration 'bbo_2mm' must be a JSON object"),
-], ids=["simulate_list", "simulate_string", "rate_list", "rate_string",
-        "rate_configurations_list", "rate_record_string"])
+], ids=["analyze_list", "pvalue_string", "simulate_list", "simulate_string", "rate_list",
+        "rate_string", "rate_configurations_list", "rate_record_string"])
 def test_non_object_record_exit_code(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -1118,6 +1137,23 @@ def test_main_module_is_compiled_once(config_file, tmp_path, command):
     modules = _imported_modules(proc.stderr)
     assert {"spdclab.fileio", "spdclab.numpy_commands"} <= modules
     assert "spdclab.cli" not in modules
+
+
+def test_json_is_parsed_only_in_fileio():
+    """Every JSON file is read by ``fileio._read_json``, shipped data included, so
+    no other module calls ``json.load`` or ``json.loads``."""
+    package = Path(cli.__file__).parent
+    calls = []
+    for path in sorted(set(package.rglob("*.py")) - {package / "fileio.py"}):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            called = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("load", "loads")
+                      and isinstance(node.func.value, ast.Name) and node.func.value.id == "json")
+            imported = (isinstance(node, ast.ImportFrom) and node.module == "json"
+                        and {a.name for a in node.names} & {"load", "loads"})
+            if called or imported:
+                calls.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert calls == []
 
 
 #: runs one command like the ``spdclab`` entry point, then lists the modules it
