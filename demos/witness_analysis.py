@@ -8,14 +8,14 @@ genuine-entanglement verdict, and computes the distribution-free p-value
 bound from the same trial totals.
 """
 
-import json
 from importlib import resources
 
 from spdclab import hyptest, witness
 from spdclab.cli import dataset_from_dict, ledger_from_dict
+from spdclab.fileio import _read_json
 
-raw = json.loads(resources.files("spdclab.data")
-                 .joinpath("tenfold_run_reconstruction.counts.json").read_text())
+shipped = resources.files("spdclab.data")
+raw, _ = _read_json(shipped.joinpath("tenfold_run_reconstruction.counts.json"))
 data = dataset_from_dict(raw)
 print(f"dataset: n = {data.n}, provenance = {raw['provenance']}")
 
@@ -36,8 +36,7 @@ verdict = witness.entanglement_verdict(est)
 print(f"verdict: {verdict.sigmas_above:.2f} sigma above the 0.5 threshold "
       f"-> genuine multipartite entanglement: {verdict.genuine}")
 
-ledger = ledger_from_dict(json.loads(
-    resources.files("spdclab.data").joinpath("tenfold_trial_ledger.json").read_text()))
+ledger = ledger_from_dict(_read_json(shipped.joinpath("tenfold_trial_ledger.json"))[0])
 bound = hyptest.p_value_bound(ledger)
 print(f"\np-value bound: {bound.bound:.2e} ({bound.branch} branch, "
       f"x = {bound.x_arg:.3f})")

@@ -6,9 +6,10 @@ schema), ``crystal`` (phase-matching summaries, curves, rings, rate
 ratios), and ``pvalue`` (bound from a trial-ledger file).
 
 Exit codes are a contract: 0 success, 2 schema violation, 3 insufficient
-data, 4 numerical failure.  Reports embed a SHA-256 digest of their input
-file, so re-running on identical inputs reproduces the report up to the
-timestamp field.
+data, 4 numerical failure.  Every handler returns None and raises on failure;
+only ``main`` maps the outcome to an exit code.  Reports embed a SHA-256
+digest of their input file, so re-running on identical inputs reproduces the
+report up to the timestamp field.
 
 ``analyze``, ``pvalue`` and ``crystal rate-ratio`` run on the standard library
 alone, without numpy or ``dataclasses`` (and the ``inspect`` it imports): these
@@ -201,21 +202,20 @@ def _plot_data_files(data: witness.CountDataset, directory: Path) -> None:
     _write_text(_csv_text(MK_COLUMNS, expectations), directory / "mk_expectations.csv")
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     raw, digest = _read_json(args.counts)
     data = dataset_from_dict(raw)
     report = build_report(data, digest, f_0=args.f0)
     _dump_json(report, args.out)
     if args.plot_data:
         _plot_data_files(data, Path(args.plot_data))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # crystal rate-ratio
 # ---------------------------------------------------------------------------
 
-def cmd_crystal_rate_ratio(args) -> int:
+def cmd_crystal_rate_ratio(args) -> None:
     from . import rates
 
     table = rates.load_rate_inputs(args.inputs)
@@ -231,14 +231,13 @@ def cmd_crystal_rate_ratio(args) -> int:
         "rate_ratio": rates.relative_pair_rate(a, b),
         "omega_ratio": a.omega / b.omega,
     }, args.out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # pvalue
 # ---------------------------------------------------------------------------
 
-def cmd_pvalue(args) -> int:
+def cmd_pvalue(args) -> None:
     raw, digest = _read_json(args.ledger)
     ledger = ledger_from_dict(raw)
     bound = hyptest.p_value_bound(ledger)
@@ -254,7 +253,6 @@ def cmd_pvalue(args) -> int:
         "informative": bound.informative,
         **({"note": bound.note} if bound.note else {}),
     }, args.out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +261,10 @@ def cmd_pvalue(args) -> int:
 
 def _deferred(name: str):
     """The handler ``numpy_commands.<name>``, imported when it is called."""
-    def run(args) -> int:
+    def run(args) -> None:
         from . import numpy_commands
 
         getattr(numpy_commands, name)(args)
-        return EXIT_OK
     run.deferred = name
     return run
 
@@ -351,7 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_outputs(args)
-        return args.func(args)
+        args.func(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -361,6 +358,7 @@ def main(argv=None) -> int:
     except (NumericalConsistencyError, ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import SchemaError
-from ..fileio import _read_json
+from ..fileio import _read_json, _record_fields
 
 UNIAXIAL = "uniaxial"
 BIAXIAL = "biaxial"
@@ -52,6 +52,14 @@ class SellmeierSet:
             table = None
         if table is None or table.shape != (3, 4):
             raise SchemaError(f"{self.species}: each axis needs four Sellmeier coefficients")
+        try:
+            lo, hi = map(float, self.valid_range_um)
+        except (TypeError, ValueError):
+            lo = hi = np.nan
+        if not -np.inf < lo < hi < np.inf:
+            raise SchemaError(f"{self.species}: valid_range_um must be two finite numbers "
+                              f"lo < hi, got {self.valid_range_um!r}")
+        object.__setattr__(self, "valid_range_um", (lo, hi))
         # columns (A, B, C, D) per principal axis x, y, z
         object.__setattr__(self, "_principal_coefficients", table.T)
         # one evaluation per wavelength; a call that raises leaves no entry
@@ -113,12 +121,11 @@ class NonlinearTensor:
         """Build the 3x6 matrix from entries like {"d22": 2.2, "d31": 0.08}."""
         m = np.zeros((3, 6))
         for name, value in elements.items():
-            if len(name) != 3 or name[0] != "d":
+            # d plus a row digit 1-3 and a contracted-column digit 1-6
+            if not (len(name) == 3 and name[0] == "d" and name[1] in "123"
+                    and name[2] in "123456"):
                 raise SchemaError(f"bad element name {name!r}")
-            i, l = int(name[1]) - 1, int(name[2]) - 1
-            if not (0 <= i < 3 and 0 <= l < 6):
-                raise SchemaError(f"bad element name {name!r}")
-            m[i, l] = float(value)
+            m[int(name[1]) - 1, int(name[2]) - 1] = float(value)
         return NonlinearTensor(point_group, m, citation)
 
     def contract(self, e_pump, e_sig, e_idl) -> float:
@@ -178,25 +185,29 @@ def load_crystal(species: str) -> CrystalData:
     return crystal_from_dict(raw)
 
 
-def crystal_from_dict(raw: dict) -> CrystalData:
+def crystal_from_dict(raw) -> CrystalData:
+    """The crystal data record ``raw`` as ``CrystalData``; SchemaError if it is malformed."""
+    record = _record_fields(raw, "crystal_data", "crystal data file", ("schema_version",))
     try:
-        sel = raw["sellmeier"]
+        sel = record["sellmeier"]
         sellmeier = SellmeierSet(
-            species=raw["species"],
-            symmetry=raw["symmetry"],
+            species=record["species"],
+            symmetry=record["symmetry"],
             coefficients={ax: tuple(v) for ax, v in sel["coefficients"].items()},
             valid_range_um=tuple(sel["valid_range_um"]),
             source_citation=sel["citation"],
         )
-        ten = raw["d_tensor_pm_per_v"]
+        ten = record["d_tensor_pm_per_v"]
         tensor = NonlinearTensor.from_elements(
             ten["point_group"], ten["elements"], ten["citation"]
         )
         cut = None
-        if "reference_cut" in raw:
-            rc = raw["reference_cut"]
+        if "reference_cut" in record:
+            rc = record["reference_cut"]
             cut = CrystalCut(rc["theta_rad"], rc["phi_rad"], rc["length_mm"])
-    except (KeyError, TypeError) as exc:
+        return CrystalData(sellmeier=sellmeier, tensor=tensor, reference_cut=cut,
+                           notes=record.get("notes", ""))
+    except SchemaError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed crystal data: {exc}") from exc
-    return CrystalData(sellmeier=sellmeier, tensor=tensor, reference_cut=cut,
-                       notes=raw.get("notes", ""))

@@ -59,11 +59,6 @@ class TrialLedger(_Record):
     def n_total(self) -> int:
         return self.n_z + sum(self.n_k)
 
-    def scaled(self, factor: int) -> "TrialLedger":
-        return TrialLedger(self.n, self.n_z * factor,
-                           tuple(c * factor for c in self.n_k),
-                           self.f_exp, self.f_0)
-
 
 class PValueBound(NamedTuple):
     x_arg: float

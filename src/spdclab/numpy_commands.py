@@ -102,7 +102,7 @@ def curve_rows(curve) -> list:
 
 
 def ring_rows(cloud) -> list:
-    """The points of a ``crystal.RingCloud`` as rows of ``RING_COLUMNS``."""
+    """The points of a ``phasematch.RingCloud`` as rows of ``RING_COLUMNS``."""
     return list(zip(cloud.kx.tolist(), cloud.ky.tolist(), cloud.wavelength_nm.tolist(),
                     cloud.weight.tolist(), cloud.branch.tolist()))
 

@@ -3,6 +3,7 @@ import ast
 import hashlib
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -1141,10 +1142,11 @@ def test_main_module_is_compiled_once(config_file, tmp_path, command):
 
 def test_json_is_parsed_only_in_fileio():
     """Every JSON file is read by ``fileio._read_json``, shipped data included, so
-    no other module calls ``json.load`` or ``json.loads``."""
+    no other module, nor any demo, calls ``json.load`` or ``json.loads``."""
     package = Path(cli.__file__).parent
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
     calls = []
-    for path in sorted(set(package.rglob("*.py")) - {package / "fileio.py"}):
+    for path in sorted(set(package.rglob("*.py")) - {package / "fileio.py"}) + demos:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             called = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                       and node.func.attr in ("load", "loads")
@@ -1152,8 +1154,30 @@ def test_json_is_parsed_only_in_fileio():
             imported = (isinstance(node, ast.ImportFrom) and node.module == "json"
                         and {a.name for a in node.names} & {"load", "loads"})
             if called or imported:
-                calls.append(f"{path.relative_to(package)}:{node.lineno}")
+                calls.append(f"{path.parent.name}/{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_crystal_exports_what_its_callers_read():
+    """``spdclab.crystal`` exports exactly the names that code outside the unit tests
+    reads from it; unit tests import every other name from its defining module."""
+    root = Path(__file__).resolve().parents[1]
+    package = Path(cli.__file__).parent
+    callers = [p for p in package.rglob("*.py") if package / "crystal" not in p.parents]
+    callers += [*sorted(root.glob("bench/*.py")), *sorted(root.glob("demos/*.py")),
+                root / "tests" / "test_acceptance.py", root / "tests" / "conftest.py"]
+    read = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "crystal"):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module in ("spdclab.crystal", "crystal"):
+                read.update(alias.name for alias in node.names)
+    submodules = {m.name for m in pkgutil.iter_modules(crystal.__path__)}
+    assert read - submodules == set(crystal.__all__)
+    public = {name for name in vars(crystal) if not name.startswith("_")}
+    assert public - submodules == set(crystal.__all__)
 
 
 #: runs one command like the ``spdclab`` entry point, then lists the modules it

@@ -1,16 +1,20 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from spdclab import crystal
-from spdclab.crystal import CrystalCut, NonlinearTensor
+from spdclab.crystal import CrystalCut
+from spdclab.crystal.materials import BIAXIAL, UNIAXIAL, NonlinearTensor, crystal_from_dict
 from spdclab.crystal.optics import index_batch
 from spdclab.errors import SchemaError
+from spdclab.fileio import _read_json
 
 
 class TestLoading:
     def test_shipped_species(self, bbo, bibo):
-        assert bbo.sellmeier.symmetry == crystal.UNIAXIAL
-        assert bibo.sellmeier.symmetry == crystal.BIAXIAL
+        assert bbo.sellmeier.symmetry == UNIAXIAL
+        assert bibo.sellmeier.symmetry == BIAXIAL
         assert "Eimerl" in bbo.sellmeier.source_citation
         assert "Hellwig" in bibo.sellmeier.source_citation
         assert bbo.reference_cut is not None
@@ -19,6 +23,22 @@ class TestLoading:
     def test_unknown_species(self):
         with pytest.raises(SchemaError):
             crystal.load_crystal("ktp")
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda r: r["d_tensor_pm_per_v"]["elements"].update(d11="x"), "malformed crystal data"),
+        (lambda r: r["sellmeier"].update(coefficients=[1, 2]), "malformed crystal data"),
+        (lambda r: r["sellmeier"].update(valid_range_um=[0.3, 1.0, 2.0]), "valid_range_um"),
+        (lambda r: r["sellmeier"].update(valid_range_um=[1.0, 0.3]), "valid_range_um"),
+        (lambda r: r["sellmeier"].update(valid_range_um=[0.3, float("nan")]), "valid_range_um"),
+        (lambda r: r.update(kind="count_dataset"), "not a crystal_data record"),
+        (lambda r: [r], "must contain a JSON object"),
+    ], ids=["element_value", "coefficient_list", "range_of_three", "range_reversed",
+            "range_nan", "wrong_kind", "not_an_object"])
+    def test_malformed_record(self, edit, match):
+        raw, _ = _read_json(resources.files("spdclab.data").joinpath("bibo.json"))
+        raw = edit(raw) or raw
+        with pytest.raises(SchemaError, match=match):
+            crystal_from_dict(raw)
 
 
 class TestSellmeier:
@@ -63,7 +83,7 @@ class TestTensor:
         assert t.d_matrix[1, 1] == -0.5
 
     def test_bad_element_names(self):
-        for name in ("x14", "d99", "d1", "d123"):
+        for name in ("x14", "d99", "d1", "d123", "dab", "d1x"):
             with pytest.raises(SchemaError):
                 NonlinearTensor.from_elements("2", {name: 1.0}, "test")
 

@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from spdclab.crystal import (
-    FAST,
-    SLOW,
-    fresnel_residual,
-    load_crystal,
-    refractive_indices,
-    solve_waves,
-    walkoff_angle,
-)
-from spdclab.crystal.optics import index_batch
+from spdclab.crystal import FAST, SLOW, load_crystal, solve_waves, walkoff_angle
+from spdclab.crystal.optics import fresnel_residual, index_batch, refractive_indices
 
 
 def random_directions(n, seed=0):

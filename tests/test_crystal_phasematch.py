@@ -6,7 +6,6 @@ from spdclab import crystal
 from spdclab.crystal import phasematch
 from spdclab.crystal import (
     CrystalCut,
-    NonlinearTensor,
     collinear_d_eff,
     cut_for_arm_opening,
     noncollinear_arms,
@@ -15,6 +14,7 @@ from spdclab.crystal import (
     spdc_rings,
     spectral_fwhm,
 )
+from spdclab.crystal.materials import CrystalData, NonlinearTensor
 from spdclab.errors import NumericalConsistencyError
 
 SEVEN_PI_30 = 7 * np.pi / 30
@@ -71,7 +71,7 @@ class TestDEffConventions:
         """Oracle: pure-d22 type-II closed form |d22 cos^2(theta) cos(3 phi)|."""
         pure = NonlinearTensor.from_elements(
             "3m", {"d22": 2.2, "d21": -2.2, "d16": -2.2}, "oracle fixture")
-        crys = crystal.CrystalData(sellmeier=bbo.sellmeier, tensor=pure)
+        crys = CrystalData(sellmeier=bbo.sellmeier, tensor=pure)
         for theta in (0.55, 0.7533, 0.9):
             for phi in (0.0, 0.4, np.pi / 3, 1.2):
                 s = CrystalCut(theta, phi, 1.0).direction()
