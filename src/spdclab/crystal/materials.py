@@ -50,8 +50,9 @@ class SellmeierSet:
             table = np.array([self.coefficients[ax] for ax in principal], dtype=float)
         except (TypeError, ValueError):
             table = None
-        if table is None or table.shape != (3, 4):
-            raise SchemaError(f"{self.species}: each axis needs four Sellmeier coefficients")
+        if table is None or table.shape != (3, 4) or not np.isfinite(table).all():
+            raise SchemaError(
+                f"{self.species}: each axis needs four finite Sellmeier coefficients")
         try:
             lo, hi = map(float, self.valid_range_um)
         except (TypeError, ValueError):
@@ -93,7 +94,7 @@ class SellmeierSet:
     def principal_indices(self, wavelength_nm) -> np.ndarray:
         """(n_x, n_y, n_z); uniaxial species map to (n_o, n_o, n_e).
 
-        Shape (3,) for one wavelength, (N, 3) for an (N,) array of them.  The
+        Shape (3,) for one wavelength, (..., 3) for an array of them.  The
         (3,) array of one wavelength is computed once and is read-only.
         """
         lam = np.asarray(wavelength_nm, dtype=float)
@@ -112,8 +113,8 @@ class NonlinearTensor:
 
     def __post_init__(self):
         m = np.asarray(self.d_matrix, dtype=float)
-        if m.shape != (3, 6):
-            raise SchemaError("contracted d matrix must be 3x6")
+        if m.shape != (3, 6) or not np.isfinite(m).all():
+            raise SchemaError("contracted d matrix must be 3x6 and finite")
         object.__setattr__(self, "d_matrix", m)
 
     @staticmethod

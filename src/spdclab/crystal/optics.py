@@ -11,10 +11,11 @@ eigenproblem form is numerically robust through all principal-plane and
 principal-axis degeneracies; tests verify it against the classic Fresnel
 quadratic and a finite-difference index-gradient oracle.
 
-There is one solver, a batched eigen-solve over (N, 3) directions at one
-wavelength or at an (N,) array of wavelengths, one per direction.
-:func:`index_batch` returns its two index arrays: use it wherever only
-indices or wave numbers are needed (scans, root-find residuals).
+There is one solver, a batched eigen-solve over directions of shape
+(..., 3) at wavelengths that broadcast with them: one wavelength, one per
+direction, or one per row of a grid.  :func:`index_batch` returns its two
+index arrays, of the broadcast shape: use it wherever only indices or wave
+numbers are needed (scans, root-find residuals).
 :func:`solve_waves` wraps it for one direction and adds D and walk-off,
 which cost more; use it only where those are needed (d_eff, walk-offs).
 """
@@ -76,34 +77,28 @@ def transverse_frame(s: np.ndarray) -> tuple:
     return t1, s[:, _NEXT] * t1[:, _PREV] - s[:, _PREV] * t1[:, _NEXT]
 
 
-def _inverse_permittivity(sellmeier: SellmeierSet, wavelength_nm) -> np.ndarray:
-    """eps^-1 on the principal axes: (3,) for one wavelength, (N, 3) for (N,) of them.
-
-    The Sellmeier indices are evaluated once per run of equal neighbouring
-    wavelengths: a block at one wavelength costs one evaluation (which the
-    set keeps per wavelength), and the rows of a grid scan one each.
-    """
-    lam = np.asarray(wavelength_nm, dtype=float)
-    if lam.ndim == 0 or not lam.size:
-        return 1.0 / sellmeier.principal_indices(lam) ** 2
-    starts = np.flatnonzero(np.concatenate(([True], lam[1:] != lam[:-1])))
-    if starts.size == 1:
-        return 1.0 / sellmeier.principal_indices(lam[0]) ** 2
-    eps_inv = 1.0 / sellmeier.principal_indices(lam[starts]) ** 2
-    return np.repeat(eps_inv, np.diff(starts, append=lam.size), axis=0)
-
-
 def _eigensystem(sellmeier: SellmeierSet, directions, wavelength_nm) -> tuple:
-    """The batched eigen-solve over an (N, 3) block of directions.
+    """The batched eigen-solve over directions (..., 3) and wavelengths that broadcast.
 
-    ``wavelength_nm`` is one wavelength or an (N,) array, one per row.
-    Returns the frames of the unit directions, eps^-1 (shape (3,) or
+    The Sellmeier indices are evaluated on the wavelengths' own shape, once
+    (the set keeps it) when all of them are equal.  The solve runs on the
+    broadcast rows as one contiguous (N, 3) block.  Returns the broadcast
+    shape, the frames of the N unit directions, eps^-1 (shape (3,) or
     (N, 3)), the transverse restriction (m11, m22, m12) of eps^-1 per row
-    and its eigenvalues (u_fast, u_slow).
+    and its eigenvalues (u_fast, u_slow), each (N,).
     """
     s = np.asarray(directions, dtype=float)
+    lam = np.asarray(wavelength_nm, dtype=float)
+    shape = np.broadcast(s[..., 0], lam).shape
+    if lam.ndim and lam.size and lam.min() == lam.max():
+        lam = lam.flat[0]
+    eps_inv = 1.0 / sellmeier.principal_indices(lam) ** 2
+    if s.shape[:-1] != shape:
+        s = np.broadcast_to(s, shape + (3,))
+    if lam.ndim:
+        eps_inv = np.broadcast_to(eps_inv, shape + (3,)).reshape(-1, 3)
+    s = s.reshape(-1, 3)
     s = s / _row_norms(s)
-    eps_inv = _inverse_permittivity(sellmeier, wavelength_nm)
     t1, t2 = transverse_frame(s)
     e1 = t1 * eps_inv
     m11 = np.einsum("ij,ij->i", e1, t1)
@@ -111,22 +106,22 @@ def _eigensystem(sellmeier: SellmeierSet, directions, wavelength_nm) -> tuple:
     m12 = np.einsum("ij,ij->i", e1, t2)
     mean = 0.5 * (m11 + m22)
     radius = np.hypot(0.5 * (m11 - m22), m12)
-    return t1, t2, eps_inv, (m11, m22, m12), (mean + radius, mean - radius)
+    return shape, t1, t2, eps_inv, (m11, m22, m12), (mean + radius, mean - radius)
 
 
-def index_batch(sellmeier: SellmeierSet, directions: np.ndarray, wavelength_nm):
-    """(n_fast, n_slow) arrays for an (N, 3) block of directions.
+def index_batch(sellmeier: SellmeierSet, directions, wavelength_nm):
+    """(n_fast, n_slow) arrays for directions (..., 3).
 
-    ``wavelength_nm`` is one wavelength or an (N,) array, one per direction.
+    ``wavelength_nm`` is one wavelength or an array that broadcasts with
+    the directions' leading shape; the arrays have the broadcast shape.
     """
-    u_fast, u_slow = _eigensystem(sellmeier, directions, wavelength_nm)[-1]
-    return 1.0 / np.sqrt(u_fast), 1.0 / np.sqrt(u_slow)
+    shape, *_, (u_fast, u_slow) = _eigensystem(sellmeier, directions, wavelength_nm)
+    return (1.0 / np.sqrt(u_fast)).reshape(shape), (1.0 / np.sqrt(u_slow)).reshape(shape)
 
 
 def solve_waves(sellmeier: SellmeierSet, direction, wavelength_nm: float) -> WaveSolution:
     """Both eigenwaves, with D and walk-off, for one propagation direction."""
-    t1, t2, eps_inv, m, u = _eigensystem(
-        sellmeier, np.reshape(direction, (1, 3)), wavelength_nm)
+    _, t1, t2, eps_inv, m, u = _eigensystem(sellmeier, direction, wavelength_nm)
     t1, t2 = t1[0], t2[0]
     m11, m22, m12 = (float(x[0]) for x in m)
 
@@ -150,8 +145,8 @@ def solve_waves(sellmeier: SellmeierSet, direction, wavelength_nm: float) -> Wav
 
 def refractive_indices(sellmeier: SellmeierSet, direction, wavelength_nm: float):
     """(n_fast, n_slow) for the given direction, n_fast <= n_slow."""
-    n_fast, n_slow = index_batch(sellmeier, np.reshape(direction, (1, 3)), wavelength_nm)
-    return float(n_fast[0]), float(n_slow[0])
+    n_fast, n_slow = index_batch(sellmeier, direction, wavelength_nm)
+    return float(n_fast), float(n_slow)
 
 
 def walkoff_angle(sellmeier: SellmeierSet, direction, wavelength_nm: float,

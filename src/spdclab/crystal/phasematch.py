@@ -77,10 +77,7 @@ class PhaseMatchSolution:
 
 def _wave_numbers(sellmeier: SellmeierSet, directions: np.ndarray,
                   wavelength_nm, branch) -> np.ndarray:
-    """|k| in rad/um for an (N, 3) block of directions.
-
-    ``wavelength_nm`` and ``branch`` are one value or an (N,) array each.
-    """
+    """|k| in rad/um for directions (..., 3); broadcasts over the wavelength and branch."""
     n_fast, n_slow = index_batch(sellmeier, directions, wavelength_nm)
     n = np.where(np.asarray(branch) == FAST, n_fast, n_slow)
     return TWO_PI / (np.asarray(wavelength_nm) * 1e-3) * n
@@ -200,10 +197,10 @@ def collinear_mismatch(sellmeier: SellmeierSet, theta, phi, pump_nm: float):
     Broadcasts over theta and phi; scalars give a float.
     """
     s = polar_direction(theta, phi)
-    n_pump, _ = index_batch(sellmeier, s.reshape(-1, 3), pump_nm)
-    n_fast, n_slow = index_batch(sellmeier, s.reshape(-1, 3), 2.0 * pump_nm)
+    n_pump, _ = index_batch(sellmeier, s, pump_nm)
+    n_fast, n_slow = index_batch(sellmeier, s, 2.0 * pump_nm)
     dk = (TWO_PI / (pump_nm * 1e-3)) * (n_pump - 0.5 * (n_fast + n_slow))
-    return float(dk[0]) if s.ndim == 1 else dk.reshape(s.shape[:-1])
+    return float(dk) if dk.ndim == 0 else dk
 
 
 def collinear_d_eff(crystal: CrystalData, pump: WaveSolution,
@@ -276,9 +273,8 @@ class _PumpFrame:
 
     def k_pump(self, pump_nm, cut=0):
         """|k| of the fast pump wave along the pump axis; broadcasts over pump_nm and cut."""
-        lam, cut = np.broadcast_arrays(np.asarray(pump_nm, dtype=float), cut)
-        k = _wave_numbers(self.sellmeier, self.p[cut.ravel()], lam.ravel(), FAST)
-        return float(k[0]) if lam.ndim == 0 else k.reshape(lam.shape)
+        k = _wave_numbers(self.sellmeier, self.p[cut], pump_nm, FAST)
+        return float(k) if k.ndim == 0 else k
 
     def direction(self, omega, psi, cut=0) -> np.ndarray:
         """Unit vector at opening omega and azimuth psi; (..., 3) for arrays."""
@@ -306,24 +302,14 @@ def _ring_mismatch(frame: _PumpFrame, omega, psi, lam_s, lam_p, branch, k_p=None
     """
     if k_p is None:
         k_p = frame.k_pump(lam_p, cut)
-    lam_s, lam_p, branch, cut = (np.asarray(x) for x in (lam_s, lam_p, branch, cut))
-    lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
-    partner = np.where(branch == FAST, SLOW, FAST)
+    lam_i = 1.0 / (1.0 / np.asarray(lam_p) - 1.0 / np.asarray(lam_s))
+    partner = np.where(np.asarray(branch) == FAST, SLOW, FAST)
     d = frame.direction(omega, psi, cut)
-    shape = np.broadcast_shapes(d.shape[:-1], lam_s.shape, lam_p.shape, branch.shape,
-                                np.shape(k_p))
-
-    def flat(x):
-        """x broadcast to the full shape, one entry per residual."""
-        x = np.asarray(x)
-        return (x if x.shape == shape else np.broadcast_to(x, shape)).ravel()
-
-    d = (d if d.shape[:-1] == shape else np.broadcast_to(d, shape + (3,))).reshape(-1, 3)
-    k_s = _wave_numbers(frame.sellmeier, d, flat(lam_s), flat(branch))
-    v = flat(k_p)[:, None] * frame.p[flat(cut)] - k_s[:, None] * d
-    nv = np.linalg.norm(v, axis=1)
-    res = nv - _wave_numbers(frame.sellmeier, v / nv[:, None], flat(lam_i), flat(partner))
-    return float(res[0]) if not shape else res.reshape(shape)
+    k_s = _wave_numbers(frame.sellmeier, d, lam_s, branch)
+    v = np.asarray(k_p)[..., None] * frame.p[cut] - k_s[..., None] * d
+    nv = np.linalg.norm(v, axis=-1)
+    res = nv - _wave_numbers(frame.sellmeier, v / nv[..., None], lam_i, partner)
+    return float(res) if res.ndim == 0 else res
 
 
 def ring_opening_angle(frame: _PumpFrame, psi, branch, lam_s=None, lam_p=None, cut=0):
@@ -533,9 +519,12 @@ def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
                         phi: float = 0.0, length_mm: float = 2.0) -> CrystalCut:
     """Cut whose degenerate arms exit at the requested external half-angle.
 
-    The search starts from the collinear phase-matching angle theta_0 at
-    ``phi``: the lower (theta < 90 deg) family's, or the upper family's when
-    the lower has none.  The non-collinear regime may open on either side
+    The search starts from the lower (theta < 90 deg) family's collinear
+    phase-matching angle theta_0 at ``phi``.  The upper family needs no
+    search of its own: in the principal frame the Fresnel equation depends
+    only on s_x^2, s_y^2 and s_z^2, so n(theta, phi) = n(pi - theta, phi)
+    and the upper family has a root exactly where the lower one does, at
+    pi - theta_0.  The non-collinear regime may open on either side
     of theta_0, so it scans 13 cuts from theta_0 + 0.15 deg to
     theta_0 + 6 deg and, if none of their cells brackets the requested
     angle, 13 from theta_0 - 6 deg to theta_0 - 0.15 deg.  A cut's angle is
@@ -551,8 +540,6 @@ def cut_for_arm_opening(crystal: CrystalData, pump_nm: float = 390.0,
     """
     coll = phase_match_collinear(crystal, pump_nm, phi_grid=np.array([phi]),
                                  branch="lower")
-    if not coll:
-        coll = phase_match_collinear(crystal, pump_nm, phi_grid=np.array([phi]))
     if not coll:
         raise ValueError("no collinear phase matching at this azimuth")
     th0 = coll[0].theta
@@ -694,22 +681,17 @@ def spectral_fwhm(crystal: CrystalData, cut: CrystalCut, arm: str = "signal",
     weights /= weights.sum()
     # rows: pump wavelengths; columns: measured-photon wavelengths
     k_p = frame.k_pump(lam_ps)[:, None]
-    k_s = _wave_numbers(sel, np.broadcast_to(d_meas, (n_points, 3)), lam_grid, meas_branch)
+    k_s = _wave_numbers(sel, d_meas, lam_grid, meas_branch)
     k_t = k_s * sin_om
     lam_i = 1.0 / (1.0 / lam_ps[:, None] - 1.0 / lam_grid)
-    shape = lam_i.shape
-
-    def k_idler(d_i):
-        return _wave_numbers(sel, d_i.reshape(-1, 3), lam_i.ravel(), other).reshape(shape)
-
-    d_i = np.broadcast_to(p, shape + (3,))
+    d_i = p
     for _ in range(6):  # fixed point: idler polar angle cancels k_t
-        s_t = k_t / k_idler(d_i)
+        s_t = k_t / _wave_numbers(sel, d_i, lam_i, other)
         # a point with s_t >= 1 has no partner; it keeps its d_i and stays so
         c_t = np.sqrt(np.where(s_t < 1.0, 1.0 - s_t * s_t, 0.0))
         d_i = np.where((s_t < 1.0)[..., None],
                        c_t[..., None] * p - s_t[..., None] * t_hat, d_i)
-    k_i = k_idler(d_i)
+    k_i = _wave_numbers(sel, d_i, lam_i, other)
     matched = k_t / k_i < 1.0
     s_t = np.where(matched, k_t / k_i, 0.0)
     dk_z = k_p - k_s * cos_om - k_i * np.sqrt(1.0 - s_t ** 2)

@@ -32,8 +32,12 @@ class TestLoading:
         (lambda r: r["sellmeier"].update(valid_range_um=[0.3, float("nan")]), "valid_range_um"),
         (lambda r: r.update(kind="count_dataset"), "not a crystal_data record"),
         (lambda r: [r], "must contain a JSON object"),
+        (lambda r: r["d_tensor_pm_per_v"]["elements"].update(d11=float("nan")),
+         "d matrix must be 3x6 and finite"),
+        (lambda r: r["sellmeier"]["coefficients"]["x"].__setitem__(0, float("inf")),
+         "four finite Sellmeier coefficients"),
     ], ids=["element_value", "coefficient_list", "range_of_three", "range_reversed",
-            "range_nan", "wrong_kind", "not_an_object"])
+            "range_nan", "wrong_kind", "not_an_object", "element_nan", "coefficient_inf"])
     def test_malformed_record(self, edit, match):
         raw, _ = _read_json(resources.files("spdclab.data").joinpath("bibo.json"))
         raw = edit(raw) or raw

@@ -159,3 +159,18 @@ class TestIndexBatch:
             sol = solve_waves(sel, row, lam)
             assert nf == pytest.approx(sol.n_fast, rel=1e-15, abs=0)
             assert ns == pytest.approx(sol.n_slow, rel=1e-15, abs=0)
+
+    def test_grid_block_equals_flattened_rows(self, bibo):
+        """(R, G, 3) directions at (R, 1) wavelengths solve exactly as their flattened
+        rows do, and a block at one wavelength reads the kept Sellmeier indices."""
+        sel = bibo.sellmeier
+        dirs = random_directions(12, seed=3).reshape(3, 4, 3)
+        lam = np.array([[390.0], [780.0], [781.5]])
+        flat = index_batch(sel, dirs.reshape(-1, 3), np.repeat(lam.ravel(), 4))
+        for grid, rows in zip(index_batch(sel, dirs, lam), flat):
+            assert grid.shape == (3, 4) and np.array_equal(grid.ravel(), rows)
+        index_batch(sel, dirs, 700.0)
+        before = sel._principal_at.cache_info()
+        index_batch(sel, dirs, np.full((3, 1), 700.0))
+        after = sel._principal_at.cache_info()
+        assert after.hits > before.hits and after.misses == before.misses

@@ -60,6 +60,22 @@ class TestCollinearCurve:
         assert abs(quad - 0.011) / 0.011 < 0.15
         assert abs(sample.d_eff_pm_v - 1.1) / 1.1 < 0.15
 
+    @pytest.mark.parametrize("species", ["bbo", "bibo"])
+    def test_upper_family_mirrors_lower(self, species, request):
+        """n(theta, phi) = n(pi - theta, phi): the upper family has its roots at pi
+        minus the lower family's, at the same azimuths and with the same walk-offs.
+        d_eff is left free: the tensor does not share the symmetry for BiBO."""
+        crys = request.getfixturevalue(species)
+        phis = np.radians(np.arange(0.0, 360.0, 3.0))
+        for pump_nm in (385.0, 390.0, 395.0):
+            lower = phase_match_collinear(crys, pump_nm, phis, branch="lower")
+            upper = phase_match_collinear(crys, pump_nm, phis, branch="upper")
+            assert lower and [s.phi for s in upper] == [s.phi for s in lower]
+            for lo, up in zip(lower, upper):
+                assert abs(up.theta - (np.pi - lo.theta)) < 1e-12
+                assert abs(up.walkoff_fast - lo.walkoff_fast) < 1e-6
+                assert abs(up.walkoff_slow - lo.walkoff_slow) < 1e-6
+
     def test_gap_reported_as_missing_samples(self, bibo):
         # no collinear type-II solution at low azimuth: skipped, not an error
         samples = phase_match_collinear(bibo, phi_grid=np.radians([5.0, 10.0]))
@@ -277,6 +293,28 @@ class TestCutForArmOpening:
         assert a in span and b == estimates[0] - phasematch.CUT_PROBE_RAD
         assert fa < 0.0 < fb and a < cut.theta < b
         assert frame_rows[:2] == [13, 3] and set(frame_rows[2:]) == {1}
+
+    def test_estimate_outside_cell_falls_back_to_secant(self, monkeypatch):
+        """An inverse-cubic estimate outside the scanned cell (0.877 for [1, 2]) is
+        replaced by the cell's secant, and the root is verified inside the cell."""
+        xs, fs = np.array([0.0, 1.0, 2.0, 3.0]), np.array([-3.0, -0.01, 1.0, 1.05])
+        interpolate = phasematch._inverse_interpolation
+        estimates = []
+
+        def recorded(x, y):
+            estimates.append((len(x), interpolate(x, y)))
+            return estimates[-1][1]
+
+        def f(x, rows=None):
+            return np.interp(x, xs, fs)
+
+        monkeypatch.setattr(phasematch, "_inverse_interpolation", recorded)
+        root = phasematch._refine_scanned_root(f, xs, fs, 1, xtol=1e-8)
+        (n_cubic, cubic), (n_secant, secant) = estimates[:2]
+        assert (n_cubic, n_secant) == (4, 2)
+        assert abs(cubic - 0.877) < 1e-3 and 1.0 < secant < 2.0
+        assert 1.0 < root < 2.0 and abs(root - (1.0 + 0.01 / 1.01)) < 1e-8
+        assert f(root - 1e-8) < 0.0 < f(root + 1e-8)
 
     @pytest.mark.parametrize("half_angle", [20.0, 0.1])
     def test_unreachable_opening_raises(self, bbo, half_angle):
