@@ -20,8 +20,8 @@ two rings of a type-II cut cross at two arms, which is where polarization
 pairs of both orderings are emitted.
 
 Every root is bracketed by a grid scan and refined by one solver.  A ring
-opening or a collinear angle is the first sign change of its row
-(:func:`_first_brackets`): the grid's first half is scanned for every row,
+opening or a collinear angle is the root in the first sign change of its
+row (:func:`_first_roots`): the grid's first half is scanned for every row,
 its second half only for the rows with no bracket in the first.  The arm
 azimuth scan and the cut search's 13-cut scan need every cell, so they scan
 their whole grid (:func:`_bracket_cells`).  :func:`_solve_bracketed` then
@@ -93,19 +93,18 @@ def _bracket_cells(vals: np.ndarray) -> np.ndarray:
     return ((a == 0.0) | (a * b < 0.0)) & ~np.isnan(b)
 
 
-def _first_brackets(f, grid: np.ndarray, n_rows: int) -> tuple:
-    """The first bracketing cell of each of ``n_rows`` rows of ``f`` sampled on ``grid``.
+def _first_roots(f, grid: np.ndarray, n_rows: int, xtol: float) -> np.ndarray:
+    """The root in the first bracketing cell of each of ``n_rows`` rows of ``f`` on ``grid``.
 
     ``f(x, rows)`` returns the residuals of rows ``rows`` at the points
-    ``x``, shape (rows.size, x.size).  The grid is scanned in two halves
-    that share their middle point: every row on the first half, then only
-    the rows with no bracket there on the second.  The cells of the two
-    halves are all the grid's cells, so each row's first bracket is the
-    one a scan of the whole grid finds.
+    ``x``, broadcasting the two.  The grid is scanned in two halves that
+    share their middle point: every row on the first half, then only the
+    rows with no bracket there on the second; a scan passes x (1, G) and
+    rows (R, 1).  The cells of the two halves are all the grid's cells, so
+    each row's first bracket is the one a scan of the whole grid finds.
+    :func:`_solve_bracketed` then refines every row's bracket at once.
 
-    Returns (rows, a, b, fa, fb): the rows that have a bracket, in order,
-    and that cell's endpoints and their values, ready for
-    :func:`_solve_bracketed`.
+    Returns the (n_rows,) roots, NaN for a row with no bracket.
     """
     mid = grid.size // 2
     cell = np.full(n_rows, -1)
@@ -114,7 +113,7 @@ def _first_brackets(f, grid: np.ndarray, n_rows: int) -> tuple:
     for lo, hi in ((0, mid + 1), (mid, grid.size)):
         if not todo.size:
             break
-        vals = f(grid[lo:hi], todo)
+        vals = f(grid[None, lo:hi], todo[:, None])
         cells = _bracket_cells(vals)
         hit = cells.any(axis=1)
         i = cells[hit].argmax(axis=1)
@@ -123,7 +122,10 @@ def _first_brackets(f, grid: np.ndarray, n_rows: int) -> tuple:
         todo = todo[~hit]
     rows = np.flatnonzero(cell >= 0)
     i = cell[rows]
-    return rows, grid[i], grid[i + 1], fa[rows], fb[rows]
+    roots = np.full(n_rows, np.nan)
+    roots[rows] = _solve_bracketed(lambda x, r: f(x, rows[r]), grid[i], grid[i + 1],
+                                   fa[rows], fb[rows], xtol)
+    return roots
 
 
 def _solve_bracketed(f, a, b, fa, fb, xtol: float) -> np.ndarray:
@@ -199,8 +201,7 @@ def collinear_mismatch(sellmeier: SellmeierSet, theta, phi, pump_nm: float):
     s = polar_direction(theta, phi)
     n_pump, _ = index_batch(sellmeier, s, pump_nm)
     n_fast, n_slow = index_batch(sellmeier, s, 2.0 * pump_nm)
-    dk = (TWO_PI / (pump_nm * 1e-3)) * (n_pump - 0.5 * (n_fast + n_slow))
-    return float(dk) if dk.ndim == 0 else dk
+    return (TWO_PI / (pump_nm * 1e-3)) * (n_pump - 0.5 * (n_fast + n_slow))
 
 
 def collinear_d_eff(crystal: CrystalData, pump: WaveSolution,
@@ -233,11 +234,10 @@ def phase_match_collinear(
     down_nm = 2.0 * pump_nm
     thetas = np.arange(th_lo, th_hi, COLLINEAR_SCAN_STEP_RAD)
     phis = np.atleast_1d(phi_grid).astype(float)
-    rows, *bracket = _first_brackets(
-        lambda th, r: collinear_mismatch(sel, th, phis[r, None], pump_nm), thetas, phis.size)
-    phis = phis[rows]
-    roots = _solve_bracketed(lambda th, r: collinear_mismatch(sel, th, phis[r], pump_nm),
-                             *bracket, xtol=1e-12)
+    roots = _first_roots(lambda th, r: collinear_mismatch(sel, th, phis[r], pump_nm),
+                         thetas, phis.size, xtol=1e-12)
+    found = ~np.isnan(roots)
+    roots, phis = roots[found], phis[found]
     residuals = collinear_mismatch(sel, roots, phis, pump_nm)
     samples = []
     for root, phi, dk in zip(roots, phis, residuals):
@@ -273,8 +273,7 @@ class _PumpFrame:
 
     def k_pump(self, pump_nm, cut=0):
         """|k| of the fast pump wave along the pump axis; broadcasts over pump_nm and cut."""
-        k = _wave_numbers(self.sellmeier, self.p[cut], pump_nm, FAST)
-        return float(k) if k.ndim == 0 else k
+        return _wave_numbers(self.sellmeier, self.p[cut], pump_nm, FAST)
 
     def direction(self, omega, psi, cut=0) -> np.ndarray:
         """Unit vector at opening omega and azimuth psi; (..., 3) for arrays."""
@@ -296,7 +295,7 @@ def _ring_mismatch(frame: _PumpFrame, omega, psi, lam_s, lam_p, branch, k_p=None
     Broadcasts over omega, psi, the wavelengths, the branch, the pump wave
     number k_p (computed from lam_p when not given) and the frame row cut;
     all-scalar arguments give a float.  Each part is computed on the shape
-    of the arguments it depends on, so a scan of openings (omega (G,), the
+    of the arguments it depends on, so a scan of openings (omega (1, G), the
     rest (R, 1)) does the work that does not depend on the opening once per
     row, and the Sellmeier indices once per row and wavelength.
     """
@@ -308,18 +307,17 @@ def _ring_mismatch(frame: _PumpFrame, omega, psi, lam_s, lam_p, branch, k_p=None
     k_s = _wave_numbers(frame.sellmeier, d, lam_s, branch)
     v = np.asarray(k_p)[..., None] * frame.p[cut] - k_s[..., None] * d
     nv = np.linalg.norm(v, axis=-1)
-    res = nv - _wave_numbers(frame.sellmeier, v / nv[..., None], lam_i, partner)
-    return float(res) if res.ndim == 0 else res
+    return nv - _wave_numbers(frame.sellmeier, v / nv[..., None], lam_i, partner)
 
 
 def ring_opening_angle(frame: _PumpFrame, psi, branch, lam_s=None, lam_p=None, cut=0):
-    """Opening angle of the branch ring at azimuth psi, or None if absent.
+    """Opening angle of the branch ring at azimuth psi, NaN where there is no ring.
 
     Broadcasts over psi, branch, the wavelengths (lam_p defaults to the
-    frame's pump, lam_s to 2 lam_p) and the frame row cut: array arguments
-    give an array with NaN where there is no ring.  Every row is bracketed
-    on one 40-point grid of openings (its second half scanned only for the
-    rows with no bracket in the first) and refined in one batched solve.
+    frame's pump, lam_s to 2 lam_p) and the frame row cut, and returns an
+    array of the broadcast shape (0-d for scalar arguments).  Every row's
+    first root on one 40-point grid of openings is found by
+    :func:`_first_roots`.
     """
     lam_p = frame.pump_nm if lam_p is None else lam_p
     lam_s = 2.0 * np.asarray(lam_p) if lam_s is None else lam_s
@@ -327,20 +325,11 @@ def ring_opening_angle(frame: _PumpFrame, psi, branch, lam_s=None, lam_p=None, c
     shape = psi.shape
     psi, branch, lam_s, lam_p, cut = (x.ravel() for x in (psi, branch, lam_s, lam_p, cut))
     k_p = frame.k_pump(lam_p, cut)
-    rows, *bracket = _first_brackets(
-        lambda om, r: _ring_mismatch(frame, om, psi[r, None], lam_s[r, None], lam_p[r, None],
-                                     branch[r, None], k_p[r, None], cut[r, None]),
-        np.linspace(1e-5, 0.20, 40), psi.size)
-    omega = np.full(psi.size, np.nan)
-    psi, branch, lam_s, lam_p, k_p, cut = (
-        x[rows] for x in (psi, branch, lam_s, lam_p, k_p, cut))
-    omega[rows] = _solve_bracketed(
+    omega = _first_roots(
         lambda om, r: _ring_mismatch(frame, om, psi[r], lam_s[r], lam_p[r], branch[r], k_p[r],
                                      cut[r]),
-        *bracket, xtol=1e-11)
-    if shape:
-        return omega.reshape(shape)
-    return None if np.isnan(omega[0]) else float(omega[0])
+        np.linspace(1e-5, 0.20, 40), psi.size, xtol=1e-11)
+    return omega.reshape(shape)
 
 
 def _arm_geometry(frame: _PumpFrame, n_psi: int) -> tuple:
@@ -570,10 +559,11 @@ def _gaussian_samples(center: float, fwhm: float, n: int, half_span: float) -> t
     Gaussian spectrum of the given FWHM, with its unnormalised weights.
 
     A width whose sigma is not positive (zero, or so small that it underflows)
-    gives the center alone with weight 1: a monochromatic line.
+    gives the center alone with weight 1: a monochromatic line.  So does a
+    single sample (n = 1).
     """
     sigma = fwhm / 2.3548
-    if not sigma > 0:
+    if not sigma > 0 or n == 1:
         return np.array([center]), np.array([1.0])
     lam = np.linspace(center - half_span * sigma, center + half_span * sigma, n)
     return lam, np.exp(-0.5 * ((lam - center) / sigma) ** 2)

@@ -108,8 +108,8 @@ def simulate_null_exceedance(
     ledger: TrialLedger,
     thresholds: Sequence[float],
     runs: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
+    rng,
+):
     """Empirical P(F_bar >= threshold) under one bi-separable null.
 
     The null is a product state with perfect H/V population and vanishing
@@ -119,6 +119,9 @@ def simulate_null_exceedance(
     the published 0.606 is 1.44e-5, while bi-separable GHZ-diagonal nulls
     with population fraction near 0.62 reach about 2.5e-4.  Used to check that
     computed bounds are never undershot in simulation.
+
+    ``rng`` is a ``numpy.random.Generator``; returns a numpy array of one
+    exceedance fraction per threshold.
     """
     import numpy as np
 

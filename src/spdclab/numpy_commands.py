@@ -82,8 +82,9 @@ def _check_pump_nm(args) -> None:
         raise SchemaError(f"--pump-nm must be finite and positive, got {args.pump_nm}")
 
 
-def _cut_from_args(crys, args) -> crystal.CrystalCut:
-    """``--cut`` or the reference cut, with ``--length-mm`` or the reference length."""
+def _cut_from_args(crys, args):
+    """``--cut`` or the reference cut, with ``--length-mm`` or the reference length, as a
+    ``crystal.CrystalCut``."""
     from . import crystal
 
     ref = crys.reference_cut

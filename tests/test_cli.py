@@ -1,18 +1,22 @@
 import argparse
 import ast
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import pkgutil
 import shutil
 import subprocess
 import sys
+import typing
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdclab
 from spdclab import cli, crystal, numpy_commands, qstate, simulator, witness
 from spdclab.cli import (
     EXIT_INSUFFICIENT,
@@ -1178,6 +1182,26 @@ def test_crystal_exports_what_its_callers_read():
     assert read - submodules == set(crystal.__all__)
     public = {name for name in vars(crystal) if not name.startswith("_")}
     assert public - submodules == set(crystal.__all__)
+
+
+def _defined_functions(module) -> list:
+    """The functions and methods (static, class and property ones too) defined in ``module``."""
+    found = []
+    for obj in vars(module).values():
+        members = vars(obj).values() if inspect.isclass(obj) else [obj]
+        for fn in members:
+            fn = fn.fget if isinstance(fn, property) else getattr(fn, "__func__", fn)
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                found.append(fn)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.walk_packages(
+    spdclab.__path__, "spdclab.")))
+def test_annotations_resolve(name):
+    """Every annotation names something bound in its module, so ``get_type_hints`` works."""
+    for fn in _defined_functions(importlib.import_module(name)):
+        typing.get_type_hints(fn)
 
 
 #: runs one command like the ``spdclab`` entry point, then lists the modules it

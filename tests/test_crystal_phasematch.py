@@ -375,6 +375,15 @@ class TestRings:
                             n_signal=1, **kw)
         assert narrow.radial_spread() < wide.radial_spread()
 
+    def test_single_filter_sample_is_the_centre(self, bibo):
+        """One signal sample of a finite filter is the centre line with weight 1."""
+        kw = dict(n_psi=12, n_signal=1, n_pump=1, pump_fwhm_nm=0.0)
+        one = spdc_rings(bibo, bibo.reference_cut, filter_fwhm_nm=3.0, **kw)
+        mono = spdc_rings(bibo, bibo.reference_cut, filter_fwhm_nm=0.0, **kw)
+        assert one.kx.size > 0
+        for name in ("kx", "ky", "wavelength_nm", "weight", "branch"):
+            assert np.array_equal(getattr(one, name), getattr(mono, name))
+
     def test_empty_acceptance_warns(self, bibo):
         # beyond the collinear curve nothing phase matches: empty cloud
         curve = phase_match_collinear(bibo, phi_grid=np.radians([55.0]))
@@ -511,15 +520,16 @@ class TestBatchedRootFinder:
                 lambda om: phasematch._ring_mismatch(frame, om, ps, ls, lp, b, kp),
                 grid, vals, 1e-11)
             assert want is not None and abs(got - want) < 2e-11
-        # scalar arguments keep the scalar form
+        # scalar arguments give a 0-d array
         one = phasematch.ring_opening_angle(frame, psi[7], branch[7], lam_s[7], lam_p[7])
-        assert isinstance(one, float) and one == batched[7]
+        assert one.shape == () and one == batched[7]
 
-    def test_no_ring_is_none_or_nan(self, bibo):
+    def test_no_ring_is_nan(self, bibo):
         curve = phase_match_collinear(bibo, phi_grid=np.radians([55.0]))
         cut = CrystalCut(curve[0].theta + 0.05, curve[0].phi, 0.6)
         frame = phasematch._PumpFrame(bibo.sellmeier, cut.direction(), 390.0)
-        assert phasematch.ring_opening_angle(frame, 0.3, crystal.FAST) is None
+        one = phasematch.ring_opening_angle(frame, 0.3, crystal.FAST)
+        assert one.shape == () and np.isnan(one)
         both = phasematch.ring_opening_angle(frame, np.array([0.3, 1.3]), crystal.FAST)
         assert both.shape == (2,) and np.all(np.isnan(both))
 
@@ -618,13 +628,24 @@ class TestBatchedRootFinder:
                                         0.0, 1.0, -1.0, 1.0, xtol=1e-12)
 
     def test_nan_row_never_bracketed(self):
-        grid = np.arange(5.0)
         vals = np.array([[np.nan] * 5, [2.0, 1.0, np.nan, -1.0, -2.0],
                          [1.0, 0.0, np.nan, 3.0, 4.0], [1.0, -1.0, 0, 0, 0]])
         assert not phasematch._bracket_cells(vals[0]).any()
-        rows, a, b, fa, fb = phasematch._first_brackets(
-            lambda x, r: vals[r][:, x.astype(int)], grid, 4)
-        assert rows.tolist() == [3] and (a[0], b[0], fa[0], fb[0]) == (0.0, 1.0, 1.0, -1.0)
+        roots = phasematch._first_roots(_piecewise_linear(vals), np.arange(5.0), 4, 1e-12)
+        assert np.array_equal(roots, [np.nan, np.nan, np.nan, 0.5], equal_nan=True)
+
+
+def _piecewise_linear(vals: np.ndarray):
+    """f(x, rows) for ``_first_roots``: each row of ``vals``, sampled at x = 0, 1, 2, ...,
+    joined by straight lines; exactly the sample at a whole x, so a NaN sample stays
+    confined to the grid points and cells it touches.  Records each call's arguments."""
+    def f(x, rows):
+        f.calls.append((np.asarray(x).tolist(), np.asarray(rows).tolist()))
+        lo = np.clip(np.floor(x), 0, vals.shape[1] - 2).astype(int)
+        t = x - lo
+        return np.where(t == 0, vals[rows, lo], (1 - t) * vals[rows, lo] + t * vals[rows, lo + 1])
+    f.calls = []
+    return f
 
 
 class TestTwoStageScan:
@@ -645,20 +666,28 @@ class TestTwoStageScan:
         return roots, first
 
     def test_second_half_only_for_rows_without_a_bracket(self):
-        grid = np.arange(8.0)
         vals = np.array([[1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0],
                          [4.0, 3.0, 2.0, 1.0, 0.5, 0.25, -1.0, -2.0],
                          [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]])
-        calls = []
+        f = _piecewise_linear(vals)
+        roots = phasematch._first_roots(f, np.arange(8.0), 3, 1e-12)
+        # the scan: points 0-4 for every row, then 4-7 for rows 1 and 2; then the solve
+        assert f.calls[:2] == [([[0.0, 1.0, 2.0, 3.0, 4.0]], [[0], [1], [2]]),
+                               ([[4.0, 5.0, 6.0, 7.0]], [[1], [2]])]
+        assert f.calls[2][1] == [0, 1] and all(np.ndim(x) == 1 for x, _ in f.calls[2:])
+        assert roots[0] == 0.5 and abs(roots[1] - 5.2) < 1e-12 and np.isnan(roots[2])
 
-        def f(x, rows):
-            calls.append((x.tolist(), rows.tolist()))
-            return vals[rows][:, x.astype(int)]
-
-        rows, a, b, fa, fb = phasematch._first_brackets(f, grid, 3)
-        assert calls == [([0.0, 1.0, 2.0, 3.0, 4.0], [0, 1, 2]), ([4.0, 5.0, 6.0, 7.0], [1, 2])]
-        assert rows.tolist() == [0, 1] and a.tolist() == [0.0, 5.0] and b.tolist() == [1.0, 6.0]
-        assert fa.tolist() == [1.0, 0.25] and fb.tolist() == [-1.0, -1.0]
+    def test_root_at_the_shared_midpoint(self):
+        """A residual that is 0 at grid[mid], positive before and negative after: the
+        first half's last cell does not bracket it (its left end is not 0), the second
+        half's first cell does."""
+        grid = np.linspace(0.0, 1.4, 8)
+        residual = lambda x, r: grid[4] - x + 0.0 * r
+        roots = phasematch._first_roots(residual, grid, 1, 1e-12)
+        vals = residual(grid[None], np.zeros((1, 1)))
+        want, first = self._whole_grid_roots(residual, grid, vals, 1e-12)
+        assert roots.tolist() == [grid[4]] and np.array_equal(roots, want)
+        assert first.tolist() == [4]
 
     def test_ring_openings_past_the_midpoint_and_absent(self, bbo):
         """BBO 0.05 and 0.1 rad past its reference cut opens rings past the grid's
