@@ -5,21 +5,19 @@ thermal-style weights (1 : p : g p^2); every photon independently survives
 collection with its arm efficiency.  Pulses whose surviving photons form
 the canonical configuration (exactly one fully surviving pair per source)
 are coherent: their post-selected statistics come from the exact fused
-state psi, with one scalar overlap per PBS link damping the coherence
-between the all-H and all-V components by their product D (partial
+state a|H...H> + b|V...V>, with one scalar overlap per PBS link damping the
+coherence between its two components by their product D (partial
 distinguishability dephases, it does not remove photons, so H/V
-populations are unaffected).  A dephasing by D is the mixture
-(1 + D)/2 |psi><psi| + (1 - D)/2 |psi'><psi'|, where psi' is psi with its
-all-V amplitude negated, so the coherent outcome probabilities are two
-Born distributions of pure states.  All other
-surviving configurations (double-pair contamination) are routed as
-classically polarized photons through the PBS chain: H transmits, V
-reflects to the neighboring output, and an event registers only when every
-analyzer path fires on exactly one port.
+populations are unaffected).  All other surviving configurations
+(double-pair contamination) are routed as classically polarized photons
+through the PBS chain: H transmits, V reflects to the neighboring output,
+and an event registers only when every analyzer path fires on exactly one
+port.
 
 The outcome probabilities of a candidate pulse are computed exactly, not
-sampled: the classical routing is a ring of one small transfer matrix per
-source, and the coherent part is added from the exact fused state.
+sampled: every candidate is routed classically around a ring of one small
+transfer matrix per source, which also gives the coherent events'
+populations, and the M_k settings add their coherence in closed form.
 Pulses are independent and each gives at most one outcome, so a run is one
 binomial draw (candidate pulses) and one multinomial draw (outcomes plus a
 no-event bucket) per setting, whatever the pulse count.
@@ -43,8 +41,6 @@ from .qstate import (
     FusionNetwork,
     PairSource,
     fuse_and_postselect,
-    mk_eigenbasis,
-    outcome_distribution,
 )
 from .witness import (
     CountDataset,
@@ -208,24 +204,35 @@ def tenfold_rate(total_pair_rate: float, xi: float, rep_rate_hz: float) -> float
 # ---------------------------------------------------------------------------
 
 class _CleanEventModel:
-    """Exact post-selected statistics for the canonical surviving configuration."""
+    """Exact post-selected statistics for the canonical surviving configuration.
+
+    The fused state is a|H...H> + b|V...V> with coherence damped by D: Z
+    finds a^2 at all-H and b^2 at all-V, and an M_k outcome x with |x| V
+    letters has probability (a^2 + b^2 + (-1)^(k + |x|) 2abD) / 2^n.
+    """
 
     def __init__(self, config: ExperimentConfig):
         state, self.success_prob = fuse_and_postselect(config.network())
         self.n = state.n_modes
-        flipped = state.amps.copy()
-        flipped[-1] *= -1.0
-        damping = config.interference.coherence_damping(len(config.pbs_links))
-        # the dephased state as a mixture of two pure states
-        self.mixture = ((0.5 * (1.0 + damping), state),
-                        (0.5 * (1.0 - damping), qstate.PureState(flipped)))
+        self.a, self.b = state.amps[0].real, state.amps[-1].real
+        self.damping = config.interference.coherence_damping(len(config.pbs_links))
+
+    def coherence(self, setting: str):
+        """The coherence's term in each outcome probability, 0 in Z."""
+        k = setting_index(setting)
+        if k is None:
+            return 0.0
+        parity = 1.0 - 2.0 * (np.indices((2,) * self.n).sum(axis=0).ravel() % 2)
+        return (-1) ** k * 2.0 * self.a * self.b * self.damping / 2**self.n * parity
 
     def distribution(self, setting: str) -> np.ndarray:
         """Probabilities over the 2^n outcome strings for one setting."""
-        k = setting_index(setting)
-        basis = np.eye(2) if k is None else mk_eigenbasis(k, self.n)
-        return sum(w * outcome_distribution(psi, [basis] * self.n)
-                   for w, psi in self.mixture)
+        if setting_index(setting) is None:
+            out = np.zeros(2**self.n)
+            out[0], out[-1] = self.a**2, self.b**2
+            return out
+        # at a = b and D = 1 rounding leaves -2e-19 where 0 is exact; rng.choice rejects it
+        return np.maximum((self.a**2 + self.b**2) / 2**self.n + self.coherence(setting), 0.0)
 
 
 def sample_postselected(config: ExperimentConfig, setting: str, n_events: int,
@@ -313,46 +320,39 @@ def _transfer_matrix(rows: np.ndarray, z_rule: bool) -> np.ndarray:
 
 
 def _classical_part(layout: list, tables: list, z_rule: bool) -> np.ndarray:
-    """Outcome weights of the candidates that are not clean at every source.
+    """Outcome weights of every candidate routed classically around the ring.
 
-    Summed over the first source that is not clean (sources before it
-    clean, after it anything), so every term is non-negative and the part
-    is exactly zero when no such candidate can fire every path.
+    A candidate that is clean at every source routes to all-H or all-V as
+    its pairs' polarizations agree, so this part holds the clean events'
+    populations; only their coherence is left to add.
     """
     n_src = len(layout)
-    clean = [_transfer_matrix(t[t[:, 5] == 1], z_rule) for t in tables]
-    dirty = [_transfer_matrix(t[t[:, 5] == 0], z_rule) for t in tables]
-    full = [c + d for c, d in zip(clean, dirty)]
     # the chain bit at position i is axis n_src + i, its idler's bit 2 n_src + i
-    axis = {}
-    for i, (_, signal, idler) in enumerate(layout):
+    axis, operands = {}, []
+    for i, ((_, signal, idler), table) in enumerate(zip(layout, tables)):
         axis[signal], axis[idler] = n_src + i, 2 * n_src + i
-    part = 0.0
-    for j in range(n_src):
-        operands = []
-        for i, t in enumerate(clean[:j] + [dirty[j]] + full[j + 1:]):
-            operands += [t, [(i + 1) % n_src, i, n_src + i, 2 * n_src + i]]
-        part = part + np.einsum(*operands, [axis[m] for m in sorted(axis)],
-                                optimize=True)
-    return part.ravel()
+        operands += [_transfer_matrix(table, z_rule),
+                     [(i + 1) % n_src, i, n_src + i, 2 * n_src + i]]
+    return np.einsum(*operands, [axis[m] for m in sorted(axis)], optimize=True).ravel()
 
 
 def _outcome_probabilities(config: ExperimentConfig, settings: Sequence[str],
                            clean: _CleanEventModel) -> dict:
     """P(outcome | candidate pulse) over the 2^n outcome strings, per setting.
 
-    A candidate (every source emits at least one pair) that is clean at
-    every source is coherent and follows ``clean``; every other candidate
-    is routed classically around the PBS ring.  Dark counts thin every
-    event by (1 - d)^n.
+    Every candidate (every source emits at least one pair) is routed around
+    the PBS ring, under the routing rules the settings need; those clean at
+    every source are coherent and add their weight times ``clean``'s
+    coherence.  Dark counts thin every event by (1 - d)^n.
     """
     layout = _ring_layout(config)
     tables = [_source_table(config.sources[p]) for p, _, _ in layout]
-    p_clean = np.prod([t[t[:, 5] == 1, 0].sum() for t in tables])
-    classical = {z: _classical_part(layout, tables, z) for z in (True, False)}
+    weight = np.prod([t[t[:, 5] == 1, 0].sum() for t in tables]) * clean.success_prob
+    classical = {z: _classical_part(layout, tables, z) for z in {s == Z_SETTING for s in settings}}
     thinning = (1.0 - config.detector.dark_count_prob) ** config.n_modes()
-    return {s: thinning * (classical[s == Z_SETTING]
-                           + p_clean * clean.success_prob * clean.distribution(s))
+    # the populations and the coherence are rounded apart, so an exact 0
+    # can come out as -1e-17, which the multinomial draw rejects
+    return {s: thinning * np.maximum(classical[s == Z_SETTING] + weight * clean.coherence(s), 0.0)
             for s in settings}
 
 

@@ -6,6 +6,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy import stats
 
 from spdclab import qstate, simulator
@@ -25,6 +26,7 @@ from spdclab.simulator import (
     sample_postselected,
     tenfold_rate,
 )
+from spdclab.witness import setting_index, setting_names
 
 from per_pulse_oracle import Router, enumerate_outcomes, trace_candidates
 
@@ -204,6 +206,49 @@ class TestPostselectedSampling:
             np.testing.assert_allclose(model.distribution(setting), expect,
                                        rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("cfg", [
+        reference_config(),
+        # theta in (pi/2, pi): ab < 0 with five sources, rotated or not
+        make_config(theta=0.7 * np.pi, overlap=0.8),
+        make_config(theta=0.6 * np.pi, rotated_tail=2, overlap=0.3),
+        # and ab > 0 with two
+        ExperimentConfig(sources=tuple(SourceModel(0.1, 1.0, 1.0, theta_state=0.6 * np.pi + 0.1 * i,
+                                                   rotated=i == 1) for i in range(2)),
+                         interference=InterferenceModel((0.7,)), pbs_links=((2, 3),)),
+    ], ids=["reference", "theta-0.7pi", "theta-0.6pi-rotated", "two-sources"])
+    def test_closed_form_equals_born_mixture(self, cfg):
+        """The closed form equals the dephased state's Born probabilities.
+
+        Dephasing by D is the mixture (1 + D)/2 |psi><psi| + (1 - D)/2
+        |psi'><psi'|, psi' being psi with its all-V amplitude negated.
+        """
+        state, success = fuse_and_postselect(cfg.network())
+        flipped = state.amps.copy()
+        flipped[-1] *= -1.0
+        damping = cfg.interference.coherence_damping(len(cfg.pbs_links))
+        mixture = ((0.5 * (1.0 + damping), state),
+                   (0.5 * (1.0 - damping), qstate.PureState(flipped)))
+        model = simulator._CleanEventModel(cfg)
+        assert model.success_prob == success
+        for setting in setting_names(model.n):
+            k = setting_index(setting)
+            basis = np.eye(2) if k is None else qstate.mk_eigenbasis(k, model.n)
+            expect = sum(w * qstate.outcome_distribution(psi, [basis] * model.n)
+                         for w, psi in mixture)
+            np.testing.assert_allclose(model.distribution(setting), expect,
+                                       rtol=0.0, atol=1e-15)
+
+    def test_no_dense_born_distribution(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the simulator computed a dense Born distribution")
+
+        monkeypatch.setattr(qstate, "outcome_distribution", refuse)
+        cfg = reference_config()
+        settings = setting_names(10)
+        run_monte_carlo(cfg, 10**9, settings)
+        for setting in settings:
+            sample_postselected(cfg, setting, 100, np.random.default_rng(1))
+
     def test_visibility_monotone_in_overlap(self):
         values = []
         for overlap in (0.3, 0.6, 0.9):
@@ -302,6 +347,10 @@ def binned_chi2_pvalue(observed, probs):
     return float(stats.chi2.sf(stat, keep.sum() - 1))
 
 
+#: lossless, g = 0 and D = 1 with a = b to 1e-10: exact zeros round to -1e-19
+ROUNDED_ZERO_CONFIG = dict(p=0.24, theta=np.pi / 4 - 1e-10, rotated_tail=2)
+
+
 class TestExactOutcomes:
     @pytest.mark.parametrize("setting", ["Z", "M3"])
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
@@ -356,20 +405,63 @@ class TestExactOutcomes:
             assert np.array_equal(probs[setting], expected[setting])
 
     def test_classical_part_vanishes_without_double_pairs(self):
+        """Without double pairs the ring holds the clean populations alone.
+
+        Every candidate that is not clean at every source has lost a
+        photon, so leaves a path dark; the all-clean ones route to the
+        Z ends with weights a^2 and b^2, and uniformly in M_k.
+        """
         xi, dark = 0.85, 0.1
         cfg = make_config(p=0.22, xi=xi, theta=THETA_REF, rotated_tail=2,
                           overlap=0.9, g=0.0, dark=dark)
         layout = simulator._ring_layout(cfg)
         tables = [simulator._source_table(cfg.sources[p]) for p, _, _ in layout]
-        for z_rule in (True, False):
-            assert not simulator._classical_part(layout, tables, z_rule).any()
-        settings = ("Z", "M0", "M7")
         clean = simulator._CleanEventModel(cfg)
+        weight = (xi * xi) ** 5 * clean.success_prob
+        ring_z = simulator._classical_part(layout, tables, True)
+        assert not ring_z[1:-1].any()
+        np.testing.assert_allclose(ring_z[[0, -1]], weight * np.array([clean.a, clean.b]) ** 2,
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(simulator._classical_part(layout, tables, False),
+                                   weight * (clean.a**2 + clean.b**2) / 2**10,
+                                   rtol=1e-13, atol=0.0)
+        settings = ("Z", "M0", "M7")
         probs = simulator._outcome_probabilities(cfg, settings, clean)
         for setting in settings:
             expect = ((xi * xi) ** 5 * clean.success_prob
                       * clean.distribution(setting) * (1.0 - dark) ** 10)
             np.testing.assert_allclose(probs[setting], expect, rtol=1e-13, atol=0.0)
+
+    def test_rounded_zeros_clamped_in_outcome_probabilities(self):
+        """An exact zero that the ring and the coherence round below 0 is drawn as 0.
+
+        With a = b and D = 1 the odd-parity M_k outcomes have probability
+        exactly 0, but the populations and the coherence are rounded apart.
+        The first loop checks that this config does round them below 0.
+        """
+        cfg = make_config(**ROUNDED_ZERO_CONFIG)
+        settings = setting_names(10)
+        layout = simulator._ring_layout(cfg)
+        tables = [simulator._source_table(cfg.sources[p]) for p, _, _ in layout]
+        clean = simulator._CleanEventModel(cfg)
+        ring = simulator._classical_part(layout, tables, False)
+        for k in range(10):
+            # g = 0 and lossless arms: every candidate is clean
+            assert (ring + clean.success_prob * clean.coherence(f"M{k}")).min() < 0.0
+        probs = simulator._outcome_probabilities(cfg, settings, clean)
+        assert min(p.min() for p in probs.values()) >= 0.0
+        res = run_monte_carlo(cfg, 10**6, settings)
+        assert min(res.diagnostics["events_per_setting"].values()) > 0
+
+    def test_rounded_zeros_clamped_in_clean_distribution(self):
+        cfg = make_config(**ROUNDED_ZERO_CONFIG)
+        clean = simulator._CleanEventModel(cfg)
+        for k in range(10):
+            assert ((clean.a**2 + clean.b**2) / 2**10 + clean.coherence(f"M{k}")).min() < 0.0
+        for setting in setting_names(10):
+            assert clean.distribution(setting).min() >= 0.0
+            idx = sample_postselected(cfg, setting, 1000, np.random.default_rng(2))
+            assert idx.size == 1000
 
     def test_cost_does_not_grow_with_pulses(self):
         cfg = reference_config()
@@ -386,6 +478,56 @@ class TestExactOutcomes:
                 run_monte_carlo(cfg, pulses, ["Z"])
         res = run_monte_carlo(cfg, simulator.MAX_PULSES, ["Z"])
         assert res.diagnostics["candidates_per_setting"]["Z"] > 0
+
+
+@st.composite
+def small_configs(draw):
+    """Valid 2-source configs, or 3-source ones with lossless arms.
+
+    The enumerated trace grows as 72^sources with lossy arms and 6^sources
+    without, so these keep it small.
+    """
+    n_src = draw(st.integers(2, 3))
+    efficiency = st.just(1.0) if n_src == 3 else st.floats(0.0, 1.0)
+    # theta near 0 on one unrotated and one rotated source leaves no fused
+    # state (cos theta sin theta underflows), which simulate reports as exit 4
+    theta = st.floats(1e-9, 2.0 * np.pi)
+    sources = tuple(SourceModel(
+        pair_prob=draw(st.floats(0.01, 0.9)), xi_signal=draw(efficiency),
+        xi_idler=draw(efficiency), theta_state=draw(theta),
+        rotated=draw(st.booleans()), double_pair_factor=draw(st.floats(0.0, 4.0)))
+        for _ in range(n_src))
+    # the chain visits the sources in any order, through either mode of each
+    signals = [2 * p + draw(st.sampled_from((1, 2)))
+               for p in draw(st.permutations(range(n_src)))]
+    links = tuple(zip(signals, signals[1:]))
+    overlaps = tuple(draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0))) for _ in links)
+    return ExperimentConfig(sources=sources, pbs_links=links,
+                            interference=InterferenceModel(overlaps),
+                            detector=DetectorModel(draw(st.floats(0.0, 0.5))))
+
+
+class TestExactModelProperties:
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(small_configs())
+    def test_probabilities_bounded(self, cfg):
+        settings = setting_names(cfg.n_modes())
+        probs = simulator._outcome_probabilities(cfg, settings, simulator._CleanEventModel(cfg))
+        for setting in settings:
+            assert probs[setting].min() >= 0.0
+            assert probs[setting].max() <= 1.0
+            # the sum may round a few ulps past 1
+            assert probs[setting].sum() <= 1.0 + 1e-14
+
+    @hyp_settings(max_examples=20, deadline=None)
+    @given(small_configs(), st.data())
+    def test_equals_enumerated_trace(self, cfg, data):
+        k = data.draw(st.integers(0, cfg.n_modes() - 1))
+        settings = ("Z", f"M{k}")
+        probs = simulator._outcome_probabilities(cfg, settings, simulator._CleanEventModel(cfg))
+        for setting in settings:
+            np.testing.assert_allclose(probs[setting], enumerate_outcomes(cfg, setting),
+                                       rtol=0.0, atol=1e-14)
 
 
 class TestReferenceConfig:
