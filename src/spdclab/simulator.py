@@ -5,7 +5,8 @@ thermal-style weights (1 : p : g p^2); every photon independently survives
 collection with its arm efficiency.  Pulses whose surviving photons form
 the canonical configuration (exactly one fully surviving pair per source)
 are coherent: their post-selected statistics come from the exact fused
-state a|H...H> + b|V...V>, with one scalar overlap per PBS link damping the
+state a|H...H> + b|V...V>, a and b the normalized products of the sources'
+HH and VV amplitudes, with one scalar overlap per PBS link damping the
 coherence between its two components by their product D (partial
 distinguishability dephases, it does not remove photons, so H/V
 populations are unaffected).  All other surviving configurations
@@ -15,12 +16,13 @@ and an event registers only when every analyzer path fires on exactly one
 port.
 
 The outcome probabilities of a candidate pulse are computed exactly, not
-sampled: every candidate is routed classically around a ring of one small
-transfer matrix per source, which also gives the coherent events'
-populations, and the M_k settings add their coherence in closed form.
-Pulses are independent and each gives at most one outcome, so a run is one
-binomial draw (candidate pulses) and one multinomial draw (outcomes plus a
-no-event bucket) per setting, whatever the pulse count.
+sampled, and without a dense state: every candidate is routed classically
+around a ring of one small transfer matrix per source, which also gives
+the coherent events' populations, and the M_k settings add their
+coherence in closed form.  Pulses are independent and each gives at most
+one outcome, so a run is one binomial draw (candidate pulses) and one
+multinomial draw (outcomes plus a no-event bucket) per setting, whatever
+the pulse count.
 """
 
 from __future__ import annotations
@@ -28,20 +30,15 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import qstate
-from .errors import InsufficientDataError, SchemaError, TopologyError
+from .errors import InsufficientDataError, NumericalConsistencyError, SchemaError, TopologyError
 from .fileio import _json_object, _record_fields
-from .qstate import (
-    DEFAULT_PBS_LINKS,
-    FusionNetwork,
-    PairSource,
-    fuse_and_postselect,
-)
+from .qstate import DEFAULT_PBS_LINKS, FusionNetwork, PairSource
 from .witness import (
     CountDataset,
     SettingCounts,
@@ -200,49 +197,6 @@ def tenfold_rate(total_pair_rate: float, xi: float, rep_rate_hz: float) -> float
 
 
 # ---------------------------------------------------------------------------
-# Clean-event statistics
-# ---------------------------------------------------------------------------
-
-class _CleanEventModel:
-    """Exact post-selected statistics for the canonical surviving configuration.
-
-    The fused state is a|H...H> + b|V...V> with coherence damped by D: Z
-    finds a^2 at all-H and b^2 at all-V, and an M_k outcome x with |x| V
-    letters has probability (a^2 + b^2 + (-1)^(k + |x|) 2abD) / 2^n.
-    """
-
-    def __init__(self, config: ExperimentConfig):
-        state, self.success_prob = fuse_and_postselect(config.network())
-        self.n = state.n_modes
-        self.a, self.b = state.amps[0].real, state.amps[-1].real
-        self.damping = config.interference.coherence_damping(len(config.pbs_links))
-
-    def coherence(self, setting: str):
-        """The coherence's term in each outcome probability, 0 in Z."""
-        k = setting_index(setting)
-        if k is None:
-            return 0.0
-        parity = 1.0 - 2.0 * (np.indices((2,) * self.n).sum(axis=0).ravel() % 2)
-        return (-1) ** k * 2.0 * self.a * self.b * self.damping / 2**self.n * parity
-
-    def distribution(self, setting: str) -> np.ndarray:
-        """Probabilities over the 2^n outcome strings for one setting."""
-        if setting_index(setting) is None:
-            out = np.zeros(2**self.n)
-            out[0], out[-1] = self.a**2, self.b**2
-            return out
-        # at a = b and D = 1 rounding leaves -2e-19 where 0 is exact; rng.choice rejects it
-        return np.maximum((self.a**2 + self.b**2) / 2**self.n + self.coherence(setting), 0.0)
-
-
-def sample_postselected(config: ExperimentConfig, setting: str, n_events: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Outcome indices for post-selected clean events in one setting."""
-    model = _CleanEventModel(config)
-    return rng.choice(2**model.n, size=n_events, p=model.distribution(setting))
-
-
-# ---------------------------------------------------------------------------
 # Exact outcome probabilities
 # ---------------------------------------------------------------------------
 
@@ -336,24 +290,62 @@ def _classical_part(layout: list, tables: list, z_rule: bool) -> np.ndarray:
     return np.einsum(*operands, [axis[m] for m in sorted(axis)], optimize=True).ravel()
 
 
-def _outcome_probabilities(config: ExperimentConfig, settings: Sequence[str],
-                           clean: _CleanEventModel) -> dict:
+def _fused_amplitudes(config: ExperimentConfig) -> tuple:
+    """(a, b, success) of the fused state a|H...H> + b|V...V>.
+
+    The chain keeps the sources' product state only where all took the same
+    branch: A|H...H> + B|V...V>, A and B the products of their HH and VV
+    amplitudes, which survives with probability A^2 + B^2.
+    """
+    amps = [s.pair_source().amplitudes() for s in config.sources]
+    big_a = math.prod(hh for hh, _ in amps)
+    big_b = math.prod(vv for _, vv in amps)
+    success = float(big_a * big_a + big_b * big_b)
+    if success <= 0.0:
+        raise NumericalConsistencyError("post-selection annihilated the state")
+    root = math.sqrt(success)
+    return big_a / root, big_b / root, success
+
+
+def _outcome_probabilities(config: ExperimentConfig, settings: Sequence[str]) -> dict:
     """P(outcome | candidate pulse) over the 2^n outcome strings, per setting.
 
     Every candidate (every source emits at least one pair) is routed around
     the PBS ring, under the routing rules the settings need; those clean at
-    every source are coherent and add their weight times ``clean``'s
-    coherence.  Dark counts thin every event by (1 - d)^n.
+    every source are coherent.  Their fused state's coherence, damped by D,
+    adds (-1)^(k + |x|) 2abD / 2^n to the probability of an M_k outcome x
+    with |x| V letters.  Dark counts thin every event by (1 - d)^n.
     """
     layout = _ring_layout(config)
     tables = [_source_table(config.sources[p]) for p, _, _ in layout]
-    weight = np.prod([t[t[:, 5] == 1, 0].sum() for t in tables]) * clean.success_prob
+    a, b, success = _fused_amplitudes(config)
+    weight = np.prod([t[t[:, 5] == 1, 0].sum() for t in tables]) * success
+    n = config.n_modes()
+    parity = 1.0 - 2.0 * (np.indices((2,) * n).sum(axis=0).ravel() % 2)
+    damping = config.interference.coherence_damping(len(config.pbs_links))
+    fringe = 2.0 * a * b * damping / 2**n * parity
+    sign = {s: 0.0 if setting_index(s) is None else (-1) ** setting_index(s) for s in settings}
     classical = {z: _classical_part(layout, tables, z) for z in {s == Z_SETTING for s in settings}}
-    thinning = (1.0 - config.detector.dark_count_prob) ** config.n_modes()
+    thinning = (1.0 - config.detector.dark_count_prob) ** n
     # the populations and the coherence are rounded apart, so an exact 0
     # can come out as -1e-17, which the multinomial draw rejects
-    return {s: thinning * np.maximum(classical[s == Z_SETTING] + weight * clean.coherence(s), 0.0)
+    return {s: thinning * np.maximum(classical[s == Z_SETTING] + weight * sign[s] * fringe, 0.0)
             for s in settings}
+
+
+def sample_postselected(config: ExperimentConfig, setting: str, n_events: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Outcome indices for post-selected clean events in one setting.
+
+    With lossless arms, no double pairs and no dark counts every candidate
+    is clean, so its outcome probabilities are the clean events' own times
+    the success probability.
+    """
+    lossless = replace(config, detector=DetectorModel(), sources=tuple(
+        replace(s, xi_signal=1.0, xi_idler=1.0, double_pair_factor=0.0)
+        for s in config.sources))
+    probs = _outcome_probabilities(lossless, [setting])[setting]
+    return rng.choice(probs.size, size=n_events, p=probs / probs.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +364,7 @@ class SimResult:
     diagnostics: dict
 
 
-def _model_rates(config: ExperimentConfig,
-                 model: Optional[_CleanEventModel] = None) -> dict:
+def _model_rates(config: ExperimentConfig) -> dict:
     """First-order brightness estimates.
 
     The tenfold model rate uses each source's mean pairs per pulse (the
@@ -381,17 +372,17 @@ def _model_rates(config: ExperimentConfig,
     R^5 xi^10 bookkeeping; double-pair corrections to post-selection are
     left to the outcome model.
     """
-    model = model or _CleanEventModel(config)
+    success = _fused_amplitudes(config)[2]
     rep = config.rep_rate_hz
     twofold = []
-    surviving_per_pulse = model.success_prob
+    surviving_per_pulse = success
     for s in config.sources:
         twofold.append(rep * s.mean_pairs_per_pulse() * s.xi_signal * s.xi_idler)
         surviving_per_pulse *= s.mean_pairs_per_pulse() * s.xi_signal * s.xi_idler
     return {
         "twofold_per_source_hz": twofold,
         "tenfold_per_hour_model": surviving_per_pulse * rep * 3600.0,
-        "postselection_success_prob": model.success_prob,
+        "postselection_success_prob": success,
     }
 
 
@@ -406,12 +397,14 @@ def run_monte_carlo(config: ExperimentConfig, pulses: int,
     the outcome counts are Multinomial(candidates, exact p_outcome) with a
     no-event bucket, drawn from a stream seeded by (seed, setting index).
     Results are byte-identical for identical (config, pulses, settings, seed).
+    The multinomial draw skips an outcome of probability exactly 0 but draws
+    one of any positive probability, so seeded counts depend on whether an
+    outcome's probability is exactly 0 or a rounding residue.
     """
     if not 1 <= pulses <= MAX_PULSES:
         raise ValueError(f"pulses must lie in [1, {MAX_PULSES}]")
     base_seed = config.seed if seed is None else seed
-    clean = _CleanEventModel(config)
-    probs = _outcome_probabilities(config, settings, clean)
+    probs = _outcome_probabilities(config, settings)
     p_all_emit = float(np.prod([1.0 - s.pair_number_probs()[0] for s in config.sources]))
     n = config.n_modes()
     labels = qstate.basis_labels(n)
@@ -430,7 +423,7 @@ def run_monte_carlo(config: ExperimentConfig, pulses: int,
 
     setting_counts = tuple(SettingCounts(setting=s, histogram=histograms[s])
                            for s in settings)
-    rates = _model_rates(config, clean)
+    rates = _model_rates(config)
     seconds = pulses / config.rep_rate_hz
     rates["tenfold_per_hour_observed"] = {
         s: diagnostics["events_per_setting"][s] / seconds * 3600.0 for s in settings

@@ -3,10 +3,11 @@
 Each candidate pulse (every source emits at least one pair) is drawn and
 traced photon by photon: pair number, pair polarization and the survival
 of every photon.  Pulses whose survivors reduce to one full pair per source
-are coherent and draw from the exact clean model; every other pulse routes
-its photons through the PBS chain one by one.  This is the sampler the
-simulator used before its probabilities were computed exactly; tests
-compare the two.
+are coherent and draw from the dense fused state's Born probabilities
+(``clean_events``); every other pulse routes its photons through the PBS
+chain one by one.  This is the sampler the simulator used before its
+probabilities were computed exactly; tests compare the two.  Nothing here
+reads the simulator's outcome model.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from spdclab.simulator import ExperimentConfig, _CleanEventModel
 from spdclab.errors import TopologyError
-from spdclab.witness import Z_SETTING
+from spdclab.qstate import PureState, fuse_and_postselect, mk_eigenbasis, outcome_distribution
+from spdclab.simulator import ExperimentConfig
+from spdclab.witness import Z_SETTING, setting_index
 
 
 class Router:
@@ -50,6 +52,24 @@ class Router:
         return self.route_v[mode] if pol else mode
 
 
+def clean_events(config: ExperimentConfig, setting: str) -> tuple:
+    """(success probability, outcome distribution) of the clean events in one setting.
+
+    The dense fused state psi dephased by D is the mixture (1 + D)/2
+    |psi><psi| + (1 - D)/2 |psi'><psi'|, psi' being psi with its all-V
+    amplitude negated; the distribution is that mixture's Born rule.
+    """
+    state, success_prob = fuse_and_postselect(config.network())
+    flipped = state.amps.copy()
+    flipped[-1] *= -1.0
+    damping = config.interference.coherence_damping(len(config.pbs_links))
+    n = state.n_modes
+    k = setting_index(setting)
+    basis = np.eye(2) if k is None else mk_eigenbasis(k, n)
+    mixture = ((0.5 * (1.0 + damping), state), (0.5 * (1.0 - damping), PureState(flipped)))
+    return success_prob, sum(w * outcome_distribution(psi, [basis] * n) for w, psi in mixture)
+
+
 def trace_candidates(config: ExperimentConfig, setting: str, n_candidates: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Outcome counts of ``n_candidates`` candidate pulses.
@@ -57,8 +77,7 @@ def trace_candidates(config: ExperimentConfig, setting: str, n_candidates: int,
     Returns 2^n + 1 counts: one per outcome index, then the pulses that
     registered no event.
     """
-    model = _CleanEventModel(config)
-    clean = (model.success_prob, model.distribution(setting))
+    clean = clean_events(config, setting)
     router = Router(config)
     n = config.n_modes()
     sources = config.sources
@@ -99,8 +118,8 @@ def _trace_contaminated(rng, sources, router, survive_primary, doubles,
 
     Returns the outcome index, or None when the pulse fails post-selection.
     If after losses the survivors reduce to the canonical one-full-pair-
-    per-source configuration, the pulse is coherent and is delegated to
-    the exact clean model instead.
+    per-source configuration, the pulse is coherent and draws from the
+    clean events' distribution instead.
     """
     photons = []          # (source, is_idler, pol)
     per_source_clean = []
@@ -155,8 +174,8 @@ def enumerate_outcomes(config: ExperimentConfig, setting: str) -> np.ndarray:
     The cost grows as 72^sources, so this suits two or three sources, or
     lossless arms; returns 2^n probabilities.
     """
-    model = _CleanEventModel(config)
-    coherent = model.success_prob * model.distribution(setting)
+    success_prob, distribution = clean_events(config, setting)
+    coherent = success_prob * distribution
     router = Router(config)
     n = config.n_modes()
     per_source = []

@@ -197,12 +197,13 @@ def test_criterion_9_property_stand_ins():
             interference=simulator.InterferenceModel((overlap,)),
             rep_rate_hz=76e6, seed=seed)
 
-    # monotone coherence visibility vs overlap (exact distributions)
+    # monotone coherence visibility vs overlap (exact distributions; at g = 0
+    # every event is clean)
     signs = np.array([1.0 - 2.0 * (bin(i).count("1") % 2) for i in range(1024)])
     vis = []
     for overlap in (0.3, 0.6, 0.9):
-        dist = simulator._CleanEventModel(config(overlap, 0.0, 1)).distribution("M0")
-        vis.append(float(np.dot(signs, dist)))
+        probs = simulator._outcome_probabilities(config(overlap, 0.0, 1), ["M0"])["M0"]
+        vis.append(float(np.dot(signs, probs) / probs.sum()))
     assert vis[0] < vis[1] < vis[2]
 
     # double-pair contamination strictly degrades the Z-basis signal fraction

@@ -26,9 +26,9 @@ from spdclab.simulator import (
     sample_postselected,
     tenfold_rate,
 )
-from spdclab.witness import setting_index, setting_names
+from spdclab.witness import alpha_coefficients, setting_names
 
-from per_pulse_oracle import Router, enumerate_outcomes, trace_candidates
+from per_pulse_oracle import Router, clean_events, enumerate_outcomes, trace_candidates
 
 THETA_REF = 7 * np.pi / 30
 
@@ -44,6 +44,19 @@ def make_config(p=0.3, xi=1.0, theta=np.pi / 4, rotated_tail=0, overlap=1.0,
         sources=sources, interference=InterferenceModel((overlap,)),
         rep_rate_hz=rep, detector=DetectorModel(dark), seed=seed,
     )
+
+
+def lossless(cfg):
+    """cfg without losses, double pairs or dark counts: every candidate is clean."""
+    return dataclasses.replace(cfg, detector=DetectorModel(), sources=tuple(
+        dataclasses.replace(s, xi_signal=1.0, xi_idler=1.0, double_pair_factor=0.0)
+        for s in cfg.sources))
+
+
+def clean_distribution(cfg, setting):
+    """The clean events' outcome distribution, from the exact model of lossless(cfg)."""
+    probs = simulator._outcome_probabilities(lossless(cfg), [setting])[setting]
+    return probs / probs.sum()
 
 
 class TestSourceModel:
@@ -179,8 +192,8 @@ class TestPostselectedSampling:
         signs = 1.0 - 2.0 * (bits.sum(axis=1) % 2)
         assert abs(signs.mean()) < 4.0 / np.sqrt(idx.size)
         # Z distributions identical with and without coherence
-        m0 = simulator._CleanEventModel(cfg0).distribution("Z")
-        m1 = simulator._CleanEventModel(cfg1).distribution("Z")
+        m0 = clean_distribution(cfg0, "Z")
+        m1 = clean_distribution(cfg1, "Z")
         assert np.abs(m0 - m1).max() < 1e-15
 
     @pytest.mark.parametrize("overlap", [0.0, 0.4, 1.0])
@@ -195,7 +208,6 @@ class TestPostselectedSampling:
         rho = np.outer(psi, psi.conj())
         rho[0, -1] *= overlap
         rho[-1, 0] *= overlap
-        model = simulator._CleanEventModel(cfg)
         for k in (None, 0, 1, 3):
             basis = np.eye(2) if k is None else qstate.mk_eigenbasis(k, 4)
             u = basis.conj().T
@@ -203,7 +215,7 @@ class TestPostselectedSampling:
                 u = np.kron(u, basis.conj().T)
             expect = np.real(np.diag(u @ rho @ u.conj().T))
             setting = "Z" if k is None else f"M{k}"
-            np.testing.assert_allclose(model.distribution(setting), expect,
+            np.testing.assert_allclose(clean_distribution(cfg, setting), expect,
                                        rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("cfg", [
@@ -217,35 +229,24 @@ class TestPostselectedSampling:
                          interference=InterferenceModel((0.7,)), pbs_links=((2, 3),)),
     ], ids=["reference", "theta-0.7pi", "theta-0.6pi-rotated", "two-sources"])
     def test_closed_form_equals_born_mixture(self, cfg):
-        """The closed form equals the dephased state's Born probabilities.
-
-        Dephasing by D is the mixture (1 + D)/2 |psi><psi| + (1 - D)/2
-        |psi'><psi'|, psi' being psi with its all-V amplitude negated.
-        """
-        state, success = fuse_and_postselect(cfg.network())
-        flipped = state.amps.copy()
-        flipped[-1] *= -1.0
-        damping = cfg.interference.coherence_damping(len(cfg.pbs_links))
-        mixture = ((0.5 * (1.0 + damping), state),
-                   (0.5 * (1.0 - damping), qstate.PureState(flipped)))
-        model = simulator._CleanEventModel(cfg)
-        assert model.success_prob == success
-        for setting in setting_names(model.n):
-            k = setting_index(setting)
-            basis = np.eye(2) if k is None else qstate.mk_eigenbasis(k, model.n)
-            expect = sum(w * qstate.outcome_distribution(psi, [basis] * model.n)
-                         for w, psi in mixture)
-            np.testing.assert_allclose(model.distribution(setting), expect,
+        """The closed form equals the dephased dense state's Born probabilities."""
+        rates = simulator._model_rates(cfg)
+        for setting in setting_names(cfg.n_modes()):
+            success, expect = clean_events(cfg, setting)
+            assert rates["postselection_success_prob"] == success
+            np.testing.assert_allclose(clean_distribution(cfg, setting), expect,
                                        rtol=0.0, atol=1e-15)
 
     def test_no_dense_born_distribution(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the simulator computed a dense Born distribution")
+            raise AssertionError("the simulator built a dense state or Born distribution")
 
         monkeypatch.setattr(qstate, "outcome_distribution", refuse)
+        monkeypatch.setattr(qstate, "product_pair_state", refuse)
         cfg = reference_config()
         settings = setting_names(10)
         run_monte_carlo(cfg, 10**9, settings)
+        simulator._model_rates(cfg)
         for setting in settings:
             sample_postselected(cfg, setting, 100, np.random.default_rng(1))
 
@@ -253,7 +254,7 @@ class TestPostselectedSampling:
         values = []
         for overlap in (0.3, 0.6, 0.9):
             cfg = make_config(theta=THETA_REF, rotated_tail=2, overlap=overlap)
-            dist = simulator._CleanEventModel(cfg).distribution("M0")
+            dist = clean_distribution(cfg, "M0")
             signs = np.array([1.0 - 2.0 * (bin(i).count("1") % 2) for i in range(1024)])
             values.append(float(np.dot(signs, dist)))
         assert values[0] < values[1] < values[2]
@@ -356,8 +357,7 @@ class TestExactOutcomes:
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
     def test_matches_per_pulse_oracle(self, name, setting):
         cfg = make_config(theta=THETA_REF, rotated_tail=2, **ORACLE_CONFIGS[name])
-        probs = simulator._outcome_probabilities(
-            cfg, [setting], simulator._CleanEventModel(cfg))[setting]
+        probs = simulator._outcome_probabilities(cfg, [setting])[setting]
         probs = np.append(probs, 1.0 - probs.sum())
         observed = trace_candidates(cfg, setting, 20_000, np.random.default_rng(6))
         # the oracle never records an outcome the exact model rules out
@@ -381,8 +381,7 @@ class TestExactOutcomes:
                                interference=InterferenceModel((0.9,)),
                                detector=DetectorModel(dark))
         settings = ("Z", "M0", "M1")
-        probs = simulator._outcome_probabilities(
-            cfg, settings, simulator._CleanEventModel(cfg))
+        probs = simulator._outcome_probabilities(cfg, settings)
         for setting in settings:
             np.testing.assert_allclose(probs[setting], enumerate_outcomes(cfg, setting),
                                        rtol=0.0, atol=1e-14)
@@ -395,12 +394,9 @@ class TestExactOutcomes:
     def test_link_order_leaves_probabilities_unchanged(self, links):
         settings = ("Z", "M0", "M3")
 
-        def probabilities(cfg):
-            return simulator._outcome_probabilities(
-                cfg, settings, simulator._CleanEventModel(cfg))
-
-        expected = probabilities(reference_config())
-        probs = probabilities(dataclasses.replace(reference_config(), pbs_links=links))
+        expected = simulator._outcome_probabilities(reference_config(), settings)
+        probs = simulator._outcome_probabilities(
+            dataclasses.replace(reference_config(), pbs_links=links), settings)
         for setting in settings:
             assert np.array_equal(probs[setting], expected[setting])
 
@@ -416,20 +412,20 @@ class TestExactOutcomes:
                           overlap=0.9, g=0.0, dark=dark)
         layout = simulator._ring_layout(cfg)
         tables = [simulator._source_table(cfg.sources[p]) for p, _, _ in layout]
-        clean = simulator._CleanEventModel(cfg)
-        weight = (xi * xi) ** 5 * clean.success_prob
+        settings = ("Z", "M0", "M7")
+        # success times the clean events' distribution
+        clean = simulator._outcome_probabilities(lossless(cfg), settings)
+        weight = (xi * xi) ** 5
         ring_z = simulator._classical_part(layout, tables, True)
         assert not ring_z[1:-1].any()
-        np.testing.assert_allclose(ring_z[[0, -1]], weight * np.array([clean.a, clean.b]) ** 2,
+        np.testing.assert_allclose(ring_z[[0, -1]], weight * clean["Z"][[0, -1]],
                                    rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(simulator._classical_part(layout, tables, False),
-                                   weight * (clean.a**2 + clean.b**2) / 2**10,
+                                   weight * clean["Z"].sum() / 2**10,
                                    rtol=1e-13, atol=0.0)
-        settings = ("Z", "M0", "M7")
-        probs = simulator._outcome_probabilities(cfg, settings, clean)
+        probs = simulator._outcome_probabilities(cfg, settings)
         for setting in settings:
-            expect = ((xi * xi) ** 5 * clean.success_prob
-                      * clean.distribution(setting) * (1.0 - dark) ** 10)
+            expect = weight * clean[setting] * (1.0 - dark) ** 10
             np.testing.assert_allclose(probs[setting], expect, rtol=1e-13, atol=0.0)
 
     def test_rounded_zeros_clamped_in_outcome_probabilities(self):
@@ -443,23 +439,22 @@ class TestExactOutcomes:
         settings = setting_names(10)
         layout = simulator._ring_layout(cfg)
         tables = [simulator._source_table(cfg.sources[p]) for p, _, _ in layout]
-        clean = simulator._CleanEventModel(cfg)
+        a, b, success = simulator._fused_amplitudes(cfg)
+        parity = np.array([1.0 - 2.0 * (bin(i).count("1") % 2) for i in range(1024)])
         ring = simulator._classical_part(layout, tables, False)
         for k in range(10):
-            # g = 0 and lossless arms: every candidate is clean
-            assert (ring + clean.success_prob * clean.coherence(f"M{k}")).min() < 0.0
-        probs = simulator._outcome_probabilities(cfg, settings, clean)
+            # g = 0 and lossless arms: every candidate is clean; D = 1
+            coherence = (-1) ** k * 2.0 * a * b / 2**10 * parity
+            assert (ring + success * coherence).min() < 0.0
+        probs = simulator._outcome_probabilities(cfg, settings)
         assert min(p.min() for p in probs.values()) >= 0.0
         res = run_monte_carlo(cfg, 10**6, settings)
         assert min(res.diagnostics["events_per_setting"].values()) > 0
 
     def test_rounded_zeros_clamped_in_clean_distribution(self):
         cfg = make_config(**ROUNDED_ZERO_CONFIG)
-        clean = simulator._CleanEventModel(cfg)
-        for k in range(10):
-            assert ((clean.a**2 + clean.b**2) / 2**10 + clean.coherence(f"M{k}")).min() < 0.0
         for setting in setting_names(10):
-            assert clean.distribution(setting).min() >= 0.0
+            assert clean_distribution(cfg, setting).min() >= 0.0
             idx = sample_postselected(cfg, setting, 1000, np.random.default_rng(2))
             assert idx.size == 1000
 
@@ -480,6 +475,13 @@ class TestExactOutcomes:
         assert res.diagnostics["candidates_per_setting"]["Z"] > 0
 
 
+def chain_links(draw, n_src):
+    """Links of a chain that visits the sources in any order, through either mode of each."""
+    signals = [2 * p + draw(st.sampled_from((1, 2)))
+               for p in draw(st.permutations(range(n_src)))]
+    return tuple(zip(signals, signals[1:]))
+
+
 @st.composite
 def small_configs(draw):
     """Valid 2-source configs, or 3-source ones with lossless arms.
@@ -497,14 +499,37 @@ def small_configs(draw):
         xi_idler=draw(efficiency), theta_state=draw(theta),
         rotated=draw(st.booleans()), double_pair_factor=draw(st.floats(0.0, 4.0)))
         for _ in range(n_src))
-    # the chain visits the sources in any order, through either mode of each
-    signals = [2 * p + draw(st.sampled_from((1, 2)))
-               for p in draw(st.permutations(range(n_src)))]
-    links = tuple(zip(signals, signals[1:]))
+    links = chain_links(draw, n_src)
     overlaps = tuple(draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0))) for _ in links)
     return ExperimentConfig(sources=sources, pbs_links=links,
                             interference=InterferenceModel(overlaps),
                             detector=DetectorModel(draw(st.floats(0.0, 0.5))))
+
+
+@st.composite
+def coherent_configs(draw):
+    """2-6 sources without double pairs, distinguishability or dark counts.
+
+    p, xi, theta, ``rotated`` and the chain order are random.
+    """
+    n_src = draw(st.integers(2, 6))
+    sources = tuple(SourceModel(
+        pair_prob=draw(st.floats(0.01, 0.9)), xi_signal=draw(st.floats(0.1, 1.0)),
+        xi_idler=draw(st.floats(0.1, 1.0)), theta_state=draw(st.floats(1e-9, 2.0 * np.pi)),
+        rotated=draw(st.booleans()), double_pair_factor=0.0)
+        for _ in range(n_src))
+    return ExperimentConfig(sources=sources, pbs_links=chain_links(draw, n_src),
+                            interference=InterferenceModel((1.0,)))
+
+
+def exact_fidelity(cfg) -> float:
+    """The witness's F from the exact outcome probabilities, each setting normalized."""
+    n = cfg.n_modes()
+    probs = simulator._outcome_probabilities(cfg, setting_names(n))
+    signs = np.array([1.0 - 2.0 * (bin(i).count("1") % 2) for i in range(2**n)])
+    z = probs["Z"]
+    correlations = [signs @ probs[f"M{k}"] / probs[f"M{k}"].sum() for k in range(n)]
+    return 0.5 * (z[0] + z[-1]) / z.sum() + float(np.dot(alpha_coefficients(n), correlations))
 
 
 class TestExactModelProperties:
@@ -512,7 +537,7 @@ class TestExactModelProperties:
     @given(small_configs())
     def test_probabilities_bounded(self, cfg):
         settings = setting_names(cfg.n_modes())
-        probs = simulator._outcome_probabilities(cfg, settings, simulator._CleanEventModel(cfg))
+        probs = simulator._outcome_probabilities(cfg, settings)
         for setting in settings:
             assert probs[setting].min() >= 0.0
             assert probs[setting].max() <= 1.0
@@ -524,10 +549,25 @@ class TestExactModelProperties:
     def test_equals_enumerated_trace(self, cfg, data):
         k = data.draw(st.integers(0, cfg.n_modes() - 1))
         settings = ("Z", f"M{k}")
-        probs = simulator._outcome_probabilities(cfg, settings, simulator._CleanEventModel(cfg))
+        probs = simulator._outcome_probabilities(cfg, settings)
         for setting in settings:
             np.testing.assert_allclose(probs[setting], enumerate_outcomes(cfg, setting),
                                        rtol=0.0, atol=1e-14)
+
+    @hyp_settings(max_examples=20, deadline=None)
+    @given(coherent_configs())
+    def test_closed_form_limit_is_fused_state_fidelity(self, cfg):
+        """At g = 0, D = 1 and no dark counts, F is the fused pure state's fidelity.
+
+        Without double pairs a candidate that lost a photon leaves a path
+        dark, so every event is clean and each normalized setting is the
+        fused state a|H...H> + b|V...V>'s: Z finds a^2 + b^2 = 1 at its
+        ends and M_k has parity (-1)^k 2ab.  With alpha_k = (-1)^k / (2n),
+        F = 1/2 + ab = (a + b)^2 / 2.
+        """
+        state = fuse_and_postselect(cfg.network())[0]
+        a, b = state.amps[0].real, state.amps[-1].real
+        assert abs(exact_fidelity(cfg) - (a + b) ** 2 / 2) <= 1e-14
 
 
 class TestReferenceConfig:
