@@ -6,15 +6,16 @@ specific crystal.  All dispersion entries use the common form
 
     n^2 = A + B / (lambda^2 - C) - D lambda^2    (lambda in micrometers)
 
-per principal axis ('o'/'e' for uniaxial species, 'x'/'y'/'z' with
-n_x < n_y < n_z for biaxial ones).  Directions, cut angles (theta, phi)
-and the second-order tensor all live in the principal dielectric frame.
+per principal axis ('o'/'e' for uniaxial species, 'x'/'y'/'z' for
+biaxial ones).  The shipped BiBO has n_x < n_y < n_z, but nothing relies
+on that order: the wave solver finds the middle axis from the principal
+indices at each wavelength.  Directions, cut angles (theta, phi) and the
+second-order tensor all live in the principal dielectric frame.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from ..errors import SchemaError
 from ..fileio import _read_json, _record_fields
+from ..witness import _Record
 
 UNIAXIAL = "uniaxial"
 BIAXIAL = "biaxial"
@@ -29,43 +31,42 @@ BIAXIAL = "biaxial"
 _AXES = {UNIAXIAL: ("o", "e"), BIAXIAL: ("x", "y", "z")}
 
 
-@dataclass(frozen=True)
-class SellmeierSet:
+class SellmeierSet(_Record):
     """Dispersion data for one crystal species."""
 
-    species: str
-    symmetry: str
-    coefficients: dict            # axis -> (A, B, C, D)
-    valid_range_um: tuple         # inclusive (lo, hi)
-    source_citation: str
+    __slots__ = (
+        "species", "symmetry",
+        "coefficients",             # axis -> (A, B, C, D)
+        "valid_range_um",           # inclusive (lo, hi)
+        "source_citation",
+        "_principal_coefficients",  # columns (A, B, C, D) per principal axis x, y, z
+        "_principal_at",            # one evaluation per wavelength; a call that raises
+    )                               # leaves no entry
 
-    def __post_init__(self):
-        if self.symmetry not in _AXES:
-            raise SchemaError(f"unknown symmetry {self.symmetry!r}")
-        missing = set(_AXES[self.symmetry]) - set(self.coefficients)
+    def __init__(self, species: str, symmetry: str, coefficients: dict,
+                 valid_range_um: tuple, source_citation: str):
+        if symmetry not in _AXES:
+            raise SchemaError(f"unknown symmetry {symmetry!r}")
+        missing = set(_AXES[symmetry]) - set(coefficients)
         if missing:
-            raise SchemaError(f"{self.species}: missing axes {sorted(missing)}")
-        principal = ("o", "o", "e") if self.symmetry == UNIAXIAL else ("x", "y", "z")
+            raise SchemaError(f"{species}: missing axes {sorted(missing)}")
+        principal = ("o", "o", "e") if symmetry == UNIAXIAL else ("x", "y", "z")
         try:
-            table = np.array([self.coefficients[ax] for ax in principal], dtype=float)
+            table = np.array([coefficients[ax] for ax in principal], dtype=float)
         except (TypeError, ValueError):
             table = None
         if table is None or table.shape != (3, 4) or not np.isfinite(table).all():
             raise SchemaError(
-                f"{self.species}: each axis needs four finite Sellmeier coefficients")
+                f"{species}: each axis needs four finite Sellmeier coefficients")
         try:
-            lo, hi = map(float, self.valid_range_um)
+            lo, hi = map(float, valid_range_um)
         except (TypeError, ValueError):
             lo = hi = np.nan
         if not -np.inf < lo < hi < np.inf:
-            raise SchemaError(f"{self.species}: valid_range_um must be two finite numbers "
-                              f"lo < hi, got {self.valid_range_um!r}")
-        object.__setattr__(self, "valid_range_um", (lo, hi))
-        # columns (A, B, C, D) per principal axis x, y, z
-        object.__setattr__(self, "_principal_coefficients", table.T)
-        # one evaluation per wavelength; a call that raises leaves no entry
-        object.__setattr__(self, "_principal_at", functools.lru_cache(maxsize=64)(
-            self._principal_at_one))
+            raise SchemaError(f"{species}: valid_range_um must be two finite numbers "
+                              f"lo < hi, got {valid_range_um!r}")
+        self._fill(species, symmetry, coefficients, (lo, hi), source_citation, table.T,
+                   functools.lru_cache(maxsize=64)(self._principal_at_one))
 
     def _indices(self, wavelength_nm) -> np.ndarray:
         """(n_x, n_y, n_z) from the principal coefficients; (..., 3) per wavelength."""
@@ -103,19 +104,16 @@ class SellmeierSet:
         return self._indices(lam)
 
 
-@dataclass(frozen=True)
-class NonlinearTensor:
+class NonlinearTensor(_Record):
     """3x6 contracted second-order tensor in pm/V (principal frame)."""
 
-    point_group: str
-    d_matrix: np.ndarray
-    source_citation: str
+    __slots__ = ("point_group", "d_matrix", "source_citation")
 
-    def __post_init__(self):
-        m = np.asarray(self.d_matrix, dtype=float)
+    def __init__(self, point_group: str, d_matrix: np.ndarray, source_citation: str):
+        m = np.asarray(d_matrix, dtype=float)
         if m.shape != (3, 6) or not np.isfinite(m).all():
             raise SchemaError("contracted d matrix must be 3x6 and finite")
-        object.__setattr__(self, "d_matrix", m)
+        self._fill(point_group, m, source_citation)
 
     @staticmethod
     def from_elements(point_group: str, elements: dict, citation: str) -> "NonlinearTensor":
@@ -151,33 +149,33 @@ def polar_direction(theta, phi) -> np.ndarray:
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-@dataclass(frozen=True)
-class CrystalCut:
+class CrystalCut(_Record):
     """Cut angles in the principal frame plus crystal length."""
 
-    theta: float
-    phi: float
-    length_mm: float
+    __slots__ = ("theta", "phi", "length_mm")
 
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi:
-            raise SchemaError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * np.pi:
-            raise SchemaError(f"phi must lie in [0, 2 pi), got {self.phi}")
-        if not (np.isfinite(self.length_mm) and self.length_mm > 0):
+    def __init__(self, theta: float, phi: float, length_mm: float):
+        if not 0.0 <= theta <= np.pi:
+            raise SchemaError(f"theta must lie in [0, pi], got {theta}")
+        if not 0.0 <= phi < 2.0 * np.pi:
+            raise SchemaError(f"phi must lie in [0, 2 pi), got {phi}")
+        if not (np.isfinite(length_mm) and length_mm > 0):
             raise SchemaError(
-                f"crystal length must be positive and finite, got {self.length_mm}")
+                f"crystal length must be positive and finite, got {length_mm}")
+        self._fill(theta, phi, length_mm)
 
     def direction(self) -> np.ndarray:
         return polar_direction(self.theta, self.phi)
 
 
-@dataclass(frozen=True)
-class CrystalData:
-    sellmeier: SellmeierSet
-    tensor: NonlinearTensor
-    reference_cut: Optional[CrystalCut] = None
-    notes: str = ""
+class CrystalData(_Record):
+    """One crystal species: dispersion, nonlinearity and an optional reference cut."""
+
+    __slots__ = ("sellmeier", "tensor", "reference_cut", "notes")
+
+    def __init__(self, sellmeier: SellmeierSet, tensor: NonlinearTensor,
+                 reference_cut: Optional[CrystalCut] = None, notes: str = ""):
+        self._fill(sellmeier, tensor, reference_cut, notes)
 
 
 def load_crystal(species: str) -> CrystalData:

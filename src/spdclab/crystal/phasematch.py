@@ -38,12 +38,12 @@ evaluates every row.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..errors import NumericalConsistencyError
+from ..witness import _Record
 from .materials import CrystalCut, CrystalData, SellmeierSet, polar_direction
 from .optics import FAST, SLOW, WaveSolution, index_batch, solve_waves, transverse_frame
 
@@ -62,17 +62,17 @@ COLLINEAR_SCAN_STEP_RAD = np.radians(0.5)
 SPECTRUM_SPAN_NM = 40.0
 
 
-@dataclass(frozen=True)
-class PhaseMatchSolution:
+class PhaseMatchSolution(_Record):
     """One degenerate collinear sample: signal and idler at twice the pump
     wavelength, all three waves along one direction (ring points are RingClouds)."""
 
-    theta: float
-    phi: float
-    delta_k_residual: float       # rad/um
-    d_eff_pm_v: float
-    walkoff_fast: float
-    walkoff_slow: float
+    __slots__ = ("theta", "phi",
+                 "delta_k_residual",        # rad/um
+                 "d_eff_pm_v", "walkoff_fast", "walkoff_slow")
+
+    def __init__(self, theta: float, phi: float, delta_k_residual: float, d_eff_pm_v: float,
+                 walkoff_fast: float, walkoff_slow: float):
+        self._fill(theta, phi, delta_k_residual, d_eff_pm_v, walkoff_fast, walkoff_slow)
 
 
 def _wave_numbers(sellmeier: SellmeierSet, directions: np.ndarray,
@@ -376,19 +376,27 @@ def _arm_geometry(frame: _PumpFrame, n_psi: int) -> tuple:
     return crossings, omega, dirs, ext
 
 
-@dataclass(frozen=True)
-class NoncollinearArms:
+class NoncollinearArms(_Record):
     """The two ring-intersection directions and their pair nonlinearities."""
 
-    dir_i: np.ndarray             # arm on the -H side
-    dir_j: np.ndarray             # arm on the +H side
-    opening_i: float              # internal opening from the pump axis, rad
-    opening_j: float
-    d_eff_fs: float               # fast at arm i, slow at arm j
-    d_eff_sf: float               # slow at arm i, fast at arm j
-    fast_deflection_rad: float    # fast-eigenpolarization angle from the arm axis at arm i
-    external_half_angle_deg: float  # mean opening after Snell refraction, degrees
-    pump_wave: WaveSolution       # the fast pump along the cut axis, as solved for d_eff
+    __slots__ = (
+        "dir_i",                    # arm on the -H side
+        "dir_j",                    # arm on the +H side
+        "opening_i",                # internal opening from the pump axis, rad
+        "opening_j",
+        "d_eff_fs",                 # fast at arm i, slow at arm j
+        "d_eff_sf",                 # slow at arm i, fast at arm j
+        "fast_deflection_rad",      # fast-eigenpolarization angle from the arm axis at arm i
+        "external_half_angle_deg",  # mean opening after Snell refraction, degrees
+        "pump_wave",                # the fast pump along the cut axis, as solved for d_eff
+    )
+
+    def __init__(self, dir_i: np.ndarray, dir_j: np.ndarray, opening_i: float,
+                 opening_j: float, d_eff_fs: float, d_eff_sf: float,
+                 fast_deflection_rad: float, external_half_angle_deg: float,
+                 pump_wave: WaveSolution):
+        self._fill(dir_i, dir_j, opening_i, opening_j, d_eff_fs, d_eff_sf,
+                   fast_deflection_rad, external_half_angle_deg, pump_wave)
 
 
 def noncollinear_arms(crystal: CrystalData, cut: CrystalCut,
@@ -569,19 +577,19 @@ def _gaussian_samples(center: float, fwhm: float, n: int, half_span: float) -> t
     return lam, np.exp(-0.5 * ((lam - center) / sigma) ** 2)
 
 
-@dataclass(frozen=True)
-class RingCloud:
+class RingCloud(_Record):
     """Point cloud of phase-matched emission directions.
 
     Columns: transverse direction components (kx, ky) in the pump frame,
     wavelength (nm), intensity weight, polarization branch.
     """
 
-    kx: np.ndarray
-    ky: np.ndarray
-    wavelength_nm: np.ndarray
-    weight: np.ndarray
-    branch: np.ndarray            # 'fast'/'slow' strings
+    __slots__ = ("kx", "ky", "wavelength_nm", "weight",
+                 "branch")                  # 'fast'/'slow' strings
+
+    def __init__(self, kx: np.ndarray, ky: np.ndarray, wavelength_nm: np.ndarray,
+                 weight: np.ndarray, branch: np.ndarray):
+        self._fill(kx, ky, wavelength_nm, weight, branch)
 
     def radial_spread(self, branch: str = FAST) -> float:
         """Mean over azimuth of (max-min) opening angle, rad; the ring width."""

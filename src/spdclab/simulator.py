@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
@@ -295,14 +296,17 @@ def _fused_amplitudes(config: ExperimentConfig) -> tuple:
 
     The chain keeps the sources' product state only where all took the same
     branch: A|H...H> + B|V...V>, A and B the products of their HH and VV
-    amplitudes, which survives with probability A^2 + B^2.
+    amplitudes, which survives with probability A^2 + B^2.  A success below
+    the normal floating-point range raises: a and b would carry its rounding.
     """
     amps = [s.pair_source().amplitudes() for s in config.sources]
     big_a = math.prod(hh for hh, _ in amps)
     big_b = math.prod(vv for _, vv in amps)
     success = float(big_a * big_a + big_b * big_b)
-    if success <= 0.0:
-        raise NumericalConsistencyError("post-selection annihilated the state")
+    if success < sys.float_info.min:
+        raise NumericalConsistencyError(
+            f"post-selection annihilated the state: its success A^2 + B^2 = {success:.3g} "
+            f"is below the normal floating-point range")
     root = math.sqrt(success)
     return big_a / root, big_b / root, success
 

@@ -437,6 +437,27 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--pulses", "1000", "--settings", "Z"]) \
             == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("theta,code", [(1e-161, EXIT_NUMERIC), (1e-150, EXIT_OK)])
+    def test_subnormal_success_exit_code(self, tmp_path, capsys, theta, code):
+        """Two sources at theta, one rotated, fuse into A|HHHH> + B|VVVV> with
+        A = B = sin(theta) cos(theta): success 2 theta^2 is subnormal at 1e-161
+        (about 2e-322, exit 4) and still normal at 1e-150 (2e-300, which runs)."""
+        cfg = self._small_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["sources"] = [dict(raw["sources"][0], theta_state=theta, rotated=rotated)
+                          for rotated in (False, True)]
+        raw["network"]["pbs_links"] = [[2, 3]]
+        cfg.write_text(json.dumps(raw))
+        report = tmp_path / "report.json"
+        assert main(["simulate", str(cfg), "--pulses", "1000000", "--settings", "Z",
+                     "--report", str(report)]) == code
+        if code == EXIT_OK:
+            success = json.loads(report.read_text())["rates"]["postselection_success_prob"]
+            assert success == pytest.approx(2 * theta**2, rel=1e-12)
+        else:
+            assert "below the normal floating-point range" in capsys.readouterr().err
+            assert not report.exists()
+
     def test_report_diagnostics_are_witness_statistics(self, tmp_path):
         cfg = self._small_config(tmp_path)
         raw = json.loads(cfg.read_text())
@@ -1142,6 +1163,17 @@ def test_main_module_is_compiled_once(config_file, tmp_path, command):
     modules = _imported_modules(proc.stderr)
     assert {"spdclab.fileio", "spdclab.numpy_commands"} <= modules
     assert "spdclab.cli" not in modules
+
+
+def test_crystal_path_imports_no_dataclasses(tmp_path):
+    """The crystal records are ``witness._Record`` classes, so a crystal command
+    never loads ``dataclasses``."""
+    proc = _python("-X", "importtime", "-m", "spdclab.cli", "crystal", "summary",
+                   "--species", "bibo", "--out", tmp_path / "out.json")
+    assert proc.returncode == 0, proc.stderr
+    modules = _imported_modules(proc.stderr)
+    assert "spdclab.crystal.phasematch" in modules
+    assert "dataclasses" not in modules
 
 
 def test_json_is_parsed_only_in_fileio():

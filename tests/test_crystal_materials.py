@@ -1,3 +1,5 @@
+import copy
+import inspect
 from importlib import resources
 
 import numpy as np
@@ -5,8 +7,10 @@ import pytest
 
 from spdclab import crystal
 from spdclab.crystal import CrystalCut
-from spdclab.crystal.materials import BIAXIAL, UNIAXIAL, NonlinearTensor, crystal_from_dict
-from spdclab.crystal.optics import index_batch
+from spdclab.crystal.materials import (BIAXIAL, UNIAXIAL, CrystalData, NonlinearTensor,
+                                       SellmeierSet, crystal_from_dict)
+from spdclab.crystal.optics import WaveSolution, index_batch
+from spdclab.crystal.phasematch import NoncollinearArms, PhaseMatchSolution, RingCloud
 from spdclab.errors import SchemaError
 from spdclab.fileio import _read_json
 
@@ -119,3 +123,48 @@ class TestCrystalCut:
     def test_validation(self, theta, phi, length):
         with pytest.raises(ValueError):
             CrystalCut(theta, phi, length)
+
+
+class TestRecords:
+    """The crystal records are read-only ``_Record`` classes that keep the
+    constructors, fields and behaviour of the frozen dataclasses they replaced."""
+
+    # each record's constructor parameters, as the dataclass declared its fields
+    PARAMS = {
+        SellmeierSet: "species, symmetry, coefficients, valid_range_um, source_citation",
+        NonlinearTensor: "point_group, d_matrix, source_citation",
+        CrystalCut: "theta, phi, length_mm",
+        CrystalData: "sellmeier, tensor, reference_cut=None, notes=''",
+        WaveSolution: "n_fast, n_slow, d_fast, d_slow, walkoff_fast, walkoff_slow",
+        PhaseMatchSolution: "theta, phi, delta_k_residual, d_eff_pm_v, walkoff_fast, "
+                            "walkoff_slow",
+        NoncollinearArms: "dir_i, dir_j, opening_i, opening_j, d_eff_fs, d_eff_sf, "
+                          "fast_deflection_rad, external_half_angle_deg, pump_wave",
+        RingCloud: "kx, ky, wavelength_nm, weight, branch",
+    }
+
+    @pytest.mark.parametrize("record", list(PARAMS), ids=lambda r: r.__name__)
+    def test_constructor_and_fields(self, record):
+        signature = inspect.signature(record)
+        shown = ", ".join(str(p.replace(annotation=inspect.Parameter.empty))
+                          for p in signature.parameters.values())
+        assert shown == self.PARAMS[record]
+        assert record._fields == tuple(signature.parameters)
+
+    def test_read_only_compared_by_fields(self, bibo):
+        cut = CrystalCut(1.944, 0.962, 0.6)
+        assert cut == CrystalCut(theta=1.944, phi=0.962, length_mm=0.6)
+        assert hash(cut) == hash(CrystalCut(1.944, 0.962, 0.6))
+        assert repr(cut) == "CrystalCut(theta=1.944, phi=0.962, length_mm=0.6)"
+        assert copy.deepcopy(bibo.sellmeier) == bibo.sellmeier
+        for rec, field in ((cut, "theta"), (bibo, "notes"), (bibo.sellmeier, "species")):
+            with pytest.raises(AttributeError):
+                setattr(rec, field, None)
+
+    def test_kept_indices_are_derived(self, bibo):
+        """``_principal_at`` takes no part in ``==`` or ``repr``."""
+        sel = bibo.sellmeier
+        sel.principal_indices(780.0)
+        rebuilt = SellmeierSet(*(getattr(sel, f) for f in SellmeierSet._fields))
+        assert rebuilt == sel and "_principal" not in repr(sel)
+        assert rebuilt._principal_at.cache_info().currsize == 0

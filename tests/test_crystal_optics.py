@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from spdclab.crystal import FAST, SLOW, load_crystal, solve_waves, walkoff_angle
+from spdclab.crystal.materials import BIAXIAL, SellmeierSet
 from spdclab.crystal.optics import fresnel_residual, index_batch, refractive_indices
 
 
@@ -174,3 +175,98 @@ class TestIndexBatch:
         index_batch(sel, dirs, np.full((3, 1), 700.0))
         after = sel._principal_at.cache_info()
         assert after.hits > before.hits and after.misses == before.misses
+
+
+def _synthetic(coefficients: dict, label: str) -> SellmeierSet:
+    return SellmeierSet(label, BIAXIAL, {ax: tuple(c) for ax, c in coefficients.items()},
+                        (0.3, 1.5), "synthetic")
+
+
+#: a biaxial set whose middle index is n_z, not n_y
+MIDDLE_Z = _synthetic({"x": (3.0, 0, 0, 0), "y": (3.6, 0, 0, 0), "z": (3.3, 0, 0, 0)},
+                      "middle-z")
+#: n_x falls through the constant n_y near 640 nm: the middle axis is x below
+#: that wavelength and y above it
+CROSSING = _synthetic({"x": (3.0, 0.02, 0.01, 0), "y": (3.05, 0, 0, 0),
+                       "z": (3.5, 0, 0, 0)}, "crossing")
+
+
+def _sellmeier(species: str) -> SellmeierSet:
+    return {"middle-z": MIDDLE_Z, "crossing": CROSSING}.get(species) \
+        or load_crystal(species).sellmeier
+
+
+def _optic_axes(u: np.ndarray) -> np.ndarray:
+    """The two unit optic axes, in the plane normal to the middle axis of u = (u_x, u_y, u_z)."""
+    m = int(np.argsort(u)[1])
+    i, k = (m + 1) % 3, (m + 2) % 3
+    if u[k] == u[m]:        # uniaxial: i becomes the repeated axis, both optic axes lie on k
+        i, k = k, i
+    ratio = (u[m] - u[i]) / (u[k] - u[m])       # s_i^2 / s_k^2 on an optic axis
+    axes = np.zeros((2, 3))
+    axes[:, i] = np.sqrt(ratio / (1 + ratio)) * np.array([1.0, -1.0])
+    axes[:, k] = np.sqrt(1 / (1 + ratio))
+    return axes
+
+
+def _oracle_directions(u: np.ndarray, seed: int) -> np.ndarray:
+    """Principal axes, optic axes exactly and 1e-12 to 1e-3 rad off them,
+    principal planes and random directions."""
+    rng = np.random.default_rng(seed)
+    dirs = [np.eye(3), -np.eye(3)]
+    for axis in _optic_axes(u):
+        dirs.append(axis[None])
+        for off in 10.0 ** np.arange(-12, -2):
+            kick = np.cross(axis, rng.normal(size=(4, 3)))      # transverse to the axis
+            dirs.append(axis + off * kick / np.linalg.norm(kick, axis=1, keepdims=True))
+    t = rng.uniform(0, 2 * np.pi, 20)
+    for i in range(3):
+        plane = np.zeros((20, 3))
+        plane[:, (i + 1) % 3], plane[:, (i + 2) % 3] = np.cos(t), np.sin(t)
+        dirs.append(plane)
+    dirs.append(random_directions(60, seed) * rng.uniform(0.5, 2.0, (60, 1)))
+    return np.concatenate(dirs)
+
+
+def _eigen_oracle(u: np.ndarray, directions: np.ndarray) -> tuple:
+    """(n_fast, n_slow) from the two nonzero eigenvalues of P eps^-1 P, P = I - s s^T,
+    one row of u per direction."""
+    s = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    proj = np.eye(3) - s[:, :, None] * s[:, None, :]
+    eig = np.linalg.eigvalsh(proj @ (u[:, :, None] * np.eye(3)) @ proj)
+    return 1 / np.sqrt(eig[:, 2]), 1 / np.sqrt(eig[:, 1])
+
+
+class TestClosedForm:
+    """The closed-form indices against an independent eigen-solve."""
+
+    REL = 1e-15
+
+    @pytest.mark.parametrize("species,lam", [("bbo", 390.0), ("bbo", 780.0),
+                                             ("bibo", 390.0), ("bibo", 780.0),
+                                             ("middle-z", 500.0), ("crossing", 400.0),
+                                             ("crossing", 1000.0)])
+    def test_matches_eigen_oracle(self, species, lam):
+        sel = _sellmeier(species)
+        u = 1 / sel.principal_indices(lam) ** 2
+        dirs = _oracle_directions(u, seed=int(lam))
+        n_fast, n_slow = index_batch(sel, dirs, lam)
+        want_fast, want_slow = _eigen_oracle(np.tile(u, (len(dirs), 1)), dirs)
+        np.testing.assert_allclose(n_fast, want_fast, rtol=self.REL, atol=0)
+        np.testing.assert_allclose(n_slow, want_slow, rtol=self.REL, atol=0)
+
+    @pytest.mark.parametrize("species", ["bbo", "bibo", "middle-z", "crossing"])
+    def test_per_row_wavelengths(self, species):
+        """Rows at different wavelengths each take their own middle axis, which
+        for the crossing set is x on some rows and y on others."""
+        sel = _sellmeier(species)
+        lam = np.linspace(350.0, 1050.0, 8)
+        u = 1 / sel.principal_indices(lam) ** 2
+        if sel is CROSSING:
+            assert {int(np.argsort(row)[1]) for row in u} == {0, 1}
+        dirs = np.concatenate([_oracle_directions(row, seed=i) for i, row in enumerate(u)])
+        rows = np.repeat(np.arange(len(lam)), len(dirs) // len(lam))
+        n_fast, n_slow = index_batch(sel, dirs, lam[rows])
+        want_fast, want_slow = _eigen_oracle(u[rows], dirs)
+        np.testing.assert_allclose(n_fast, want_fast, rtol=self.REL, atol=0)
+        np.testing.assert_allclose(n_slow, want_slow, rtol=self.REL, atol=0)
