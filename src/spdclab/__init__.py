@@ -16,6 +16,7 @@ Subpackages and modules:
 * ``numpy_commands``  ``simulate`` and ``crystal summary|curve|rings``
                 handlers, imported by ``cli`` only when dispatched to
 * ``fileio``    JSON, text and CSV-table I/O; the one JSON reader and record check
+* ``_record``   ``_Record``, the read-only base of every record class
 """
 
 __version__ = "0.1.0"

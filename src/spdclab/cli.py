@@ -12,10 +12,10 @@ digest of their input file, so re-running on identical inputs reproduces the
 report up to the timestamp field.
 
 ``analyze``, ``pvalue`` and ``crystal rate-ratio`` run on the standard library
-alone, without numpy or ``dataclasses`` (and the ``inspect`` it imports): these
-commands are bound by interpreter start-up, so every import on their path is
-paid by every run.  The code is split so that they compile and import only
-what they run:
+alone, without numpy or the ``inspect`` that numpy imports.  No command loads
+``dataclasses`` (see ``spdclab._record``).  These commands are bound by
+interpreter start-up, so every import on their path is paid by every run.
+The code is split so that they compile and import only what they run:
 
 * this module holds the parser, ``main``, the exit codes, the count-file and
   ledger loaders and the standard-library handlers;

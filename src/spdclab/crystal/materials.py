@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
+from .._record import _Record
 from ..errors import SchemaError
 from ..fileio import _read_json, _record_fields
-from ..witness import _Record
 
 UNIAXIAL = "uniaxial"
 BIAXIAL = "biaxial"

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..witness import _Record
+from .._record import _Record
 from .materials import SellmeierSet
 
 FAST = "fast"

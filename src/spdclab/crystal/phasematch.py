@@ -42,8 +42,8 @@ from typing import Optional
 
 import numpy as np
 
+from .._record import _Record
 from ..errors import NumericalConsistencyError
-from ..witness import _Record
 from .materials import CrystalCut, CrystalData, SellmeierSet, polar_direction
 from .optics import FAST, SLOW, WaveSolution, index_batch, solve_waves, transverse_frame
 

@@ -13,9 +13,9 @@ where D(x) = min{exp(-x^2/2), 5! (e/5)^5 I(x)} and I is the standard
 normal upper-tail function.  Per-trial half-ranges enter only through the
 closed form s, so individual trial records never need to be stored.
 
-Standard library only, with no ``dataclasses`` either: ``analyze`` and
-``pvalue`` import this module, and each fresh call of theirs would pay
-about 12 ms for the ``inspect`` that ``dataclasses`` imports.
+Standard library only: ``analyze`` and ``pvalue`` import this module, so
+every fresh call of theirs pays for its imports.  Like the whole package it
+imports no ``dataclasses`` (see ``spdclab._record``).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import SchemaError
-from .witness import (_check_count, _check_mode_count, _is_finite_real, _Record,
-                      alpha_coefficients)
+from ._record import _is_finite_real, _Record
+from .witness import _check_count, _check_mode_count, alpha_coefficients
 
 #: 5! (e/5)^5, the tail-branch prefactor, evaluated once.
 PINELIS_CONST = 120.0 * (math.e / 5.0) ** 5

@@ -22,11 +22,12 @@ projector form is the convention used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from typing import Sequence
 
 import numpy as np
 
+from ._record import _Record
 from .errors import NumericalConsistencyError, TopologyError
 from .witness import alpha_coefficients
 
@@ -44,17 +45,16 @@ def _check_mode_count(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(_Record):
     """Pure polarization state of n photons on modes 1..n, one per mode."""
 
-    amps: np.ndarray
+    __slots__ = ("amps",)
 
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
+    def __init__(self, amps: np.ndarray):
+        amps = np.asarray(amps, dtype=complex)
         if amps.ndim != 1 or amps.size & (amps.size - 1):
             raise ValueError(f"amplitude vector length must be a power of 2, got {amps.shape}")
-        object.__setattr__(self, "amps", amps)
+        self._fill(amps)
         _check_mode_count(self.n_modes)
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-9:
@@ -67,8 +67,7 @@ class PureState:
 
 def basis_labels(n: int) -> list:
     """All 2^n outcome strings in basis order, e.g. ['HH','HV','VH','VV']."""
-    return ["".join("V" if (i >> (n - 1 - k)) & 1 else "H" for k in range(n))
-            for i in range(2**n)]
+    return ["".join(letters) for letters in itertools.product("HV", repeat=n)]
 
 
 def canonical_phase(state: PureState) -> PureState:
@@ -111,19 +110,18 @@ def mk_eigenbasis(k: int, n: int) -> np.ndarray:
     return np.column_stack([plus, minus])
 
 
-@dataclass(frozen=True)
-class GlobalOperator:
+class GlobalOperator(_Record):
     """Sum of coefficient-weighted n-fold tensor products of 2x2 operators."""
 
-    n: int
-    terms: tuple  # of (coefficient, tuple of n complex 2x2 arrays)
+    __slots__ = ("n", "terms")  # terms: (coefficient, tuple of n complex 2x2 arrays)
 
-    def __post_init__(self):
-        for coeff, factors in self.terms:
-            if len(factors) != self.n:
+    def __init__(self, n: int, terms: tuple):
+        for coeff, factors in terms:
+            if len(factors) != n:
                 raise ValueError("every term needs one local factor per mode")
             if any(np.shape(f) != (2, 2) for f in factors):
                 raise ValueError("local factors are 2x2")
+        self._fill(n, terms)
 
     def dense(self) -> np.ndarray:
         # 2^n x 2^n matrices: keep the cap well below the state-vector one
@@ -204,16 +202,17 @@ def outcome_distribution(state: PureState, port_kets: Sequence[np.ndarray]) -> n
 # Pair sources and PBS fusion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairSource:
+class PairSource(_Record):
     """Two-photon source emitting cos(theta)|HH> + sin(theta)|VV>.
 
     With ``rotated`` set, both photons pass a 90-degree rotation, giving
     cos(theta)|VV> + sin(theta)|HH>.
     """
 
-    theta_state: float = np.pi / 4
-    rotated: bool = False
+    __slots__ = ("theta_state", "rotated")
+
+    def __init__(self, theta_state: float = np.pi / 4, rotated: bool = False):
+        self._fill(theta_state, rotated)
 
     def amplitudes(self) -> tuple:
         c, s = np.cos(self.theta_state), np.sin(self.theta_state)
@@ -225,25 +224,22 @@ DEFAULT_PBS_LINKS = ((2, 3), (3, 5), (5, 7), (7, 9))
 REFERENCE_ROTATED = 2
 
 
-@dataclass(frozen=True)
-class FusionNetwork:
+class FusionNetwork(_Record):
     """Pair sources plus the simple PBS chain that fuses their signal photons.
 
     Source p occupies modes (2p+1, 2p+2) for p = 0..n_pairs-1; the default
     five-source chain links signal modes (2,3), (3,5), (5,7), (7,9).
     """
 
-    sources: tuple
-    pbs_links: tuple = DEFAULT_PBS_LINKS
+    __slots__ = ("sources", "pbs_links")
 
-    def __post_init__(self):
-        for mode in (m for link in self.pbs_links for m in link):
+    def __init__(self, sources: tuple, pbs_links: tuple = DEFAULT_PBS_LINKS):
+        for mode in (m for link in pbs_links for m in link):
             # bool is an int subclass, but JSON true is not a mode
             if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)):
                 raise TopologyError(f"link modes must be integers, got {mode!r}")
-        links = tuple((int(a), int(b)) for a, b in self.pbs_links)
-        object.__setattr__(self, "pbs_links", links)
-        object.__setattr__(self, "sources", tuple(self.sources))
+        links = tuple((int(a), int(b)) for a, b in pbs_links)
+        self._fill(tuple(sources), links)
         modes = self.mode_labels()
         for a, b in links:
             if a not in modes or b not in modes:

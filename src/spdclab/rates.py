@@ -11,9 +11,10 @@ walk-off parameter Delta.  No closed form for Omega is implemented; it is
 an input.  The shipped BiBO Omega was back-solved once so that the formula
 reproduces the published ratio 0.424, as the data file's note says.
 
-Standard library only, and no ``dataclasses``: ``crystal rate-ratio`` runs
-without numpy, and without the ``inspect`` import that would add about
-12 ms to each fresh call.
+Standard library only: ``crystal rate-ratio`` runs without numpy.  Like the
+whole package it imports no ``dataclasses`` (see ``spdclab._record``).  It
+does not import ``witness`` either, so neither does ``spdclab.crystal``,
+which re-exports it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
+from ._record import _is_finite_real, _Record
 from .errors import SchemaError
 from .fileio import _json_object, _read_json, _record_fields
-from .witness import _is_finite_real, _Record
 
 
 class RateInputs(_Record):

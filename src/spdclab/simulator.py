@@ -31,12 +31,12 @@ import itertools
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import qstate
+from ._record import _is_finite_real, _Record
 from .errors import InsufficientDataError, NumericalConsistencyError, SchemaError, TopologyError
 from .fileio import _json_object, _record_fields
 from .qstate import DEFAULT_PBS_LINKS, FusionNetwork, PairSource
@@ -44,7 +44,6 @@ from .witness import (
     CountDataset,
     SettingCounts,
     Z_SETTING,
-    _is_finite_real,
     mean_coherence_visibility,
     population_stats,
     setting_index,
@@ -56,21 +55,23 @@ DEFAULT_REP_RATE_HZ = 76.0e6
 CONFIG_METADATA = ("schema_version", "kind", "notes")
 
 
-@dataclass(frozen=True)
-class SourceModel:
-    """Emission and collection model of one pulsed pair source."""
+class SourceModel(_Record):
+    """Emission and collection model of one pulsed pair source.
 
-    pair_prob: float                    # single-pair weight p per pulse
-    xi_signal: float
-    xi_idler: float
-    theta_state: float = np.pi / 4
-    rotated: bool = False
-    double_pair_factor: float = 2.0     # g: double-pair weight is g p^2
+    ``pair_prob`` is the single-pair weight p per pulse, and
+    ``double_pair_factor`` is g: the double-pair weight is g p^2.
+    """
 
-    def __post_init__(self):
-        for f in fields(self):
-            if f.name != "rotated" and not _is_finite_real(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be a finite number")
+    __slots__ = ("pair_prob", "xi_signal", "xi_idler", "theta_state", "rotated",
+                 "double_pair_factor")
+
+    def __init__(self, pair_prob: float, xi_signal: float, xi_idler: float,
+                 theta_state: float = np.pi / 4, rotated: bool = False,
+                 double_pair_factor: float = 2.0):
+        self._fill(pair_prob, xi_signal, xi_idler, theta_state, rotated, double_pair_factor)
+        for name in self._fields:
+            if name != "rotated" and not _is_finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if not isinstance(self.rotated, bool):
             raise ValueError(f"rotated must be true or false, got {self.rotated!r}")
         if not 0.0 <= self.pair_prob < 1.0:
@@ -101,18 +102,17 @@ class SourceModel:
         return float(a_hh**2), float(a_vv**2)
 
 
-@dataclass(frozen=True)
-class InterferenceModel:
+class InterferenceModel(_Record):
     """Scalar indistinguishability amplitude per PBS link."""
 
-    mode_overlap: tuple = (1.0,)
+    __slots__ = ("mode_overlap",)
 
-    def __post_init__(self):
+    def __init__(self, mode_overlap: tuple = (1.0,)):
         # object dtype keeps JSON true a bool instead of casting it to 1.0
-        ov = np.atleast_1d(np.asarray(self.mode_overlap, dtype=object))
+        ov = np.atleast_1d(np.asarray(mode_overlap, dtype=object))
         if not all(_is_finite_real(v) and 0.0 <= v <= 1.0 for v in ov):
             raise ValueError("mode_overlap values must be numbers in [0, 1]")
-        object.__setattr__(self, "mode_overlap", tuple(float(v) for v in ov))
+        self._fill(tuple(float(v) for v in ov))
 
     def per_link(self, n_links: int) -> tuple:
         if len(self.mode_overlap) == 1:
@@ -126,34 +126,35 @@ class InterferenceModel:
         return float(np.prod(self.per_link(n_links)))
 
 
-@dataclass(frozen=True)
-class DetectorModel:
-    dark_count_prob: float = 0.0
+class DetectorModel(_Record):
+    __slots__ = ("dark_count_prob",)
 
-    def __post_init__(self):
-        if not (_is_finite_real(self.dark_count_prob) and 0.0 <= self.dark_count_prob < 1.0):
+    def __init__(self, dark_count_prob: float = 0.0):
+        if not (_is_finite_real(dark_count_prob) and 0.0 <= dark_count_prob < 1.0):
             raise ValueError("dark_count_prob must lie in [0, 1)")
+        self._fill(dark_count_prob)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Sources, the PBS links fusing their signal photons, and the rig around them.
 
     Every topology check runs here: at most ``MAX_DENSE_MODES // 2`` sources,
     links that are integer pairs of known modes forming a simple chain through
     one signal photon per source, and an overlap list of 1 or one value per link.
+    A ``detector`` of None is a ``DetectorModel()``, a ``provenance`` of None
+    an empty dict.
     """
 
-    sources: tuple
-    interference: InterferenceModel
-    pbs_links: tuple = DEFAULT_PBS_LINKS
-    rep_rate_hz: float = DEFAULT_REP_RATE_HZ
-    detector: DetectorModel = field(default_factory=DetectorModel)
-    seed: int = 0
-    provenance: dict = field(default_factory=dict)
+    __slots__ = ("sources", "interference", "pbs_links", "rep_rate_hz", "detector", "seed",
+                 "provenance")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sources", tuple(self.sources))
+    def __init__(self, sources: tuple, interference: InterferenceModel,
+                 pbs_links: tuple = DEFAULT_PBS_LINKS, rep_rate_hz: float = DEFAULT_REP_RATE_HZ,
+                 detector: Optional[DetectorModel] = None, seed: int = 0,
+                 provenance: Optional[dict] = None):
+        self._fill(tuple(sources), interference, pbs_links, rep_rate_hz,
+                   DetectorModel() if detector is None else detector, seed,
+                   {} if provenance is None else provenance)
         if self.n_modes() > qstate.MAX_DENSE_MODES:
             raise ValueError(f"at most {qstate.MAX_DENSE_MODES // 2} sources "
                              f"({qstate.MAX_DENSE_MODES} modes) can be simulated, "
@@ -345,8 +346,8 @@ def sample_postselected(config: ExperimentConfig, setting: str, n_events: int,
     is clean, so its outcome probabilities are the clean events' own times
     the success probability.
     """
-    lossless = replace(config, detector=DetectorModel(), sources=tuple(
-        replace(s, xi_signal=1.0, xi_idler=1.0, double_pair_factor=0.0)
+    lossless = config._replace(detector=DetectorModel(), sources=tuple(
+        s._replace(xi_signal=1.0, xi_idler=1.0, double_pair_factor=0.0)
         for s in config.sources))
     probs = _outcome_probabilities(lossless, [setting])[setting]
     return rng.choice(probs.size, size=n_events, p=probs / probs.sum())
@@ -360,12 +361,12 @@ def sample_postselected(config: ExperimentConfig, setting: str, n_events: int,
 MAX_PULSES = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class SimResult:
-    counts: CountDataset
-    pulses_per_setting: int
-    rates: dict
-    diagnostics: dict
+class SimResult(_Record):
+    __slots__ = ("counts", "pulses_per_setting", "rates", "diagnostics")
+
+    def __init__(self, counts: CountDataset, pulses_per_setting: int, rates: dict,
+                 diagnostics: dict):
+        self._fill(counts, pulses_per_setting, rates, diagnostics)
 
 
 def _model_rates(config: ExperimentConfig) -> dict:
@@ -507,9 +508,9 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "kind": "experiment_config",
         "rep_rate_hz": config.rep_rate_hz,
         "seed": config.seed,
-        "sources": [asdict(s) for s in config.sources],
+        "sources": [s._asdict() for s in config.sources],
         "interference": {"mode_overlap": list(config.interference.mode_overlap)},
-        "detector": asdict(config.detector),
+        "detector": config.detector._asdict(),
         "network": {"pbs_links": [list(l) for l in config.pbs_links]},
         "provenance": dict(config.provenance),
     }

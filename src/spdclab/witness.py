@@ -14,10 +14,10 @@ setting the letters denote the analyzer ports: 'H' is the +1 port, 'V' the
 -1 port, and the event sign is the product of the per-photon eigenvalues,
 i.e. +1 for an even number of 'V' outcomes.
 
-Standard library only, and light even there: no numpy and no
-``dataclasses``, whose import of ``inspect`` costs about 12 ms, a tenth of
-a fresh ``analyze``.  Plain value records are ``NamedTuple``s; the records
-that check their input are ``__slots__`` classes on ``_Record``.
+Standard library only, and light even there: no numpy, and, like every
+module of the package, no ``dataclasses`` (see ``spdclab._record``).  Plain
+value records are ``NamedTuple``s; the records that check their input are
+``__slots__`` classes on ``_record._Record``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 import numbers
 from typing import Iterable, NamedTuple, Optional
 
+from ._record import _is_finite_real, _Record
 from .errors import InsufficientDataError, SchemaError
 
 Z_SETTING = "Z"
@@ -65,57 +66,10 @@ def _check_count(c) -> None:
         raise SchemaError(f"counts must be non-negative integers, got {c!r}")
 
 
-def _is_finite_real(x) -> bool:
-    # bool is a Real, but JSON true is not a number
-    return not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
-
-
 def _check_mode_count(n) -> None:
     _check_count(n)
     if n < 1:
         raise SchemaError(f"n must be at least 1, got {n!r}")
-
-
-class _Record:
-    """Read-only record whose subclass lists its fields in ``__slots__``, in
-    ``__init__`` order.  Slots named with a leading ``_`` hold derived state
-    and take no part in ``==``, ``hash`` or ``repr``.  ``__init__`` checks its
-    arguments and sets the slots with ``_fill``; any later assignment raises
-    ``AttributeError``, as on a frozen dataclass."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({shown})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):       # copy and pickle rebuild through __init__
-        return type(self), self._values()
-
-    def _fill(self, *values) -> None:
-        """Set the slots, in ``__slots__`` order."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
 
 class SettingCounts(_Record):

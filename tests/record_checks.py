@@ -1,8 +1,9 @@
-"""Shared checks of the immutable records that witness, hyptest and rates
-define: construction, field-wise equality, repr, read-only fields, copies
-and the TypeError an unknown or missing keyword raises."""
+"""Shared checks of the package's immutable records: construction, field-wise
+equality, repr, read-only fields, copies, ``_replace`` and ``_asdict``, and
+the TypeError an unknown or missing keyword raises."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -30,9 +31,13 @@ def check_record(cls, args: tuple, kwargs: dict, changed: dict) -> None:
             delattr(a, name)
     assert a == b
     assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    assert a._replace() == a and a._replace(**changed) == other
+    assert list(a._asdict().items()) == [(name, getattr(a, name)) for name in a._fields]
 
     with pytest.raises(TypeError):
         cls(**kwargs, not_a_field=1)
     first, *_ = kwargs
-    with pytest.raises(TypeError):
-        cls(**{k: v for k, v in kwargs.items() if k != first})
+    # a record whose every field has a default builds without its first one
+    if inspect.signature(cls).parameters[first].default is inspect.Parameter.empty:
+        with pytest.raises(TypeError):
+            cls(**{k: v for k, v in kwargs.items() if k != first})

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import shutil
@@ -570,6 +571,39 @@ class TestSimulate:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "experiment_config", "sources": []}))
         assert main(["simulate", str(path), "--pulses", "10"]) == EXIT_SCHEMA
+
+    #: SHA-256 of the counts and report ``simulate`` writes; a refactor keeps them,
+    #: and only a stated change of the physics model may update them
+    PINNED_DIGESTS = {
+        "reference": ("0b4b23f7a44b8a29d462f211593d6839eb4581da1805cd42b102121a3248891d",
+                      "eb7e6fbb1dc183c37498b1cfa9344d3351ec93eb3e8b21fe2e8e837cce988065"),
+        "bright": ("7c12349c85a6ca727d872be39dd435434f9467f454a444b14d10da7cdc9db271",
+                   "58ce184bfaf267918a5bd914ed702047b5409c5d34edf30bca06607c441fb113"),
+    }
+
+    @pytest.mark.parametrize("case", ["reference", "bright"])
+    def test_output_bytes_pinned(self, config_file, tmp_path, case):
+        """The shipped reference config at 1e12 pulses, and five bright sources with
+        double pairs, losses and dark counts at about 6000 contaminated candidates
+        per setting, write exactly the pinned bytes."""
+        if case == "reference":
+            path, pulses, extra = config_file, "1000000000000", ["--seed", "7"]
+        else:
+            src = {"pair_prob": 0.22, "xi_signal": 0.8, "xi_idler": 0.8,
+                   "theta_state": math.pi / 4, "rotated": False, "double_pair_factor": 2.0}
+            raw = {"schema_version": 1, "kind": "experiment_config", "rep_rate_hz": 76.0e6,
+                   "seed": 20241, "sources": [dict(src) for _ in range(5)],
+                   "interference": {"mode_overlap": [0.85]},
+                   "detector": {"dark_count_prob": 0.003},
+                   "network": {"pbs_links": [[2, 3], [3, 5], [5, 7], [7, 9]]},
+                   "provenance": {"origin": "test input"}}
+            path, pulses, extra = tmp_path / "bright.json", "8878187", []
+            path.write_text(json.dumps(raw, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        out, report = tmp_path / "counts.json", tmp_path / "report.json"
+        assert main(["simulate", str(path), "--pulses", pulses, *extra,
+                     "--out", str(out), "--report", str(report)]) == EXIT_OK
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, report))
+        assert digests == self.PINNED_DIGESTS[case]
 
 
 class TestCrystalCommands:
@@ -1166,7 +1200,7 @@ def test_main_module_is_compiled_once(config_file, tmp_path, command):
 
 
 def test_crystal_path_imports_no_dataclasses(tmp_path):
-    """The crystal records are ``witness._Record`` classes, so a crystal command
+    """The crystal records are ``_record._Record`` classes, so a crystal command
     never loads ``dataclasses``."""
     proc = _python("-X", "importtime", "-m", "spdclab.cli", "crystal", "summary",
                    "--species", "bibo", "--out", tmp_path / "out.json")
@@ -1174,6 +1208,38 @@ def test_crystal_path_imports_no_dataclasses(tmp_path):
     modules = _imported_modules(proc.stderr)
     assert "spdclab.crystal.phasematch" in modules
     assert "dataclasses" not in modules
+
+
+def test_simulate_path_imports_no_dataclasses(config_file, tmp_path):
+    """The simulator's and qstate's records are ``_record._Record`` classes, so
+    ``simulate`` never loads ``dataclasses``."""
+    proc = _python("-X", "importtime", "-m", "spdclab.cli", "simulate", config_file,
+                   "--pulses", "1000000000", "--report", tmp_path / "report.json",
+                   "--out", tmp_path / "out.json")
+    assert proc.returncode == 0, proc.stderr
+    modules = _imported_modules(proc.stderr)
+    assert {"spdclab.simulator", "spdclab.qstate"} <= modules
+    assert "dataclasses" not in modules
+
+
+def test_no_module_imports_dataclasses():
+    """``_record._Record`` is the package's one record mechanism."""
+    package = Path(spdclab.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(str(name).partition(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert found == []
+
+
+def test_crystal_import_loads_no_witness():
+    """The crystal records take ``_Record`` from ``spdclab._record``, so importing
+    ``spdclab.crystal`` loads no fidelity code."""
+    assert _run_python("-c", "import sys, spdclab.crystal; "
+                       "print('spdclab.witness' in sys.modules)") == "False"
 
 
 def test_json_is_parsed_only_in_fileio():

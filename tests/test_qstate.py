@@ -243,6 +243,13 @@ class TestBasisHelpers:
         for i, lab in enumerate(labels):
             assert int(lab.replace("H", "0").replace("V", "1"), 2) == i
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_labels_match_bit_shift_definition(self, n):
+        """Bit k of the index, counted from the most significant, is mode k + 1's letter."""
+        expected = ["".join("V" if (i >> (n - 1 - k)) & 1 else "H" for k in range(n))
+                    for i in range(2**n)]
+        assert qstate.basis_labels(n) == expected
+
     def test_outcome_distribution_ghz_z_basis(self):
         st = ghz_state(4)
         ports = [np.eye(2, dtype=complex)] * 4

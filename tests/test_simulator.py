@@ -1,5 +1,5 @@
-import dataclasses
 import json
+import math
 import time
 import warnings
 from importlib import resources
@@ -48,8 +48,8 @@ def make_config(p=0.3, xi=1.0, theta=np.pi / 4, rotated_tail=0, overlap=1.0,
 
 def lossless(cfg):
     """cfg without losses, double pairs or dark counts: every candidate is clean."""
-    return dataclasses.replace(cfg, detector=DetectorModel(), sources=tuple(
-        dataclasses.replace(s, xi_signal=1.0, xi_idler=1.0, double_pair_factor=0.0)
+    return cfg._replace(detector=DetectorModel(), sources=tuple(
+        s._replace(xi_signal=1.0, xi_idler=1.0, double_pair_factor=0.0)
         for s in cfg.sources))
 
 
@@ -396,7 +396,7 @@ class TestExactOutcomes:
 
         expected = simulator._outcome_probabilities(reference_config(), settings)
         probs = simulator._outcome_probabilities(
-            dataclasses.replace(reference_config(), pbs_links=links), settings)
+            reference_config()._replace(pbs_links=links), settings)
         for setting in settings:
             assert np.array_equal(probs[setting], expected[setting])
 
@@ -522,6 +522,23 @@ def coherent_configs(draw):
                             interference=InterferenceModel((1.0,)))
 
 
+@st.composite
+def double_pair_configs(draw):
+    """2-5 sources with double pairs (g > 0), random efficiencies, overlaps,
+    dark counts, pair states and chain order."""
+    n_src = draw(st.integers(2, 5))
+    sources = tuple(SourceModel(
+        pair_prob=draw(st.floats(0.01, 0.9)), xi_signal=draw(st.floats(0.05, 1.0)),
+        xi_idler=draw(st.floats(0.05, 1.0)), theta_state=draw(st.floats(0.1, 1.4)),
+        rotated=draw(st.booleans()), double_pair_factor=draw(st.floats(0.1, 4.0)))
+        for _ in range(n_src))
+    links = chain_links(draw, n_src)
+    overlaps = tuple(draw(st.floats(0.0, 1.0)) for _ in links)
+    return ExperimentConfig(sources=sources, pbs_links=links,
+                            interference=InterferenceModel(overlaps),
+                            detector=DetectorModel(draw(st.floats(0.0, 0.5))))
+
+
 def exact_fidelity(cfg) -> float:
     """The witness's F from the exact outcome probabilities, each setting normalized."""
     n = cfg.n_modes()
@@ -568,6 +585,37 @@ class TestExactModelProperties:
         state = fuse_and_postselect(cfg.network())[0]
         a, b = state.amps[0].real, state.amps[-1].real
         assert abs(exact_fidelity(cfg) - (a + b) ** 2 / 2) <= 1e-14
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(double_pair_configs(), st.data())
+    def test_classical_part_adds_no_parity(self, cfg, data):
+        """The classical part adds exactly 0 to every M_k parity sum.
+
+        In an M_k setting every photon leaves either port of its analyzer
+        with probability 1/2, so ``_path_weights`` gives both bits of a path
+        the same weight: flipping one bit pairs outcomes of opposite parity
+        and equal weight, and sum_x (-1)^|x| p(x) cancels exactly, which
+        ``math.fsum`` evaluates without rounding.  Only the clean events'
+        coherence is left in the setting's parity sum: (1 - d)^n W 2abD
+        (-1)^k, W the probability that every source is clean times the
+        post-selection success.
+        """
+        n = cfg.n_modes()
+        parity = 1.0 - 2.0 * (np.indices((2,) * n).sum(axis=0).ravel() % 2)
+        layout = simulator._ring_layout(cfg)
+        tables = [simulator._source_table(cfg.sources[p]) for p, _, _ in layout]
+        classical = simulator._classical_part(layout, tables, False)
+        assert classical.sum() > 0.0
+        assert math.fsum(parity * classical) == 0.0
+
+        k = data.draw(st.integers(0, n - 1))
+        probs = simulator._outcome_probabilities(cfg, [f"M{k}"])[f"M{k}"]
+        a, b, success = simulator._fused_amplitudes(cfg)
+        clean = np.prod([t[t[:, 5] == 1, 0].sum() for t in tables]) * success
+        coherence = (-1) ** k * clean * 2.0 * a * b * cfg.interference.coherence_damping(
+            len(cfg.pbs_links))
+        thinning = (1.0 - cfg.detector.dark_count_prob) ** n
+        assert abs(math.fsum(parity * probs) - thinning * coherence) <= 1e-15
 
 
 class TestReferenceConfig:
