@@ -11,16 +11,19 @@ only ``main`` maps the outcome to an exit code.  Reports embed a SHA-256
 digest of their input file, so re-running on identical inputs reproduces the
 report up to the timestamp field.
 
-``analyze``, ``pvalue`` and ``crystal rate-ratio`` run on the standard library
-alone, without numpy or the ``inspect`` that numpy imports.  No command loads
-``dataclasses`` (see ``spdclab._record``).  These commands are bound by
-interpreter start-up, so every import on their path is paid by every run.
-The code is split so that they compile and import only what they run:
+``analyze``, ``pvalue``, ``crystal rate-ratio`` and ``simulate`` run on the
+standard library alone, without numpy or the ``inspect`` that numpy imports.
+No command loads ``dataclasses`` (see ``spdclab._record``).  These commands
+are bound by interpreter start-up, so every import on their path is paid by
+every run.  The code is split so that they compile and import only what they
+run:
 
 * this module holds the parser, ``main``, the exit codes, the count-file and
-  ledger loaders and the standard-library handlers;
-* ``numpy_commands`` holds the ``simulate`` and ``crystal summary|curve|rings``
-  handlers, and is imported only when ``main`` dispatches to one of them;
+  ledger loaders and the ``analyze``, ``pvalue`` and ``crystal rate-ratio``
+  handlers;
+* ``numpy_commands`` holds the ``simulate`` handler and the ``crystal
+  summary|curve|rings`` ones, which run on numpy, and is imported only when
+  ``main`` dispatches to one of them;
 * ``fileio`` holds the JSON, text and table I/O that both use; this module
   re-exports its names.
 

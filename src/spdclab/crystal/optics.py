@@ -155,7 +155,10 @@ def solve_waves(sellmeier: SellmeierSet, direction, wavelength_nm: float) -> Wav
         v = np.array([1.0, 0.0]) if nv < 1e-14 else v / nv  # degenerate: any transverse
         d = v[0] * t1 + v[1] * t2
         e = _unit(eps_inv * d)
-        walk = float(np.arccos(np.clip(np.dot(d, e), -1.0, 1.0)))
+        # |d x e| spelled out, as in transverse_frame; arccos(d.e) alone
+        # cannot resolve angles below about 1.5e-8 rad
+        cross = d[_NEXT] * e[_PREV] - d[_PREV] * e[_NEXT]
+        walk = float(np.arctan2(np.sqrt(cross @ cross), d @ e))
         return n, d, walk
 
     nf, df, wf = branch(float(u_fast))

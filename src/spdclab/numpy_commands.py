@@ -1,8 +1,10 @@
-"""Handlers of the commands that run on numpy: ``simulate`` and ``crystal
+"""Handlers of ``simulate`` and of the commands that run on numpy, ``crystal
 summary|curve|rings``.
 
-``cli`` builds the parser and imports this module only when it dispatches to
-one of these commands, so the standard-library commands never compile it.
+``simulate`` runs on the standard library (see ``spdclab.simulator``); the
+crystal handlers import numpy.  ``cli`` builds the parser and imports this
+module only when it dispatches to one of these commands, so the count-path
+commands never compile it.
 Each handler writes its outputs or raises; ``cli.main`` maps what it raises
 to an exit code.  This module never imports ``spdclab.cli`` (see there).
 """

@@ -18,14 +18,18 @@ contributes no sign, so a cascade of PBS fusions acts on the coincidence
 subspace as a chain of HH/VV agreement projectors.  Any consistent port
 relabeling after reflection yields the same post-selected statistics; this
 projector form is the convention used throughout.
+
+The dense-state functions import numpy when called, so that importing this
+module does not: ``simulate`` loads it for ``PairSource``, ``FusionNetwork``
+and ``basis_labels`` and runs on the standard library alone.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from typing import Sequence
-
-import numpy as np
 
 from ._record import _Record
 from .errors import NumericalConsistencyError, TopologyError
@@ -33,9 +37,6 @@ from .witness import alpha_coefficients
 
 MAX_DENSE_MODES = 12
 NORM_ATOL = 1e-12
-
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
 def _check_mode_count(n: int) -> None:
@@ -50,7 +51,9 @@ class PureState(_Record):
 
     __slots__ = ("amps",)
 
-    def __init__(self, amps: np.ndarray):
+    def __init__(self, amps):
+        import numpy as np
+
         amps = np.asarray(amps, dtype=complex)
         if amps.ndim != 1 or amps.size & (amps.size - 1):
             raise ValueError(f"amplitude vector length must be a power of 2, got {amps.shape}")
@@ -72,6 +75,8 @@ def basis_labels(n: int) -> list:
 
 def canonical_phase(state: PureState) -> PureState:
     """Rotate the global phase so the first nonzero amplitude is real positive."""
+    import numpy as np
+
     amps = state.amps
     nz = np.flatnonzero(np.abs(amps) > 1e-14)
     if nz.size == 0:
@@ -82,6 +87,8 @@ def canonical_phase(state: PureState) -> PureState:
 
 def ghz_state(n: int) -> PureState:
     """(|H...H> + |V...V>)/sqrt(2) on modes 1..n."""
+    import numpy as np
+
     _check_mode_count(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
@@ -92,18 +99,24 @@ def ghz_state(n: int) -> PureState:
 # Global operators
 # ---------------------------------------------------------------------------
 
-def mk_operator(k: int, n: int) -> np.ndarray:
+def mk_operator(k: int, n: int):
     """cos(k pi/n) sigma_x + sin(k pi/n) sigma_y; Hermitian, eigenvalues +-1."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must satisfy 0 <= k <= n-1, got k={k}, n={n}")
     angle = k * np.pi / n
-    return np.cos(angle) * _PAULI_X + np.sin(angle) * _PAULI_Y
+    pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    pauli_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+    return np.cos(angle) * pauli_x + np.sin(angle) * pauli_y
 
 
-def mk_eigenbasis(k: int, n: int) -> np.ndarray:
+def mk_eigenbasis(k: int, n: int):
     """Columns are the +1 and -1 eigenvectors of mk_operator(k, n)."""
+    import numpy as np
+
     phase = np.exp(1j * k * np.pi / n)
     plus = np.array([1.0, phase], dtype=complex) / np.sqrt(2.0)
     minus = np.array([1.0, -phase], dtype=complex) / np.sqrt(2.0)
@@ -116,6 +129,8 @@ class GlobalOperator(_Record):
     __slots__ = ("n", "terms")  # terms: (coefficient, tuple of n complex 2x2 arrays)
 
     def __init__(self, n: int, terms: tuple):
+        import numpy as np
+
         for coeff, factors in terms:
             if len(factors) != n:
                 raise ValueError("every term needs one local factor per mode")
@@ -123,7 +138,9 @@ class GlobalOperator(_Record):
                 raise ValueError("local factors are 2x2")
         self._fill(n, terms)
 
-    def dense(self) -> np.ndarray:
+    def dense(self):
+        import numpy as np
+
         # 2^n x 2^n matrices: keep the cap well below the state-vector one
         if self.n > 6:
             raise ValueError(
@@ -145,6 +162,8 @@ def witness_decomposition(n: int) -> GlobalOperator:
     alpha_k = (-1)^k / (2 n); the dense realization equals
     |GHZ_n><GHZ_n| exactly.
     """
+    import numpy as np
+
     _check_mode_count(n)
     terms = [(alpha, tuple([mk_operator(k, n)] * n))
              for k, alpha in enumerate(alpha_coefficients(n))]
@@ -153,7 +172,9 @@ def witness_decomposition(n: int) -> GlobalOperator:
     return GlobalOperator(n, tuple(terms))
 
 
-def _apply_one(amps: np.ndarray, n: int, axis: int, matrix: np.ndarray) -> np.ndarray:
+def _apply_one(amps, n: int, axis: int, matrix):
+    import numpy as np
+
     tensor = amps.reshape((2,) * n)
     tensor = np.tensordot(matrix, tensor, axes=([1], [axis]))
     tensor = np.moveaxis(tensor, 0, axis)
@@ -166,6 +187,8 @@ def expectation(state: PureState, op: GlobalOperator) -> float:
     Evaluated term by term with mode-local applications, so it works at
     n=10 without materializing 2^n x 2^n matrices.
     """
+    import numpy as np
+
     if op.n != state.n_modes:
         raise ValueError(f"operator acts on {op.n} modes, state has {state.n_modes}")
     for _, factors in op.terms:
@@ -185,12 +208,14 @@ def expectation(state: PureState, op: GlobalOperator) -> float:
     return float(total.real)
 
 
-def outcome_distribution(state: PureState, port_kets: Sequence[np.ndarray]) -> np.ndarray:
+def outcome_distribution(state: PureState, port_kets: Sequence):
     """Born probabilities over the 2^n outcome strings of a product measurement.
 
     ``port_kets[i]`` is a (2, 2) array whose columns are the 'H'-port and
     'V'-port kets for mode i (e.g. an mk_eigenbasis, or identity for Z).
     """
+    import numpy as np
+
     n = state.n_modes
     amps = state.amps
     for axis, basis in enumerate(port_kets):
@@ -211,11 +236,11 @@ class PairSource(_Record):
 
     __slots__ = ("theta_state", "rotated")
 
-    def __init__(self, theta_state: float = np.pi / 4, rotated: bool = False):
+    def __init__(self, theta_state: float = math.pi / 4, rotated: bool = False):
         self._fill(theta_state, rotated)
 
     def amplitudes(self) -> tuple:
-        c, s = np.cos(self.theta_state), np.sin(self.theta_state)
+        c, s = math.cos(self.theta_state), math.sin(self.theta_state)
         return (s, c) if self.rotated else (c, s)  # (amp_HH, amp_VV)
 
 
@@ -236,7 +261,7 @@ class FusionNetwork(_Record):
     def __init__(self, sources: tuple, pbs_links: tuple = DEFAULT_PBS_LINKS):
         for mode in (m for link in pbs_links for m in link):
             # bool is an int subclass, but JSON true is not a mode
-            if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)):
+            if isinstance(mode, bool) or not isinstance(mode, numbers.Integral):
                 raise TopologyError(f"link modes must be integers, got {mode!r}")
         links = tuple((int(a), int(b)) for a, b in pbs_links)
         self._fill(tuple(sources), links)
@@ -276,7 +301,7 @@ class FusionNetwork(_Record):
         return tuple(order)
 
 
-def reference_network(theta_state: float = 7 * np.pi / 30) -> FusionNetwork:
+def reference_network(theta_state: float = 7 * math.pi / 30) -> FusionNetwork:
     """Five-source chain with the last ``REFERENCE_ROTATED`` pairs rotated by 90 degrees."""
     sources = tuple(
         PairSource(theta_state, rotated=(p >= 5 - REFERENCE_ROTATED)) for p in range(5)
@@ -286,6 +311,8 @@ def reference_network(theta_state: float = 7 * np.pi / 30) -> FusionNetwork:
 
 def product_pair_state(pairs: Sequence[PairSource]) -> PureState:
     """Tensor product of pair states on modes 1..2*n_pairs."""
+    import numpy as np
+
     amps = np.array([1.0 + 0j])
     for pair in pairs:
         a_hh, a_vv = pair.amplitudes()
@@ -303,6 +330,8 @@ def fuse_and_postselect(network: FusionNetwork):
     coincidence-basis survivor (global phase canonicalized) and
     ``success_prob`` is the squared norm of the surviving component.
     """
+    import numpy as np
+
     state = product_pair_state(network.sources)
     pol = np.indices((2,) * state.n_modes)   # pol[m - 1]: mode m's H=0 / V=1 per amplitude
     agree = np.all([pol[a - 1] == pol[b - 1] for a, b in network.pbs_links], axis=0)

@@ -23,19 +23,25 @@ coherence in closed form.  Pulses are independent and each gives at most
 one outcome, so a run is one binomial draw (candidate pulses) and one
 multinomial draw (outcomes plus a no-event bucket) per setting, whatever
 the pulse count.
+
+``run_monte_carlo`` runs on the standard library alone: the ring is
+contracted in plain Python and the draws come from ``spdclab.sampling``, so
+``simulate`` never imports numpy.  ``sample_postselected`` takes a numpy
+``Generator`` and imports numpy when called.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
+import random
 import sys
 import warnings
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import qstate
+from . import qstate, sampling
 from ._record import _is_finite_real, _Record
 from .errors import InsufficientDataError, NumericalConsistencyError, SchemaError, TopologyError
 from .fileio import _json_object, _record_fields
@@ -66,7 +72,7 @@ class SourceModel(_Record):
                  "double_pair_factor")
 
     def __init__(self, pair_prob: float, xi_signal: float, xi_idler: float,
-                 theta_state: float = np.pi / 4, rotated: bool = False,
+                 theta_state: float = math.pi / 4, rotated: bool = False,
                  double_pair_factor: float = 2.0):
         self._fill(pair_prob, xi_signal, xi_idler, theta_state, rotated, double_pair_factor)
         for name in self._fields:
@@ -82,15 +88,15 @@ class SourceModel(_Record):
         if self.double_pair_factor < 0.0:
             raise ValueError("double_pair_factor must be finite and >= 0")
 
-    def pair_number_probs(self) -> np.ndarray:
+    def pair_number_probs(self) -> tuple:
         """P(0), P(1), P(2) pairs per pulse; weights 1 : p : g p^2."""
-        w = np.array([1.0, self.pair_prob,
-                      self.double_pair_factor * self.pair_prob**2])
-        return w / w.sum()
+        w = (1.0, self.pair_prob, self.double_pair_factor * self.pair_prob**2)
+        total = sum(w)
+        return tuple(x / total for x in w)
 
     def mean_pairs_per_pulse(self) -> float:
         p = self.pair_number_probs()
-        return float(p[1] + 2.0 * p[2])
+        return p[1] + 2.0 * p[2]
 
     def pair_source(self) -> PairSource:
         """The pair state this source emits."""
@@ -108,8 +114,10 @@ class InterferenceModel(_Record):
     __slots__ = ("mode_overlap",)
 
     def __init__(self, mode_overlap: tuple = (1.0,)):
-        # object dtype keeps JSON true a bool instead of casting it to 1.0
-        ov = np.atleast_1d(np.asarray(mode_overlap, dtype=object))
+        try:
+            ov = tuple(mode_overlap)
+        except TypeError:       # one number for every link
+            ov = (mode_overlap,)
         if not all(_is_finite_real(v) and 0.0 <= v <= 1.0 for v in ov):
             raise ValueError("mode_overlap values must be numbers in [0, 1]")
         self._fill(tuple(float(v) for v in ov))
@@ -123,7 +131,7 @@ class InterferenceModel(_Record):
 
     def coherence_damping(self, n_links: int) -> float:
         """Damping of the all-H / all-V coherence: one factor per link."""
-        return float(np.prod(self.per_link(n_links)))
+        return math.prod(self.per_link(n_links))
 
 
 class DetectorModel(_Record):
@@ -164,7 +172,7 @@ class ExperimentConfig(_Record):
         self.interference.per_link(len(self.pbs_links))
         if not (_is_finite_real(self.rep_rate_hz) and self.rep_rate_hz > 0.0):
             raise ValueError("rep_rate_hz must be positive and finite")
-        if not (_is_finite_real(self.seed) and isinstance(self.seed, (int, np.integer))
+        if not (_is_finite_real(self.seed) and isinstance(self.seed, numbers.Integral)
                 and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
 
@@ -180,7 +188,7 @@ def overlap_for_visibility(visibility: float) -> float:
     """Scalar mode overlap giving two-photon interference visibility v = overlap^2."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    return float(np.sqrt(visibility))
+    return math.sqrt(visibility)
 
 
 def tenfold_rate(total_pair_rate: float, xi: float, rep_rate_hz: float) -> float:
@@ -219,77 +227,132 @@ def _ring_layout(config: ExperimentConfig) -> list:
             for p, mode in zip(sources, chain)]
 
 
-def _source_table(src: SourceModel) -> np.ndarray:
-    """Configurations of one source, given that it emits at least one pair.
+def _source_table(src: SourceModel) -> tuple:
+    """(photons, clean) of one source, given that it emits at least one pair.
 
-    One row per (1 or 2 pairs) x (HH or VV per pair) x (survival of each
-    photon): weight, surviving H and V signals, surviving H and V idlers,
-    and whether the row is clean (exactly one fully surviving pair and no
-    stray photon).
+    ``photons`` maps each surviving (H signals, V signals, H idlers, V idlers)
+    to its weight, over (1 or 2 pairs) x (HH or VV per pair) x (survival of
+    each photon); ``clean`` is the weight of exactly one fully surviving pair
+    and no stray photon.
     """
     probs = src.pair_number_probs()
-    given_emit = probs[1:] / probs[1:].sum() if probs[0] < 1.0 else (1.0, 0.0)
+    emit = probs[1] + probs[2]
+    given_emit = (probs[1] / emit, probs[2] / emit) if probs[0] < 1.0 else (1.0, 0.0)
     pol_w = src.branch_probs()
     survive_s = (1.0 - src.xi_signal, src.xi_signal)
     survive_i = (1.0 - src.xi_idler, src.xi_idler)
-    rows = []
+    photons, clean = {}, 0.0
     for n_pairs in (1, 2):
         for pairs in itertools.product(itertools.product((0, 1), repeat=3),
                                        repeat=n_pairs):
             weight = given_emit[n_pairs - 1]
-            photons = [0, 0, 0, 0]
+            counts = [0, 0, 0, 0]
             full = strays = 0
             for pol, s_ok, i_ok in pairs:
                 weight *= pol_w[pol] * survive_s[s_ok] * survive_i[i_ok]
-                photons[pol] += s_ok
-                photons[2 + pol] += i_ok
+                counts[pol] += s_ok
+                counts[2 + pol] += i_ok
                 full += s_ok and i_ok
                 strays += s_ok != i_ok
-            rows.append((weight, *photons, full == 1 and strays == 0))
-    return np.array(rows, dtype=float)
+            key = tuple(counts)
+            photons[key] = photons.get(key, 0.0) + weight
+            if full == 1 and strays == 0:
+                clean += weight
+    return photons, clean
 
 
-def _path_weights(n_h, n_v, z_rule: bool) -> np.ndarray:
-    """Weight of each recorded bit (H port, V port) of a path, last axis.
+def _path_weights(n_h: int, n_v: int, z_rule: bool) -> tuple:
+    """Weights of the (H port, V port) bits a path records.
 
     Z: the path fires iff it holds photons of one polarization only, and
     the bit is that polarization.  M_k: each photon leaves either port with
     probability 1/2, so m >= 1 photons give each bit with weight 2^-m.
     """
-    n_h, n_v = np.broadcast_arrays(n_h, n_v)
     if z_rule:
-        return np.stack([(n_h > 0) & (n_v == 0), (n_v > 0) & (n_h == 0)],
-                        axis=-1).astype(float)
-    m = n_h + n_v
-    w = np.where(m > 0, 0.5**m, 0.0)
-    return np.stack([w, w], axis=-1)
+        return float(n_h > 0 and n_v == 0), float(n_v > 0 and n_h == 0)
+    w = 0.5 ** (n_h + n_v) if n_h + n_v else 0.0
+    return w, w
 
 
-def _transfer_matrix(rows: np.ndarray, z_rule: bool) -> np.ndarray:
-    """T[V signals received, V signals sent, chain bit, idler bit] of one source."""
-    weight, h_sig, v_sig, h_idl, v_idl = rows[:, :5].T
-    received = np.arange(3)
-    chain = _path_weights(h_sig[:, None], received, z_rule)       # (rows, 3, 2)
-    sent = v_sig[:, None] == received                              # (rows, 3)
-    idler = _path_weights(h_idl, v_idl, z_rule)                    # (rows, 2)
-    return np.einsum("r,rib,ro,rd->iobd", weight, chain, sent, idler)
+def _transfer_matrices(photons: dict, z_rule: bool) -> list:
+    """One source's matrices T[3 o + r] for its (chain bit, idler bit) (0, 0),
+    (0, 1), (1, 0) and (1, 1).
+
+    o is the number of V signals it sends back along the ring, r the number
+    it receives from the next source; its chain path holds its own H signals
+    and the r received V ones.
+    """
+    mats = [[0.0] * 9 for _ in range(4)]
+    t00, t01, t10, t11 = mats
+    for (h_sig, v_sig, h_idl, v_idl), weight in photons.items():
+        idler_h, idler_v = _path_weights(h_idl, v_idl, z_rule)
+        w_h, w_v = weight * idler_h, weight * idler_v
+        for r in range(3):
+            chain_h, chain_v = _path_weights(h_sig, r, z_rule)
+            at = 3 * v_sig + r
+            t00[at] += chain_h * w_h
+            t01[at] += chain_h * w_v
+            t10[at] += chain_v * w_h
+            t11[at] += chain_v * w_v
+    return mats
 
 
-def _classical_part(layout: list, tables: list, z_rule: bool) -> np.ndarray:
+def _matmul(a, b) -> list:
+    """Product of two 3 x 3 matrices stored row by row."""
+    return [a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
+            for i in (0, 3, 6) for j in (0, 1, 2)]
+
+
+def _ring_products(factors: list) -> list:
+    """(matrix, outcome bits) of the products along a stretch of the ring.
+
+    Each factor lists its distinct nonzero matrices with the bits each one
+    carries; a product carries every combination of its factors' bits.
+    """
+    products = factors[0]
+    for options in factors[1:]:
+        products = [(_matmul(mat, factor), [x | y for x in bits for y in more])
+                    for mat, bits in products for factor, more in options]
+    return [(mat, bits) for mat, bits in products if any(mat)]
+
+
+def _classical_part(layout: list, tables: list, z_rule: bool) -> list:
     """Outcome weights of every candidate routed classically around the ring.
+
+    The weight of an outcome is the trace of the sources' matrices for its
+    bits, multiplied around the ring.  It is taken meet-in-the-middle: the
+    products over the first and the second half of the ring, then one trace
+    per pair of them.  Equal matrices are multiplied once: under M_k every
+    bit of a path has the same weight, so this part is one trace, the same
+    for every outcome.
 
     A candidate that is clean at every source routes to all-H or all-V as
     its pairs' polarizations agree, so this part holds the clean events'
     populations; only their coherence is left to add.
     """
-    n_src = len(layout)
-    # the chain bit at position i is axis n_src + i, its idler's bit 2 n_src + i
-    axis, operands = {}, []
-    for i, ((_, signal, idler), table) in enumerate(zip(layout, tables)):
-        axis[signal], axis[idler] = n_src + i, 2 * n_src + i
-        operands += [_transfer_matrix(table, z_rule),
-                     [(i + 1) % n_src, i, n_src + i, 2 * n_src + i]]
-    return np.einsum(*operands, [axis[m] for m in sorted(axis)], optimize=True).ravel()
+    n = 2 * len(layout)
+    factors = []
+    for (_, signal, idler), (photons, _) in zip(layout, tables):
+        mats = _transfer_matrices(photons, z_rule)
+        options = {}                # matrix -> the outcome bits it carries
+        for b in (0, 1):
+            for d in (0, 1):
+                mat = tuple(mats[2 * b + d])
+                if any(mat):
+                    options.setdefault(mat, []).append((b << n - signal) | (d << n - idler))
+        factors.append(list(options.items()))
+    half = len(layout) // 2
+    second = _ring_products(factors[half:])
+    # trace(A B) is A's rows against B's columns: store B by columns
+    columns = [mat[0::3] + mat[1::3] + mat[2::3] for mat, _ in second]
+    out = [0.0] * 2**n
+    for mat, bits in _ring_products(factors[:half]):
+        traces = [sum(map(operator.mul, mat, cols)) for cols in columns]
+        for (_, more), weight in zip(second, traces):
+            for x in bits:
+                for y in more:
+                    out[x | y] = weight
+    return out
 
 
 def _fused_amplitudes(config: ExperimentConfig) -> tuple:
@@ -312,7 +375,15 @@ def _fused_amplitudes(config: ExperimentConfig) -> tuple:
     return big_a / root, big_b / root, success
 
 
-def _outcome_probabilities(config: ExperimentConfig, settings: Sequence[str]) -> dict:
+def _parities(n: int) -> list:
+    """|x| mod 2 of every n-bit outcome index x, in basis order."""
+    par = [0]
+    for _ in range(n):
+        par += [1 - q for q in par]
+    return par
+
+
+def _outcome_lists(config: ExperimentConfig, settings: Sequence[str]) -> dict:
     """P(outcome | candidate pulse) over the 2^n outcome strings, per setting.
 
     Every candidate (every source emits at least one pair) is routed around
@@ -324,27 +395,45 @@ def _outcome_probabilities(config: ExperimentConfig, settings: Sequence[str]) ->
     layout = _ring_layout(config)
     tables = [_source_table(config.sources[p]) for p, _, _ in layout]
     a, b, success = _fused_amplitudes(config)
-    weight = np.prod([t[t[:, 5] == 1, 0].sum() for t in tables]) * success
+    weight = math.prod(clean for _, clean in tables) * success
     n = config.n_modes()
-    parity = 1.0 - 2.0 * (np.indices((2,) * n).sum(axis=0).ravel() % 2)
     damping = config.interference.coherence_damping(len(config.pbs_links))
-    fringe = 2.0 * a * b * damping / 2**n * parity
-    sign = {s: 0.0 if setting_index(s) is None else (-1) ** setting_index(s) for s in settings}
+    fringe = 2.0 * a * b * damping / 2**n
     classical = {z: _classical_part(layout, tables, z) for z in {s == Z_SETTING for s in settings}}
     thinning = (1.0 - config.detector.dark_count_prob) ** n
-    # the populations and the coherence are rounded apart, so an exact 0
-    # can come out as -1e-17, which the multinomial draw rejects
-    return {s: thinning * np.maximum(classical[s == Z_SETTING] + weight * sign[s] * fringe, 0.0)
-            for s in settings}
+    parity = _parities(n) if False in classical else None
+    out, by_sign = {}, {}         # M_k settings of one sign of (-1)^k share a list
+    for s in settings:
+        k = setting_index(s)
+        if k is None:
+            out[s] = [thinning * w for w in classical[True]]
+            continue
+        sign = (-1) ** k
+        if sign not in by_sign:
+            even = weight * sign * fringe
+            shift = (even, -even)
+            # the populations and the coherence are rounded apart, so an exact 0
+            # can come out as -1e-17, which no draw accepts
+            by_sign[sign] = [thinning * v if v > 0.0 else 0.0
+                             for v in [w + shift[q] for w, q in zip(classical[False], parity)]]
+        out[s] = by_sign[sign]
+    return out
 
 
-def sample_postselected(config: ExperimentConfig, setting: str, n_events: int,
-                        rng: np.random.Generator) -> np.ndarray:
+def _outcome_probabilities(config: ExperimentConfig, settings: Sequence[str]) -> dict:
+    """``_outcome_lists`` as numpy arrays, for the numpy callers; imports numpy."""
+    import numpy as np
+
+    return {s: np.array(p) for s, p in _outcome_lists(config, settings).items()}
+
+
+def sample_postselected(config: ExperimentConfig, setting: str, n_events: int, rng):
     """Outcome indices for post-selected clean events in one setting.
 
-    With lossless arms, no double pairs and no dark counts every candidate
-    is clean, so its outcome probabilities are the clean events' own times
-    the success probability.
+    ``rng`` is a ``numpy.random.Generator``; returns a numpy array.  With
+    lossless arms, no double pairs and no dark counts every candidate is
+    clean, so its outcome probabilities are the clean events' own times the
+    success probability.
     """
     lossless = config._replace(detector=DetectorModel(), sources=tuple(
         s._replace(xi_signal=1.0, xi_idler=1.0, double_pair_factor=0.0)
@@ -357,7 +446,8 @@ def sample_postselected(config: ExperimentConfig, setting: str, n_events: int,
 # Main Monte Carlo driver
 # ---------------------------------------------------------------------------
 
-#: numpy's binomial draw takes the pulse count as a signed 64-bit integer
+#: most pulses per setting, the largest signed 64-bit count; ``spdclab.sampling``
+#: draws exactly up to it
 MAX_PULSES = 2**63 - 1
 
 
@@ -400,30 +490,30 @@ def run_monte_carlo(config: ExperimentConfig, pulses: int,
     an n-fold coincidence (dark-count-only coincidences are not modeled).
     Per setting, the candidate count is Binomial(pulses, P(all emit)) and
     the outcome counts are Multinomial(candidates, exact p_outcome) with a
-    no-event bucket, drawn from a stream seeded by (seed, setting index).
-    Results are byte-identical for identical (config, pulses, settings, seed).
-    The multinomial draw skips an outcome of probability exactly 0 but draws
-    one of any positive probability, so seeded counts depend on whether an
-    outcome's probability is exactly 0 or a rounding residue.
+    no-event bucket, both drawn by ``spdclab.sampling`` from the setting's
+    own ``random.Random(f"{seed}:{setting index}")``, the index counting
+    from 0 in ``settings``.  Results are byte-identical for identical
+    (config, pulses, settings, seed), on the standard library alone.  An
+    outcome whose probability is at most about 2^-54 of the mass not yet
+    drawn is given 0 without a draw, so an exact 0 and a rounding residue of
+    0 give the same counts.
     """
     if not 1 <= pulses <= MAX_PULSES:
         raise ValueError(f"pulses must lie in [1, {MAX_PULSES}]")
     base_seed = config.seed if seed is None else seed
-    probs = _outcome_probabilities(config, settings)
-    p_all_emit = float(np.prod([1.0 - s.pair_number_probs()[0] for s in config.sources]))
+    probs = _outcome_lists(config, settings)
+    p_all_emit = math.prod(1.0 - s.pair_number_probs()[0] for s in config.sources)
     n = config.n_modes()
     labels = qstate.basis_labels(n)
 
     histograms = {}
     diagnostics = {"events_per_setting": {}, "candidates_per_setting": {}}
     for s_idx, setting in enumerate(settings):
-        p = probs[setting]
-        rng = np.random.default_rng([base_seed, s_idx])
-        n_cand = int(rng.binomial(pulses, p_all_emit))
-        counts = rng.multinomial(n_cand, [*p, max(0.0, 1.0 - p.sum())])[:-1]
-        histograms[setting] = {labels[i]: int(counts[i])
-                               for i in np.flatnonzero(counts)}
-        diagnostics["events_per_setting"][setting] = int(counts.sum())
+        rng = random.Random(f"{base_seed}:{s_idx}")
+        n_cand = sampling.binomial(rng, pulses, p_all_emit)
+        counts = sampling.multinomial(rng, n_cand, probs[setting])
+        histograms[setting] = {labels[i]: c for i, c in enumerate(counts) if c}
+        diagnostics["events_per_setting"][setting] = sum(counts)
         diagnostics["candidates_per_setting"][setting] = n_cand
 
     setting_counts = tuple(SettingCounts(setting=s, histogram=histograms[s])

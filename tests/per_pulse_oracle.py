@@ -180,7 +180,7 @@ def enumerate_outcomes(config: ExperimentConfig, setting: str) -> np.ndarray:
     n = config.n_modes()
     per_source = []
     for src in config.sources:
-        probs = src.pair_number_probs()
+        probs = np.array(src.pair_number_probs())
         given_emit = probs[1:] / probs[1:].sum()
         pol_w = src.branch_probs()
         survive = ((1.0 - src.xi_signal, src.xi_signal),

@@ -79,6 +79,11 @@ class TestWalkoff:
     def test_bbo_ordinary_has_no_walkoff(self, bbo):
         s = np.array([np.sin(0.75), 0.0, np.cos(0.75)])
         assert walkoff_angle(bbo.sellmeier, s, 780.0, SLOW) < 1e-12
+        # off the principal planes too, where arccos(d.e) read up to 1.5e-8 rad
+        for theta in np.linspace(0.1, 1.5, 7):
+            for phi in np.linspace(0.2, 6.0, 7):
+                s = [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+                assert walkoff_angle(bbo.sellmeier, s, 780.0, SLOW) < 1e-14
 
     def test_bibo_pump_walkoffs_at_reference_cut(self, bibo):
         """Published pair (0.020, 0.063) with quadrature 0.066, +-15%.

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 import warnings
 from importlib import resources
@@ -28,6 +29,7 @@ from spdclab.simulator import (
 )
 from spdclab.witness import alpha_coefficients, setting_names
 
+import einsum_reference
 from per_pulse_oracle import Router, clean_events, enumerate_outcomes, trace_candidates
 
 THETA_REF = 7 * np.pi / 30
@@ -63,7 +65,7 @@ class TestSourceModel:
     def test_pair_number_probs(self):
         s = SourceModel(0.1, 0.5, 0.5, double_pair_factor=2.0)
         probs = s.pair_number_probs()
-        assert abs(probs.sum() - 1.0) < 1e-14
+        assert abs(sum(probs) - 1.0) < 1e-14
         assert np.allclose(probs, np.array([1.0, 0.1, 0.02]) / 1.12)
 
     def test_mean_pairs(self):
@@ -351,6 +353,50 @@ def binned_chi2_pvalue(observed, probs):
 #: lossless, g = 0 and D = 1 with a = b to 1e-10: exact zeros round to -1e-19
 ROUNDED_ZERO_CONFIG = dict(p=0.24, theta=np.pi / 4 - 1e-10, rotated_tail=2)
 
+#: the chains ``test_equals_enumerated_trace`` checks, as (links, xi_signal, xi_idler, dark)
+ENUMERATED_CHAINS = [
+    (((2, 3),), 0.7, 0.63, 0.05),
+    # a chain out of source order, with a signal on an odd mode
+    (((3, 1), (1, 6)), 1.0, 0.8, 0.0),
+]
+
+
+def enumerated_chain_config(links, xi_signal, xi_idler, dark):
+    n_src = (max(max(link) for link in links) - 1) // 2 + 1
+    # sources differ, so a ring traversed the wrong way shows
+    sources = tuple(
+        SourceModel(pair_prob=0.2 + 0.1 * i, xi_signal=xi_signal,
+                    xi_idler=xi_idler - 0.1 * i, theta_state=THETA_REF + 0.1 * i,
+                    double_pair_factor=2.0)
+        for i in range(n_src))
+    return ExperimentConfig(sources=sources, pbs_links=links,
+                            interference=InterferenceModel((0.9,)),
+                            detector=DetectorModel(dark))
+
+
+#: every configuration ``TestExactOutcomes`` runs the exact model on
+EXACT_OUTCOME_CONFIGS = {
+    **{f"oracle-{name}": lambda fields=fields: make_config(
+        theta=THETA_REF, rotated_tail=2, **fields) for name, fields in ORACLE_CONFIGS.items()},
+    **{f"enumerated-{i}": lambda chain=chain: enumerated_chain_config(*chain)
+       for i, chain in enumerate(ENUMERATED_CHAINS)},
+    "reference": reference_config,
+    "reordered-links": lambda: reference_config()._replace(
+        pbs_links=((3, 5), (9, 7), (2, 3), (7, 5))),
+    "no-double-pairs": lambda: make_config(p=0.22, xi=0.85, theta=THETA_REF, rotated_tail=2,
+                                           overlap=0.9, g=0.0, dark=0.1),
+    "rounded-zero": lambda: make_config(**ROUNDED_ZERO_CONFIG),
+    "ideal": make_config,
+}
+
+
+def assert_equals_einsum_reference(cfg, settings, atol=0.0):
+    """The plain-Python ring and its coherence equal the einsum contraction."""
+    probs = simulator._outcome_probabilities(cfg, settings)
+    expected = einsum_reference.outcome_probabilities(cfg, settings)
+    for setting in settings:
+        np.testing.assert_allclose(probs[setting], expected[setting], rtol=1e-13, atol=atol)
+
 
 class TestExactOutcomes:
     @pytest.mark.parametrize("setting", ["Z", "M3"])
@@ -364,22 +410,9 @@ class TestExactOutcomes:
         assert observed[probs == 0.0].sum() == 0
         assert binned_chi2_pvalue(observed, probs) > 1e-3
 
-    @pytest.mark.parametrize("links, xi_signal, xi_idler, dark", [
-        (((2, 3),), 0.7, 0.63, 0.05),
-        # a chain out of source order, with a signal on an odd mode
-        (((3, 1), (1, 6)), 1.0, 0.8, 0.0),
-    ])
+    @pytest.mark.parametrize("links, xi_signal, xi_idler, dark", ENUMERATED_CHAINS)
     def test_equals_enumerated_trace(self, links, xi_signal, xi_idler, dark):
-        n_src = (max(max(link) for link in links) - 1) // 2 + 1
-        # sources differ, so a ring traversed the wrong way shows
-        sources = tuple(
-            SourceModel(pair_prob=0.2 + 0.1 * i, xi_signal=xi_signal,
-                        xi_idler=xi_idler - 0.1 * i, theta_state=THETA_REF + 0.1 * i,
-                        double_pair_factor=2.0)
-            for i in range(n_src))
-        cfg = ExperimentConfig(sources=sources, pbs_links=links,
-                               interference=InterferenceModel((0.9,)),
-                               detector=DetectorModel(dark))
+        cfg = enumerated_chain_config(links, xi_signal, xi_idler, dark)
         settings = ("Z", "M0", "M1")
         probs = simulator._outcome_probabilities(cfg, settings)
         for setting in settings:
@@ -416,7 +449,7 @@ class TestExactOutcomes:
         # success times the clean events' distribution
         clean = simulator._outcome_probabilities(lossless(cfg), settings)
         weight = (xi * xi) ** 5
-        ring_z = simulator._classical_part(layout, tables, True)
+        ring_z = np.array(simulator._classical_part(layout, tables, True))
         assert not ring_z[1:-1].any()
         np.testing.assert_allclose(ring_z[[0, -1]], weight * clean["Z"][[0, -1]],
                                    rtol=1e-13, atol=0.0)
@@ -441,7 +474,7 @@ class TestExactOutcomes:
         tables = [simulator._source_table(cfg.sources[p]) for p, _, _ in layout]
         a, b, success = simulator._fused_amplitudes(cfg)
         parity = np.array([1.0 - 2.0 * (bin(i).count("1") % 2) for i in range(1024)])
-        ring = simulator._classical_part(layout, tables, False)
+        ring = np.array(simulator._classical_part(layout, tables, False))
         for k in range(10):
             # g = 0 and lossless arms: every candidate is clean; D = 1
             coherence = (-1) ** k * 2.0 * a * b / 2**10 * parity
@@ -457,6 +490,33 @@ class TestExactOutcomes:
             assert clean_distribution(cfg, setting).min() >= 0.0
             idx = sample_postselected(cfg, setting, 1000, np.random.default_rng(2))
             assert idx.size == 1000
+
+    @pytest.mark.parametrize("name", sorted(EXACT_OUTCOME_CONFIGS))
+    def test_equals_einsum_reference(self, name):
+        cfg = EXACT_OUTCOME_CONFIGS[name]()
+        assert_equals_einsum_reference(cfg, setting_names(cfg.n_modes()))
+
+    def test_residues_of_zero_draw_like_zeros(self, monkeypatch):
+        """An outcome at a rounding residue of 0 gets the counts an exact 0 gets.
+
+        On the ideal config (g = 0, xi = 1, D = 1, theta = pi/4) the M_k
+        outcomes whose parity is not k's are exactly 0, which another rounding
+        of the same sums can turn into 8.5e-36.  Give them that residue: every
+        histogram and diagnostic stays byte-identical.
+        """
+        cfg = make_config(seed=5)
+        settings = setting_names(10)
+        exact = simulator._outcome_lists(cfg, settings)
+        assert all(exact[f"M{k}"].count(0.0) == 512 for k in range(10))
+
+        def dump(result):
+            return json.dumps({"counts": dataset_to_dict(result.counts, "simulated"),
+                               "diagnostics": result.diagnostics}, sort_keys=True)
+
+        zeros = dump(run_monte_carlo(cfg, 10**9, settings))
+        monkeypatch.setattr(simulator, "_outcome_lists", lambda config, names: {
+            s: [p if p or s == "Z" else 8.5e-36 for p in exact[s]] for s in names})
+        assert dump(run_monte_carlo(cfg, 10**9, settings)) == zeros
 
     def test_cost_does_not_grow_with_pulses(self):
         cfg = reference_config()
@@ -539,6 +599,39 @@ def double_pair_configs(draw):
                             detector=DetectorModel(draw(st.floats(0.0, 0.5))))
 
 
+@st.composite
+def ring_configs(draw):
+    """2-6 sources with every parameter random: double pairs, efficiencies,
+    overlaps, dark counts, pair states and chain order."""
+    n_src = draw(st.integers(2, 6))
+    sources = tuple(SourceModel(
+        pair_prob=draw(st.floats(0.01, 0.9)), xi_signal=draw(st.floats(0.0, 1.0)),
+        xi_idler=draw(st.floats(0.0, 1.0)), theta_state=draw(st.floats(0.1, 1.4)),
+        rotated=draw(st.booleans()), double_pair_factor=draw(st.floats(0.0, 4.0)))
+        for _ in range(n_src))
+    links = chain_links(draw, n_src)
+    overlaps = tuple(draw(st.floats(0.0, 1.0)) for _ in links)
+    return ExperimentConfig(sources=sources, pbs_links=links,
+                            interference=InterferenceModel(overlaps),
+                            detector=DetectorModel(draw(st.floats(0.0, 0.5))))
+
+
+def moved_along_chain(cfg):
+    """(cfg with the source at each chain position moved one position on,
+    cyclically, the links kept; each outcome index of cfg -> its index there)."""
+    layout = simulator._ring_layout(cfg)
+    sources = list(cfg.sources)
+    for i, (p, _, _) in enumerate(layout):
+        sources[layout[(i + 1) % len(layout)][0]] = cfg.sources[p]
+    n = cfg.n_modes()
+    moves = [(n - signal, n - layout[(i + 1) % len(layout)][1], n - idler,
+              n - layout[(i + 1) % len(layout)][2])
+             for i, (_, signal, idler) in enumerate(layout)]
+    index = [sum(((x >> s) & 1) << s_to | ((x >> d) & 1) << d_to for s, s_to, d, d_to in moves)
+             for x in range(2**n)]
+    return cfg._replace(sources=tuple(sources)), np.array(index)
+
+
 def exact_fidelity(cfg) -> float:
     """The witness's F from the exact outcome probabilities, each setting normalized."""
     n = cfg.n_modes()
@@ -604,18 +697,60 @@ class TestExactModelProperties:
         parity = 1.0 - 2.0 * (np.indices((2,) * n).sum(axis=0).ravel() % 2)
         layout = simulator._ring_layout(cfg)
         tables = [simulator._source_table(cfg.sources[p]) for p, _, _ in layout]
-        classical = simulator._classical_part(layout, tables, False)
+        classical = np.array(simulator._classical_part(layout, tables, False))
         assert classical.sum() > 0.0
         assert math.fsum(parity * classical) == 0.0
 
         k = data.draw(st.integers(0, n - 1))
         probs = simulator._outcome_probabilities(cfg, [f"M{k}"])[f"M{k}"]
         a, b, success = simulator._fused_amplitudes(cfg)
-        clean = np.prod([t[t[:, 5] == 1, 0].sum() for t in tables]) * success
+        clean = math.prod(clean for _, clean in tables) * success
         coherence = (-1) ** k * clean * 2.0 * a * b * cfg.interference.coherence_damping(
             len(cfg.pbs_links))
         thinning = (1.0 - cfg.detector.dark_count_prob) ** n
         assert abs(math.fsum(parity * probs) - thinning * coherence) <= 1e-15
+
+
+    @hyp_settings(max_examples=25, deadline=None)
+    @given(ring_configs())
+    def test_equals_einsum_reference(self, cfg):
+        """Agreement to rtol 1e-13 in the normal range of doubles.  Below it a
+        double holds 5e-324 absolute, not a relative precision: a g of 2.2e-313
+        gives probabilities of 1.2e-315 that the two contractions round apart
+        in their ninth digit."""
+        assert_equals_einsum_reference(cfg, setting_names(cfg.n_modes()),
+                                       atol=sys.float_info.min)
+
+    @hyp_settings(max_examples=25, deadline=None)
+    @given(double_pair_configs())
+    def test_moving_sources_along_the_chain_relabels_outcomes(self, cfg):
+        """Moving every source one position along the chain permutes the outcome
+        bits and leaves the exact F unchanged.
+
+        Derivation.  Let position i of the chain hold source p_i, with its
+        signal on chain mode s_i and its idler on mode d_i; move the source at
+        i to i + 1 (mod N) and keep the links.  The classical routing is a
+        ring: the path at i holds the H signals of the source at i and the V
+        signals of the source at i + 1, so after the move the path at i + 1
+        holds what the path at i held, and each idler is recorded where its
+        source now sits.  The fused amplitudes A and B are products over the
+        sources and D a product over the links, so the coherence term is the
+        same, and it depends on an outcome only through its parity, which a
+        permutation of bits keeps.  Dark counts thin every outcome alike.
+        So P'(y) = P(x) for the y whose bit on s_{i+1} is x's bit on s_i and
+        whose bit on d_{i+1} is x's bit on d_i, in every setting; and F, a
+        function of each setting's probabilities that a permutation of
+        outcomes with the same parity and the same Z ends keeps, is
+        unchanged.
+        """
+        settings = setting_names(cfg.n_modes())
+        moved, index = moved_along_chain(cfg)
+        probs = simulator._outcome_probabilities(cfg, settings)
+        relabeled = simulator._outcome_probabilities(moved, settings)
+        for setting in settings:
+            np.testing.assert_allclose(relabeled[setting][index], probs[setting],
+                                       rtol=1e-13, atol=0.0)
+        assert abs(exact_fidelity(moved) - exact_fidelity(cfg)) <= 1e-14
 
 
 class TestReferenceConfig:
