@@ -13,10 +13,10 @@ Subpackages and modules:
 * ``simulator`` Monte Carlo model of the pulsed five-source experiment
 * ``sampling``  seeded binomial and multinomial draws on ``random.Random``
 * ``cli``       command-line interface (``spdclab`` entry point): parser,
-                exit codes, loaders and the standard-library commands
-* ``numpy_commands``  ``simulate`` and ``crystal summary|curve|rings``
-                handlers, imported by ``cli`` only when dispatched to;
-                the crystal ones run on numpy
+                exit codes, loaders and the standard-library commands,
+                ``simulate`` among them
+* ``numpy_commands``  ``crystal summary|curve|rings`` handlers, which run on
+                numpy; imported by ``cli`` only when dispatched to
 * ``fileio``    JSON, text and CSV-table I/O; the one JSON reader and record check
 * ``_record``   ``_Record``, the read-only base of every record class
 """

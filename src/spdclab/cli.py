@@ -15,22 +15,21 @@ report up to the timestamp field.
 standard library alone, without numpy or the ``inspect`` that numpy imports.
 No command loads ``dataclasses`` (see ``spdclab._record``).  These commands
 are bound by interpreter start-up, so every import on their path is paid by
-every run.  The code is split so that they compile and import only what they
-run:
+every run.  The code is split at the numpy boundary so that each command
+compiles and imports only what it runs:
 
 * this module holds the parser, ``main``, the exit codes, the count-file and
-  ledger loaders and the ``analyze``, ``pvalue`` and ``crystal rate-ratio``
-  handlers;
-* ``numpy_commands`` holds the ``simulate`` handler and the ``crystal
-  summary|curve|rings`` ones, which run on numpy, and is imported only when
-  ``main`` dispatches to one of them;
-* ``fileio`` holds the JSON, text and table I/O that both use; this module
-  re-exports its names.
+  ledger loaders and the handlers of the standard-library commands;
+  ``simulate`` imports ``spdclab.simulator`` when it runs, so the other
+  commands never load it;
+* ``numpy_commands`` holds the ``crystal summary|curve|rings`` handlers,
+  which run on numpy, and is imported only when ``main`` dispatches to one
+  of them;
+* ``fileio`` holds the JSON, text and table I/O that both use.
 
-Neither ``numpy_commands`` nor ``fileio`` may import ``spdclab.cli``.  Under
-``python -m spdclab.cli`` this module runs as ``__main__``, so importing
-``spdclab.cli`` would compile and run it a second time, in every ``simulate``
-and ``crystal`` process.
+No module a command loads may import ``spdclab.cli``.  Under ``python -m
+spdclab.cli`` this module runs as ``__main__``, so importing ``spdclab.cli``
+would compile and run it a second time.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .errors import (
     NumericalConsistencyError,
     SchemaError,
 )
-from .fileio import (  # noqa: F401  (re-exported)
+from .fileio import (
     _csv_text,
     _dump_json,
     _read_json,
@@ -215,6 +214,42 @@ def cmd_analyze(args) -> None:
 
 
 # ---------------------------------------------------------------------------
+# simulate
+# ---------------------------------------------------------------------------
+
+def cmd_simulate(args) -> None:
+    if args.pulses < 1:
+        raise SchemaError(f"--pulses must be a positive integer, got {args.pulses}")
+    if args.seed is not None and args.seed < 0:
+        raise SchemaError(f"--seed must be a non-negative integer, got {args.seed}")
+    from . import simulator
+
+    raw, digest = _read_json(args.config)
+    config = simulator.config_from_dict(raw)
+    seed = config.seed if args.seed is None else args.seed
+    every = witness.setting_names(config.n_modes())
+    settings = args.settings.split(",") if args.settings else every
+    if not set(settings) <= set(every) or len(set(settings)) < len(settings):
+        raise SchemaError(f"--settings must name distinct settings among {every}")
+    result = simulator.run_monte_carlo(config, args.pulses, settings, seed=seed)
+    counts_payload = dataset_to_dict(
+        result.counts, provenance="simulated",
+        notes="Monte Carlo output",
+        extra={"config_digest": f"sha256:{digest}", "seed": seed,
+               "pulses_per_setting": result.pulses_per_setting},
+    )
+    _dump_json(counts_payload, args.out)
+    if args.report:
+        _dump_json({
+            "tool": "spdclab",
+            "tool_version": __version__,
+            "config_digest": f"sha256:{digest}",
+            "rates": result.rates,
+            "diagnostics": result.diagnostics,
+        }, args.report)
+
+
+# ---------------------------------------------------------------------------
 # crystal rate-ratio
 # ---------------------------------------------------------------------------
 
@@ -295,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--settings", help="comma list, e.g. Z,M0,M5 (default: all)")
     p.add_argument("--out")
     p.add_argument("--report", help="write a rates/diagnostics report here")
-    p.set_defaults(func=_deferred("cmd_simulate"))
+    p.set_defaults(func=cmd_simulate)
 
     pc = sub.add_parser("crystal", help="phase-matching calculations")
     csub = pc.add_subparsers(dest="crystal_command", required=True)

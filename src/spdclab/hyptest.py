@@ -79,17 +79,16 @@ def normal_tail(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def pinelis_D(x: float) -> float:
-    """min{exp(-x^2/2), 5!(e/5)^5 I(x)} for x >= 0."""
+def _pinelis_terms(x: float) -> tuple:
+    """(exp(-x^2/2), 5!(e/5)^5 I(x)) for x >= 0: the gaussian and the tail branch."""
     if x < 0:
         raise ValueError("the bound is one-sided; x must be >= 0")
-    return min(math.exp(-0.5 * x * x), PINELIS_CONST * normal_tail(x))
+    return math.exp(-0.5 * x * x), PINELIS_CONST * normal_tail(x)
 
 
-def _branch_of(x: float) -> str:
-    # ties resolve to the gaussian label
-    return GAUSSIAN_BRANCH if math.exp(-0.5 * x * x) <= PINELIS_CONST * normal_tail(x) \
-        else TAIL_BRANCH
+def pinelis_D(x: float) -> float:
+    """min{exp(-x^2/2), 5!(e/5)^5 I(x)} for x >= 0."""
+    return min(_pinelis_terms(x))
 
 
 def p_value_bound(ledger: TrialLedger) -> PValueBound:
@@ -100,8 +99,10 @@ def p_value_bound(ledger: TrialLedger) -> PValueBound:
             note="observed fidelity does not exceed the null threshold; test non-informative",
         )
     x = (ledger.f_exp - ledger.f_0) / s_total(ledger)
-    bound = min(pinelis_D(x), 1.0)
-    return PValueBound(x_arg=x, bound=bound, branch=_branch_of(x))
+    gaussian, tail = _pinelis_terms(x)
+    # ties resolve to the gaussian label; for x >= 0 the bound is at most exp(0) = 1
+    return PValueBound(x_arg=x, bound=min(gaussian, tail),
+                       branch=GAUSSIAN_BRANCH if gaussian <= tail else TAIL_BRANCH)
 
 
 def simulate_null_exceedance(

@@ -1,21 +1,21 @@
-"""Handlers of ``simulate`` and of the commands that run on numpy, ``crystal
-summary|curve|rings``.
+"""Handlers of the commands that run on numpy: ``crystal summary|curve|rings``.
 
-``simulate`` runs on the standard library (see ``spdclab.simulator``); the
-crystal handlers import numpy.  ``cli`` builds the parser and imports this
-module only when it dispatches to one of these commands, so the count-path
-commands never compile it.
-Each handler writes its outputs or raises; ``cli.main`` maps what it raises
-to an exit code.  This module never imports ``spdclab.cli`` (see there).
+``cli`` builds the parser and imports this module only when it dispatches to
+one of these commands, so the standard-library commands never compile it nor
+load numpy.  Each handler writes its outputs or raises; ``cli.main`` maps what
+it raises to an exit code.  This module never imports ``spdclab.cli`` (see
+there).
 """
 
 from __future__ import annotations
 
 import math
 
-from . import __version__, witness
+import numpy as np
+
+from . import crystal
 from .errors import SchemaError
-from .fileio import _csv_text, _dump_json, _read_json, _write_text, dataset_to_dict
+from .fileio import _csv_text, _dump_json, _write_text
 
 #: most azimuths ``crystal curve`` solves: 10^4 take 2.5-3.5 s and 0.2 GB (BiBO, 2-core Xeon)
 MAX_CURVE_SAMPLES = 10_000
@@ -39,46 +39,6 @@ def _write_table(columns: tuple, rows: list, args, key: str, **meta) -> None:
         _write_text(_csv_text(columns, rows), args.out)
 
 
-# ---------------------------------------------------------------------------
-# simulate
-# ---------------------------------------------------------------------------
-
-def cmd_simulate(args) -> None:
-    if args.pulses < 1:
-        raise SchemaError(f"--pulses must be a positive integer, got {args.pulses}")
-    if args.seed is not None and args.seed < 0:
-        raise SchemaError(f"--seed must be a non-negative integer, got {args.seed}")
-    from . import simulator
-
-    raw, digest = _read_json(args.config)
-    config = simulator.config_from_dict(raw)
-    seed = config.seed if args.seed is None else args.seed
-    every = witness.setting_names(config.n_modes())
-    settings = args.settings.split(",") if args.settings else every
-    if not set(settings) <= set(every) or len(set(settings)) < len(settings):
-        raise SchemaError(f"--settings must name distinct settings among {every}")
-    result = simulator.run_monte_carlo(config, args.pulses, settings, seed=seed)
-    counts_payload = dataset_to_dict(
-        result.counts, provenance="simulated",
-        notes="Monte Carlo output",
-        extra={"config_digest": f"sha256:{digest}", "seed": seed,
-               "pulses_per_setting": result.pulses_per_setting},
-    )
-    _dump_json(counts_payload, args.out)
-    if args.report:
-        _dump_json({
-            "tool": "spdclab",
-            "tool_version": __version__,
-            "config_digest": f"sha256:{digest}",
-            "rates": result.rates,
-            "diagnostics": result.diagnostics,
-        }, args.report)
-
-
-# ---------------------------------------------------------------------------
-# crystal
-# ---------------------------------------------------------------------------
-
 def _check_pump_nm(args) -> None:
     if not (math.isfinite(args.pump_nm) and args.pump_nm > 0):
         raise SchemaError(f"--pump-nm must be finite and positive, got {args.pump_nm}")
@@ -87,8 +47,6 @@ def _check_pump_nm(args) -> None:
 def _cut_from_args(crys, args):
     """``--cut`` or the reference cut, with ``--length-mm`` or the reference length, as a
     ``crystal.CrystalCut``."""
-    from . import crystal
-
     ref = crys.reference_cut
     if args.cut is None and ref is None:
         raise SchemaError("species has no reference cut; pass --cut THETA PHI")
@@ -111,10 +69,6 @@ def ring_rows(cloud) -> list:
 
 
 def cmd_crystal_summary(args) -> None:
-    import numpy as np
-
-    from . import crystal
-
     _check_pump_nm(args)
     crys = crystal.load_crystal(args.species)
     cut = _cut_from_args(crys, args)
@@ -158,10 +112,6 @@ def cmd_crystal_summary(args) -> None:
 
 
 def cmd_crystal_curve(args) -> None:
-    import numpy as np
-
-    from . import crystal
-
     if not all(map(math.isfinite, (args.phi_start, args.phi_stop, args.phi_step))):
         raise SchemaError("--phi-start, --phi-stop and --phi-step must be finite")
     if args.phi_step <= 0:
@@ -185,8 +135,6 @@ def cmd_crystal_curve(args) -> None:
 
 
 def cmd_crystal_rings(args) -> None:
-    from . import crystal
-
     _check_pump_nm(args)
     crys = crystal.load_crystal(args.species)
     cut = _cut_from_args(crys, args)

@@ -24,10 +24,10 @@ one outcome, so a run is one binomial draw (candidate pulses) and one
 multinomial draw (outcomes plus a no-event bucket) per setting, whatever
 the pulse count.
 
-``run_monte_carlo`` runs on the standard library alone: the ring is
-contracted in plain Python and the draws come from ``spdclab.sampling``, so
-``simulate`` never imports numpy.  ``sample_postselected`` takes a numpy
-``Generator`` and imports numpy when called.
+The module runs on the standard library alone: the ring is contracted in
+plain Python and ``run_monte_carlo`` draws through ``spdclab.sampling``, so
+``simulate`` never imports numpy.  ``sample_postselected`` draws with the
+generator its caller passes in.
 """
 
 from __future__ import annotations
@@ -383,8 +383,8 @@ def _parities(n: int) -> list:
     return par
 
 
-def _outcome_lists(config: ExperimentConfig, settings: Sequence[str]) -> dict:
-    """P(outcome | candidate pulse) over the 2^n outcome strings, per setting.
+def _outcome_probabilities(config: ExperimentConfig, settings: Sequence[str]) -> dict:
+    """P(outcome | candidate pulse) over the 2^n outcome strings, per setting, as lists.
 
     Every candidate (every source emits at least one pair) is routed around
     the PBS ring, under the routing rules the settings need; those clean at
@@ -420,13 +420,6 @@ def _outcome_lists(config: ExperimentConfig, settings: Sequence[str]) -> dict:
     return out
 
 
-def _outcome_probabilities(config: ExperimentConfig, settings: Sequence[str]) -> dict:
-    """``_outcome_lists`` as numpy arrays, for the numpy callers; imports numpy."""
-    import numpy as np
-
-    return {s: np.array(p) for s, p in _outcome_lists(config, settings).items()}
-
-
 def sample_postselected(config: ExperimentConfig, setting: str, n_events: int, rng):
     """Outcome indices for post-selected clean events in one setting.
 
@@ -439,7 +432,8 @@ def sample_postselected(config: ExperimentConfig, setting: str, n_events: int, r
         s._replace(xi_signal=1.0, xi_idler=1.0, double_pair_factor=0.0)
         for s in config.sources))
     probs = _outcome_probabilities(lossless, [setting])[setting]
-    return rng.choice(probs.size, size=n_events, p=probs / probs.sum())
+    total = sum(probs)
+    return rng.choice(len(probs), size=n_events, p=[p / total for p in probs])
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +495,7 @@ def run_monte_carlo(config: ExperimentConfig, pulses: int,
     if not 1 <= pulses <= MAX_PULSES:
         raise ValueError(f"pulses must lie in [1, {MAX_PULSES}]")
     base_seed = config.seed if seed is None else seed
-    probs = _outcome_lists(config, settings)
+    probs = _outcome_probabilities(config, settings)
     p_all_emit = math.prod(1.0 - s.pair_number_probs()[0] for s in config.sources)
     n = config.n_modes()
     labels = qstate.basis_labels(n)

@@ -57,9 +57,9 @@ def outcome_sign(outcome: str) -> int:
 
 
 def _check_count(c) -> None:
-    # bool is an int subclass, but JSON true is not a count; numpy's integer
-    # types register as numbers.Integral, so simulated counts pass.  JSON's
-    # ints skip that abstract-class test, which costs a microsecond a count
+    # bool is an int subclass, but JSON true is not a count.  JSON's and the
+    # simulator's counts are ints and skip the abstract-class test, which
+    # costs a microsecond a count; it admits a library caller's numpy integers
     integral = type(c) is int or (not isinstance(c, bool)
                                   and isinstance(c, numbers.Integral))
     if not (integral and c >= 0):

@@ -202,7 +202,7 @@ def test_criterion_9_property_stand_ins():
     signs = np.array([1.0 - 2.0 * (bin(i).count("1") % 2) for i in range(1024)])
     vis = []
     for overlap in (0.3, 0.6, 0.9):
-        probs = simulator._outcome_probabilities(config(overlap, 0.0, 1), ["M0"])["M0"]
+        probs = np.array(simulator._outcome_probabilities(config(overlap, 0.0, 1), ["M0"])["M0"])
         vis.append(float(np.dot(signs, probs) / probs.sum()))
     assert vis[0] < vis[1] < vis[2]
 

@@ -1188,7 +1188,9 @@ def _imported_modules(stderr: str) -> set:
 @pytest.mark.parametrize("command", ["crystal summary", "simulate"])
 def test_main_module_is_compiled_once(config_file, tmp_path, command):
     """Under ``python -m spdclab.cli`` the module runs as ``__main__``; the split-off
-    modules never import ``spdclab.cli``, which would compile and run it again."""
+    modules never import ``spdclab.cli``, which would compile and run it again.
+    ``simulate``'s handler is in ``cli`` itself, so it loads neither
+    ``numpy_commands`` nor numpy."""
     argv = {"crystal summary": ["crystal", "summary", "--species", "bibo"],
             "simulate": ["simulate", config_file, "--pulses", "1000000000", "--seed", "3",
                          "--report", tmp_path / "report.json"]}[command]
@@ -1196,8 +1198,14 @@ def test_main_module_is_compiled_once(config_file, tmp_path, command):
                    "--out", tmp_path / "out.json")
     assert proc.returncode == 0, proc.stderr
     modules = _imported_modules(proc.stderr)
-    assert {"spdclab.fileio", "spdclab.numpy_commands"} <= modules
+    assert "spdclab.fileio" in modules
     assert "spdclab.cli" not in modules
+    on_numpy = {m for m in modules
+                if m == "spdclab.numpy_commands" or m.partition(".")[0] == "numpy"}
+    if command == "simulate":
+        assert on_numpy == set()
+    else:
+        assert {"spdclab.numpy_commands", "numpy"} <= on_numpy
 
 
 def test_crystal_path_imports_no_dataclasses(tmp_path):
@@ -1233,6 +1241,38 @@ def test_no_module_imports_dataclasses():
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
             if any(str(name).partition(".")[0] == "dataclasses" for name in names):
                 found.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert found == []
+
+
+def _numpy_import_scopes(node, scope=None):
+    """The scope of every numpy import under ``node``: None for the module body,
+    else the name of the innermost function around it."""
+    for child in ast.iter_child_nodes(node):
+        names = ([a.name for a in child.names] if isinstance(child, ast.Import)
+                 else [child.module] if isinstance(child, ast.ImportFrom) else [])
+        if any(str(name).partition(".")[0] == "numpy" for name in names):
+            yield scope
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _numpy_import_scopes(child, child.name if inner else scope)
+
+
+def test_numpy_is_imported_only_where_it_runs():
+    """The module boundary is the numpy boundary: ``numpy_commands`` and the crystal
+    modules import numpy at their top; elsewhere only ``qstate``'s dense-state
+    functions and ``hyptest.simulate_null_exceedance`` import it, when called."""
+    package = Path(spdclab.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package).as_posix()
+        for scope in _numpy_import_scopes(ast.parse(path.read_text(encoding="utf-8"))):
+            if where == "numpy_commands.py" or where.startswith("crystal/"):
+                allowed = scope is None
+            elif where == "qstate.py":
+                allowed = scope is not None
+            else:
+                allowed = where == "hyptest.py" and scope == "simulate_null_exceedance"
+            if not allowed:
+                found.append(f"{where}:{scope}")
     assert found == []
 
 
@@ -1313,17 +1353,17 @@ try:
 except SystemExit as exc:
     rc = exc.code
 assert rc == 0, rc
-print(json.dumps([m for m in ("spdclab.numpy_commands", "hashlib", "datetime")
-                  if m in sys.modules]))
+print(json.dumps([m for m in ("spdclab.numpy_commands", "spdclab.simulator", "hashlib",
+                              "datetime") if m in sys.modules]))
 """
 
 
 @pytest.mark.parametrize("command", ["analyze", "pvalue", "rate-ratio", "--version"])
 def test_count_path_loads_only_what_it_runs(recon_file, ledger_file, tmp_path, command):
-    """The standard-library commands never load the numpy handlers; they take the
-    input digest from the builtin ``_sha256`` where it exists (Python 3.11), so
-    not ``hashlib``; and only ``analyze`` stamps a time, so only it loads
-    ``datetime``."""
+    """The count-path commands never load the numpy handlers or the simulator;
+    they take the input digest from the builtin ``_sha256`` where it exists
+    (Python 3.11), so not ``hashlib``; and only ``analyze`` stamps a time, so
+    only it loads ``datetime``."""
     argv = {"analyze": ["analyze", str(recon_file), "--plot-data", str(tmp_path / "plots")],
             "pvalue": ["pvalue", str(ledger_file)],
             "rate-ratio": ["crystal", "rate-ratio"],
@@ -1362,7 +1402,8 @@ def _leaf_parsers(parser, prefix=()):
 
 def test_every_subcommand_help_and_handler(capsys):
     """``--help`` exits 0 at every level, and every handler the parser names exists:
-    those deferred to ``numpy_commands`` are looked up there by name."""
+    those deferred to ``numpy_commands``, the three numpy crystal commands, are
+    looked up there by name."""
     leaves = dict(_leaf_parsers(cli.build_parser()))
     prefixes = {()} | {leaf[:i] for leaf in leaves for i in range(1, len(leaf) + 1)}
     for prefix in sorted(prefixes):
@@ -1377,6 +1418,5 @@ def test_every_subcommand_help_and_handler(capsys):
         if hasattr(func, "deferred"):
             assert callable(getattr(numpy_commands, func.deferred)), prefix
             deferred.add(func.deferred)
-    assert deferred == {"cmd_simulate", "cmd_crystal_summary", "cmd_crystal_curve",
-                        "cmd_crystal_rings"}
+    assert deferred == {"cmd_crystal_summary", "cmd_crystal_curve", "cmd_crystal_rings"}
     assert len(leaves) == 7

@@ -384,6 +384,35 @@ class TestRings:
         for name in ("kx", "ky", "wavelength_nm", "weight", "branch"):
             assert np.array_equal(getattr(one, name), getattr(mono, name))
 
+    def test_bbo_rings_mirror_symmetric_at_phi_zero(self, bbo):
+        """At phi = 0 BBO's rings are mirror images under psi -> -psi, and every
+        opening is phase matched.
+
+        Derivation.  At phi = 0 the pump axis lies in the principal x-z plane,
+        so its frame's e1 (the projected z axis) does too and e2 is along y.
+        Mirroring psi flips only the y component of the signal direction and of
+        the idler's k_p - k_s, and the principal-frame index depends only on
+        s^2.  So the ring residual, and with it the first root of the same
+        grid, is the same at psi and -psi: equal openings, and no ring at one
+        where there is none at the other.
+        """
+        rng = np.random.default_rng(33)
+        theta = bbo.reference_cut.theta + rng.uniform(-3e-3, 3e-3, 5)
+        frame = phasematch._PumpFrame(
+            bbo.sellmeier, [CrystalCut(th, 0.0, 2.0).direction() for th in theta], 390.0)
+        psi = rng.uniform(0.0, np.pi, (5, 23, 1))
+        branch = np.array([crystal.FAST, crystal.SLOW])
+        cut = np.arange(5)[:, None, None]
+        opening = phasematch.ring_opening_angle(frame, psi, branch, cut=cut)
+        mirrored = phasematch.ring_opening_angle(frame, -psi, branch, cut=cut)
+        assert np.array_equal(opening, mirrored, equal_nan=True)
+        ring = ~np.isnan(opening)
+        assert ring.any()
+        for side in (psi, -psi):
+            dk = phasematch._ring_mismatch(frame, opening, side, 780.0, 390.0, branch,
+                                           cut=cut)
+            assert np.all(np.abs(dk[ring]) < crystal.DELTA_K_TOL)
+
     def test_empty_acceptance_warns(self, bibo):
         # beyond the collinear curve nothing phase matches: empty cloud
         curve = phase_match_collinear(bibo, phi_grid=np.radians([55.0]))

@@ -55,9 +55,14 @@ def lossless(cfg):
         for s in cfg.sources))
 
 
+def exact(cfg, settings):
+    """The exact model's outcome probabilities per setting, as numpy arrays."""
+    return {s: np.array(p) for s, p in simulator._outcome_probabilities(cfg, settings).items()}
+
+
 def clean_distribution(cfg, setting):
     """The clean events' outcome distribution, from the exact model of lossless(cfg)."""
-    probs = simulator._outcome_probabilities(lossless(cfg), [setting])[setting]
+    probs = exact(lossless(cfg), [setting])[setting]
     return probs / probs.sum()
 
 
@@ -403,7 +408,7 @@ class TestExactOutcomes:
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
     def test_matches_per_pulse_oracle(self, name, setting):
         cfg = make_config(theta=THETA_REF, rotated_tail=2, **ORACLE_CONFIGS[name])
-        probs = simulator._outcome_probabilities(cfg, [setting])[setting]
+        probs = exact(cfg, [setting])[setting]
         probs = np.append(probs, 1.0 - probs.sum())
         observed = trace_candidates(cfg, setting, 20_000, np.random.default_rng(6))
         # the oracle never records an outcome the exact model rules out
@@ -447,7 +452,7 @@ class TestExactOutcomes:
         tables = [simulator._source_table(cfg.sources[p]) for p, _, _ in layout]
         settings = ("Z", "M0", "M7")
         # success times the clean events' distribution
-        clean = simulator._outcome_probabilities(lossless(cfg), settings)
+        clean = exact(lossless(cfg), settings)
         weight = (xi * xi) ** 5
         ring_z = np.array(simulator._classical_part(layout, tables, True))
         assert not ring_z[1:-1].any()
@@ -479,7 +484,7 @@ class TestExactOutcomes:
             # g = 0 and lossless arms: every candidate is clean; D = 1
             coherence = (-1) ** k * 2.0 * a * b / 2**10 * parity
             assert (ring + success * coherence).min() < 0.0
-        probs = simulator._outcome_probabilities(cfg, settings)
+        probs = exact(cfg, settings)
         assert min(p.min() for p in probs.values()) >= 0.0
         res = run_monte_carlo(cfg, 10**6, settings)
         assert min(res.diagnostics["events_per_setting"].values()) > 0
@@ -506,16 +511,16 @@ class TestExactOutcomes:
         """
         cfg = make_config(seed=5)
         settings = setting_names(10)
-        exact = simulator._outcome_lists(cfg, settings)
-        assert all(exact[f"M{k}"].count(0.0) == 512 for k in range(10))
+        lists = simulator._outcome_probabilities(cfg, settings)
+        assert all(lists[f"M{k}"].count(0.0) == 512 for k in range(10))
 
         def dump(result):
             return json.dumps({"counts": dataset_to_dict(result.counts, "simulated"),
                                "diagnostics": result.diagnostics}, sort_keys=True)
 
         zeros = dump(run_monte_carlo(cfg, 10**9, settings))
-        monkeypatch.setattr(simulator, "_outcome_lists", lambda config, names: {
-            s: [p if p or s == "Z" else 8.5e-36 for p in exact[s]] for s in names})
+        monkeypatch.setattr(simulator, "_outcome_probabilities", lambda config, names: {
+            s: [p if p or s == "Z" else 8.5e-36 for p in lists[s]] for s in names})
         assert dump(run_monte_carlo(cfg, 10**9, settings)) == zeros
 
     def test_cost_does_not_grow_with_pulses(self):
@@ -583,13 +588,13 @@ def coherent_configs(draw):
 
 
 @st.composite
-def double_pair_configs(draw):
+def double_pair_configs(draw, theta=st.floats(0.1, 1.4)):
     """2-5 sources with double pairs (g > 0), random efficiencies, overlaps,
-    dark counts, pair states and chain order."""
+    dark counts, pair states (each angle drawn from ``theta``) and chain order."""
     n_src = draw(st.integers(2, 5))
     sources = tuple(SourceModel(
         pair_prob=draw(st.floats(0.01, 0.9)), xi_signal=draw(st.floats(0.05, 1.0)),
-        xi_idler=draw(st.floats(0.05, 1.0)), theta_state=draw(st.floats(0.1, 1.4)),
+        xi_idler=draw(st.floats(0.05, 1.0)), theta_state=draw(theta),
         rotated=draw(st.booleans()), double_pair_factor=draw(st.floats(0.1, 4.0)))
         for _ in range(n_src))
     links = chain_links(draw, n_src)
@@ -635,7 +640,7 @@ def moved_along_chain(cfg):
 def exact_fidelity(cfg) -> float:
     """The witness's F from the exact outcome probabilities, each setting normalized."""
     n = cfg.n_modes()
-    probs = simulator._outcome_probabilities(cfg, setting_names(n))
+    probs = exact(cfg, setting_names(n))
     signs = np.array([1.0 - 2.0 * (bin(i).count("1") % 2) for i in range(2**n)])
     z = probs["Z"]
     correlations = [signs @ probs[f"M{k}"] / probs[f"M{k}"].sum() for k in range(n)]
@@ -647,7 +652,7 @@ class TestExactModelProperties:
     @given(small_configs())
     def test_probabilities_bounded(self, cfg):
         settings = setting_names(cfg.n_modes())
-        probs = simulator._outcome_probabilities(cfg, settings)
+        probs = exact(cfg, settings)
         for setting in settings:
             assert probs[setting].min() >= 0.0
             assert probs[setting].max() <= 1.0
@@ -710,6 +715,41 @@ class TestExactModelProperties:
         thinning = (1.0 - cfg.detector.dark_count_prob) ** n
         assert abs(math.fsum(parity * probs) - thinning * coherence) <= 1e-15
 
+    @hyp_settings(max_examples=25, deadline=None)
+    @given(double_pair_configs(theta=st.builds(lambda t, q: t + q * np.pi / 2,
+                                               st.floats(0.1, 1.4), st.integers(0, 3))),
+           st.data())
+    def test_fidelity_affine_in_each_overlap(self, cfg, data):
+        """The exact F is affine in each link's overlap, with a slope of the sign of ab.
+
+        Derivation.  The overlaps enter only through their product D, and D
+        only through the clean events' coherence.  The Z populations are the
+        classical part alone, so they do not depend on D.  In M_k the
+        coherence adds (-1)^(k + |x|) (1 - d)^n W 2abD / 2^n to outcome x,
+        which sums to 0 over the 2^n outcomes, so the setting's total T does
+        not depend on D either; and the classical part adds 0 to the parity
+        sum (``test_classical_part_adds_no_parity``).  So E_k = (-1)^k (1 -
+        d)^n W 2abD / T, and with alpha_k = (-1)^k / (2n)
+
+            F = F_Z + sum_k alpha_k E_k = F_Z + (1 - d)^n W ab D / T,
+
+        affine in D.  With the other links' overlaps fixed, D is one overlap
+        times their product, so F is affine in that overlap with a slope of
+        the sign of ab.  F does not fall as an overlap rises where ab >= 0,
+        and does not rise where ab <= 0.
+        """
+        j = data.draw(st.integers(0, len(cfg.pbs_links) - 1))
+        overlaps = list(cfg.interference.mode_overlap)
+        fidelity = []
+        for overlap in (0.0, 0.3, 1.0):
+            overlaps[j] = overlap
+            fidelity.append(exact_fidelity(
+                cfg._replace(interference=InterferenceModel(tuple(overlaps)))))
+        slopes = ((fidelity[1] - fidelity[0]) / 0.3, (fidelity[2] - fidelity[1]) / 0.7)
+        assert abs(slopes[0] - slopes[1]) <= 1e-12
+        a, b, _ = simulator._fused_amplitudes(cfg)
+        assert slopes[0] * math.copysign(1.0, a * b) >= -1e-12
+
 
     @hyp_settings(max_examples=25, deadline=None)
     @given(ring_configs())
@@ -745,8 +785,8 @@ class TestExactModelProperties:
         """
         settings = setting_names(cfg.n_modes())
         moved, index = moved_along_chain(cfg)
-        probs = simulator._outcome_probabilities(cfg, settings)
-        relabeled = simulator._outcome_probabilities(moved, settings)
+        probs = exact(cfg, settings)
+        relabeled = exact(moved, settings)
         for setting in settings:
             np.testing.assert_allclose(relabeled[setting][index], probs[setting],
                                        rtol=1e-13, atol=0.0)
