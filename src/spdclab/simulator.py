@@ -1,9 +1,11 @@
 """Monte Carlo model of the five-source, four-PBS ten-photon experiment.
 
-Per pulse each source emits 0, 1 or 2 photon pairs with truncated
-thermal-style weights (1 : p : g p^2); every photon independently survives
-collection with its arm efficiency.  Pulses whose surviving photons form
-the canonical configuration (exactly one fully surviving pair per source)
+Per pulse each source emits k photon pairs with the probabilities of
+``SourceModel.pair_number_probs``, the one place that knows the truncation
+(today k <= 2, with thermal-style weights 1 : p : g p^2); every photon
+independently survives collection with its arm efficiency.  Pulses whose
+surviving photons form the canonical configuration (exactly one fully
+surviving pair per source)
 are coherent: their post-selected statistics come from the exact fused
 state a|H...H> + b|V...V>, a and b the normalized products of the sources'
 HH and VV amplitudes, with one scalar overlap per PBS link damping the
@@ -17,7 +19,8 @@ port.
 
 The outcome probabilities of a candidate pulse are computed exactly, not
 sampled, and without a dense state: every candidate is routed classically
-around a ring of one small transfer matrix per source, which also gives
+around a ring of one 2 x 2 transfer matrix per source, indexed by whether a
+V signal crossed from it to its neighbour on the chain, which also gives
 the coherent events' populations, and the M_k settings add their
 coherence in closed form.  Pulses are independent and each gives at most
 one outcome, so a run is one binomial draw (candidate pulses) and one
@@ -89,14 +92,18 @@ class SourceModel(_Record):
             raise ValueError("double_pair_factor must be finite and >= 0")
 
     def pair_number_probs(self) -> tuple:
-        """P(0), P(1), P(2) pairs per pulse; weights 1 : p : g p^2."""
+        """P(k) pairs per pulse, k = 0, 1, ...; weights 1 : p : g p^2.
+
+        The only place that knows the truncation at two pairs: the exact
+        model takes the number of pairs from the length of this tuple.
+        ``_solve_pair_prob`` inverts this law and must change with it.
+        """
         w = (1.0, self.pair_prob, self.double_pair_factor * self.pair_prob**2)
         total = sum(w)
         return tuple(x / total for x in w)
 
     def mean_pairs_per_pulse(self) -> float:
-        p = self.pair_number_probs()
-        return p[1] + 2.0 * p[2]
+        return sum(k * q for k, q in enumerate(self.pair_number_probs()))
 
     def pair_source(self) -> PairSource:
         """The pair state this source emits."""
@@ -227,37 +234,37 @@ def _ring_layout(config: ExperimentConfig) -> list:
             for p, mode in zip(sources, chain)]
 
 
+def _survivors(n: int, xi: float) -> list:
+    """P(j of n photons survive), j = 0..n, each surviving on its own with xi."""
+    return [math.comb(n, j) * xi**j * (1.0 - xi) ** (n - j) for j in range(n + 1)]
+
+
 def _source_table(src: SourceModel) -> tuple:
     """(photons, clean) of one source, given that it emits at least one pair.
 
     ``photons`` maps each surviving (H signals, V signals, H idlers, V idlers)
-    to its weight, over (1 or 2 pairs) x (HH or VV per pair) x (survival of
-    each photon); ``clean`` is the weight of exactly one fully surviving pair
-    and no stray photon.
+    to its weight.  Given k pairs, h of them are HH with weight
+    C(k, h) P_HH^h P_VV^(k - h), and every photon survives on its own, so the
+    four counts are binomials: H signals and idlers out of h, V ones out of
+    k - h.  ``clean`` is the weight of exactly one fully surviving pair and
+    no stray photon, k xi_s xi_i ((1 - xi_s)(1 - xi_i))^(k - 1) given k.
     """
     probs = src.pair_number_probs()
-    emit = probs[1] + probs[2]
-    given_emit = (probs[1] / emit, probs[2] / emit) if probs[0] < 1.0 else (1.0, 0.0)
-    pol_w = src.branch_probs()
-    survive_s = (1.0 - src.xi_signal, src.xi_signal)
-    survive_i = (1.0 - src.xi_idler, src.xi_idler)
+    emit = sum(probs[1:])
+    p_hh, p_vv = src.branch_probs()
+    xi_s, xi_i = src.xi_signal, src.xi_idler
+    lost = (1.0 - xi_s) * (1.0 - xi_i)
     photons, clean = {}, 0.0
-    for n_pairs in (1, 2):
-        for pairs in itertools.product(itertools.product((0, 1), repeat=3),
-                                       repeat=n_pairs):
-            weight = given_emit[n_pairs - 1]
-            counts = [0, 0, 0, 0]
-            full = strays = 0
-            for pol, s_ok, i_ok in pairs:
-                weight *= pol_w[pol] * survive_s[s_ok] * survive_i[i_ok]
-                counts[pol] += s_ok
-                counts[2 + pol] += i_ok
-                full += s_ok and i_ok
-                strays += s_ok != i_ok
-            key = tuple(counts)
-            photons[key] = photons.get(key, 0.0) + weight
-            if full == 1 and strays == 0:
-                clean += weight
+    for k, prob in enumerate(probs[1:], 1):
+        given = prob / emit if probs[0] < 1.0 else float(k == 1)
+        clean += given * k * xi_s * xi_i * lost ** (k - 1)
+        for h in range(k + 1):
+            weight = given * math.comb(k, h) * p_hh**h * p_vv ** (k - h)
+            for (h_sig, a), (v_sig, b), (h_idl, c), (v_idl, d) in itertools.product(
+                    enumerate(_survivors(h, xi_s)), enumerate(_survivors(k - h, xi_s)),
+                    enumerate(_survivors(h, xi_i)), enumerate(_survivors(k - h, xi_i))):
+                key = (h_sig, v_sig, h_idl, v_idl)
+                photons[key] = photons.get(key, 0.0) + weight * a * b * c * d
     return photons, clean
 
 
@@ -275,21 +282,27 @@ def _path_weights(n_h: int, n_v: int, z_rule: bool) -> tuple:
 
 
 def _transfer_matrices(photons: dict, z_rule: bool) -> list:
-    """One source's matrices T[3 o + r] for its (chain bit, idler bit) (0, 0),
-    (0, 1), (1, 0) and (1, 1).
+    """One source's 2 x 2 matrices T[2 o + r] for its (chain bit, idler bit)
+    (0, 0), (0, 1), (1, 0) and (1, 1).
 
-    o is the number of V signals it sends back along the ring, r the number
-    it receives from the next source; its chain path holds its own H signals
-    and the r received V ones.
+    o is whether it sends some V signal back along the ring, r whether it
+    receives some from the next source; its chain path holds its own H
+    signals and the received V ones.  A path's weight depends on the number
+    v of V signals it receives only through v > 0, but for the factor
+    2^-(v - 1) of M_k, which the sending source carries.  So the ring has
+    two states whatever the number of pairs, and every entry is a sum of
+    non-negative terms.
     """
-    mats = [[0.0] * 9 for _ in range(4)]
+    mats = [[0.0] * 4 for _ in range(4)]
     t00, t01, t10, t11 = mats
     for (h_sig, v_sig, h_idl, v_idl), weight in photons.items():
+        if v_sig and not z_rule:
+            weight *= 0.5 ** (v_sig - 1)
         idler_h, idler_v = _path_weights(h_idl, v_idl, z_rule)
         w_h, w_v = weight * idler_h, weight * idler_v
-        for r in range(3):
+        for r in (0, 1):
             chain_h, chain_v = _path_weights(h_sig, r, z_rule)
-            at = 3 * v_sig + r
+            at = 2 * (v_sig > 0) + r
             t00[at] += chain_h * w_h
             t01[at] += chain_h * w_v
             t10[at] += chain_v * w_h
@@ -298,9 +311,9 @@ def _transfer_matrices(photons: dict, z_rule: bool) -> list:
 
 
 def _matmul(a, b) -> list:
-    """Product of two 3 x 3 matrices stored row by row."""
-    return [a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
-            for i in (0, 3, 6) for j in (0, 1, 2)]
+    """Product of two 2 x 2 matrices stored row by row."""
+    return [a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]]
 
 
 def _ring_products(factors: list) -> list:
@@ -344,7 +357,7 @@ def _classical_part(layout: list, tables: list, z_rule: bool) -> list:
     half = len(layout) // 2
     second = _ring_products(factors[half:])
     # trace(A B) is A's rows against B's columns: store B by columns
-    columns = [mat[0::3] + mat[1::3] + mat[2::3] for mat, _ in second]
+    columns = [mat[0::2] + mat[1::2] for mat, _ in second]
     out = [0.0] * 2**n
     for mat, bits in _ring_products(factors[:half]):
         traces = [sum(map(operator.mul, mat, cols)) for cols in columns]

@@ -1185,19 +1185,35 @@ def _imported_modules(stderr: str) -> set:
             if line.startswith("import time:") and line.count("|") == 2}
 
 
+@pytest.fixture(scope="module")
+def imported_by(tmp_path_factory):
+    """The modules a ``python -X importtime -m spdclab.cli`` run of a command
+    lists, one process per command for all the tests that read them."""
+    runs = {}
+
+    def imported(command):
+        if command not in runs:
+            workdir = tmp_path_factory.mktemp("importtime")
+            argv = {"crystal summary": ["crystal", "summary", "--species", "bibo"],
+                    "simulate": ["simulate",
+                                 shipped_path(workdir, "reference_tenfold_config.json"),
+                                 "--pulses", "1000000000", "--seed", "3",
+                                 "--report", workdir / "report.json"]}[command]
+            proc = _python("-X", "importtime", "-m", "spdclab.cli", *argv,
+                           "--out", workdir / "out.json")
+            assert proc.returncode == 0, proc.stderr
+            runs[command] = _imported_modules(proc.stderr)
+        return runs[command]
+    return imported
+
+
 @pytest.mark.parametrize("command", ["crystal summary", "simulate"])
-def test_main_module_is_compiled_once(config_file, tmp_path, command):
+def test_main_module_is_compiled_once(imported_by, command):
     """Under ``python -m spdclab.cli`` the module runs as ``__main__``; the split-off
     modules never import ``spdclab.cli``, which would compile and run it again.
     ``simulate``'s handler is in ``cli`` itself, so it loads neither
     ``numpy_commands`` nor numpy."""
-    argv = {"crystal summary": ["crystal", "summary", "--species", "bibo"],
-            "simulate": ["simulate", config_file, "--pulses", "1000000000", "--seed", "3",
-                         "--report", tmp_path / "report.json"]}[command]
-    proc = _python("-X", "importtime", "-m", "spdclab.cli", *argv,
-                   "--out", tmp_path / "out.json")
-    assert proc.returncode == 0, proc.stderr
-    modules = _imported_modules(proc.stderr)
+    modules = imported_by(command)
     assert "spdclab.fileio" in modules
     assert "spdclab.cli" not in modules
     on_numpy = {m for m in modules
@@ -1208,25 +1224,18 @@ def test_main_module_is_compiled_once(config_file, tmp_path, command):
         assert {"spdclab.numpy_commands", "numpy"} <= on_numpy
 
 
-def test_crystal_path_imports_no_dataclasses(tmp_path):
+def test_crystal_path_imports_no_dataclasses(imported_by):
     """The crystal records are ``_record._Record`` classes, so a crystal command
     never loads ``dataclasses``."""
-    proc = _python("-X", "importtime", "-m", "spdclab.cli", "crystal", "summary",
-                   "--species", "bibo", "--out", tmp_path / "out.json")
-    assert proc.returncode == 0, proc.stderr
-    modules = _imported_modules(proc.stderr)
+    modules = imported_by("crystal summary")
     assert "spdclab.crystal.phasematch" in modules
     assert "dataclasses" not in modules
 
 
-def test_simulate_path_imports_no_dataclasses(config_file, tmp_path):
+def test_simulate_path_imports_no_dataclasses(imported_by):
     """The simulator's and qstate's records are ``_record._Record`` classes, so
     ``simulate`` never loads ``dataclasses``."""
-    proc = _python("-X", "importtime", "-m", "spdclab.cli", "simulate", config_file,
-                   "--pulses", "1000000000", "--report", tmp_path / "report.json",
-                   "--out", tmp_path / "out.json")
-    assert proc.returncode == 0, proc.stderr
-    modules = _imported_modules(proc.stderr)
+    modules = imported_by("simulate")
     assert {"spdclab.simulator", "spdclab.qstate"} <= modules
     assert "dataclasses" not in modules
 
@@ -1377,15 +1386,10 @@ def test_count_path_loads_only_what_it_runs(recon_file, ledger_file, tmp_path, c
     assert loaded - {"hashlib"} == expected
 
 
-def test_simulate_loads_no_numpy(config_file, tmp_path):
+def test_simulate_loads_no_numpy(imported_by):
     """``simulate`` runs on the standard library: ``-X importtime`` lists the
     simulator and ``qstate`` among the modules it imports, and no numpy."""
-    proc = _python("-X", "importtime", "-m", "spdclab.cli", "simulate", config_file,
-                   "--pulses", "1000000000", "--out", tmp_path / "counts.json",
-                   "--report", tmp_path / "report.json")
-    assert proc.returncode == 0, proc.stderr
-    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    imported = imported_by("simulate")
     assert {"spdclab.simulator", "spdclab.qstate", "spdclab.sampling"} <= imported
     assert not {m for m in imported if m.partition(".")[0] == "numpy"}
 

@@ -385,6 +385,7 @@ EXACT_OUTCOME_CONFIGS = {
         theta=THETA_REF, rotated_tail=2, **fields) for name, fields in ORACLE_CONFIGS.items()},
     **{f"enumerated-{i}": lambda chain=chain: enumerated_chain_config(*chain)
        for i, chain in enumerate(ENUMERATED_CHAINS)},
+    "four-sources": lambda: enumerated_chain_config(((2, 3), (3, 5), (5, 7)), 0.9, 0.8, 0.02),
     "reference": reference_config,
     "reordered-links": lambda: reference_config()._replace(
         pbs_links=((3, 5), (9, 7), (2, 3), (7, 5))),
@@ -393,6 +394,16 @@ EXACT_OUTCOME_CONFIGS = {
     "rounded-zero": lambda: make_config(**ROUNDED_ZERO_CONFIG),
     "ideal": make_config,
 }
+
+
+def poisson_law(n_pairs):
+    """A ``pair_number_probs`` of up to ``n_pairs`` pairs: weights p^k / k!, the
+    default law at g = 1/2 when ``n_pairs`` is 2."""
+    def pair_number_probs(self):
+        w = [self.pair_prob**k / math.factorial(k) for k in range(n_pairs + 1)]
+        total = sum(w)
+        return tuple(x / total for x in w)
+    return pair_number_probs
 
 
 def assert_equals_einsum_reference(cfg, settings, atol=0.0):
@@ -500,6 +511,18 @@ class TestExactOutcomes:
     def test_equals_einsum_reference(self, name):
         cfg = EXACT_OUTCOME_CONFIGS[name]()
         assert_equals_einsum_reference(cfg, setting_names(cfg.n_modes()))
+
+    @pytest.mark.parametrize("name", sorted(EXACT_OUTCOME_CONFIGS))
+    @pytest.mark.parametrize("n_pairs", [3, 4])
+    def test_equals_einsum_reference_beyond_two_pairs(self, monkeypatch, n_pairs, name):
+        """Only ``pair_number_probs`` knows the number of pairs: with three or
+        four, the two-state ring still equals the einsum contraction, whose
+        received axis grows with the pair number."""
+        monkeypatch.setattr(SourceModel, "pair_number_probs", poisson_law(n_pairs))
+        cfg = EXACT_OUTCOME_CONFIGS[name]()
+        assert len(cfg.sources[0].pair_number_probs()) == n_pairs + 1
+        assert_equals_einsum_reference(cfg, setting_names(cfg.n_modes()),
+                                       atol=sys.float_info.min)
 
     def test_residues_of_zero_draw_like_zeros(self, monkeypatch):
         """An outcome at a rounding residue of 0 gets the counts an exact 0 gets.
@@ -621,6 +644,16 @@ def ring_configs(draw):
                             detector=DetectorModel(draw(st.floats(0.0, 0.5))))
 
 
+@st.composite
+def pair_laws(draw):
+    """P(k) for k = 0 .. K, K from 1 to 5, with P(1) > 0."""
+    n_pairs = draw(st.integers(1, 5))
+    w = [draw(st.floats(0.0, 1.0)), draw(st.floats(0.01, 1.0)),
+         *(draw(st.floats(0.0, 1.0)) for _ in range(n_pairs - 1))]
+    total = sum(w)
+    return tuple(x / total for x in w)
+
+
 def moved_along_chain(cfg):
     """(cfg with the source at each chain position moved one position on,
     cyclically, the links kept; each outcome index of cfg -> its index there)."""
@@ -648,6 +681,32 @@ def exact_fidelity(cfg) -> float:
 
 
 class TestExactModelProperties:
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(st.builds(SourceModel, pair_prob=st.floats(0.01, 0.9),
+                     xi_signal=st.floats(0.0, 1.0), xi_idler=st.floats(0.0, 1.0),
+                     theta_state=st.floats(0.1, 1.4), rotated=st.booleans()),
+           pair_laws())
+    def test_source_table_of_photon_counts(self, src, law):
+        """Given emission, the source table is a law of surviving photon counts.
+
+        Its weights sum to 1; each of the E[k | emit] pairs is HH with
+        probability P_HH and its signal survives with xi_s, so the mean number
+        of surviving H signals is E[k | emit] P_HH xi_s, and that of V idlers
+        E[k | emit] P_VV xi_i; and its clean weight is the enumeration's.
+        """
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SourceModel, "pair_number_probs", lambda self: law)
+            photons, clean = simulator._source_table(src)
+            rows = einsum_reference.source_rows(src)
+        assert abs(math.fsum(photons.values()) - 1.0) <= 1e-15
+        mean_pairs = math.fsum(k * q for k, q in enumerate(law)) / math.fsum(law[1:])
+        p_hh, p_vv = src.branch_probs()
+        h_signals = math.fsum(w * counts[0] for counts, w in photons.items())
+        v_idlers = math.fsum(w * counts[3] for counts, w in photons.items())
+        assert h_signals == pytest.approx(mean_pairs * p_hh * src.xi_signal, rel=1e-14, abs=1e-15)
+        assert v_idlers == pytest.approx(mean_pairs * p_vv * src.xi_idler, rel=1e-14, abs=1e-15)
+        assert clean == pytest.approx(math.fsum(rows[rows[:, 5] == 1, 0]), rel=1e-14, abs=0.0)
+
     @hyp_settings(max_examples=60, deadline=None)
     @given(small_configs())
     def test_probabilities_bounded(self, cfg):
