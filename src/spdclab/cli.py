@@ -238,7 +238,7 @@ def cmd_simulate(args) -> None:
         extra={"config_digest": f"sha256:{digest}", "seed": seed,
                "pulses_per_setting": result.pulses_per_setting},
     )
-    _dump_json(counts_payload, args.out)
+    # the report first: an overflowing rate fails it, and then nothing is written
     if args.report:
         _dump_json({
             "tool": "spdclab",
@@ -247,6 +247,7 @@ def cmd_simulate(args) -> None:
             "rates": result.rates,
             "diagnostics": result.diagnostics,
         }, args.report)
+    _dump_json(counts_payload, args.out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ port.
 
 The outcome probabilities of a candidate pulse are computed exactly, not
 sampled, and without a dense state: every candidate is routed classically
-around a ring of one 2 x 2 transfer matrix per source, indexed by whether a
-V signal crossed from it to its neighbour on the chain, which also gives
-the coherent events' populations, and the M_k settings add their
-coherence in closed form.  Pulses are independent and each gives at most
+around a ring of one 2 x 2 transfer matrix per source, whose two states say
+whether a V signal crossed between neighbours on the chain: a Z outcome is
+one product of an entry per source, an M_k outcome the trace of the ring.
+This also gives the coherent events' populations, and the M_k settings add
+their coherence in closed form.  Pulses are independent and each gives at most
 one outcome, so a run is one binomial draw (candidate pulses) and one
 multinomial draw (outcomes plus a no-event bucket) per setting, whatever
 the pulse count.
@@ -35,6 +36,7 @@ generator its caller passes in.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -282,8 +284,8 @@ def _path_weights(n_h: int, n_v: int, z_rule: bool) -> tuple:
 
 
 def _transfer_matrices(photons: dict, z_rule: bool) -> list:
-    """One source's 2 x 2 matrices T[2 o + r] for its (chain bit, idler bit)
-    (0, 0), (0, 1), (1, 0) and (1, 1).
+    """One source's 2 x 2 matrices T[2 b + d] for its (chain bit, idler bit)
+    (0, 0), (0, 1), (1, 0) and (1, 1), each stored row by row as T[2 o + r].
 
     o is whether it sends some V signal back along the ring, r whether it
     receives some from the next source; its chain path holds its own H
@@ -291,7 +293,8 @@ def _transfer_matrices(photons: dict, z_rule: bool) -> list:
     v of V signals it receives only through v > 0, but for the factor
     2^-(v - 1) of M_k, which the sending source carries.  So the ring has
     two states whatever the number of pairs, and every entry is a sum of
-    non-negative terms.
+    non-negative terms.  Under Z a path fires V only if it receives one, so
+    only column r = b is nonzero; under M_k the four matrices are equal.
     """
     mats = [[0.0] * 4 for _ in range(4)]
     t00, t01, t10, t11 = mats
@@ -316,55 +319,48 @@ def _matmul(a, b) -> list:
             a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]]
 
 
-def _ring_products(factors: list) -> list:
-    """(matrix, outcome bits) of the products along a stretch of the ring.
-
-    Each factor lists its distinct nonzero matrices with the bits each one
-    carries; a product carries every combination of its factors' bits.
-    """
-    products = factors[0]
-    for options in factors[1:]:
-        products = [(_matmul(mat, factor), [x | y for x in bits for y in more])
-                    for mat, bits in products for factor, more in options]
-    return [(mat, bits) for mat, bits in products if any(mat)]
-
-
 def _classical_part(layout: list, tables: list, z_rule: bool) -> list:
     """Outcome weights of every candidate routed classically around the ring.
 
     The weight of an outcome is the trace of the sources' matrices for its
-    bits, multiplied around the ring.  It is taken meet-in-the-middle: the
-    products over the first and the second half of the ring, then one trace
-    per pair of them.  Equal matrices are multiplied once: under M_k every
-    bit of a path has the same weight, so this part is one trace, the same
-    for every outcome.
+    bits, multiplied around the ring.  Under Z each chain bit b_i is the
+    ring's state between sources i and i + 1, so the trace is one product,
+    prod_i T_i[b_i, d_i][b_(i-1), b_i], cyclic in i: each half of the ring
+    is enumerated as its products, which pair up on their boundary bits.
+    Under M_k every outcome weighs trace(prod_i T_i).  Both multiply each
+    half left to right, then the halves; the lists are pinned to its rounding.
 
     A candidate that is clean at every source routes to all-H or all-V as
     its pairs' polarizations agree, so this part holds the clean events'
     populations; only their coherence is left to add.
     """
     n = 2 * len(layout)
-    factors = []
-    for (_, signal, idler), (photons, _) in zip(layout, tables):
-        mats = _transfer_matrices(photons, z_rule)
-        options = {}                # matrix -> the outcome bits it carries
-        for b in (0, 1):
-            for d in (0, 1):
-                mat = tuple(mats[2 * b + d])
-                if any(mat):
-                    options.setdefault(mat, []).append((b << n - signal) | (d << n - idler))
-        factors.append(list(options.items()))
     half = len(layout) // 2
-    second = _ring_products(factors[half:])
-    # trace(A B) is A's rows against B's columns: store B by columns
-    columns = [mat[0::2] + mat[1::2] for mat, _ in second]
+    mats = [_transfer_matrices(photons, z_rule) for photons, _ in tables]
+    if not z_rule:
+        first, second = (functools.reduce(_matmul, [m[0] for m in part])
+                         for part in (mats[:half], mats[half:]))
+        # trace(A B) is A's rows against B's columns
+        return [sum(map(operator.mul, first, second[0::2] + second[1::2]))] * 2**n
+    # each source's nonzero Z entries: (row, chain bit, outcome bits, value)
+    entries = [[(o, b, (b << n - signal) | (d << n - idler), v)
+                for b in (0, 1) for d in (0, 1) for o in (0, 1)
+                if (v := m[2 * b + d][2 * o + b])]
+               for (_, signal, idler), m in zip(layout, mats)]
+    halves = []     # (first row, last chain bit, outcome bits, product) of each half
+    for part in (entries[:half], entries[half:]):
+        stretches = part[0]
+        for more in part[1:]:       # a source's row is the chain bit before it
+            stretches = [(first, b, x | y, p * q) for first, last, x, p in stretches
+                         for row, b, y, q in more if row == last]
+        halves.append(stretches)
+    by_ends = {}
+    for first, last, y, q in halves[1]:
+        by_ends.setdefault((first, last), []).append((y, q))
     out = [0.0] * 2**n
-    for mat, bits in _ring_products(factors[:half]):
-        traces = [sum(map(operator.mul, mat, cols)) for cols in columns]
-        for (_, more), weight in zip(second, traces):
-            for x in bits:
-                for y in more:
-                    out[x | y] = weight
+    for first, last, x, p in halves[0]:
+        for y, q in by_ends.get((last, first), ()):
+            out[x | y] = p * q
     return out
 
 

@@ -428,6 +428,22 @@ class TestSimulate:
                      "--settings", "Z"]) == EXIT_NUMERIC
         assert "pulses" in capsys.readouterr().err
 
+    def test_overflowing_report_writes_no_counts(self, tmp_path, capsys):
+        """A repetition rate of 1e308 is accepted, but the model's tenfold rate
+        overflows to inf, which no JSON may hold: exit 4, and neither file is
+        left behind."""
+        cfg = self._small_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["rep_rate_hz"] = 1e308
+        raw["sources"] = raw["sources"][:2]
+        raw["network"]["pbs_links"] = [[2, 3]]
+        cfg.write_text(json.dumps(raw))
+        out, report = tmp_path / "counts.json", tmp_path / "report.json"
+        assert main(["simulate", str(cfg), "--pulses", "1000", "--out", str(out),
+                     "--report", str(report)]) == EXIT_NUMERIC
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
+
     @pytest.mark.parametrize("mode", [2.9, True])
     def test_non_integer_link_mode_exit_code(self, tmp_path, mode):
         # read as int(mode), each of these links would make a simulable chain

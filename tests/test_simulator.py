@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -524,6 +525,33 @@ class TestExactOutcomes:
         assert_equals_einsum_reference(cfg, setting_names(cfg.n_modes()),
                                        atol=sys.float_info.min)
 
+    #: SHA-256 over ``float.hex`` of every exact outcome probability, settings in
+    #: order.  The count digests move only when a draw moves, so these are what
+    #: sees a last-digit change; a refactor of the contraction keeps them, and
+    #: only a stated change of the model's rounding may update them
+    EXACT_DIGESTS = {
+        "reference": "3a6c00e75de32f1dde187a126bce5a2a2ef339ce44fbf6f3129a2fe80c9d1ac0",
+        "bright": "eca000b809e1e62924e46032887c97a450dc125879af186d9d227ae762121278",
+        "reference-three-pairs":
+            "c8bf61070543d518361e76e13e7ba3b0a3fa84187d8c6a2f0c907e1ead553c43",
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXACT_DIGESTS))
+    def test_exact_lists_pinned(self, monkeypatch, case):
+        """The reference config, the bright config of ``simulate``'s pinned output,
+        and the reference config under a three-pair law give exactly the pinned
+        outcome probabilities."""
+        if case == "bright":
+            cfg = make_config(p=0.22, xi=0.8, overlap=0.85, g=2.0, dark=0.003)
+        else:
+            if case == "reference-three-pairs":
+                monkeypatch.setattr(SourceModel, "pair_number_probs", poisson_law(3))
+            cfg = reference_config()
+        settings = setting_names(cfg.n_modes())
+        lists = simulator._outcome_probabilities(cfg, settings)
+        text = " ".join(p.hex() for s in settings for p in lists[s])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.EXACT_DIGESTS[case]
+
     def test_residues_of_zero_draw_like_zeros(self, monkeypatch):
         """An outcome at a rounding residue of 0 gets the counts an exact 0 gets.
 
@@ -645,9 +673,9 @@ def ring_configs(draw):
 
 
 @st.composite
-def pair_laws(draw):
-    """P(k) for k = 0 .. K, K from 1 to 5, with P(1) > 0."""
-    n_pairs = draw(st.integers(1, 5))
+def pair_laws(draw, max_pairs=5):
+    """P(k) for k = 0 .. K, K from 1 to ``max_pairs``, with P(1) > 0."""
+    n_pairs = draw(st.integers(1, max_pairs))
     w = [draw(st.floats(0.0, 1.0)), draw(st.floats(0.01, 1.0)),
          *(draw(st.floats(0.0, 1.0)) for _ in range(n_pairs - 1))]
     total = sum(w)
@@ -750,9 +778,11 @@ class TestExactModelProperties:
 
         In an M_k setting every photon leaves either port of its analyzer
         with probability 1/2, so ``_path_weights`` gives both bits of a path
-        the same weight: flipping one bit pairs outcomes of opposite parity
-        and equal weight, and sum_x (-1)^|x| p(x) cancels exactly, which
-        ``math.fsum`` evaluates without rounding.  Only the clean events'
+        the same weight, a source's four transfer matrices are equal, and
+        the classical part is one number, trace(prod_i T_i), for every
+        outcome.  So sum_x (-1)^|x| p(x) is 0 by construction: half of the
+        2^n outcomes have each parity, and ``math.fsum`` adds the equal
+        terms without rounding.  Only the clean events'
         coherence is left in the setting's parity sum: (1 - d)^n W 2abD
         (-1)^k, W the probability that every source is clean times the
         post-selection success.
@@ -773,6 +803,51 @@ class TestExactModelProperties:
             len(cfg.pbs_links))
         thinning = (1.0 - cfg.detector.dark_count_prob) ** n
         assert abs(math.fsum(parity * probs) - thinning * coherence) <= 1e-15
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(double_pair_configs(), st.one_of(st.none(), pair_laws(max_pairs=4)))
+    def test_z_ends_in_closed_form(self, cfg, law):
+        """The all-H and all-V Z outcomes are products of one factor per source.
+
+        Derivation.  The chain path at each position holds the H signals of
+        its own source and the V signals of the next one, and a path fires H
+        under Z only when it holds H photons and no V ones.  So all-H needs
+        every source to send no V signal, to keep at least one H signal for
+        its own path, and to have at least one H idler and no V idler.
+        Given emission, a source takes k pairs with P(k | emit), h of them
+        HH with C(k, h) P_HH^h P_VV^(k - h), and each photon survives on its
+        own, so that source's factor is
+
+            P_s = sum_k P(k | emit) sum_h C(k, h) P_HH^h P_VV^(k - h)
+                  (1 - (1 - xi_s)^h) (1 - xi_s)^(k - h)
+                  (1 - (1 - xi_i)^h) (1 - xi_i)^(k - h).
+
+        Sources are independent and dark counts thin every event by
+        (1 - d)^n, and Z adds no coherence: Z[0] = (1 - d)^n prod_s P_s.
+        All-V needs every path to receive a V signal and hold no H one, so
+        every source sends at least one V signal and keeps no H one, with at
+        least one V idler and no H idler: the same with H and V swapped.
+        ``law``, when drawn, replaces every source's pair-number law.
+        """
+        def factor(src, first, second):
+            probs = src.pair_number_probs()
+            emit = math.fsum(probs[1:])
+            xi_s, xi_i = src.xi_signal, src.xi_idler
+            return math.fsum(
+                probs[k] / emit * math.comb(k, h) * first**h * second ** (k - h)
+                * (1.0 - (1.0 - xi_s) ** h) * (1.0 - xi_s) ** (k - h)
+                * (1.0 - (1.0 - xi_i) ** h) * (1.0 - xi_i) ** (k - h)
+                for k in range(1, len(probs)) for h in range(k + 1))
+
+        with pytest.MonkeyPatch.context() as mp:
+            if law is not None:
+                mp.setattr(SourceModel, "pair_number_probs", lambda self: law)
+            z = simulator._outcome_probabilities(cfg, ["Z"])["Z"]
+            thinning = (1.0 - cfg.detector.dark_count_prob) ** cfg.n_modes()
+            all_h = thinning * math.prod(factor(s, *s.branch_probs()) for s in cfg.sources)
+            all_v = thinning * math.prod(factor(s, *s.branch_probs()[::-1]) for s in cfg.sources)
+        assert z[0] == pytest.approx(all_h, rel=1e-13, abs=0.0)
+        assert z[-1] == pytest.approx(all_v, rel=1e-13, abs=0.0)
 
     @hyp_settings(max_examples=25, deadline=None)
     @given(double_pair_configs(theta=st.builds(lambda t, q: t + q * np.pi / 2,
