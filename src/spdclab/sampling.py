@@ -16,16 +16,39 @@ its formulas are taken otherwise, so that it stays exact for every n up to
   which loses every digit of p below about 1e-16 (and gives 0 draws for
   p <= 2^-54 whatever n is); here the denominator is ``log1p(-p) / ln 2``.
 
+A multinomial draw goes through a ``CellTable`` of its probabilities,
+built once and shared by every draw from the same list.  The table keeps
+each cell whose share r of the total mass leaves 1 - r != 1.0: a smaller
+share (below about 2^-54) cannot be told from a rounding residue of 0, so it
+is dropped before the running sums, and an exact 0 and such a residue draw
+alike.  ``draw`` then takes the number of events that land in any kept
+cell as one Binomial(n, kept mass), the multinomial's own marginal.  Given
+that number, the cells' counts are a multinomial over the kept
+probabilities divided by the kept mass, and two ways draw it exactly:
+
+* up to one event per kept cell, each event is placed on its own: a
+  uniform times the kept mass, located by ``bisect`` in the running sums
+  (the conditional-distribution method; Devroye, *Non-Uniform Random
+  Variate Generation*, 1986), so the work follows the events;
+* above that, a chain of conditional binomials runs over the kept cells,
+  each at its probability over the mass not yet drawn, so the work follows
+  the cells, and stays exact for every n up to 2^63 - 1.
+
 Standard library only: ``simulate`` draws its counts here, without numpy.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
+from typing import NamedTuple
 
 _LN2 = math.log(2.0)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+#: the largest share of the mass that a cell can have and still be dropped
+_RESIDUE = 2.0**-54
 #: 1/12, 1/360, 1/1260, 1/1680, 1/1188: the Stirling series of ``_stirlerr``
 _STIRLING = (1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0)
 
@@ -125,25 +148,73 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
+class CellTable(NamedTuple):
+    """The kept cells of a list of probabilities, in list order.
+
+    ``size`` is the length of the list, ``cells`` the kept indices,
+    ``probs`` their probabilities and ``sums`` the running sums of these;
+    ``last`` is the position of the last kept cell of nonzero width in the
+    sums (-1 when nothing is kept).
+    """
+
+    size: int
+    cells: tuple
+    probs: tuple
+    sums: tuple
+    last: int
+
+
+def cell_table(probs) -> CellTable:
+    """The ``CellTable`` of non-negative probabilities whose sum is at most 1."""
+    if min(probs, default=0.0) < 0.0:
+        raise ValueError("probabilities must be non-negative")
+    mass = sum(probs)
+    # 1 - r != 1.0 exactly when r > 2^-54 (1 - 2^-54 is a tie, and rounds to 1.0)
+    shares = map(mass.__rtruediv__, probs) if mass else ()
+    cells = tuple(itertools.compress(range(len(probs)), map(_RESIDUE.__lt__, shares)))
+    kept = tuple(map(probs.__getitem__, cells))
+    sums = tuple(itertools.accumulate(kept))
+    # a kept cell so small that it leaves the sum as it was has zero width
+    last = bisect.bisect_left(sums, sums[-1]) if sums else -1
+    return CellTable(len(probs), cells, kept, sums, last)
+
+
+def draw(rng: random.Random, n: int, table: CellTable) -> list:
+    """Counts of ``n`` draws over the cells of ``table``, one per listed probability.
+
+    The draws that land in no cell are not returned.  A placement never
+    lands in a cell of zero width: the search stops at the last cell of
+    nonzero width, which also takes a uniform that rounds up to the kept
+    mass (a subnormal mass can do that).
+    """
+    counts = [0] * table.size
+    if table.last < 0:
+        return counts
+    cells, sums, last = table.cells, table.sums, table.last
+    mass = sums[-1]
+    events = binomial(rng, n, mass if mass < 1.0 else 1.0)
+    if events <= len(cells):
+        uniform, locate = rng.random, bisect.bisect_right
+        for _ in range(events):
+            counts[cells[locate(sums, uniform() * mass, 0, last)]] += 1
+        return counts
+    left, before = events, 0.0
+    for j, p in enumerate(table.probs[:last]):
+        ratio = p / (mass - before)
+        drawn = binomial(rng, left, ratio if ratio < 1.0 else 1.0)
+        counts[cells[j]] = drawn
+        left -= drawn
+        before = sums[j]
+        if not left:
+            return counts
+    counts[cells[last]] = left
+    return counts
+
+
 def multinomial(rng: random.Random, n: int, probs) -> list:
     """Counts of ``n`` draws over categories of probabilities ``probs``.
 
-    The draws that land in none of them (probability 1 - sum(probs)) are not
-    returned.  Each category takes a binomial draw from the draws left, at
-    its probability over the mass not yet drawn.  A category whose ratio r
-    has 1 - r == 1.0 (r below about 2^-54) gets 0 with no draw and leaves
-    the mass as it is: double precision cannot tell it from a rounding
-    residue of 0, so an exact 0 and such a residue give the same counts.
+    The draws that land in none of them (probability 1 - sum(probs)) are
+    not returned; ``draw`` on the list's ``cell_table``.
     """
-    counts = [0] * len(probs)
-    left, mass = n, 1.0         # mass > 0 while draws are left
-    for i, p in enumerate(probs):
-        if not left:
-            break
-        ratio = p / mass
-        if 1.0 - ratio == 1.0:
-            continue
-        counts[i] = drawn = binomial(rng, left, ratio if ratio < 1.0 else 1.0)
-        left -= drawn
-        mass -= p
-    return counts
+    return draw(rng, n, cell_table(probs))

@@ -270,47 +270,47 @@ def _source_table(src: SourceModel) -> tuple:
     return photons, clean
 
 
-def _path_weights(n_h: int, n_v: int, z_rule: bool) -> tuple:
-    """Weights of the (H port, V port) bits a path records.
-
-    Z: the path fires iff it holds photons of one polarization only, and
-    the bit is that polarization.  M_k: each photon leaves either port with
-    probability 1/2, so m >= 1 photons give each bit with weight 2^-m.
-    """
-    if z_rule:
-        return float(n_h > 0 and n_v == 0), float(n_v > 0 and n_h == 0)
-    w = 0.5 ** (n_h + n_v) if n_h + n_v else 0.0
-    return w, w
-
-
-def _transfer_matrices(photons: dict, z_rule: bool) -> list:
-    """One source's 2 x 2 matrices T[2 b + d] for its (chain bit, idler bit)
-    (0, 0), (0, 1), (1, 0) and (1, 1), each stored row by row as T[2 o + r].
+def _mk_matrix(photons: dict) -> list:
+    """One source's 2 x 2 matrix under M_k, stored row by row as T[2 o + r].
 
     o is whether it sends some V signal back along the ring, r whether it
     receives some from the next source; its chain path holds its own H
-    signals and the received V ones.  A path's weight depends on the number
-    v of V signals it receives only through v > 0, but for the factor
-    2^-(v - 1) of M_k, which the sending source carries.  So the ring has
-    two states whatever the number of pairs, and every entry is a sum of
-    non-negative terms.  Under Z a path fires V only if it receives one, so
-    only column r = b is nonzero; under M_k the four matrices are equal.
+    signals and the received V ones.  Each photon leaves either port with
+    probability 1/2, so a path of m >= 1 photons gives each bit with weight
+    2^-m, and the matrix is the same for every (chain bit, idler bit).  A
+    path's weight depends on the number v of V signals it receives only
+    through v > 0, but for the factor 2^-(v - 1), which the sending source
+    carries.  So the ring has two states whatever the number of pairs, and
+    every entry is a sum of non-negative terms.
     """
-    mats = [[0.0] * 4 for _ in range(4)]
-    t00, t01, t10, t11 = mats
+    mat = [0.0] * 4
     for (h_sig, v_sig, h_idl, v_idl), weight in photons.items():
-        if v_sig and not z_rule:
+        if not h_idl + v_idl:
+            continue            # the idler path fires on no port
+        if v_sig:
             weight *= 0.5 ** (v_sig - 1)
-        idler_h, idler_v = _path_weights(h_idl, v_idl, z_rule)
-        w_h, w_v = weight * idler_h, weight * idler_v
+        weight *= 0.5 ** (h_idl + v_idl)
         for r in (0, 1):
-            chain_h, chain_v = _path_weights(h_sig, r, z_rule)
-            at = 2 * (v_sig > 0) + r
-            t00[at] += chain_h * w_h
-            t01[at] += chain_h * w_v
-            t10[at] += chain_v * w_h
-            t11[at] += chain_v * w_v
-    return mats
+            if h_sig + r:
+                mat[2 * (v_sig > 0) + r] += 0.5 ** (h_sig + r) * weight
+    return mat
+
+
+def _z_entries(photons: dict) -> dict:
+    """One source's Z weights by (o, b, d): what it sends, its chain bit, its idler bit.
+
+    A path fires iff it holds photons of one polarization only, and the bit
+    is that polarization.  So the chain path fires H iff it holds H signals
+    and receives no V signal, and V iff it receives one and holds no H
+    signal: the state it receives equals b, and each photon tuple adds its
+    weight to one entry at most.
+    """
+    entries = {}
+    for (h_sig, v_sig, h_idl, v_idl), weight in photons.items():
+        if (h_idl > 0) != (v_idl > 0):
+            key = (int(v_sig > 0), int(h_sig == 0), int(v_idl > 0))
+            entries[key] = entries.get(key, 0.0) + weight
+    return entries
 
 
 def _matmul(a, b) -> list:
@@ -325,10 +325,11 @@ def _classical_part(layout: list, tables: list, z_rule: bool) -> list:
     The weight of an outcome is the trace of the sources' matrices for its
     bits, multiplied around the ring.  Under Z each chain bit b_i is the
     ring's state between sources i and i + 1, so the trace is one product,
-    prod_i T_i[b_i, d_i][b_(i-1), b_i], cyclic in i: each half of the ring
-    is enumerated as its products, which pair up on their boundary bits.
-    Under M_k every outcome weighs trace(prod_i T_i).  Both multiply each
-    half left to right, then the halves; the lists are pinned to its rounding.
+    prod_i Z_i[b_(i-1), b_i, d_i], cyclic in i (``_z_entries``): each half of
+    the ring is enumerated as its products, which pair up on their boundary
+    bits.  Under M_k every outcome weighs trace(prod_i T_i) (``_mk_matrix``).
+    Both multiply each half left to right, then the halves; the lists are
+    pinned to its rounding.
 
     A candidate that is clean at every source routes to all-H or all-V as
     its pairs' polarizations agree, so this part holds the clean events'
@@ -336,17 +337,15 @@ def _classical_part(layout: list, tables: list, z_rule: bool) -> list:
     """
     n = 2 * len(layout)
     half = len(layout) // 2
-    mats = [_transfer_matrices(photons, z_rule) for photons, _ in tables]
     if not z_rule:
-        first, second = (functools.reduce(_matmul, [m[0] for m in part])
-                         for part in (mats[:half], mats[half:]))
+        mats = [_mk_matrix(photons) for photons, _ in tables]
+        first, second = (functools.reduce(_matmul, part) for part in (mats[:half], mats[half:]))
         # trace(A B) is A's rows against B's columns
         return [sum(map(operator.mul, first, second[0::2] + second[1::2]))] * 2**n
     # each source's nonzero Z entries: (row, chain bit, outcome bits, value)
     entries = [[(o, b, (b << n - signal) | (d << n - idler), v)
-                for b in (0, 1) for d in (0, 1) for o in (0, 1)
-                if (v := m[2 * b + d][2 * o + b])]
-               for (_, signal, idler), m in zip(layout, mats)]
+                for (o, b, d), v in _z_entries(photons).items() if v]
+               for (_, signal, idler), (photons, _) in zip(layout, tables)]
     halves = []     # (first row, last chain bit, outcome bits, product) of each half
     for part in (entries[:half], entries[half:]):
         stretches = part[0]
@@ -420,11 +419,11 @@ def _outcome_probabilities(config: ExperimentConfig, settings: Sequence[str]) ->
         sign = (-1) ** k
         if sign not in by_sign:
             even = weight * sign * fringe
-            shift = (even, -even)
+            trace = classical[False][0]     # the same for every M_k outcome
             # the populations and the coherence are rounded apart, so an exact 0
             # can come out as -1e-17, which no draw accepts
-            by_sign[sign] = [thinning * v if v > 0.0 else 0.0
-                             for v in [w + shift[q] for w, q in zip(classical[False], parity)]]
+            by_parity = [thinning * v if v > 0.0 else 0.0 for v in (trace + even, trace - even)]
+            by_sign[sign] = list(map(by_parity.__getitem__, parity))
         out[s] = by_sign[sign]
     return out
 
@@ -496,15 +495,27 @@ def run_monte_carlo(config: ExperimentConfig, pulses: int,
     no-event bucket, both drawn by ``spdclab.sampling`` from the setting's
     own ``random.Random(f"{seed}:{setting index}")``, the index counting
     from 0 in ``settings``.  Results are byte-identical for identical
-    (config, pulses, settings, seed), on the standard library alone.  An
-    outcome whose probability is at most about 2^-54 of the mass not yet
-    drawn is given 0 without a draw, so an exact 0 and a rounding residue of
-    0 give the same counts.
+    (config, pulses, settings, seed), on the standard library alone.
+
+    Each distinct outcome list gets one ``sampling.CellTable``: the Z list
+    and the lists of the even and of the odd M_k, so three tables serve all
+    eleven settings of five sources.  A table drops every outcome whose
+    share of the list's mass is at most about 2^-54, so an exact 0 and a
+    rounding residue of 0 give the same counts.  ``sampling.draw`` takes the
+    events as one Binomial(candidates, mass); up to one event per kept
+    outcome it places each event by bisection on the running sums, above
+    that it runs the conditional-binomial chain over the kept outcomes.
+    Both are exact, so a setting costs its events or its outcomes, whichever
+    is fewer, not a draw per outcome.
     """
     if not 1 <= pulses <= MAX_PULSES:
         raise ValueError(f"pulses must lie in [1, {MAX_PULSES}]")
     base_seed = config.seed if seed is None else seed
     probs = _outcome_probabilities(config, settings)
+    tables = {}                 # settings that share a list share its table
+    for listed in probs.values():
+        if id(listed) not in tables:
+            tables[id(listed)] = sampling.cell_table(listed)
     p_all_emit = math.prod(1.0 - s.pair_number_probs()[0] for s in config.sources)
     n = config.n_modes()
     labels = qstate.basis_labels(n)
@@ -514,8 +525,9 @@ def run_monte_carlo(config: ExperimentConfig, pulses: int,
     for s_idx, setting in enumerate(settings):
         rng = random.Random(f"{base_seed}:{s_idx}")
         n_cand = sampling.binomial(rng, pulses, p_all_emit)
-        counts = sampling.multinomial(rng, n_cand, probs[setting])
-        histograms[setting] = {labels[i]: c for i, c in enumerate(counts) if c}
+        counts = sampling.draw(rng, n_cand, tables[id(probs[setting])])
+        histograms[setting] = dict(zip(itertools.compress(labels, counts),
+                                       filter(None, counts)))
         diagnostics["events_per_setting"][setting] = sum(counts)
         diagnostics["candidates_per_setting"][setting] = n_cand
 

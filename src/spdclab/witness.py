@@ -72,6 +72,46 @@ def _check_mode_count(n) -> None:
         raise SchemaError(f"n must be at least 1, got {n!r}")
 
 
+def _reduce(histogram: dict, z: bool) -> list:
+    """Totals of a histogram in one walk: [all H, all V, rest] for Z, [+1, -1] for M_k.
+
+    An outcome string is good iff ``strip("HV")`` leaves nothing.  Its sign
+    is the parity of its V letters; under Z it is all H iff it is not empty
+    and holds no V, all V iff it is not empty and holds no H, and the rest
+    otherwise (the empty outcome included).  A key that is not a str is
+    taken by the letters it iterates over, as a set (``_other_key``).
+    """
+    sums = [0, 0, 0]
+    for outcome, c in histogram.items():
+        if type(outcome) is not str:
+            bucket, c = _other_key(outcome, c, z)
+        else:
+            if outcome.strip("HV"):
+                raise SchemaError(f"bad outcome string {outcome!r}")
+            if type(c) is not int or c < 0:
+                _check_count(c)
+                c = int(c)
+            if not z:
+                bucket = outcome.count("V") & 1
+            elif "V" not in outcome:
+                bucket = 0 if outcome else 2
+            else:
+                bucket = 2 if "H" in outcome else 1
+        sums[bucket] += c
+    return sums if z else sums[:2]
+
+
+def _other_key(outcome, c, z: bool) -> tuple:
+    """(bucket, count) of ``_reduce`` for an outcome key that is not a str."""
+    letters = set(outcome)
+    if letters - set("HV"):
+        raise SchemaError(f"bad outcome string {outcome!r}")
+    _check_count(c)
+    if not z:
+        return int(outcome_sign(outcome) < 0), int(c)
+    return (0 if letters == {"H"} else 1 if letters == {"V"} else 2), int(c)
+
+
 class SettingCounts(_Record):
     """Tallies for one measurement setting.
 
@@ -98,18 +138,7 @@ class SettingCounts(_Record):
         keys = ("n_all_h", "n_all_v", "n_rest") if k is None else ("n_plus", "n_minus")
         reduced = None
         if histogram is not None:
-            reduced = dict.fromkeys(keys, 0)
-            for outcome, c in histogram.items():
-                letters = set(outcome)
-                if letters - set("HV"):
-                    raise SchemaError(f"bad outcome string {outcome!r}")
-                _check_count(c)
-                if k is not None:
-                    key = "n_plus" if outcome_sign(outcome) > 0 else "n_minus"
-                else:
-                    key = ("n_all_h" if letters == {"H"} else
-                           "n_all_v" if letters == {"V"} else "n_rest")
-                reduced[key] += int(c)
+            reduced = dict(zip(keys, _reduce(histogram, k is None)))
         if aggregated is not None:
             if set(aggregated) != set(keys):
                 raise SchemaError(
@@ -164,11 +193,10 @@ class CountDataset(_Record):
                 f"dataset must contain settings {expected} exactly once, got {names}"
             )
         for s in settings:
-            for outcome in s.histogram or {}:
-                if len(outcome) != n:
-                    raise SchemaError(
-                        f"setting {s.setting}: outcome {outcome!r} is not {n} letters long"
-                    )
+            if s.histogram and any(map(n.__ne__, map(len, s.histogram))):
+                outcome = next(o for o in s.histogram if len(o) != n)
+                raise SchemaError(
+                    f"setting {s.setting}: outcome {outcome!r} is not {n} letters long")
         self._fill(n, settings)
 
     def setting(self, name: str) -> SettingCounts:

@@ -563,7 +563,11 @@ class TestSimulate:
         assert settings(reordered) == settings(config_file)
 
     def test_seed_override_keeps_the_config_links(self, tmp_path):
-        # replacing the seed must not reset a non-default chain to the default
+        # replacing the seed must not reset a non-default chain to the default.
+        # The two chains must give different counts for that to show: at 1e8
+        # pulses the Z outcomes that the chain through mode 1 makes likelier
+        # expect 155 events under it and 26 under the default chain, 9.5 sigma
+        # apart, so the counts differ by the model, not by a chance of the draw
         cfg = self._small_config(tmp_path)
         raw = json.loads(cfg.read_text())
         raw["sources"] = [dict(src, xi_signal=0.8, xi_idler=0.7, double_pair_factor=2.0)
@@ -573,7 +577,7 @@ class TestSimulate:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps({**raw, "network": {"pbs_links": links}, **fields}))
             out = tmp_path / f"{name}.counts.json"
-            assert main(["simulate", str(path), "--pulses", "1000000", "--settings", "Z",
+            assert main(["simulate", str(path), "--pulses", "100000000", "--settings", "Z",
                          "--out", str(out)] + (["--seed", "3"] if not fields else [])) \
                 == EXIT_OK
             return json.loads(out.read_text())["settings"]
@@ -592,10 +596,10 @@ class TestSimulate:
     #: and only a stated change of the physics model or of the seeded draw may
     #: update them
     PINNED_DIGESTS = {
-        "reference": ("9f6d6aac3b7b85eaba4bd24ba3dfa320f163d161148345878b31254989c9e3bb",
-                      "3185cb522fb9f3b34ef249f908fa1c5e73ef67f2b212175bccaf0cdb0e895e64"),
-        "bright": ("90cf0d9d63982a28cc8dc55d5ed77d6ceae1161466bff5955c7b2b98f433355c",
-                   "5b09d21071cefa6673bb7c54097209c22382bbdbaf1f7d5bb1cc721624b8d6bf"),
+        "reference": ("7e6729b87954786f0d0b1eb6b628f191afa229b20c07d8194c9bae8cff03640c",
+                      "24d93dee2990b34584da1faa333ffb3c445a2a06472fa5741af1570f812be33b"),
+        "bright": ("49c721f3f3f13f1f207af6bf8353de41228bf13db7288ae994aa380de470adf8",
+                   "814ef5ce281da64784a87ea39e406d5a5d0f7904ca79521d685e7ebbafaaaa48"),
     }
 
     @pytest.mark.parametrize("case", ["reference", "bright"])

@@ -1,5 +1,6 @@
 """The standard-library binomial and multinomial draws of ``spdclab.sampling``."""
 
+import itertools
 import math
 import random
 
@@ -135,3 +136,101 @@ class TestMultinomial:
     def test_all_draws_land_when_the_mass_is_one(self):
         counts = multinomial(random.Random(3), 10**12, [0.25, 0.25, 0.5])
         assert sum(counts) == 10**12
+
+
+def multinomial_pmf(n: int, probs) -> dict:
+    """Every composition of ``n`` over ``probs`` (which sum to 1) with its probability."""
+    out = {}
+    for split in itertools.product(range(n + 1), repeat=len(probs) - 1):
+        if sum(split) <= n:
+            counts = split + (n - sum(split),)
+            weight = math.factorial(n) * math.prod(p**c / math.factorial(c)
+                                                   for p, c in zip(probs, counts))
+            out[counts] = weight
+    return out
+
+
+def chi2_against(samples, pmf: dict) -> float:
+    """Chi-square p-value of drawn outcomes against a pmf keyed by outcome."""
+    keys = list(pmf)
+    index = {key: i for i, key in enumerate(keys)}
+    return chi2_pvalue([index[s] for s in samples], np.array([pmf[k] for k in keys]))
+
+
+class _Stuck:
+    """A stub generator whose uniforms come from a list, the last one repeated."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0) if len(self.values) > 1 else self.values[0]
+
+
+class TestCellTableDraw:
+    #: three kept cells that sum to exactly 1, and a zero, so every draw lands
+    #: and the event count is n: n picks the branch
+    PROBS = [0.5, 0.0, 0.3, 0.2]
+
+    @pytest.mark.parametrize("n, branch", [
+        (2, "placement"),
+        (3, "placement at events = cells"),
+        (4, "chain at events = cells + 1"),
+        (9, "chain"),
+    ])
+    def test_counts_follow_the_multinomial(self, n, branch):
+        table = sampling.cell_table(self.PROBS)
+        assert table.cells == (0, 2, 3) and table.sums[-1] == 1.0
+        rng = random.Random(f"branch:{n}")
+        samples = []
+        for _ in range(20_000):
+            counts = sampling.draw(rng, n, table)
+            assert counts[1] == 0 and sum(counts) == n
+            samples.append((counts[0], counts[2], counts[3]))
+        assert chi2_against(samples, multinomial_pmf(n, [0.5, 0.3, 0.2])) > 1e-3
+
+    def test_counts_with_a_no_event_bucket(self):
+        """Events and their cells together: the joint law of (cells, rest) at
+        n = 5 over 3 cells, which mixes both branches."""
+        probs = [0.25, 0.125, 0.0625]
+        table = sampling.cell_table(probs)
+        rng = random.Random("bucket")
+        samples = [tuple(c) + (5 - sum(c),)
+                   for c in (sampling.draw(rng, 5, table) for _ in range(30_000))]
+        assert chi2_against(samples, multinomial_pmf(5, probs + [0.5625])) > 1e-3
+
+    def test_event_total_is_binomial_in_the_kept_mass(self):
+        table = sampling.cell_table([0.25, 0.0, 0.125, 1e-19, 0.0625])
+        assert table.sums[-1] == 0.4375
+        rng = random.Random("events")
+        totals = [sum(sampling.draw(rng, 12, table)) for _ in range(20_000)]
+        assert chi2_pvalue(totals, exact_pmf(12, 0.4375)) > 1e-3
+
+    def test_last_uniform_fills_no_zero_cell(self):
+        """A uniform of 1 - 2^-53 goes to the last cell of nonzero width: past a
+        kept cell of zero width (2^-53 adds nothing to 1.0) and a dropped zero."""
+        probs = [0.75, 0.25, 2.0**-53, 0.0]
+        table = sampling.cell_table(probs)
+        assert table.cells == (0, 1, 2) and table.sums[1] == table.sums[2] == 1.0
+        for n in range(1, 8):        # placement up to 3 events, the chain above
+            counts = sampling.draw(_Stuck(1.0 - 2.0**-53), n, table)
+            assert counts[2] == counts[3] == 0 and sum(counts) == n
+        assert sampling.draw(_Stuck(1.0 - 2.0**-53), 3, table) == [0, 3, 0, 0]
+
+    def test_uniform_rounding_up_to_a_subnormal_mass(self):
+        """(1 - 2^-53) 5e-324 rounds to 5e-324: the search stops at the last cell."""
+        # the one-trial binomial takes the first uniform: 0.0 < 5e-324 is one event
+        rng = _Stuck(0.0, 1.0 - 2.0**-53)
+        assert sampling.draw(rng, 1, sampling.cell_table([5e-324, 0.0])) == [1, 0]
+
+    def test_shared_table_draws_as_a_fresh_one(self):
+        probs = [0.3, 0.0, 1e-3, 0.2, 0.05] * 40
+        shared = sampling.cell_table(probs)
+        for n in (10, 150, 10**9):   # placement, both, chain
+            for seed in ("first setting", "second setting"):
+                assert (sampling.draw(random.Random(seed), n, shared)
+                        == multinomial(random.Random(seed), n, list(probs)))
+
+    def test_negative_probability_rejected(self):
+        with pytest.raises(ValueError):
+            sampling.cell_table([0.5, -1e-17])

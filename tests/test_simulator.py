@@ -777,9 +777,9 @@ class TestExactModelProperties:
         """The classical part adds exactly 0 to every M_k parity sum.
 
         In an M_k setting every photon leaves either port of its analyzer
-        with probability 1/2, so ``_path_weights`` gives both bits of a path
-        the same weight, a source's four transfer matrices are equal, and
-        the classical part is one number, trace(prod_i T_i), for every
+        with probability 1/2, so both bits of a path have the same weight,
+        a source has one transfer matrix (``_mk_matrix``) whatever its bits,
+        and the classical part is one number, trace(prod_i T_i), for every
         outcome.  So sum_x (-1)^|x| p(x) is 0 by construction: half of the
         2^n outcomes have each parity, and ``math.fsum`` adds the equal
         terms without rounding.  Only the clean events'

@@ -317,7 +317,64 @@ _histograms = st.integers(1, 6).flatmap(lambda n: st.dictionaries(
     st.text("HV", min_size=n, max_size=n), _counts, max_size=40))
 
 
+def _per_outcome_aggregates(setting, histogram):
+    """The per-outcome rule ``SettingCounts`` reduced histograms by before its
+    one-pass reduction: a set of letters and a sign call for every outcome."""
+    k = witness.setting_index(setting)
+    keys = ("n_all_h", "n_all_v", "n_rest") if k is None else ("n_plus", "n_minus")
+    reduced = dict.fromkeys(keys, 0)
+    for outcome, c in histogram.items():
+        letters = set(outcome)
+        if letters - set("HV"):
+            raise SchemaError(f"bad outcome string {outcome!r}")
+        witness._check_count(c)
+        if k is not None:
+            key = "n_plus" if witness.outcome_sign(outcome) > 0 else "n_minus"
+        else:
+            key = ("n_all_h" if letters == {"H"} else
+                   "n_all_v" if letters == {"V"} else "n_rest")
+        reduced[key] += int(c)
+    return reduced
+
+
+def _outcome_or_error(reduce, *args):
+    try:
+        return reduce(*args)
+    except Exception as exc:        # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+_good_keys = st.text("HV", max_size=4)                  # the empty outcome included
+#: keys that are not str but iterate over H and V letters, which the rule accepts
+_letter_tuples = st.lists(st.sampled_from("HV"), max_size=3).map(tuple)
+#: letters outside HV, and keys that are not str
+_odd_keys = st.one_of(st.text("HVX h", min_size=1, max_size=4), _letter_tuples,
+                      st.frozensets(st.sampled_from("HV"), max_size=2),
+                      st.integers(-3, 3), st.binary(max_size=2), st.none())
+_good_counts = st.one_of(st.integers(0, 10**15), st.integers(0, 255).map(np.uint8),
+                         st.integers(0, 2**62).map(np.int64))
+_odd_counts = st.one_of(st.integers(-3, -1), st.booleans(), st.floats(-1.0, 3.0),
+                        st.integers(-5, -1).map(np.int64))
+#: mostly good items, and now and then a bad key, a bad count or both, anywhere
+_mixed_histograms = st.lists(st.one_of(
+    *[st.tuples(_good_keys, _good_counts)] * 3, st.tuples(_letter_tuples, _good_counts),
+    st.tuples(_odd_keys, _good_counts),
+    st.tuples(_good_keys, _odd_counts), st.tuples(_odd_keys, _odd_counts)),
+    max_size=6).map(dict)
+
+
 class TestReduction:
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(setting=st.sampled_from(["Z", "M0", "M3"]),
+           histogram=_mixed_histograms)
+    def test_one_pass_reduction_equals_the_per_outcome_rule(self, setting, histogram):
+        """The same aggregates, or the same exception type and message."""
+        def fast(s, h):
+            return SettingCounts(s, histogram=h).aggregates()
+
+        assert (_outcome_or_error(fast, setting, histogram)
+                == _outcome_or_error(_per_outcome_aggregates, setting, histogram))
+
     @hyp_settings(max_examples=200, deadline=None)
     @given(setting=st.sampled_from(["Z", "M0", "M3"]), histogram=_histograms)
     def test_histogram_reduces_to_brute_force_aggregates(self, setting, histogram):
