@@ -231,6 +231,17 @@ class TestCellTableDraw:
                 assert (sampling.draw(random.Random(seed), n, shared)
                         == multinomial(random.Random(seed), n, list(probs)))
 
+    @pytest.mark.parametrize("probs, cells", [
+        ([1.0, 2.0**-53], (0, 1)),          # every share above 2^-54
+        ([1.0, 2.0**-54], (0,)),            # 1 - 2^-54 rounds to 1.0
+        ([0.25, 0.25 * 2.0**-54, 0.0, 0.5], (0, 3)),
+        ([0.0, 0.0], ()),
+        ([], ()),
+    ])
+    def test_cells_kept_above_the_residue_share(self, probs, cells):
+        table = sampling.cell_table(probs)
+        assert table.cells == cells and table.probs == tuple(probs[i] for i in cells)
+
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
             sampling.cell_table([0.5, -1e-17])
