@@ -166,18 +166,13 @@ class CellTable(NamedTuple):
 
 def cell_table(probs) -> CellTable:
     """The ``CellTable`` of non-negative probabilities whose sum is at most 1."""
-    lowest = min(probs, default=0.0)
-    if lowest < 0.0:
+    if min(probs, default=0.0) < 0.0:
         raise ValueError("probabilities must be non-negative")
     mass = sum(probs)
-    # 1 - r != 1.0 exactly when r > 2^-54 (1 - 2^-54 is a tie, and rounds to 1.0);
-    # r = p / mass rounds monotonically in p, so the least share decides for all
-    if mass and lowest / mass > _RESIDUE:
-        cells, kept = tuple(range(len(probs))), tuple(probs)
-    else:
-        shares = map(mass.__rtruediv__, probs) if mass else ()
-        cells = tuple(itertools.compress(range(len(probs)), map(_RESIDUE.__lt__, shares)))
-        kept = tuple(map(probs.__getitem__, cells))
+    # 1 - r != 1.0 exactly when r > 2^-54 (1 - 2^-54 is a tie, and rounds to 1.0)
+    shares = map(mass.__rtruediv__, probs) if mass else ()
+    cells = tuple(itertools.compress(range(len(probs)), map(_RESIDUE.__lt__, shares)))
+    kept = tuple(map(probs.__getitem__, cells))
     sums = tuple(itertools.accumulate(kept))
     # a kept cell so small that it leaves the sum as it was has zero width
     last = bisect.bisect_left(sums, sums[-1]) if sums else -1

@@ -54,7 +54,6 @@ from .qstate import DEFAULT_PBS_LINKS, FusionNetwork, PairSource
 from .witness import (
     CountDataset,
     SettingCounts,
-    Z_SETTING,
     mean_coherence_visibility,
     population_stats,
     setting_index,
@@ -319,29 +318,35 @@ def _matmul(a, b) -> list:
             a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]]
 
 
-def _classical_part(layout: list, tables: list, z_rule: bool) -> list:
-    """Outcome weights of every candidate routed classically around the ring.
+def _mk_trace(layout: list, tables: list) -> float:
+    """The weight of every M_k outcome of a candidate routed classically: trace(prod_i T_i).
 
-    The weight of an outcome is the trace of the sources' matrices for its
-    bits, multiplied around the ring.  Under Z each chain bit b_i is the
-    ring's state between sources i and i + 1, so the trace is one product,
-    prod_i Z_i[b_(i-1), b_i, d_i], cyclic in i (``_z_entries``): each half of
-    the ring is enumerated as its products, which pair up on their boundary
-    bits.  Under M_k every outcome weighs trace(prod_i T_i) (``_mk_matrix``).
-    Both multiply each half left to right, then the halves; the lists are
-    pinned to its rounding.
+    Each photon leaves either port with probability 1/2, so every outcome
+    weighs the same (``_mk_matrix``).  Each half of the ring is multiplied
+    left to right, then the halves; the lists are pinned to this rounding.
+    """
+    half = len(layout) // 2
+    mats = [_mk_matrix(photons) for photons, _ in tables]
+    first, second = (functools.reduce(_matmul, part) for part in (mats[:half], mats[half:]))
+    # trace(A B) is A's rows against B's columns
+    return sum(map(operator.mul, first, second[0::2] + second[1::2]))
+
+
+def _z_weights(layout: list, tables: list) -> list:
+    """Z outcome weights of every candidate routed classically around the ring.
+
+    Each chain bit b_i is the ring's state between sources i and i + 1, so
+    the trace of an outcome's matrices is one product, prod_i Z_i[b_(i-1),
+    b_i, d_i], cyclic in i (``_z_entries``): each half of the ring is
+    enumerated as its products, left to right, which pair up on their
+    boundary bits.  The lists are pinned to this rounding.
 
     A candidate that is clean at every source routes to all-H or all-V as
-    its pairs' polarizations agree, so this part holds the clean events'
-    populations; only their coherence is left to add.
+    its pairs' polarizations agree, so this part, with ``_mk_trace``, holds
+    the clean events' populations; only their coherence is left to add.
     """
     n = 2 * len(layout)
     half = len(layout) // 2
-    if not z_rule:
-        mats = [_mk_matrix(photons) for photons, _ in tables]
-        first, second = (functools.reduce(_matmul, part) for part in (mats[:half], mats[half:]))
-        # trace(A B) is A's rows against B's columns
-        return [sum(map(operator.mul, first, second[0::2] + second[1::2]))] * 2**n
     # each source's nonzero Z entries: (row, chain bit, outcome bits, value)
     entries = [[(o, b, (b << n - signal) | (d << n - idler), v)
                 for (o, b, d), v in _z_entries(photons).items() if v]
@@ -407,19 +412,19 @@ def _outcome_probabilities(config: ExperimentConfig, settings: Sequence[str]) ->
     n = config.n_modes()
     damping = config.interference.coherence_damping(len(config.pbs_links))
     fringe = 2.0 * a * b * damping / 2**n
-    classical = {z: _classical_part(layout, tables, z) for z in {s == Z_SETTING for s in settings}}
     thinning = (1.0 - config.detector.dark_count_prob) ** n
-    parity = _parities(n) if False in classical else None
+    trace = parity = None
     out, by_sign = {}, {}         # M_k settings of one sign of (-1)^k share a list
     for s in settings:
         k = setting_index(s)
         if k is None:
-            out[s] = [thinning * w for w in classical[True]]
+            out[s] = [thinning * w for w in _z_weights(layout, tables)]
             continue
+        if trace is None:
+            trace, parity = _mk_trace(layout, tables), _parities(n)
         sign = (-1) ** k
         if sign not in by_sign:
             even = weight * sign * fringe
-            trace = classical[False][0]     # the same for every M_k outcome
             # the populations and the coherence are rounded apart, so an exact 0
             # can come out as -1e-17, which no draw accepts
             by_parity = [thinning * v if v > 0.0 else 0.0 for v in (trace + even, trace - even)]

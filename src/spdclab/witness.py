@@ -189,8 +189,8 @@ class CountDataset(_Record):
                 f"dataset must contain settings {expected} exactly once, got {names}"
             )
         for s in settings:
-            if s.histogram and any(map(n.__ne__, map(len, s.histogram))):
-                outcome = next(o for o in s.histogram if len(o) != n)
+            outcome = next((o for o in s.histogram or () if len(o) != n), None)
+            if outcome is not None:
                 raise SchemaError(
                     f"setting {s.setting}: outcome {outcome!r} is not {n} letters long")
         self._fill(n, settings)

@@ -466,11 +466,11 @@ class TestExactOutcomes:
         # success times the clean events' distribution
         clean = exact(lossless(cfg), settings)
         weight = (xi * xi) ** 5
-        ring_z = np.array(simulator._classical_part(layout, tables, True))
+        ring_z = np.array(simulator._z_weights(layout, tables))
         assert not ring_z[1:-1].any()
         np.testing.assert_allclose(ring_z[[0, -1]], weight * clean["Z"][[0, -1]],
                                    rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(simulator._classical_part(layout, tables, False),
+        np.testing.assert_allclose(simulator._mk_trace(layout, tables),
                                    weight * clean["Z"].sum() / 2**10,
                                    rtol=1e-13, atol=0.0)
         probs = simulator._outcome_probabilities(cfg, settings)
@@ -491,7 +491,7 @@ class TestExactOutcomes:
         tables = [simulator._source_table(cfg.sources[p]) for p, _, _ in layout]
         a, b, success = simulator._fused_amplitudes(cfg)
         parity = np.array([1.0 - 2.0 * (bin(i).count("1") % 2) for i in range(1024)])
-        ring = np.array(simulator._classical_part(layout, tables, False))
+        ring = simulator._mk_trace(layout, tables)
         for k in range(10):
             # g = 0 and lossless arms: every candidate is clean; D = 1
             coherence = (-1) ** k * 2.0 * a * b / 2**10 * parity
@@ -779,10 +779,10 @@ class TestExactModelProperties:
         In an M_k setting every photon leaves either port of its analyzer
         with probability 1/2, so both bits of a path have the same weight,
         a source has one transfer matrix (``_mk_matrix``) whatever its bits,
-        and the classical part is one number, trace(prod_i T_i), for every
-        outcome.  So sum_x (-1)^|x| p(x) is 0 by construction: half of the
-        2^n outcomes have each parity, and ``math.fsum`` adds the equal
-        terms without rounding.  Only the clean events'
+        and the classical part is one positive number, trace(prod_i T_i)
+        (``_mk_trace``), for every outcome.  So its share of sum_x (-1)^|x|
+        p(x) is 0 by construction: half of the 2^n outcomes have each
+        parity.  Only the clean events'
         coherence is left in the setting's parity sum: (1 - d)^n W 2abD
         (-1)^k, W the probability that every source is clean times the
         post-selection success.
@@ -791,9 +791,7 @@ class TestExactModelProperties:
         parity = 1.0 - 2.0 * (np.indices((2,) * n).sum(axis=0).ravel() % 2)
         layout = simulator._ring_layout(cfg)
         tables = [simulator._source_table(cfg.sources[p]) for p, _, _ in layout]
-        classical = np.array(simulator._classical_part(layout, tables, False))
-        assert classical.sum() > 0.0
-        assert math.fsum(parity * classical) == 0.0
+        assert simulator._mk_trace(layout, tables) > 0.0
 
         k = data.draw(st.integers(0, n - 1))
         probs = simulator._outcome_probabilities(cfg, [f"M{k}"])[f"M{k}"]
