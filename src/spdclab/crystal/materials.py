@@ -68,17 +68,23 @@ class SellmeierSet(_Record):
         self._fill(species, symmetry, coefficients, (lo, hi), source_citation, table.T,
                    functools.lru_cache(maxsize=64)(self._principal_at_one))
 
-    def _indices(self, wavelength_nm) -> np.ndarray:
-        """(n_x, n_y, n_z) from the principal coefficients; (..., 3) per wavelength."""
+    def check_range(self, wavelength_nm) -> None:
+        """Raise ValueError naming the first wavelength (nm) outside the validity range."""
         lam_nm = np.asarray(wavelength_nm, dtype=float)
-        lam = lam_nm[..., None] * 1e-3
+        lam = lam_nm * 1e-3
         lo, hi = self.valid_range_um
         inside = (lo <= lam) & (lam <= hi)
         if not inside.all():
             raise ValueError(
-                f"{self.species}: {lam_nm[~inside[..., 0]].flat[0]} nm outside "
+                f"{self.species}: {lam_nm[~inside].flat[0]} nm outside "
                 f"the Sellmeier validity range [{lo*1e3:.0f}, {hi*1e3:.0f}] nm"
             )
+
+    def _indices(self, wavelength_nm) -> np.ndarray:
+        """(n_x, n_y, n_z) from the principal coefficients; (..., 3) per wavelength."""
+        self.check_range(wavelength_nm)
+        lam_nm = np.asarray(wavelength_nm, dtype=float)
+        lam = lam_nm[..., None] * 1e-3
         a, b, c, d = self._principal_coefficients
         n_sq = a + b / (lam * lam - c) - d * lam * lam
         physical = n_sq > 1.0

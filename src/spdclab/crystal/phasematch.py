@@ -620,9 +620,16 @@ def spdc_rings(crystal: CrystalData, cut: CrystalCut,
     two half-maximum edge points per center when the crystal is short
     enough for that width to matter.
     """
-    frame = _PumpFrame(crystal.sellmeier, cut.direction(), pump_nm)
+    sel = crystal.sellmeier
+    frame = _PumpFrame(sel, cut.direction(), pump_nm)
     lam_ss, w_ss = _gaussian_samples(2.0 * pump_nm, filter_fwhm_nm, n_signal, 2.0)
     lam_ps, w_ps = _gaussian_samples(pump_nm, pump_fwhm_nm, n_pump, 2.0)
+    # a wide spectrum samples wavelengths of 0 nm or less: check the pump, the signal and
+    # the idler they imply (inf where they are equal) before any arithmetic on them
+    sel.check_range(lam_ps)
+    sel.check_range(lam_ss)
+    inv_i = 1.0 / lam_ps - 1.0 / lam_ss[:, None]
+    sel.check_range(np.divide(1.0, inv_i, out=np.full_like(inv_i, np.inf), where=inv_i != 0))
     L_um = cut.length_mm * 1e3
     # one row per (branch, psi, signal sample, pump sample), in that nesting order
     branch, psi, i_s, i_p = (x.ravel() for x in np.meshgrid(

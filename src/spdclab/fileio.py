@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .errors import SchemaError
@@ -93,8 +94,14 @@ def _write_text(text: str, out: str | Path | None) -> None:
         raise SchemaError(f"cannot write {out}: {exc}") from exc
 
 
-def _csv_text(columns: tuple, rows) -> str:
-    """A header of the column names, then each row formatted by the column specs."""
-    line = ",".join(f"{{:{spec}}}" for _, spec in columns) + "\n"
-    return ",".join(name for name, _ in columns) + "\n" + "".join(
-        line.format(*row) for row in rows)
+def _csv_text(columns: tuple, rows: list) -> str:
+    """A header of the column names, then each row formatted by the column specs.
+
+    One ``%`` template per row is repeated over all rows and applied to their
+    values at once: the bytes of ``str.format`` per row, in less time.  For
+    the specs the tables declare, ``""`` or a precision and a type, the
+    conversion ``"%" + (spec or "s")`` writes what ``format(value, spec)`` does.
+    """
+    line = ",".join("%" + (spec or "s") for _, spec in columns) + "\n"
+    return ",".join(name for name, _ in columns) + "\n" + (line * len(rows)) % tuple(
+        chain.from_iterable(rows))

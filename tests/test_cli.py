@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import hashlib
 import importlib
 import inspect
@@ -11,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import typing
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import spdclab
-from spdclab import cli, crystal, numpy_commands, qstate, simulator, witness
+from spdclab import cli, crystal, fileio, numpy_commands, qstate, simulator, witness
 from spdclab.cli import (
     EXIT_INSUFFICIENT,
     EXIT_NUMERIC,
@@ -917,9 +919,26 @@ class TestCrystalCommands:
         assert field in err and "configuration 'bibo_0p6mm'" in err
         assert not out.exists()
 
-    def test_out_of_range_wavelength_is_numeric_failure(self):
+    def test_out_of_range_wavelength_is_numeric_failure(self, capsys):
+        """A wavelength outside the Sellmeier range exits 4.  So does a spectral width
+        so wide that a sampled wavelength rounds to 0 nm, or a signal sample that
+        equals a pump sample (an infinite idler): the samples are checked before
+        numpy divides by them, so the run warns of nothing and stderr is one line."""
         assert main(["crystal", "summary", "--species", "bbo",
                      "--cut", "0.75", "0.0", "--pump-nm", "150"]) == EXIT_NUMERIC
+        cases = [(species, [flag, "1e300"]) for species in ("bbo", "bibo")
+                 for flag in ("--pump-fwhm", "--filter-fwhm")]
+        cases.append(("bibo", ["--pump-nm", "300", "--filter-fwhm", "353.22"]))
+        for species, widths in cases:
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["crystal", "rings", "--species", species,
+                             *widths]) == EXIT_NUMERIC, (species, widths)
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("numerical failure: ") and err.count("\n") == 1
+            assert "outside the Sellmeier validity range" in err
 
 
 class TestPvalue:
@@ -1001,13 +1020,13 @@ class TestPvalue:
         assert main(["pvalue", str(path)]) == EXIT_SCHEMA
 
 
-def _python(*args, timeout=60, preexec_fn=None):
+def _python(*args, timeout=60, preexec_fn=None, cwd=None):
     """A fresh interpreter on this checkout's ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True,
-                          text=True, timeout=timeout, preexec_fn=preexec_fn)
+                          text=True, timeout=timeout, preexec_fn=preexec_fn, cwd=cwd)
 
 
 def _run_python(*args):
@@ -1444,3 +1463,169 @@ def test_every_subcommand_help_and_handler(capsys):
             deferred.add(func.deferred)
     assert deferred == {"cmd_crystal_summary", "cmd_crystal_curve", "cmd_crystal_rings"}
     assert len(leaves) == 7
+
+
+# ---------------------------------------------------------------------------
+# The process entry
+# ---------------------------------------------------------------------------
+
+#: argv of each way a command ends, with its exit code; ``{name}`` is an input
+#: file in the shared input directory, and outputs are written to the working one
+_ENTRY_PATHS = {
+    "analyze": (EXIT_OK, ["analyze", "{counts}", "--out", "analysis.json",
+                          "--plot-data", "plots"]),
+    "pvalue": (EXIT_OK, ["pvalue", "{ledger}"]),
+    "simulate": (EXIT_OK, ["simulate", "{config}", "--pulses", "1000000000", "--seed", "3",
+                           "--out", "counts.json", "--report", "report.json"]),
+    "crystal summary": (EXIT_OK, ["crystal", "summary", "--species", "bibo"]),
+    "schema error": (EXIT_SCHEMA, ["analyze", "{bad}", "--out", "analysis.json"]),
+    "insufficient data": (EXIT_INSUFFICIENT, ["analyze", "{thin}", "--out", "analysis.json"]),
+    "numerical failure": (EXIT_NUMERIC, ["crystal", "summary", "--species", "bbo",
+                                         "--cut", "0.75", "0.0", "--pump-nm", "150"]),
+    "usage error": (EXIT_SCHEMA, ["analyze", "--f0"]),
+    "--version": (EXIT_OK, ["--version"]),
+    "--help": (EXIT_OK, ["--help"]),
+}
+
+
+@pytest.fixture(scope="module")
+def entry_inputs(tmp_path_factory):
+    """The input files the entry paths read, by name."""
+    inputs = tmp_path_factory.mktemp("entry_inputs")
+    paths = {"counts": shipped_path(inputs, "tenfold_run_reconstruction.counts.json"),
+             "ledger": shipped_path(inputs, "tenfold_trial_ledger.json"),
+             "config": shipped_path(inputs, "reference_tenfold_config.json"),
+             "bad": inputs / "bad.json", "thin": inputs / "thin.json"}
+    paths["bad"].write_text(json.dumps({
+        "kind": "count_dataset", "n": 2, "provenance": "simulated",
+        "settings": [{"setting": "Z",
+                      "aggregated": {"n_all_h": 1, "n_all_v": 1, "n_rest": 0}}]}))
+    paths["thin"].write_text(json.dumps({
+        "kind": "count_dataset", "n": 1, "provenance": "experimental",
+        "settings": [
+            {"setting": "Z", "aggregated": {"n_all_h": 5, "n_all_v": 5, "n_rest": 0}},
+            {"setting": "M0", "aggregated": {"n_plus": 0, "n_minus": 0}}]}))
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _entry_argv(path: str, inputs: dict) -> tuple:
+    code, argv = _ENTRY_PATHS[path]
+    return code, [arg.format(**inputs) for arg in argv]
+
+
+def _written_files(directory: Path) -> dict:
+    """Every file under ``directory`` by relative path; the ``analyze`` report
+    without its timestamp."""
+    files = {}
+    for path in sorted(directory.rglob("*")):
+        if path.is_file():
+            blob = path.read_bytes()
+            if path.name == "analysis.json":
+                report = json.loads(blob)
+                del report["generated_at"]
+                blob = json.dumps(report, sort_keys=True)
+            files[str(path.relative_to(directory))] = blob
+    return files
+
+
+@pytest.mark.parametrize("path", list(_ENTRY_PATHS))
+def test_module_run_matches_main(entry_inputs, tmp_path, monkeypatch, capsys, path):
+    """``python -m spdclab.cli`` exits as in-process ``main`` returns or raises, and
+    writes the same stdout, stderr and files, on every way a command ends."""
+    code, argv = _entry_argv(path, entry_inputs)
+    (tmp_path / "main").mkdir()
+    (tmp_path / "module").mkdir()
+    monkeypatch.chdir(tmp_path / "main")
+    try:
+        returned = main(argv)
+    except SystemExit as exc:
+        returned = exc.code
+    out, err = capsys.readouterr()
+    proc = _python("-m", "spdclab.cli", *argv, cwd=tmp_path / "module")
+    assert returned == proc.returncode == code, proc.stderr
+    assert (proc.stdout, proc.stderr) == (out, err)
+    written = _written_files(tmp_path / "main")
+    assert _written_files(tmp_path / "module") == written
+    assert bool(written) == (path in ("analyze", "simulate"))
+
+
+#: registers an atexit hook that writes ``gc.get_freeze_count()`` to the file named
+#: by its first argument, then runs ``spdclab.cli`` as ``__main__`` on the rest
+_ATEXIT_DRIVER = """
+import atexit, gc, runpy, sys
+
+def hook(path=sys.argv.pop(1)):
+    with open(path, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+
+atexit.register(hook)
+runpy.run_module("spdclab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("path", list(_ENTRY_PATHS))
+def test_process_exit_runs_atexit_on_a_frozen_heap(entry_inputs, tmp_path, path):
+    """However a command ends (a returned code, or argparse's ``SystemExit``), the
+    module entry freezes the heap before shutdown, so the interpreter's final
+    collections scan nothing, and the atexit handlers still run after it."""
+    code, argv = _entry_argv(path, entry_inputs)
+    hook_file = tmp_path / "freeze_count"
+    proc = _python("-c", _ATEXIT_DRIVER, hook_file, *argv, cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert int(hook_file.read_text()) > 0
+
+
+def test_main_freezes_nothing(entry_inputs, tmp_path, capsys):
+    """In-process ``main``, as tests and benchmarks call it, leaves the freeze
+    count alone on a returned code and on argparse's ``SystemExit``."""
+    before = gc.get_freeze_count()
+    for path in ("pvalue", "schema error", "numerical failure", "usage error", "--version"):
+        code, argv = _entry_argv(path, entry_inputs)
+        try:
+            returned = main(argv)
+        except SystemExit as exc:
+            returned = exc.code
+        assert returned == code, path
+        assert gc.get_freeze_count() == before, path
+    capsys.readouterr()
+
+
+def test_installed_script_is_the_module_entry():
+    """``[project.scripts] spdclab`` names the function that ``python -m
+    spdclab.cli`` runs, so both ways of starting the CLI end alike."""
+    tomllib = pytest.importorskip("tomllib")            # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["spdclab"]
+    module, _, func = target.partition(":")
+    blocks = [node.body for node in ast.parse(inspect.getsource(cli)).body
+              if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert module == "spdclab.cli" and callable(getattr(cli, func))
+    assert [ast.unparse(stmt) for stmt in blocks[0]] == [f"sys.exit({func}())"]
+
+
+def _str_format_table(columns: tuple, rows) -> str:
+    """A table written row by row with ``str.format``, the reference for ``_csv_text``."""
+    line = ",".join(f"{{:{spec}}}" for _, spec in columns) + "\n"
+    return ",".join(name for name, _ in columns) + "\n" + "".join(
+        line.format(*row) for row in rows)
+
+
+@pytest.mark.parametrize("columns", [
+    numpy_commands.RING_COLUMNS, numpy_commands.CURVE_COLUMNS,
+    cli.Z_POPULATION_COLUMNS, cli.MK_COLUMNS,
+], ids=["rings", "curve", "z_populations", "mk_expectations"])
+def test_tables_write_the_bytes_of_str_format(columns):
+    """Every table in use writes the bytes ``str.format`` writes for each row:
+    non-finite values, signed zeros, tiny and huge magnitudes, ints in float
+    columns and numpy scalars included."""
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e300,
+              0.5, 2.5, 1.0000005, -123456.7890125, 3, -7, 0, 2**60, True,
+              np.float64(0.1), np.float64(-2.5e10), np.float64("nan"), np.float64(-0.0)]
+    others = ["fast", "slow", "HHVV", "all_H", "", 0, 17, 2**70, -3, 1.5, math.nan,
+              -0.0, 1e-300, np.float64(0.25), np.int64(5)]
+    pools = [others if spec == "" else floats for _, spec in columns]
+    rows = [tuple(pool[(i + j) % len(pool)] for j, pool in enumerate(pools))
+            for i in range(2 * len(floats) * len(others))]
+    assert fileio._csv_text(columns, rows) == _str_format_table(columns, rows)
+    assert fileio._csv_text(columns, []) == _str_format_table(columns, [])
